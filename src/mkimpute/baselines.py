@@ -1,31 +1,32 @@
 """Comparison methods sharing the outer loop, hard consistency and the
 spatio-temporal smoothness term with the main engine.
 
-All factor-based baselines run the same diminishing-step scheme: solve every
-sub-task from the current iterate, extrapolate, repeat.  Their factor updates
-are coded here directly (normal equations / Kronecker solves), independent of
-the main solver's block machinery.
+Every factor-based baseline is a chain X ~ F_1 ... F_k of fixed kernels and
+free Tikhonov-regularized links, run under one diminishing-step scheme: solve
+every free link from the current iterate with the engine's chain-link solve,
+extrapolate, repeat.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .errors import InputError
-from .graphs import GraphOperators, build_graph_operators
+from .graphs import GraphOperators
 from .kernels import KernelSpec, build_kernel_matrix, gaussian_spec
-from .model import ModelDims, SolverConfig, init_factors, reduce_to_mmf
-from .sampling import SamplingPattern, sample_p1
+from .model import SolverConfig
+from .sampling import SamplingPattern
 from .solver import (
     TVGS,
     SolveReport,
+    chain_link_solve,
     consistent_smooth_solve,
     sca_step_schedule,
     smoothness_penalty,
-    solve_from_model,
 )
 
 ZERO_FILL = "zero-fill"
@@ -60,51 +61,48 @@ def mean_fill(Y, pattern: SamplingPattern):
     return np.where(obs, Y, fill)
 
 
-def _ridge_right(rhs, H, c):
-    A = H + c * np.eye(H.shape[0], dtype=H.dtype)
-    return np.linalg.solve(A.T, rhs.T).T
-
-
-def _kron_sylvester(G, H, C, c):
-    # vec-form solve of G D H + c D = C; sizes stay small for baseline factors
-    n = C.size
-    A = np.kron(H.T, G) + c * np.eye(n, dtype=np.result_type(G.dtype, H.dtype))
-    return np.linalg.solve(A, C.ravel(order="F")).reshape(C.shape, order="F")
-
-
-def _sca_baseline_loop(Y, pattern, graph, config: SolverConfig, predict_fn,
-                       update_fn, theta0, tikhonov):
-    """Generic outer loop over a parameter list theta; update_fn returns the
-    half-iterate list conditioned on the current (X, theta)."""
+def _sca_baseline_loop(Y, pattern, graph, config: SolverConfig, links, tikhonov):
+    """Shared outer loop over a chain X ~ F_1 ... F_k given as (matrix, tau)
+    links: tau None marks a fixed kernel; a free link has proximal weight tau
+    and Tikhonov weight ``tikhonov``.  Every free link is solved from the
+    current iterate, then all are extrapolated.  Returns
+    (X, free links, report)."""
+    mats = [mat for mat, _ in links]
+    free = [i for i, (_, tau) in enumerate(links) if tau is not None]
     S_y = np.where(pattern.mask, Y, 0)
-    X = S_y.astype(np.result_type(S_y.dtype, *(t.dtype for t in theta0)))
-    theta = [t.copy() for t in theta0]
+    X = S_y.astype(np.result_type(S_y.dtype, *(mats[i].dtype for i in free)))
     gamma = config.gamma0
     report = SolveReport(problem=TVGS)
 
-    def objective(X_cur, th):
-        resid = X_cur - predict_fn(th)
+    def objective(X_cur):
+        resid = X_cur - reduce(np.matmul, mats)
         val = 0.5 * float(np.vdot(resid, resid).real)
-        val += 0.5 * tikhonov * sum(float(np.vdot(t, t).real) for t in th)
+        val += 0.5 * tikhonov * sum(float(np.vdot(mats[i], mats[i]).real) for i in free)
         if config.lambda_L > 0:
             val += 0.5 * config.lambda_L * smoothness_penalty(X_cur, graph.L_sobolev, graph.delta)
         return val
 
-    report.initial_objective = objective(X, theta)
+    report.initial_objective = objective(X)
     obj_prev = report.initial_objective
     for _n in range(config.outer_iters):
         t0 = time.perf_counter()
         gamma = sca_step_schedule(gamma, config.zeta)
         X_half, cg_iters = consistent_smooth_solve(
-            Y, pattern, predict_fn(theta), X, graph.L_sobolev, graph.delta,
+            Y, pattern, reduce(np.matmul, mats), X, graph.L_sobolev, graph.delta,
             config.lambda_L, config.tau_X, config.cg_tol, config.cg_max,
         )
-        theta_half = update_fn(X, theta)
+        half = {}
+        for i in free:
+            tau = links[i][1]
+            left = reduce(np.matmul, mats[:i]) if i > 0 else None
+            right = reduce(np.matmul, mats[i + 1 :]) if i < len(mats) - 1 else None
+            half[i] = chain_link_solve(left, right, X, mats[i], tikhonov + tau, tau)
         X = gamma * X_half + (1.0 - gamma) * X
         X = np.where(pattern.mask, S_y, X)
-        theta = [gamma * th + (1.0 - gamma) * t for th, t in zip(theta_half, theta)]
+        for i in free:
+            mats[i] = gamma * half[i] + (1.0 - gamma) * mats[i]
 
-        obj = objective(X, theta)
+        obj = objective(X)
         report.objective.append(obj)
         report.consistency.append(
             float(np.max(np.abs(np.where(pattern.mask, X, 0) - S_y), initial=0.0))
@@ -118,7 +116,7 @@ def _sca_baseline_loop(Y, pattern, graph, config: SolverConfig, predict_fn,
             report.converged = True
             break
         obj_prev = obj
-    return X, theta, report
+    return X, [mats[i] for i in free], report
 
 
 # ---------------------------------------------------------------------------
@@ -140,101 +138,13 @@ def _mmf_init(n_rows, n_cols, rank, depth, seed, dtype):
     return [draw(r, c) for r, c in shapes]
 
 
-def mmf_solve(Y, pattern, graph, rank, depth, config: SolverConfig, theta0=None):
+def mmf_solve(Y, pattern, graph, rank, depth, config: SolverConfig):
     """Plain multi-layer factorization X ~ U_1 ... U_Q V with Tikhonov factors,
     smoothness and hard consistency, run under the shared outer scheme."""
-    if theta0 is None:
-        dtype = np.complex128 if np.iscomplexobj(Y) else np.float64
-        theta0 = _mmf_init(Y.shape[0], Y.shape[1], rank, depth, config.seed, dtype)
-    lam = config.lambda2
-
-    def predict_fn(th):
-        out = th[0]
-        for t in th[1:]:
-            out = out @ t
-        return out
-
-    def update_fn(X_cur, th):
-        c = lam + config.tau_D
-        half = []
-        for q in range(len(th)):
-            left = None
-            if q > 0:
-                left = th[0]
-                for t in th[1:q]:
-                    left = left @ t
-            right = None
-            if q < len(th) - 1:
-                right = th[q + 1]
-                for t in th[q + 2 :]:
-                    right = right @ t
-            tau = config.tau_D if q < len(th) - 1 else config.tau_B
-            cq = lam + tau
-            if left is None:
-                H = right @ right.conj().T
-                half.append(_ridge_right(X_cur @ right.conj().T + tau * th[q], H, cq))
-            elif right is None:
-                G = left.conj().T @ left
-                rhs = left.conj().T @ X_cur + tau * th[q]
-                half.append(np.linalg.solve(G + cq * np.eye(G.shape[0], dtype=G.dtype), rhs))
-            else:
-                G = left.conj().T @ left
-                H = right @ right.conj().T
-                C = left.conj().T @ X_cur @ right.conj().T + tau * th[q]
-                half.append(_kron_sylvester(G, H, C, cq))
-        return half
-
-    return _sca_baseline_loop(Y, pattern, graph, config, predict_fn, update_fn,
-                              theta0, lam)
-
-
-def mmf_as_special_case_check(dims: ModelDims, seed: int, lambda1: float = 0.0,
-                              identity_kernels: bool = True, iters: int = 10,
-                              tol: float = 1e-9) -> bool:
-    """Certify the reduction: the main engine with identity kernels and the
-    affine/l1 machinery disabled must trace the same iterates as the
-    standalone multi-layer baseline started from the same factors.
-
-    With lambda1 > 0 or non-identity kernels the trajectories diverge and the
-    check returns False.
-    """
-    if dims.n_kernels != 1:
-        raise InputError("the reduction check runs on single-kernel dims")
-    if dims.depth >= 2 and any(d != dims.inner[0] for d in dims.inner):
-        raise InputError("the baseline uses one shared inner rank")
-    rank = dims.inner[0] if dims.depth >= 2 else dims.n_landmarks
-    rng = np.random.default_rng(seed)
-    coords = rng.random((2, dims.n_rows))
-    graph = build_graph_operators(coords, k=min(3, dims.n_rows - 1), eps=0.5,
-                                  beta=1.0, n_time=dims.n_cols)
-    Y = rng.standard_normal((dims.n_rows, dims.n_cols))
-    pattern = sample_p1(dims.n_rows, dims.n_cols, 0.5, seed)
-
-    base = init_factors(dims, seed, np.float64)
-    if identity_kernels:
-        model0 = reduce_to_mmf(base)
-    else:
-        model0 = base.copy()
-        k_rng = np.random.default_rng(seed + 1)
-        model0.kernels = [np.eye(dims.n_landmarks) + 0.3 * k_rng.standard_normal(
-            (dims.n_landmarks, dims.n_landmarks)) for _ in range(dims.n_kernels)]
-    if lambda1 > 0.0:
-        model0.mmf = False  # keep the l1/affine machinery in play
-
-    config = SolverConfig(lambda1=lambda1, lambda2=0.05, lambda_L=0.0,
-                          tau_X=1.0, tau_D=1.0, tau_B=1.0,
-                          gamma0=1.0, zeta=0.5, outer_iters=iters,
-                          tol_objective=0.0, seed=seed)
-
-    theta0 = [base.factors[0][q] for q in range(dims.depth)] + [base.coeffs[0]]
-    for k in range(1, iters + 1):
-        cfg_k = SolverConfig(**{**config.__dict__, "outer_iters": k})
-        X_main, _, _ = solve_from_model(TVGS, Y, pattern, graph, model0, cfg_k)
-        X_base, _, _ = mmf_solve(Y, pattern, graph, rank, dims.depth, cfg_k,
-                                 theta0=[t.copy() for t in theta0])
-        if float(np.max(np.abs(X_main - X_base))) > tol:
-            return False
-    return True
+    dtype = np.complex128 if np.iscomplexobj(Y) else np.float64
+    *U, V = _mmf_init(Y.shape[0], Y.shape[1], rank, depth, config.seed, dtype)
+    links = [(u, config.tau_D) for u in U] + [(V, config.tau_B)]
+    return _sca_baseline_loop(Y, pattern, graph, config, links, config.lambda2)
 
 
 # ---------------------------------------------------------------------------
@@ -264,33 +174,10 @@ def nbp_solve(Y, pattern, graph, spec: BaselineSpec, config: SolverConfig):
         raise InputError(f"rank {d} exceeds min(I0, I_N) = {min(Y.shape)}")
     rng = np.random.default_rng(config.seed)
     dtype = np.complex128 if np.iscomplexobj(Y) else np.float64
-    theta0 = [
-        (rng.standard_normal((Y.shape[0], d)) / np.sqrt(d)).astype(dtype),
-        (rng.standard_normal((d, Y.shape[1])) / np.sqrt(Y.shape[1])).astype(dtype),
-    ]
-    lam = config.lambda2
-
-    def predict_fn(th):
-        return K_Z @ th[0] @ th[1] @ K_Y
-
-    def update_fn(X_cur, th):
-        B, C = th
-        # B: left K_Z, right C K_Y
-        R = C @ K_Y
-        G = K_Z.conj().T @ K_Z
-        H = R @ R.conj().T
-        B_new = _kron_sylvester(G, H, K_Z.conj().T @ X_cur @ R.conj().T
-                                + config.tau_D * B, lam + config.tau_D)
-        # C: left K_Z B, right K_Y
-        Lm = K_Z @ B
-        G2 = Lm.conj().T @ Lm
-        H2 = K_Y @ K_Y.conj().T
-        C_new = _kron_sylvester(G2, H2, Lm.conj().T @ X_cur @ K_Y.conj().T
-                                + config.tau_B * C, lam + config.tau_B)
-        return [B_new, C_new]
-
-    return _sca_baseline_loop(Y, pattern, graph, config, predict_fn, update_fn,
-                              theta0, lam)
+    B = (rng.standard_normal((Y.shape[0], d)) / np.sqrt(d)).astype(dtype)
+    C = (rng.standard_normal((d, Y.shape[1])) / np.sqrt(Y.shape[1])).astype(dtype)
+    links = [(K_Z, None), (B, config.tau_D), (C, config.tau_B), (K_Y, None)]
+    return _sca_baseline_loop(Y, pattern, graph, config, links, config.lambda2)
 
 
 def krg_solve(Y, pattern, graph, spec: BaselineSpec, config: SolverConfig):
@@ -299,19 +186,9 @@ def krg_solve(Y, pattern, graph, spec: BaselineSpec, config: SolverConfig):
                               spec.size_cap)
     dtype = np.complex128 if np.iscomplexobj(Y) else np.float64
     rng = np.random.default_rng(config.seed)
-    theta0 = [(rng.standard_normal(Y.shape) / np.sqrt(Y.shape[1])).astype(dtype)]
-    lam = config.lambda2
-
-    def predict_fn(th):
-        return th[0] @ K_Y
-
-    def update_fn(X_cur, th):
-        H = K_Y @ K_Y.conj().T
-        rhs = X_cur @ K_Y.conj().T + config.tau_D * th[0]
-        return [_ridge_right(rhs, H, lam + config.tau_D)]
-
-    return _sca_baseline_loop(Y, pattern, graph, config, predict_fn, update_fn,
-                              theta0, lam)
+    H = (rng.standard_normal(Y.shape) / np.sqrt(Y.shape[1])).astype(dtype)
+    links = [(H, config.tau_D), (K_Y, None)]
+    return _sca_baseline_loop(Y, pattern, graph, config, links, config.lambda2)
 
 
 def kgl_solve(Y, pattern, graph, spec: BaselineSpec, config: SolverConfig):
@@ -320,20 +197,9 @@ def kgl_solve(Y, pattern, graph, spec: BaselineSpec, config: SolverConfig):
                                 spec.size_cap)
     dtype = np.complex128 if np.iscomplexobj(Y) else np.float64
     rng = np.random.default_rng(config.seed)
-    theta0 = [(rng.standard_normal(Y.shape) / np.sqrt(Y.shape[1])).astype(dtype)]
-    lam = config.lambda2
-
-    def predict_fn(th):
-        return K_Z @ th[0] @ K_Y
-
-    def update_fn(X_cur, th):
-        G = K_Z.conj().T @ K_Z
-        H = K_Y @ K_Y.conj().T
-        C = K_Z.conj().T @ X_cur @ K_Y.conj().T + config.tau_D * th[0]
-        return [_kron_sylvester(G, H, C, lam + config.tau_D)]
-
-    return _sca_baseline_loop(Y, pattern, graph, config, predict_fn, update_fn,
-                              theta0, lam)
+    G = (rng.standard_normal(Y.shape) / np.sqrt(Y.shape[1])).astype(dtype)
+    links = [(K_Z, None), (G, config.tau_D), (K_Y, None)]
+    return _sca_baseline_loop(Y, pattern, graph, config, links, config.lambda2)
 
 
 def run_baseline(spec: BaselineSpec, Y, pattern: SamplingPattern,

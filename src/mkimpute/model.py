@@ -11,7 +11,7 @@ M * (I0 + I_N) * N_l.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +61,8 @@ class SolverConfig:
     outer_iters: int = 300
     tol_objective: float = 1e-6
     cg_tol: float = 1e-9
-    cg_max: int | None = None  # defaults to 10 * sqrt(free-entry count)
+    cg_max: int | None = None  # defaults to the CG bound from a conditioning estimate,
+    #                            at least 10 * sqrt(free-entry count) + 10
     inner_tol: float = 1e-8
     inner_max: int = 500
     z_rule: str = "ratio"  # "ratio": Soft[F_t(X) + (tau_Z/l2) Z, l3/l2]
@@ -230,7 +231,3 @@ def load_model(path) -> FactorModel:
     coeffs = [data[f"B_{m}"] for m in range(dims.n_kernels)]
     return FactorModel(dims=dims, factors=factors, kernels=kernels, coeffs=coeffs,
                        mmf=bool(meta["mmf"]))
-
-
-def with_config(config: SolverConfig, **updates) -> SolverConfig:
-    return replace(config, **updates)

@@ -135,6 +135,21 @@ def _cg_masked(apply_op, b, x0, tol, max_iter):
 # X sub-task, graph flavor
 # ---------------------------------------------------------------------------
 
+def _cg_cap(L_sob, lambda_L, tau_X, tol, n_free):
+    """Iteration cap for the X-update CG from its convergence bound
+    (sqrt(kappa)/2) ln(2 sqrt(kappa)/tol), floored at 10 sqrt(n_free) + 10.
+
+    The restricted operator's spectrum lies in [1 + tau_X, 1 + tau_X +
+    lambda_L lam_max(S) lam_max(DD^T)]; lam_max(S) is bounded by Gershgorin
+    and lam_max(DD^T) <= 4 for the one-step difference."""
+    floor = 10 * math.ceil(math.sqrt(max(n_free, 1))) + 10
+    if not tol > 0:
+        return floor  # the bound needs a positive tolerance
+    lam_s = float(np.max(np.abs(L_sob).sum(axis=1)))
+    root_kappa = math.sqrt(1.0 + lambda_L * lam_s * 4.0 / (1.0 + tau_X))
+    return max(floor, math.ceil(0.5 * root_kappa * math.log(2.0 * root_kappa / tol)))
+
+
 def consistent_smooth_solve(Y, pattern, target, X_prev, L_sob, delta, lambda_L, tau_X,
                             cg_tol=1e-9, cg_max=None):
     """Minimize 1/2||X - target||^2 + lambda_L/2 tr(X^T S X DD^T) +
@@ -157,7 +172,7 @@ def consistent_smooth_solve(Y, pattern, target, X_prev, L_sob, delta, lambda_L, 
         return np.where(free, (1.0 + tau_X) * V + lambda_L * (L_sob @ V @ ddt), 0)
 
     if cg_max is None:
-        cg_max = 10 * math.ceil(math.sqrt(max(int(free.sum()), 1))) + 10
+        cg_max = _cg_cap(L_sob, lambda_L, tau_X, cg_tol, int(free.sum()))
     x0 = np.where(free, X_prev, 0).astype(b.dtype)
     V, res, iters = _cg_masked(apply_op, b, x0, cg_tol, cg_max)
     if res > cg_tol:
@@ -200,18 +215,33 @@ def factor_wings(model: FactorModel, q_index: int):
     return lefts, rights
 
 
-def _solve_right_ridge(rhs, H, c):
-    """Solve D (H + c I) = rhs for D."""
-    A = H + c * np.eye(H.shape[0], dtype=H.dtype)
-    return np.linalg.solve(A.T, rhs.T).T
-
-
 def _sylvester_pd(G, H, C, c):
     """Solve G D H + c D = C with G, H Hermitian PSD via eigendecompositions."""
     a, U = np.linalg.eigh(G)
     b, V = np.linalg.eigh(H)
     num = U.conj().T @ C @ V
     return U @ (num / (a[:, None] * b[None, :] + c)) @ V.conj().T
+
+
+def chain_link_solve(left, right, X_hat, D_hat, c, tau):
+    """Minimizer over F of one link of a chain product X ~ L F R:
+
+        1/2||X_hat - L F R||^2 + (c - tau)/2||F||^2 + tau/2||F - D_hat||^2
+
+    A missing wing (None) is the identity: a right ridge solve without L, a
+    left ridge solve without R, the Sylvester solve with both."""
+    if left is None:
+        H = right @ right.conj().T
+        rhs = X_hat @ right.conj().T + tau * D_hat
+        A = H + c * np.eye(H.shape[0], dtype=H.dtype)
+        return np.linalg.solve(A.T, rhs.T).T
+    G = left.conj().T @ left
+    if right is None:
+        rhs = left.conj().T @ X_hat + tau * D_hat
+        return np.linalg.solve(G + c * np.eye(G.shape[0], dtype=G.dtype), rhs)
+    H = right @ right.conj().T
+    C = left.conj().T @ X_hat @ right.conj().T + tau * D_hat
+    return _sylvester_pd(G, H, C, c)
 
 
 def _coupled_block_solve(lefts, rights, X_hat, D_hats, c, tau):
@@ -246,17 +276,12 @@ def update_factor(q_index: int, X_hat, model: FactorModel, lam: float, tau: floa
     D_hats = [model.factors[m][q_index] for m in range(model.dims.n_kernels)]
     c = lam + tau
     if q_index == 0:
-        R = np.concatenate(rights, axis=0)
-        H = R @ R.conj().T
-        rhs = X_hat @ R.conj().T + tau * np.concatenate(D_hats, axis=1)
-        wide = _solve_right_ridge(rhs, H, c)
+        wide = chain_link_solve(None, np.concatenate(rights, axis=0), X_hat,
+                                np.concatenate(D_hats, axis=1), c, tau)
         d1 = D_hats[0].shape[1]
         return [wide[:, m * d1 : (m + 1) * d1] for m in range(model.dims.n_kernels)]
     if model.dims.n_kernels == 1:
-        G = lefts[0].conj().T @ lefts[0]
-        H = rights[0] @ rights[0].conj().T
-        C = lefts[0].conj().T @ X_hat @ rights[0].conj().T + tau * D_hats[0]
-        return [_sylvester_pd(G, H, C, c)]
+        return [chain_link_solve(lefts[0], rights[0], X_hat, D_hats[0], c, tau)]
     return _coupled_block_solve(lefts, rights, X_hat, D_hats, c, tau)
 
 
@@ -455,10 +480,8 @@ def update_B_ridge(X_hat, model: FactorModel, lam: float, tau_B: float):
     (plain multi-layer factorization mode): Tikhonov on B."""
     dims = model.dims
     A = np.concatenate([model.block_basis(m) for m in range(dims.n_kernels)], axis=1)
-    B_hat = np.concatenate(model.coeffs, axis=0)
-    G = A.conj().T @ A
-    rhs = A.conj().T @ X_hat + tau_B * B_hat
-    sol = np.linalg.solve(G + (lam + tau_B) * np.eye(G.shape[0], dtype=G.dtype), rhs)
+    sol = chain_link_solve(A, None, X_hat, np.concatenate(model.coeffs, axis=0),
+                           lam + tau_B, tau_B)
     n_l = dims.n_landmarks
     return [sol[m * n_l : (m + 1) * n_l] for m in range(dims.n_kernels)]
 
@@ -508,7 +531,7 @@ def dmri_update_Z(X_hat, Z_prev, lambda2: float, lambda3: float, tau_Z: float,
 
 
 # ---------------------------------------------------------------------------
-# objectives and analytic gradients (used by verification)
+# objectives
 # ---------------------------------------------------------------------------
 
 def smoothness_penalty(X, L_sob, delta):
@@ -536,46 +559,6 @@ def full_objective(problem, X, model, config: SolverConfig, graph=None, Z=None):
         val += 0.5 * config.lambda2 * float(np.vdot(spec_resid, spec_resid).real)
         val += config.lambda3 * float(np.abs(Z).sum())
     return val
-
-
-def x_subtask_gradient(X, target, X_anchor, L_sob, delta, lambda_L, tau_X):
-    """Gradient of the graph-flavor X sub-task objective."""
-    ddt = delta @ delta.T
-    return (1.0 + tau_X) * X + lambda_L * (L_sob @ X @ ddt) - target - tau_X * X_anchor
-
-
-def d_subtask_gradient(D_blocks, q_index, X_hat, model: FactorModel, lam, tau):
-    """Gradient of the factor sub-task at the given blocks, on the support."""
-    lefts, rights = factor_wings(model, q_index)
-    fit = np.zeros_like(X_hat)
-    for m, (L, R) in enumerate(zip(lefts, rights)):
-        term = D_blocks[m] @ R if L is None else L @ D_blocks[m] @ R
-        fit = fit + term
-    fit = fit - X_hat
-    grads = []
-    for m, (L, R) in enumerate(zip(lefts, rights)):
-        g = fit @ R.conj().T if L is None else L.conj().T @ fit @ R.conj().T
-        grads.append(g + lam * D_blocks[m] + tau * (D_blocks[m] - model.factors[m][q_index]))
-    return grads
-
-
-def b_subtask_smooth_gradient(B, X_hat, model: FactorModel, tau_B):
-    """Gradient of the smooth part of the coefficient sub-task (l1 excluded)."""
-    A = np.concatenate([model.block_basis(m) for m in range(model.dims.n_kernels)], axis=1)
-    B_hat = np.concatenate(model.coeffs, axis=0)
-    return A.conj().T @ (A @ B - X_hat) + tau_B * (B - B_hat)
-
-
-def dmri_x_subtask_gradient(X, target, X_anchor, Z_hat, lambda2, tau_X):
-    """Gradient of the smooth k-space X sub-task objective (Ft unnormalized,
-    so Ft^H Ft = I3 Id)."""
-    i3 = X.shape[1]
-    return (
-        (1.0 + tau_X) * X
-        - target
-        - tau_X * X_anchor
-        + lambda2 * (i3 * X - i3 * idft_temporal(Z_hat))
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,19 @@
 
 Every routine here re-derives the optimality system from scratch (explicit
 Kronecker matrices, bordered KKT systems, affine residual stacking) so the
-fast block implementations are checked against an independent path.
+fast block implementations are checked against an independent path.  The
+analytic sub-task gradients and the multi-layer factorization reduction
+check live here too: both exist only to verify the engine.
 """
 
 import numpy as np
 
-from mkimpute.mri import dft_temporal, ifft2_frames
+from mkimpute.errors import InputError
+from mkimpute.graphs import build_graph_operators
+from mkimpute.model import FactorModel, ModelDims, SolverConfig, init_factors, reduce_to_mmf
+from mkimpute.mri import dft_temporal, idft_temporal, ifft2_frames
+from mkimpute.sampling import sample_p1
+from mkimpute.solver import TVGS, factor_wings, sca_step_schedule, solve_from_model
 
 
 def _chain(mats):
@@ -138,8 +145,6 @@ def dense_dmri_x_oracle(Y, mask, target, X_prev, Z_hat, lam2, tau, frame_dims):
 
 def random_model(dims, seed, dtype=np.float64, kernel_scale=0.6):
     """Small random model with non-trivial kernels and feasible coefficients."""
-    from mkimpute.model import init_factors
-
     model = init_factors(dims, seed, dtype)
     rng = np.random.default_rng(seed + 1000)
     n_l = dims.n_landmarks
@@ -149,3 +154,134 @@ def random_model(dims, seed, dtype=np.float64, kernel_scale=0.6):
             raw = raw + 1j * rng.standard_normal((n_l, n_l))
         model.kernels[m] = np.eye(n_l, dtype=dtype) + kernel_scale * raw.astype(dtype)
     return model
+
+
+def kron_sylvester(G, H, C, c):
+    """vec-form solve of G D H + c D = C through the explicit Kronecker matrix."""
+    n = C.size
+    A = np.kron(H.T, G) + c * np.eye(n, dtype=np.result_type(G.dtype, H.dtype))
+    return np.linalg.solve(A, C.ravel(order="F")).reshape(C.shape, order="F")
+
+
+# ---------------------------------------------------------------------------
+# analytic sub-task gradients
+# ---------------------------------------------------------------------------
+
+def x_subtask_gradient(X, target, X_anchor, L_sob, delta, lambda_L, tau_X):
+    """Gradient of the graph-flavor X sub-task objective."""
+    ddt = delta @ delta.T
+    return (1.0 + tau_X) * X + lambda_L * (L_sob @ X @ ddt) - target - tau_X * X_anchor
+
+
+def d_subtask_gradient(D_blocks, q_index, X_hat, model: FactorModel, lam, tau):
+    """Gradient of the factor sub-task at the given blocks, on the support."""
+    lefts, rights = factor_wings(model, q_index)
+    fit = np.zeros_like(X_hat)
+    for m, (L, R) in enumerate(zip(lefts, rights)):
+        term = D_blocks[m] @ R if L is None else L @ D_blocks[m] @ R
+        fit = fit + term
+    fit = fit - X_hat
+    grads = []
+    for m, (L, R) in enumerate(zip(lefts, rights)):
+        g = fit @ R.conj().T if L is None else L.conj().T @ fit @ R.conj().T
+        grads.append(g + lam * D_blocks[m] + tau * (D_blocks[m] - model.factors[m][q_index]))
+    return grads
+
+
+def b_subtask_smooth_gradient(B, X_hat, model: FactorModel, tau_B):
+    """Gradient of the smooth part of the coefficient sub-task (l1 excluded)."""
+    A = np.concatenate([model.block_basis(m) for m in range(model.dims.n_kernels)], axis=1)
+    B_hat = np.concatenate(model.coeffs, axis=0)
+    return A.conj().T @ (A @ B - X_hat) + tau_B * (B - B_hat)
+
+
+def dmri_x_subtask_gradient(X, target, X_anchor, Z_hat, lambda2, tau_X):
+    """Gradient of the smooth k-space X sub-task objective (Ft unnormalized,
+    so Ft^H Ft = I3 Id)."""
+    i3 = X.shape[1]
+    return (
+        (1.0 + tau_X) * X
+        - target
+        - tau_X * X_anchor
+        + lambda2 * (i3 * X - i3 * idft_temporal(Z_hat))
+    )
+
+
+# ---------------------------------------------------------------------------
+# multi-layer factorization reduction
+# ---------------------------------------------------------------------------
+
+def _mmf_reference_trajectory(Y, pattern, graph, theta0, config):
+    """X iterates of the multi-layer factorization X ~ U_1 ... U_Q V under the
+    diminishing-step scheme, every sub-task solved densely: the X update by
+    dense_x_oracle and each link by kron_sylvester with identity in place of
+    a missing wing."""
+    S_y = np.where(pattern.mask, Y, 0)
+    X = S_y.astype(np.result_type(S_y.dtype, *(t.dtype for t in theta0)))
+    theta = [t.copy() for t in theta0]
+    gamma = config.gamma0
+    lam = config.lambda2
+    trajectory = []
+    for _ in range(config.outer_iters):
+        gamma = sca_step_schedule(gamma, config.zeta)
+        X_half = dense_x_oracle(Y, pattern.mask, _chain(theta), X, graph.L_sobolev,
+                                graph.delta, config.lambda_L, config.tau_X)
+        half = []
+        for q, t in enumerate(theta):
+            left = _chain(theta[:q]) if q > 0 else np.eye(Y.shape[0])
+            right = _chain(theta[q + 1:]) if q < len(theta) - 1 else np.eye(Y.shape[1])
+            tau = config.tau_D if q < len(theta) - 1 else config.tau_B
+            half.append(kron_sylvester(left.conj().T @ left, right @ right.conj().T,
+                                       left.conj().T @ X @ right.conj().T + tau * t,
+                                       lam + tau))
+        X = np.where(pattern.mask, S_y, gamma * X_half + (1.0 - gamma) * X)
+        theta = [gamma * h + (1.0 - gamma) * t for h, t in zip(half, theta)]
+        trajectory.append(X)
+    return trajectory
+
+
+def mmf_as_special_case_check(dims: ModelDims, seed: int, lambda1: float = 0.0,
+                              identity_kernels: bool = True, iters: int = 10,
+                              tol: float = 1e-9) -> bool:
+    """Certify the reduction: the main engine with identity kernels and the
+    affine/l1 machinery disabled must trace the same iterates as a dense
+    multi-layer factorization started from the same factors.
+
+    With lambda1 > 0 or non-identity kernels the trajectories diverge and the
+    check returns False.
+    """
+    if dims.n_kernels != 1:
+        raise InputError("the reduction check runs on single-kernel dims")
+    if dims.depth >= 2 and any(d != dims.inner[0] for d in dims.inner):
+        raise InputError("the baseline uses one shared inner rank")
+    rng = np.random.default_rng(seed)
+    coords = rng.random((2, dims.n_rows))
+    graph = build_graph_operators(coords, k=min(3, dims.n_rows - 1), eps=0.5,
+                                  beta=1.0, n_time=dims.n_cols)
+    Y = rng.standard_normal((dims.n_rows, dims.n_cols))
+    pattern = sample_p1(dims.n_rows, dims.n_cols, 0.5, seed)
+
+    base = init_factors(dims, seed, np.float64)
+    if identity_kernels:
+        model0 = reduce_to_mmf(base)
+    else:
+        model0 = base.copy()
+        k_rng = np.random.default_rng(seed + 1)
+        model0.kernels = [np.eye(dims.n_landmarks) + 0.3 * k_rng.standard_normal(
+            (dims.n_landmarks, dims.n_landmarks)) for _ in range(dims.n_kernels)]
+    if lambda1 > 0.0:
+        model0.mmf = False  # keep the l1/affine machinery in play
+
+    config = SolverConfig(lambda1=lambda1, lambda2=0.05, lambda_L=0.0,
+                          tau_X=1.0, tau_D=1.0, tau_B=1.0,
+                          gamma0=1.0, zeta=0.5, outer_iters=iters,
+                          tol_objective=0.0, seed=seed)
+
+    theta0 = [base.factors[0][q] for q in range(dims.depth)] + [base.coeffs[0]]
+    reference = _mmf_reference_trajectory(Y, pattern, graph, theta0, config)
+    for k in range(1, iters + 1):
+        cfg_k = SolverConfig(**{**config.__dict__, "outer_iters": k})
+        X_main, _, _ = solve_from_model(TVGS, Y, pattern, graph, model0, cfg_k)
+        if float(np.max(np.abs(X_main - reference[k - 1]))) > tol:
+            return False
+    return True

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from mkimpute.baselines import mean_fill, mmf_as_special_case_check, zero_fill
+from mkimpute.baselines import mean_fill, zero_fill
 from mkimpute.experiments import make_tvgs_synthetic
 from mkimpute.graphs import build_graph_operators
 from mkimpute.kernels import median_distance_gaussian
@@ -23,24 +23,25 @@ from mkimpute.sampling import SamplingPattern, radial_mask, sample_p1, with_band
 from mkimpute.solver import (
     DMRI,
     TVGS,
-    b_subtask_smooth_gradient,
-    d_subtask_gradient,
     dmri_update_X,
-    dmri_x_subtask_gradient,
     sca_step_schedule,
     solve,
     tvgs_update_D,
     tvgs_update_X,
     update_B,
-    x_subtask_gradient,
 )
 
 from oracles import (
+    b_subtask_smooth_gradient,
+    d_subtask_gradient,
     dense_b_oracle,
     dense_d_oracle,
     dense_dmri_x_oracle,
     dense_x_oracle,
+    dmri_x_subtask_gradient,
+    mmf_as_special_case_check,
     random_model,
+    x_subtask_gradient,
 )
 
 # thresholds recorded from the first certified run of criteria 8 and 9

@@ -6,7 +6,6 @@ from mkimpute.baselines import (
     kgl_solve,
     krg_solve,
     mean_fill,
-    mmf_as_special_case_check,
     mmf_solve,
     nbp_solve,
     run_baseline,
@@ -17,6 +16,8 @@ from mkimpute.graphs import build_graph_operators
 from mkimpute.kernels import gaussian_spec
 from mkimpute.model import ModelDims, SolverConfig
 from mkimpute.sampling import sample_p1
+
+from oracles import mmf_as_special_case_check
 
 
 def _toy_problem(seed=0, n=10, t=12):
@@ -151,7 +152,7 @@ def test_baseline_sub_task_surrogate_descent():
         return (fit + 0.5 * config.lambda2 * np.linalg.norm(Bc) ** 2
                 + 0.5 * config.tau_D * np.linalg.norm(Bc - B) ** 2)
 
-    from mkimpute.baselines import _kron_sylvester
+    from oracles import kron_sylvester as _kron_sylvester
     R = C @ K_Y
     B_half = _kron_sylvester(K_Z.T @ K_Z, R @ R.T,
                              K_Z.T @ X @ R.T + config.tau_D * B,

@@ -11,11 +11,10 @@ from mkimpute.solver import (
     DMRI,
     TVGS,
     IterateTuple,
-    b_subtask_smooth_gradient,
-    d_subtask_gradient,
+    chain_link_solve,
+    consistent_smooth_solve,
     dmri_update_X,
     dmri_update_Z,
-    dmri_x_subtask_gradient,
     sca_extrapolate,
     sca_step_schedule,
     soft_threshold,
@@ -24,15 +23,18 @@ from mkimpute.solver import (
     tvgs_update_X,
     update_B,
     update_B_ridge,
-    x_subtask_gradient,
 )
 
 from oracles import (
+    b_subtask_smooth_gradient,
+    d_subtask_gradient,
     dense_b_oracle,
     dense_d_oracle,
     dense_dmri_x_oracle,
     dense_x_oracle,
+    dmri_x_subtask_gradient,
     random_model,
+    x_subtask_gradient,
 )
 
 
@@ -149,9 +151,60 @@ def test_x_update_observed_entries_pinned():
     assert np.array_equal(X[pattern.mask], Y[pattern.mask])
 
 
+def test_x_update_default_cap_follows_conditioning():
+    # kNN weights of 1/d^2 give lam_max(S) ~ 3.5e5; CG needs about 1000
+    # iterations, twice the free-entry floor of 10 sqrt(free) + 10
+    from mkimpute.experiments import make_tvgs_synthetic
+    Y, coords = make_tvgs_synthetic(50, 80, 3, 5, seed=11)
+    graph = build_graph_operators(coords, 5, 0.1, 1.0, 80)
+    pattern = sample_p1(50, 80, 0.3, seed=0)
+    zeros = np.zeros_like(Y)
+    X, iters = consistent_smooth_solve(Y, pattern, zeros, zeros, graph.L_sobolev,
+                                       graph.delta, 0.1, 1.0)
+    floor = 10 * int(np.ceil(np.sqrt((~pattern.mask).sum()))) + 10
+    assert iters > floor
+    X_ref, _ = consistent_smooth_solve(Y, pattern, zeros, zeros, graph.L_sobolev,
+                                       graph.delta, 0.1, 1.0, cg_max=100000)
+    assert np.array_equal(X, X_ref)
+
+
 # ---------------------------------------------------------------------------
 # factor update
 # ---------------------------------------------------------------------------
+
+def _wing(rows, cols, rank, dtype, rng):
+    """rows x cols matrix of the given rank (rank-deficient Gram matrices)."""
+    def draw(r, c):
+        out = rng.standard_normal((r, c))
+        if dtype == np.complex128:
+            out = out + 1j * rng.standard_normal((r, c))
+        return out
+    return draw(rows, rank) @ draw(rank, cols)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("wings", ["right only", "left only", "both"])
+def test_chain_link_solve_matches_dense_normal_equations(dtype, wings):
+    # minimizer of 1/2||X - L F R||^2 + (c - tau)/2||F||^2 + tau/2||F - F_hat||^2
+    # from the vectorized normal equations, vec(L F R) = (R^T kron L) vec F
+    rng = np.random.default_rng(40)
+    n_rows, n_cols, p, r = 7, 9, 5, 6
+    left = _wing(n_rows, p, 3, dtype, rng) if wings != "right only" else None
+    right = _wing(r, n_cols, 2, dtype, rng) if wings != "left only" else None
+    shape = (n_rows if left is None else p, n_cols if right is None else r)
+    X_hat = _wing(n_rows, n_cols, min(n_rows, n_cols), dtype, rng)
+    F_hat = _wing(*shape, min(shape), dtype, rng)
+    c, tau = 0.7, 0.4
+    L = np.eye(n_rows) if left is None else left
+    R = np.eye(n_cols) if right is None else right
+    A = np.kron(R.T, L)
+    normal = A.conj().T @ A + c * np.eye(A.shape[1])
+    rhs = A.conj().T @ X_hat.ravel(order="F") + tau * F_hat.ravel(order="F")
+    ref = np.linalg.solve(normal, rhs).reshape(shape, order="F")
+    F = chain_link_solve(left, right, X_hat, F_hat, c, tau)
+    assert F.shape == shape
+    assert _rel(F, ref) < 1e-10
+
 
 def test_d_update_identity_wings_least_squares():
     # single layer, identity kernel and coefficients: D fits X directly
