@@ -1,10 +1,11 @@
 """Comparison methods sharing the outer loop, hard consistency and the
 spatio-temporal smoothness term with the main engine.
 
-Every factor-based baseline is a chain X ~ F_1 ... F_k of fixed kernels and
-free Tikhonov-regularized links, run under one diminishing-step scheme: solve
-every free link from the current iterate with the engine's chain-link solve,
-extrapolate, repeat.
+The multi-layer factorization is the engine itself in its mmf reduction.
+The kernel baselines are chains X ~ F_1 ... F_k of fixed kernels and free
+Tikhonov-regularized links, run under the same diminishing-step scheme:
+solve every free link from the current iterate with the engine's chain-link
+solve, extrapolate, repeat.
 """
 
 from __future__ import annotations
@@ -18,15 +19,17 @@ import numpy as np
 from .errors import InputError
 from .graphs import GraphOperators
 from .kernels import KernelSpec, build_kernel_matrix, gaussian_spec
-from .model import SolverConfig
+from .model import FactorModel, ModelDims, SolverConfig
 from .sampling import SamplingPattern
 from .solver import (
     TVGS,
     SolveReport,
+    _check_finite,
     chain_link_solve,
     consistent_smooth_solve,
     sca_step_schedule,
     smoothness_penalty,
+    solve_from_model,
 )
 
 ZERO_FILL = "zero-fill"
@@ -84,8 +87,9 @@ def _sca_baseline_loop(Y, pattern, graph, config: SolverConfig, links, tikhonov)
 
     report.initial_objective = objective(X)
     obj_prev = report.initial_objective
-    for _n in range(config.outer_iters):
+    for n in range(config.outer_iters):
         t0 = time.perf_counter()
+        _check_finite(X, "X", n + 1)
         gamma = sca_step_schedule(gamma, config.zeta)
         X_half, cg_iters = consistent_smooth_solve(
             Y, pattern, reduce(np.matmul, mats), X, graph.L_sobolev, graph.delta,
@@ -103,6 +107,7 @@ def _sca_baseline_loop(Y, pattern, graph, config: SolverConfig, links, tikhonov)
             mats[i] = gamma * half[i] + (1.0 - gamma) * mats[i]
 
         obj = objective(X)
+        _check_finite(obj, "objective", n + 1)
         report.objective.append(obj)
         report.consistency.append(
             float(np.max(np.abs(np.where(pattern.mask, X, 0) - S_y), initial=0.0))
@@ -140,11 +145,14 @@ def _mmf_init(n_rows, n_cols, rank, depth, seed, dtype):
 
 def mmf_solve(Y, pattern, graph, rank, depth, config: SolverConfig):
     """Plain multi-layer factorization X ~ U_1 ... U_Q V with Tikhonov factors,
-    smoothness and hard consistency, run under the shared outer scheme."""
+    smoothness and hard consistency: the engine's mmf reduction (one block,
+    N_l = rank, identity kernel, no affine or l1 terms).  Returns
+    (X, model, report)."""
     dtype = np.complex128 if np.iscomplexobj(Y) else np.float64
     *U, V = _mmf_init(Y.shape[0], Y.shape[1], rank, depth, config.seed, dtype)
-    links = [(u, config.tau_D) for u in U] + [(V, config.tau_B)]
-    return _sca_baseline_loop(Y, pattern, graph, config, links, config.lambda2)
+    dims = ModelDims(Y.shape[0], Y.shape[1], rank, 1, depth, (rank,) * (depth - 1))
+    model = FactorModel(dims, [U], [np.eye(rank, dtype=dtype)], [V], mmf=True)
+    return solve_from_model(TVGS, Y, pattern, graph, model, config)
 
 
 # ---------------------------------------------------------------------------

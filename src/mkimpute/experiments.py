@@ -9,7 +9,9 @@ reproduced byte-for-byte (wall-time columns aside).
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -45,6 +47,7 @@ from .solver import DMRI, TVGS, solve
 MAIN_METHOD = "mlkr"  # multilinear kernel regression, the engine itself
 
 TVGS_METHODS = (MAIN_METHOD, "mmf", "nbp", "krg", "kgl", "zero-fill", "mean-fill")
+KERNEL_BASELINES = (baselines.NBP, baselines.KRG, baselines.KGL)  # need kernel widths
 DMRI_METHODS = (MAIN_METHOD, "zero-fill")
 
 RESULT_COLUMNS = ("method", "ratio", "seed", "mae", "rmse", "mape", "nrmse",
@@ -70,6 +73,8 @@ _DEFAULTS = {
     "graph": {"k": 5, "eps": 0.1, "beta": 1.0},
 }
 
+_SOLVER_FIELDS = {f.name for f in dataclasses.fields(SolverConfig)}
+
 _SYNTH_DEFAULTS = {"source": "synthetic", "nodes": 50, "times": 80, "modes": 3,
                    "knn": 5, "seed": 7, "offset": 3.0}
 _PHANTOM_DEFAULTS = {"source": "phantom", "i1": 32, "i2": 32, "i3": 16,
@@ -93,6 +98,8 @@ def _parse_numeric_csv(path) -> np.ndarray:
                 vals = [float(p) for p in parts]
             except ValueError as exc:
                 raise DataError(f"{path}:{ln}: non-numeric cell ({exc})") from None
+            if not all(math.isfinite(v) for v in vals):
+                raise DataError(f"{path}:{ln}: non-finite cell")
             if width is None:
                 width = len(vals)
             elif len(vals) != width:
@@ -151,7 +158,13 @@ def resolve_spec(raw: dict) -> dict:
     for key, val in raw.items():
         if key not in spec:
             raise InputError(f"unknown spec field {key!r}")
-        if isinstance(spec[key], dict) and isinstance(val, dict):
+        if isinstance(spec[key], dict):
+            if not isinstance(val, dict):
+                raise InputError(f"spec field {key!r} must be an object")
+            schema = _SOLVER_FIELDS if key == "solver" else spec[key]
+            unknown = [sub for sub in val if sub not in schema]
+            if unknown and key != "data":  # data keys depend on the source
+                raise InputError(f"unknown key {unknown[0]!r} in the {key!r} block")
             spec[key].update(val)
         else:
             spec[key] = copy.deepcopy(val)
@@ -243,10 +256,7 @@ def _metric_row(method, ratio, seed, rep, seconds, wanted):
     return row
 
 
-def _solve_main_tvgs(spec, Y, pattern, graph, seed):
-    nav_cfg = spec["navigator"]
-    nav = form_navigators_tvgs(Y, pattern, nav_cfg["mode"], graph,
-                               nav_cfg["delta_t"])
+def _solve_main(spec, problem, Y, pattern, operators, nav, seed):
     lmk_cfg = spec["landmarks"]
     lmk = select_landmarks(nav, lmk_cfg["count"], lmk_cfg["strategy"], seed)
     kspecs = _kernel_specs_from_config(spec["kernels"], lmk.points)
@@ -256,30 +266,7 @@ def _solve_main_tvgs(spec, Y, pattern, graph, seed):
         inner=tuple(spec["dims"]["inner"]),
     )
     config = SolverConfig(**{**spec["solver"], "seed": seed})
-    return solve(TVGS, Y, pattern, graph, lmk, kspecs, dims, config)
-
-
-def _solve_main_dmri(spec, kspace, pattern, frame_dims, seed):
-    i1, i2, _ = frame_dims
-    upsilon = spec["navigator"]["upsilon"]
-    # work at unit k-space scale so kernel widths and weights are portable
-    observed = np.where(pattern.mask, kspace, 0)
-    scale = float(np.abs(observed).max())
-    if scale == 0:
-        raise DataError("no observed k-space energy")
-    Yn = kspace / scale
-    nav = form_navigators_dmri(np.where(pattern.mask, Yn, 0), pattern, i1, i2, upsilon)
-    lmk_cfg = spec["landmarks"]
-    lmk = select_landmarks(nav, lmk_cfg["count"], lmk_cfg["strategy"], seed)
-    kspecs = _kernel_specs_from_config(spec["kernels"], lmk.points)
-    dims = ModelDims(
-        n_rows=kspace.shape[0], n_cols=kspace.shape[1], n_landmarks=lmk.count,
-        n_kernels=len(kspecs), depth=spec["dims"]["depth"],
-        inner=tuple(spec["dims"]["inner"]),
-    )
-    config = SolverConfig(**{**spec["solver"], "seed": seed})
-    X, model, report = solve(DMRI, Yn, pattern, frame_dims, lmk, kspecs, dims, config)
-    return X * scale, model, report
+    return solve(problem, Y, pattern, operators, lmk, kspecs, dims, config)
 
 
 def _run_cell_tvgs(spec, Y, graph, ratio, repeat, seed, out_dir):
@@ -287,32 +274,29 @@ def _run_cell_tvgs(spec, Y, graph, ratio, repeat, seed, out_dir):
     sampler = sample_p1 if kind == "p1" else sample_p2
     pattern = sampler(Y.shape[0], Y.shape[1], ratio, seed)
     missing_only = spec["missing_only_metrics"]
+    bconf = SolverConfig(**{**spec["solver"], "seed": seed})
+    widths = {}
+    if any(m in KERNEL_BASELINES for m in spec["methods"]):
+        S_y = np.where(pattern.mask, Y, 0)
+        widths = {"kernel_row": median_distance_gaussian(S_y.T),
+                  "kernel_col": median_distance_gaussian(S_y)}
     rows = []
     for method in spec["methods"]:
         t0 = time.perf_counter()
-        report = None
         if method == MAIN_METHOD:
-            X, _model, report = _solve_main_tvgs(spec, Y, pattern, graph, seed)
-        elif method == "zero-fill":
-            X = baselines.zero_fill(Y, pattern)
-        elif method == "mean-fill":
-            X = baselines.mean_fill(Y, pattern)
+            nav_cfg = spec["navigator"]
+            nav = form_navigators_tvgs(Y, pattern, nav_cfg["mode"], graph,
+                                       nav_cfg["delta_t"])
+            X, _model, report = _solve_main(spec, TVGS, Y, pattern, graph, nav, seed)
         else:
-            bconf = SolverConfig(**{**spec["solver"], "seed": seed})
-            S_y = np.where(pattern.mask, Y, 0)
-            bspec = baselines.BaselineSpec(
-                kind=method,
-                rank=spec["baseline"]["rank"],
-                depth=spec["baseline"]["depth"],
-                kernel_row=median_distance_gaussian(S_y.T),
-                kernel_col=median_distance_gaussian(S_y),
-            )
+            bspec = baselines.BaselineSpec(kind=method, rank=spec["baseline"]["rank"],
+                                           depth=spec["baseline"]["depth"], **widths)
             X, report = baselines.run_baseline(bspec, Y, pattern, graph, bconf)
         seconds = time.perf_counter() - t0
         rep = compute_metrics(X, Y, observed_mask=pattern.mask,
                               missing_only=missing_only)
         rows.append(_metric_row(method, ratio, seed, rep, seconds, spec["metrics"]))
-        if report is not None and report.iterations and out_dir is not None:
+        if report.iterations and out_dir is not None:
             report.to_csv(out_dir / f"trace_{method}_r{ratio}_{repeat}.csv")
     return rows
 
@@ -331,8 +315,16 @@ def _run_cell_dmri(spec, dataset, ratio, repeat, seed, out_dir):
         t0 = time.perf_counter()
         report = None
         if method == MAIN_METHOD:
-            X, _model, report = _solve_main_dmri(spec, dataset.kspace, pattern,
-                                                 (i1, i2, i3), seed)
+            # work at unit k-space scale so kernel widths and weights are portable
+            scale = float(np.abs(np.where(pattern.mask, dataset.kspace, 0)).max())
+            if scale == 0:
+                raise DataError("no observed k-space energy")
+            Yn = dataset.kspace / scale
+            nav = form_navigators_dmri(np.where(pattern.mask, Yn, 0), pattern, i1, i2,
+                                       spec["navigator"]["upsilon"])
+            Xn, _model, report = _solve_main(spec, DMRI, Yn, pattern, (i1, i2, i3),
+                                             nav, seed)
+            X = Xn * scale
         else:
             X = ifft2_frames(np.where(pattern.mask, dataset.kspace, 0), i1, i2)
         seconds = time.perf_counter() - t0

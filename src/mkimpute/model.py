@@ -80,6 +80,15 @@ class SolverConfig:
         for name in ("lambda1", "lambda2", "lambda3", "lambda4", "lambda_L"):
             if getattr(self, name) < 0:
                 raise InputError(f"{name} must be non-negative")
+        for name in ("cg_tol", "inner_tol"):
+            if not getattr(self, name) > 0:
+                raise InputError(f"{name} must be positive")
+        for name in ("outer_iters", "inner_max", "cg_max"):
+            value = getattr(self, name)
+            if value is not None and not value >= 1:
+                raise InputError(f"{name} must be at least 1")
+        if not self.tol_objective >= 0:
+            raise InputError("tol_objective must be non-negative")
         if self.z_rule not in ("ratio", "prox"):
             raise InputError(f"unknown z_rule {self.z_rule!r}")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DataError, InputError
 from .sampling import SamplingPattern
 
 
@@ -152,6 +152,9 @@ def load_kt(path) -> KtDataset:
         i1, i2, i3 = header["i1"], header["i2"], header["i3"]
         n = i1 * i2 * i3
         raw = fh.read()
+    expected = n * 16 * (2 if header["has_truth"] else 1)
+    if len(raw) < expected:
+        raise DataError(f"{path}: truncated, {len(raw)} of {expected} data bytes")
     kspace = np.frombuffer(raw[: n * 16], dtype=np.complex128).reshape(i1 * i2, i3)
     truth = None
     if header["has_truth"]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DataError, InputError
 
 P1_RANDOM = "p1-random"
 P2_SNAPSHOTS = "p2-snapshots"
@@ -161,5 +161,10 @@ def save_mask_csv(pattern: SamplingPattern, path) -> None:
 
 def load_mask_csv(path, kind: str = "imported", ratio_or_accel: float = 0.0,
                   seed: int = 0) -> SamplingPattern:
-    mask = np.loadtxt(path, delimiter=",").astype(bool)
-    return SamplingPattern(np.atleast_2d(mask), kind, ratio_or_accel, seed)
+    try:
+        values = np.loadtxt(path, delimiter=",")
+    except ValueError as exc:
+        raise DataError(f"{path}: unreadable mask ({exc})") from None
+    if not np.isin(values, (0, 1)).all():
+        raise DataError(f"{path}: mask values must be 0 or 1")
+    return SamplingPattern(np.atleast_2d(values.astype(bool)), kind, ratio_or_accel, seed)

@@ -175,7 +175,7 @@ def consistent_smooth_solve(Y, pattern, target, X_prev, L_sob, delta, lambda_L, 
         cg_max = _cg_cap(L_sob, lambda_L, tau_X, cg_tol, int(free.sum()))
     x0 = np.where(free, X_prev, 0).astype(b.dtype)
     V, res, iters = _cg_masked(apply_op, b, x0, cg_tol, cg_max)
-    if res > cg_tol:
+    if not res <= cg_tol:  # also catches a NaN residual
         raise SolverError(
             f"X-update CG stalled at relative residual {res:.3e} after {iters} iterations",
             residual=res, iteration=iters,
@@ -544,13 +544,12 @@ def full_objective(problem, X, model, config: SolverConfig, graph=None, Z=None):
     resid = X - predict(model)
     val = 0.5 * float(np.vdot(resid, resid).real)
     lam_tik = config.lambda2 if problem == TVGS else config.lambda4
-    for m in range(model.dims.n_kernels):
-        for d in model.factors[m]:
-            val += 0.5 * lam_tik * float(np.vdot(d, d).real)
+    tik = sum(float(np.vdot(d, d).real) for row in model.factors for d in row)
     b_all = np.concatenate(model.coeffs, axis=0)
     if model.mmf:
-        val += 0.5 * lam_tik * float(np.vdot(b_all, b_all).real)
-    else:
+        tik += float(np.vdot(b_all, b_all).real)
+    val += 0.5 * lam_tik * tik
+    if not model.mmf:
         val += config.lambda1 * float(np.abs(b_all).sum())
     if problem == TVGS:
         val += 0.5 * config.lambda_L * smoothness_penalty(X, graph.L_sobolev, graph.delta)
@@ -572,6 +571,10 @@ def _check_finite(arr, what, iteration):
 
 
 def affine_residual(model: FactorModel) -> float:
+    """Worst deviation of a block's column sums from 1; 0 for the mmf
+    reduction, which imposes no affine constraint."""
+    if model.mmf:
+        return 0.0
     worst = 0.0
     for b in model.coeffs:
         worst = max(worst, float(np.max(np.abs(b.sum(axis=0) - 1.0))))
@@ -656,9 +659,7 @@ def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
             X = np.where(pattern.mask, S_y, X)
 
         obj = full_objective(problem, X, model, config, graph=graph, Z=Z)
-        if not math.isfinite(obj):
-            raise SolverError(f"objective became non-finite at outer iteration {n + 1}",
-                              iteration=n + 1)
+        _check_finite(obj, "objective", n + 1)
         if problem == TVGS:
             cons = float(np.max(np.abs(np.where(pattern.mask, X, 0) - S_y), initial=0.0))
         else:

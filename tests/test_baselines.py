@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mkimpute.baselines import (
     BaselineSpec,
+    _mmf_init,
     kgl_solve,
     krg_solve,
     mean_fill,
@@ -11,13 +14,13 @@ from mkimpute.baselines import (
     run_baseline,
     zero_fill,
 )
-from mkimpute.errors import InputError
+from mkimpute.errors import InputError, SolverError
 from mkimpute.graphs import build_graph_operators
 from mkimpute.kernels import gaussian_spec
 from mkimpute.model import ModelDims, SolverConfig
 from mkimpute.sampling import sample_p1
 
-from oracles import mmf_as_special_case_check
+from oracles import _mmf_reference_trajectory, mmf_as_special_case_check
 
 
 def _toy_problem(seed=0, n=10, t=12):
@@ -170,3 +173,30 @@ def test_run_baseline_dispatch():
         assert np.allclose(X[pattern.mask], Y[pattern.mask])
     with pytest.raises(InputError):
         run_baseline(BaselineSpec(kind="unknown"), Y, pattern, graph, config)
+
+
+@pytest.mark.parametrize("kind", ["mmf", "nbp", "krg", "kgl"])
+def test_baselines_reject_non_finite_data(kind):
+    Y, pattern, graph = _toy_problem(seed=12)
+    Y[np.argwhere(pattern.mask)[0][0], np.argwhere(pattern.mask)[0][1]] = np.nan
+    spec = BaselineSpec(kind=kind, rank=2, kernel_row=gaussian_spec(2.0),
+                        kernel_col=gaussian_spec(2.0))
+    config = SolverConfig(lambda2=1e-2, lambda_L=0.01, outer_iters=5, seed=12)
+    with pytest.raises(SolverError, match="iteration 1"):
+        run_baseline(spec, Y, pattern, graph, config)
+
+
+@pytest.mark.parametrize("lambda_L", [0.0, 0.05])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_mmf_solve_follows_dense_reference_trajectory(depth, lambda_L):
+    # the shipped entry point against the dense criterion-5 reference, from
+    # the same initial draws; a tight CG tolerance for the smoothed X update
+    Y, pattern, graph = _toy_problem(seed=13)
+    config = SolverConfig(lambda2=0.05, lambda_L=lambda_L, outer_iters=10,
+                          tol_objective=0.0, cg_tol=1e-13, seed=13)
+    theta0 = _mmf_init(*Y.shape, 2, depth, config.seed, np.float64)
+    reference = _mmf_reference_trajectory(Y, pattern, graph, theta0, config)
+    for k in range(1, 11):
+        X, _, _ = mmf_solve(Y, pattern, graph, 2, depth,
+                            dataclasses.replace(config, outer_iters=k))
+        assert float(np.max(np.abs(X - reference[k - 1]))) <= 1e-9

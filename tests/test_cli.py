@@ -92,3 +92,14 @@ def test_p1_mask_counts_via_cli(tmp_path):
                  "--ratio", "0.3", "--seed", "4"]) == 0
     mask = load_mask_csv(out).mask
     assert np.all(mask.sum(axis=0) == 3)
+
+
+def test_validate_misspelt_solver_key_is_one_json_line(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"problem": "tvgs", "solver": {"lamda1": 0.1}}))
+    assert main(["validate", str(spec_path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "InputError"
+    assert "lamda1" in payload["message"] and "solver" in payload["message"]

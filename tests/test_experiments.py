@@ -223,3 +223,25 @@ def test_failed_cell_recorded_not_fatal(tmp_path):
     rows = run_experiment(spec, output_dir=tmp_path)
     assert rows == []
     assert (tmp_path / "errors.log").exists()
+
+
+@pytest.mark.parametrize("block", ["solver", "sampling", "navigator", "landmarks",
+                                   "dims", "baseline", "graph"])
+def test_resolve_spec_rejects_unknown_block_keys(block):
+    with pytest.raises(InputError, match=f"'typo' in the '{block}' block"):
+        resolve_spec({"problem": "tvgs", block: {"typo": 1}})
+
+
+def test_resolve_spec_accepts_every_solver_field():
+    resolved = resolve_spec({"problem": "tvgs", "solver": {"lambda1": 0.1, "seed": 2}})
+    assert resolved["solver"] == {"lambda1": 0.1, "seed": 2}
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_load_tvgs_csv_non_finite_names_line(tmp_path, cell):
+    data = tmp_path / "data.csv"
+    coords = tmp_path / "coords.csv"
+    data.write_text(f"1,2,3\n4,{cell},6\n")
+    coords.write_text("0.1,0.2\n0.3,0.4\n")
+    with pytest.raises(DataError, match=r"data\.csv:2: non-finite"):
+        load_tvgs_csv(data, coords)

@@ -210,3 +210,12 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(back.kernels[m], model.kernels[m])
         assert np.array_equal(back.coeffs[m], model.coeffs[m])
     assert np.allclose(predict(back), predict(model))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("cg_tol", 0.0), ("cg_tol", -1e-9), ("inner_tol", 0.0), ("inner_max", 0),
+    ("cg_max", 0), ("outer_iters", 0), ("tol_objective", -1e-6),
+])
+def test_solver_config_rejects_unworkable_settings(field, value):
+    with pytest.raises(InputError, match=field):
+        SolverConfig(**{field: value})

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mkimpute.errors import InputError
+from mkimpute.errors import DataError, InputError
 from mkimpute.mri import (
     KtDataset,
     PhantomParams,
@@ -155,3 +155,11 @@ def test_kt_csv_export(tmp_path):
     kt_to_csv(ds, path)
     text = path.read_text()
     assert "1+2j" in text and "3-4j" in text
+
+
+def test_kt_truncated_file_is_data_error(tmp_path):
+    path = tmp_path / "phantom.kt"
+    save_kt(make_phantom(8, 8, 8), path)
+    path.write_bytes(path.read_bytes()[:-5])
+    with pytest.raises(DataError, match="truncated"):
+        load_kt(path)

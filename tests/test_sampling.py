@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mkimpute.errors import InputError
+from mkimpute.errors import DataError, InputError
 from mkimpute.sampling import (
     apply_sampling,
     band_rows,
@@ -172,3 +172,13 @@ def test_mask_csv_round_trip(tmp_path):
     save_mask_csv(p, path)
     back = load_mask_csv(path)
     assert np.array_equal(back.mask, p.mask)
+
+
+@pytest.mark.parametrize("value,message", [
+    ("2", "0 or 1"), ("-3", "0 or 1"), ("0.5", "0 or 1"), ("x", "unreadable"),
+])
+def test_mask_csv_rejects_values_other_than_0_and_1(tmp_path, value, message):
+    path = tmp_path / "mask.csv"
+    path.write_text(f"1,0,1\n0,{value},1\n")
+    with pytest.raises(DataError, match=message):
+        load_mask_csv(path)

@@ -775,3 +775,15 @@ def test_report_csv_schema(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "iteration,objective,consistency_residual,constraint_residual,seconds"
     assert len(lines) == 1 + report.iterations
+
+
+def test_x_update_cg_rejects_nan_residual():
+    from mkimpute.errors import SolverError
+    rng = np.random.default_rng(32)
+    Y = rng.standard_normal((8, 8))
+    pattern = sample_p1(8, 8, 0.5, seed=32)
+    Y[pattern.mask] = np.nan
+    graph = _graph(8, 8, seed=32)
+    with pytest.raises(SolverError, match="nan"):
+        consistent_smooth_solve(Y, pattern, np.zeros((8, 8)), np.zeros((8, 8)),
+                                graph.L_sobolev, graph.delta, 0.1, 1.0)
