@@ -73,7 +73,11 @@ _DEFAULTS = {
     "graph": {"k": 5, "eps": 0.1, "beta": 1.0},
 }
 
-_SOLVER_FIELDS = {f.name for f in dataclasses.fields(SolverConfig)}
+_SOLVER_DEFAULTS = dataclasses.asdict(SolverConfig())
+# the type a None default stands for when a value is given
+_NONE_KINDS = {"cg_max": 1, "metrics": ["mae"], "period": 1, "noise_snr_db": 0.0}
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+               dict: "an object"}
 
 _SYNTH_DEFAULTS = {"source": "synthetic", "nodes": 50, "times": 80, "modes": 3,
                    "knn": 5, "seed": 7, "offset": 3.0}
@@ -152,6 +156,35 @@ def make_tvgs_synthetic(n_nodes=50, n_times=80, modes=3, knn=5, seed=7, offset=3
 # spec resolution
 # ---------------------------------------------------------------------------
 
+def _kind_ok(value, default) -> bool:
+    """Whether a spec value has its default's JSON type: a float default takes
+    any number, an int default only integers, a bool only a bool, and a list
+    default a list of items like its first."""
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_kind_ok(v, default[0]) for v in value)
+    return isinstance(value, type(default))
+
+
+def _check_kinds(block: dict, defaults: dict, where: str) -> None:
+    """InputError naming the key when a value's type differs from its default's."""
+    for key, value in block.items():
+        default = defaults.get(key)
+        if default is None:
+            if value is None or key not in _NONE_KINDS:
+                continue
+            default = _NONE_KINDS[key]
+        if not _kind_ok(value, default):
+            if isinstance(default, list):
+                kind = f"a list, each item {_KIND_NAMES[type(default[0])]}"
+            else:
+                kind = _KIND_NAMES[type(default)]
+            raise InputError(f"{key!r}{where} must be {kind}, got {value!r}")
+
+
 def resolve_spec(raw: dict) -> dict:
     """Materialize every default and validate; raises InputError on bad fields."""
     spec = copy.deepcopy(_DEFAULTS)
@@ -161,12 +194,15 @@ def resolve_spec(raw: dict) -> dict:
         if isinstance(spec[key], dict):
             if not isinstance(val, dict):
                 raise InputError(f"spec field {key!r} must be an object")
-            schema = _SOLVER_FIELDS if key == "solver" else spec[key]
-            unknown = [sub for sub in val if sub not in schema]
-            if unknown and key != "data":  # data keys depend on the source
-                raise InputError(f"unknown key {unknown[0]!r} in the {key!r} block")
+            if key != "data":  # data keys depend on the source, checked below
+                schema = _SOLVER_DEFAULTS if key == "solver" else spec[key]
+                unknown = [sub for sub in val if sub not in schema]
+                if unknown:
+                    raise InputError(f"unknown key {unknown[0]!r} in the {key!r} block")
+                _check_kinds(val, schema, f" in the {key!r} block")
             spec[key].update(val)
         else:
+            _check_kinds({key: val}, _DEFAULTS, " in the spec")
             spec[key] = copy.deepcopy(val)
     problem = spec["problem"]
     if problem not in (TVGS, DMRI):
@@ -179,6 +215,7 @@ def resolve_spec(raw: dict) -> dict:
     src = data.get("source")
     if problem == TVGS:
         if src == "synthetic":
+            _check_kinds(data, _SYNTH_DEFAULTS, " in the 'data' block")
             spec["data"] = {**_SYNTH_DEFAULTS, **data}
         elif src == "csv":
             for k in ("data_path", "coords_path"):
@@ -194,6 +231,7 @@ def resolve_spec(raw: dict) -> dict:
     else:
         if src != "phantom":
             raise InputError(f"unknown dmri data source {src!r}")
+        _check_kinds(data, _PHANTOM_DEFAULTS, " in the 'data' block")
         spec["data"] = {**_PHANTOM_DEFAULTS, **data}
         if spec["sampling"]["kind"] not in ("cartesian", "radial"):
             raise InputError("dmri sampling kind must be 'cartesian' or 'radial'")

@@ -148,7 +148,15 @@ def save_kt(ds: KtDataset, path) -> None:
 
 def load_kt(path) -> KtDataset:
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
+        try:
+            header = json.loads(fh.readline().decode())
+        except ValueError:  # not UTF-8, or not JSON
+            header = None
+        if not (isinstance(header, dict)
+                and all(type(header.get(k)) is int and header[k] > 0 for k in ("i1", "i2", "i3"))
+                and type(header.get("has_truth")) is bool):
+            raise DataError(f"{path}: the header must be a JSON object with positive integers "
+                            "i1, i2, i3 and a boolean has_truth")
         i1, i2, i3 = header["i1"], header["i2"], header["i3"]
         n = i1 * i2 * i3
         raw = fh.read()

@@ -303,65 +303,58 @@ def _soft_complex(A, thr):
     return A * scale
 
 
-def _prox_mu_real(V, alpha):
-    """Exact multiplier of min_z 1/2||z-v||^2 + alpha||z||_1 s.t. sum z = 1,
-    per column of real V.
-
-    The column sum g(mu) of soft(v - mu) is piecewise linear and decreasing
-    with breakpoints at v_i -/+ alpha: between breakpoints,
-    g(mu) = S_hi + S_lo - (p + m) mu with p entries active positive (v - alpha
-    above mu, contributing values S_hi) and m active negative (v + alpha below
-    mu, values S_lo).  Each of the 2n+1 segments yields one closed-form
-    candidate; exactly the bracketing one validates."""
-    n, t = V.shape
-    w = np.concatenate([V - alpha, V + alpha], axis=0)
-    neg_kind = np.zeros((2 * n, t), dtype=bool)
-    neg_kind[n:] = True  # v + alpha breakpoints drive the negative-active set
-    order = np.argsort(w, axis=0, kind="stable")
-    ws = np.take_along_axis(w, order, axis=0)
-    kinds = np.take_along_axis(neg_kind, order, axis=0)
-
-    zeros = np.zeros((1, t))
-    m_cnt = np.vstack([zeros, np.cumsum(kinds, axis=0)])  # negatives within prefix k
-    s_lo = np.vstack([zeros, np.cumsum(np.where(kinds, ws, 0.0), axis=0)])
-    a_cnt = np.arange(2 * n + 1)[:, None] - m_cnt  # positives within prefix k
-    a_sum = np.vstack([zeros, np.cumsum(np.where(kinds, 0.0, ws), axis=0)])
-    p_cnt = n - a_cnt  # positives strictly beyond the prefix
-    s_hi = a_sum[-1] - a_sum
-
-    denom = p_cnt + m_cnt
-    safe = np.where(denom > 0, denom, 1.0)
-    cand = (s_hi + s_lo - 1.0) / safe
-    lower = np.vstack([np.full((1, t), -np.inf), ws])
-    upper = np.vstack([ws, np.full((1, t), np.inf)])
-    eps = 1e-9 * (1.0 + np.abs(cand))
-    valid = (denom > 0) & (cand >= lower - eps) & (cand <= upper + eps)
-    if not valid.any(axis=0).all():
-        raise SolverError("affine-l1 prox found no bracketing segment")
-    idx = np.argmax(valid, axis=0)  # the bracketing segment validates
-    return np.take_along_axis(cand, idx[None, :], axis=0)[0]
+_PROX_MAX_ITER = 100  # Newton steps of the multiplier solve
 
 
-def _prox_block_complex(Vm, alpha, tol=1e-13, max_iter=600):
-    """Complex-case block prox by Douglas-Rachford splitting between the
-    affine-constrained quadratic (closed-form prox: average with v, then
-    project the column sums) and the l1 shrinkage.
+def _affine_l1_multiplier(V, alpha):
+    """Multiplier mu of min_z 1/2||z - v||^2 + alpha||z||_1 s.t. sum z = 1,
+    per column of real or complex V; the minimiser is z = soft(v - mu, alpha).
 
-    The quadratic piece has unit curvature, so the iteration contracts
-    quickly on every realistic scale; the returned point is feasible by
-    construction regardless of where the iteration stops."""
-    n = Vm.shape[0]
-    y = Vm.astype(complex).copy()
-    zf = y
-    for _ in range(max_iter):
-        z0 = 0.5 * (y + Vm)
-        zf = z0 + (1.0 - z0.sum(axis=0)) / n
-        zg = _soft_complex(2.0 * zf - y, alpha)
-        y = y + zg - zf
-        gap = np.max(np.abs(zg - zf))
-        if gap <= tol * (1.0 + np.max(np.abs(zf))):
-            break
-    return zf + (1.0 - zf.sum(axis=0)) / n
+    mu minimises the convex Phi(mu) = 1/2 sum (|v - mu| - alpha)_+^2 + Re mu,
+    whose gradient is -r with r = sum z - 1.  With w = v - mu, a = alpha/|w|
+    and u = w/|w| on the active entries, the Newton step delta solves
+    c delta + q/2 conj(delta) = r for c = sum(1 - a/2), q = sum a u^2; on
+    real data it is r/k, exact on the current linear segment.  A step is
+    halved until it shrinks |r| or meets Armijo on Phi.  The solve stops at
+    |r| <= 8 n eps (1 + alpha + max|v|) or raises SolverError."""
+    n = V.shape[0]
+    tol = 8 * n * np.finfo(float).eps * (1.0 + alpha + np.abs(V).max(axis=0))
+    if not np.isfinite(tol).all():
+        raise SolverError("affine-l1 prox got a non-finite entry")
+
+    def state(mu):  # w, |w|, r and Phi at mu
+        W = V - mu
+        mag = np.abs(W)
+        excess = np.maximum(mag - alpha, 0.0)
+        r = (W * (excess / np.where(mag > 0, mag, 1.0))).sum(axis=0) - 1.0
+        return W, mag, r, 0.5 * (excess * excess).sum(axis=0) + mu.real
+
+    # |mean(v - mu)| = 1/n + alpha at the start, so some entry is active
+    mu = (V.sum(axis=0) - 1.0) / n - alpha
+    W, mag, r, phi = state(mu)
+    for _ in range(_PROX_MAX_ITER):
+        done = np.abs(r) <= tol
+        if done.all():
+            return mu
+        m = np.where(mag > alpha, mag, np.inf)  # active moduli; inf zeroes a and u elsewhere
+        a, u = alpha / m, W / m
+        c = (mag > alpha).sum(axis=0) - 0.5 * a.sum(axis=0)
+        q = (a * u * u).sum(axis=0)
+        den = c * c - 0.25 * np.abs(q) ** 2
+        delta = np.where(den > 0, (c * r - 0.5 * q * np.conj(r)) / np.where(den > 0, den, 1.0),
+                         r / n)
+        delta[done] = 0.0
+        slope = 1e-4 * np.real(np.conj(r) * delta)  # Armijo share of Phi's descent rate
+        step = np.ones_like(phi)
+        while True:
+            W1, mag1, r1, phi1 = state(mu + step * delta)
+            ok = (np.abs(r1) < np.abs(r)) | (phi1 <= phi - step * slope)
+            if ok.all() or step.min() < 1e-18:  # 60 halvings: below roundoff
+                break
+            step = np.where(ok, step, 0.5 * step)
+        mu, W, mag, r, phi = mu + step * delta, W1, mag1, r1, phi1
+    raise SolverError(f"affine-l1 prox multiplier not found in {_PROX_MAX_ITER} Newton steps",
+                      residual=float(np.abs(r).max()), iteration=_PROX_MAX_ITER)
 
 
 def _prox_affine_l1(V, alpha, n_l):
@@ -376,11 +369,8 @@ def _prox_affine_l1(V, alpha, n_l):
         Vm = V[mb * n_l : (mb + 1) * n_l]
         if alpha == 0.0:
             Z = Vm + (1.0 - Vm.sum(axis=0)) / n_l
-        elif np.iscomplexobj(Vm):
-            Z = _prox_block_complex(Vm, alpha)
         else:
-            mu = _prox_mu_real(Vm, alpha)
-            Z = _soft_complex(Vm - mu[None, :], alpha)
+            Z = _soft_complex(Vm - _affine_l1_multiplier(Vm, alpha), alpha)
             Z = Z + (1.0 - Z.sum(axis=0)) / n_l
         out[mb * n_l : (mb + 1) * n_l] = Z
     return out

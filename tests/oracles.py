@@ -3,13 +3,14 @@
 Every routine here re-derives the optimality system from scratch (explicit
 Kronecker matrices, bordered KKT systems, affine residual stacking) so the
 fast block implementations are checked against an independent path.  The
-analytic sub-task gradients and the multi-layer factorization reduction
-check live here too: both exist only to verify the engine.
+analytic sub-task gradients, the multi-layer factorization reduction check
+and the exact sort-based multiplier of the real affine-l1 prox live here too:
+they exist only to verify the engine.
 """
 
 import numpy as np
 
-from mkimpute.errors import InputError
+from mkimpute.errors import InputError, SolverError
 from mkimpute.graphs import build_graph_operators
 from mkimpute.model import FactorModel, ModelDims, SolverConfig, init_factors, reduce_to_mmf
 from mkimpute.mri import dft_temporal, idft_temporal, ifft2_frames
@@ -285,3 +286,42 @@ def mmf_as_special_case_check(dims: ModelDims, seed: int, lambda1: float = 0.0,
         if float(np.max(np.abs(X_main - reference[k - 1]))) > tol:
             return False
     return True
+
+
+def _prox_mu_real(V, alpha):
+    """Exact multiplier of min_z 1/2||z-v||^2 + alpha||z||_1 s.t. sum z = 1,
+    per column of real V.
+
+    The column sum g(mu) of soft(v - mu) is piecewise linear and decreasing
+    with breakpoints at v_i -/+ alpha: between breakpoints,
+    g(mu) = S_hi + S_lo - (p + m) mu with p entries active positive (v - alpha
+    above mu, contributing values S_hi) and m active negative (v + alpha below
+    mu, values S_lo).  Each of the 2n+1 segments yields one closed-form
+    candidate; exactly the bracketing one validates."""
+    n, t = V.shape
+    w = np.concatenate([V - alpha, V + alpha], axis=0)
+    neg_kind = np.zeros((2 * n, t), dtype=bool)
+    neg_kind[n:] = True  # v + alpha breakpoints drive the negative-active set
+    order = np.argsort(w, axis=0, kind="stable")
+    ws = np.take_along_axis(w, order, axis=0)
+    kinds = np.take_along_axis(neg_kind, order, axis=0)
+
+    zeros = np.zeros((1, t))
+    m_cnt = np.vstack([zeros, np.cumsum(kinds, axis=0)])  # negatives within prefix k
+    s_lo = np.vstack([zeros, np.cumsum(np.where(kinds, ws, 0.0), axis=0)])
+    a_cnt = np.arange(2 * n + 1)[:, None] - m_cnt  # positives within prefix k
+    a_sum = np.vstack([zeros, np.cumsum(np.where(kinds, 0.0, ws), axis=0)])
+    p_cnt = n - a_cnt  # positives strictly beyond the prefix
+    s_hi = a_sum[-1] - a_sum
+
+    denom = p_cnt + m_cnt
+    safe = np.where(denom > 0, denom, 1.0)
+    cand = (s_hi + s_lo - 1.0) / safe
+    lower = np.vstack([np.full((1, t), -np.inf), ws])
+    upper = np.vstack([ws, np.full((1, t), np.inf)])
+    eps = 1e-9 * (1.0 + np.abs(cand))
+    valid = (denom > 0) & (cand >= lower - eps) & (cand <= upper + eps)
+    if not valid.any(axis=0).all():
+        raise SolverError("affine-l1 prox found no bracketing segment")
+    idx = np.argmax(valid, axis=0)  # the bracketing segment validates
+    return np.take_along_axis(cand, idx[None, :], axis=0)[0]

@@ -103,3 +103,14 @@ def test_validate_misspelt_solver_key_is_one_json_line(tmp_path, capsys):
     payload = json.loads(err[0])
     assert payload["error"] == "InputError"
     assert "lamda1" in payload["message"] and "solver" in payload["message"]
+
+
+def test_validate_wrongly_typed_value_is_one_json_line(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"problem": "tvgs", "landmarks": {"count": "5"}}))
+    assert main(["validate", str(spec_path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "InputError"
+    assert "count" in payload["message"] and "landmarks" in payload["message"]

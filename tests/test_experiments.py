@@ -232,6 +232,28 @@ def test_resolve_spec_rejects_unknown_block_keys(block):
         resolve_spec({"problem": "tvgs", block: {"typo": 1}})
 
 
+@pytest.mark.parametrize("fields, key", [
+    ({"landmarks": {"count": "5"}}, "'count' in the 'landmarks' block"),
+    ({"solver": {"lambda1": "0.1"}}, "'lambda1' in the 'solver' block"),
+    ({"solver": {"cg_max": 2.5}}, "'cg_max' in the 'solver' block"),
+    ({"solver": {"outer_iters": True}}, "'outer_iters' in the 'solver' block"),
+    ({"repeats": "2"}, "'repeats' in the spec"),
+    ({"sampling": {"ratios": 0.3}}, "'ratios' in the 'sampling' block"),
+    ({"dims": {"inner": [3.0]}}, "'inner' in the 'dims' block"),
+    ({"data": {"source": "synthetic", "nodes": "16"}}, "'nodes' in the 'data' block"),
+])
+def test_resolve_spec_rejects_values_of_the_wrong_type(fields, key):
+    with pytest.raises(InputError, match=key):
+        resolve_spec({"problem": "tvgs", **fields})
+
+
+def test_resolve_spec_accepts_numbers_and_null_where_defaults_allow():
+    resolved = resolve_spec({"problem": "tvgs", "solver": {"lambda1": 1, "cg_max": None},
+                             "graph": {"eps": 1}})
+    assert resolved["solver"] == {"lambda1": 1, "cg_max": None}
+    assert resolve_spec({"problem": "tvgs", "solver": {"cg_max": 40}})["solver"]["cg_max"] == 40
+
+
 def test_resolve_spec_accepts_every_solver_field():
     resolved = resolve_spec({"problem": "tvgs", "solver": {"lambda1": 0.1, "seed": 2}})
     assert resolved["solver"] == {"lambda1": 0.1, "seed": 2}

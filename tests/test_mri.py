@@ -163,3 +163,13 @@ def test_kt_truncated_file_is_data_error(tmp_path):
     path.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(DataError, match="truncated"):
         load_kt(path)
+
+
+@pytest.mark.parametrize("header", [b'{"i1": 2}', b"not json", b'[2, 2, 2]',
+                                    b'{"i1": 2, "i2": 0, "i3": 2, "has_truth": false}',
+                                    b'{"i1": 2, "i2": 2, "i3": 2, "has_truth": 1}'])
+def test_kt_bad_header_is_data_error_naming_file(tmp_path, header):
+    path = tmp_path / "bad.kt"
+    path.write_bytes(header + b"\n" + bytes(200))
+    with pytest.raises(DataError, match="bad.kt: the header"):
+        load_kt(path)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mkimpute.errors import InputError
+from mkimpute import solver
+from mkimpute.errors import InputError, SolverError
 from mkimpute.graphs import build_graph_operators
 from mkimpute.model import ModelDims, SolverConfig, init_factors, predict
 from mkimpute.mri import dft_temporal, fft2_frames, ifft2_frames
@@ -26,6 +29,7 @@ from mkimpute.solver import (
 )
 
 from oracles import (
+    _prox_mu_real,
     b_subtask_smooth_gradient,
     d_subtask_gradient,
     dense_b_oracle,
@@ -341,6 +345,80 @@ def test_affine_l1_prox_feasible_on_adversarial_scales():
         feas = np.abs(Z.sum(axis=0) - 1.0).max()
         assert feas <= 1e-10 * (1.0 + np.abs(Z).max())
         assert np.all(np.isfinite(Z))
+
+
+def _affine_l1_kkt_violation(V, Z, alpha):
+    """Largest |z - soft(v - mu, alpha)| over a block, relative to
+    1 + alpha + max|v|, with mu = v - z - alpha z/|z| read off each column's
+    largest entry: active entries must share that mu and inactive ones must
+    satisfy |v - mu| <= alpha, which is the prox's KKT system."""
+    cols = np.arange(Z.shape[1])
+    top = np.argmax(np.abs(Z), axis=0)
+    z, v = Z[top, cols], V[top, cols]
+    mu = v - z - alpha * z / np.abs(z)
+    W = V - mu
+    mag = np.abs(W)
+    soft = W * np.maximum(mag - alpha, 0.0) / np.where(mag > 0, mag, 1.0)
+    return float(np.abs(Z - soft).max()) / (1.0 + alpha + float(np.abs(V).max()))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(blocks=st.integers(1, 3), n_l=st.integers(1, 10), cols=st.integers(1, 4),
+       complex_=st.booleans(), log_scale=st.floats(-6, 6),
+       alpha=st.one_of(st.just(0.0), st.floats(1e-8, 1e4)),
+       duplicate_rows=st.booleans(), zero_column=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_affine_l1_prox_is_feasible_and_kkt_exact(blocks, n_l, cols, complex_, log_scale,
+                                                  alpha, duplicate_rows, zero_column, seed):
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((blocks * n_l, cols))
+    if complex_:
+        V = V + 1j * rng.standard_normal(V.shape)
+    V *= 10.0 ** log_scale
+    if duplicate_rows:
+        V[1::2] = V[0]
+    if zero_column:
+        V[:, 0] = 0.0
+    Z = solver._prox_affine_l1(V, alpha, n_l)
+    for mb in range(blocks):
+        Vm, Zm = V[mb * n_l : (mb + 1) * n_l], Z[mb * n_l : (mb + 1) * n_l]
+        vmax = float(np.abs(Vm).max())
+        assert np.abs(Zm.sum(axis=0) - 1.0).max() <= 1e-12 * (1.0 + vmax)
+        assert _affine_l1_kkt_violation(Vm, Zm, alpha) <= 1e-9
+
+
+def test_affine_l1_multiplier_matches_exact_real_breakpoint_search():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n, t = int(rng.integers(1, 25)), int(rng.integers(1, 6))
+        V = rng.standard_normal((n, t)) * 10.0 ** rng.uniform(-6, 6)
+        if rng.random() < 0.3:
+            V[: n // 2 + 1] = V[0]  # ties among the breakpoints
+        alpha = 10.0 ** rng.uniform(-8, 4)
+        mu = solver._affine_l1_multiplier(V, alpha)
+        scale = 1.0 + alpha + np.abs(V).max(axis=0)
+        assert np.all(np.abs(mu - _prox_mu_real(V, alpha)) <= 1e-12 * scale)
+
+
+def test_affine_l1_prox_complex_optimum_when_weight_dominates():
+    # alpha well above |v|: a splitting loop with a fixed iteration cap
+    # stops at objective 15.839626 here (KKT violation 1.5e-6)
+    rng = np.random.default_rng(0)
+    V = rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1))
+    Z = solver._prox_affine_l1(V, 10.0, 8)
+    assert abs(Z.sum() - 1.0) <= 1e-12
+    assert _affine_l1_kkt_violation(V, Z, 10.0) <= 1e-9
+    objective = 0.5 * np.sum(np.abs(Z - V) ** 2) + 10.0 * np.abs(Z).sum()
+    assert objective == pytest.approx(15.838862100781, abs=1e-9)
+
+
+def test_affine_l1_prox_raises_instead_of_returning_unconverged(monkeypatch):
+    V = np.random.default_rng(1).standard_normal((6, 3)) + 2.0
+    with pytest.raises(SolverError):
+        solver._prox_affine_l1(np.where(np.eye(6, 3) > 0, np.nan, V), 0.1, 6)
+    monkeypatch.setattr(solver, "_PROX_MAX_ITER", 0)
+    with pytest.raises(SolverError, match="Newton"):
+        solver._prox_affine_l1(V, 0.1, 6)
 
 
 def test_b_update_sparsifies():
