@@ -74,15 +74,21 @@ _DEFAULTS = {
 }
 
 _SOLVER_DEFAULTS = dataclasses.asdict(SolverConfig())
-# the type a None default stands for when a value is given
-_NONE_KINDS = {"cg_max": 1, "metrics": ["mae"], "period": 1, "noise_snr_db": 0.0}
-_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
-               dict: "an object"}
-
 _SYNTH_DEFAULTS = {"source": "synthetic", "nodes": 50, "times": 80, "modes": 3,
                    "knn": 5, "seed": 7, "offset": 3.0}
 _PHANTOM_DEFAULTS = {"source": "phantom", "i1": 32, "i2": 32, "i3": 16,
                      "period": None, "noise_snr_db": None, "seed": 0}
+
+# A spec value must have its default's type, except in the fields below (per
+# block, "spec" for the top level), which take a value of the first entry's
+# type or one of the exact values after it.
+_KINDS = {
+    "spec": {"metrics": (["mae"], None), "kernels": ([{}], "default7")},
+    "solver": {"cg_max": (1, None)},
+    "data": {"period": (1, None), "noise_snr_db": (0.0, None)},
+}
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+               dict: "an object"}
 
 
 # ---------------------------------------------------------------------------
@@ -156,33 +162,32 @@ def make_tvgs_synthetic(n_nodes=50, n_times=80, modes=3, knn=5, seed=7, offset=3
 # spec resolution
 # ---------------------------------------------------------------------------
 
-def _kind_ok(value, default) -> bool:
-    """Whether a spec value has its default's JSON type: a float default takes
-    any number, an int default only integers, a bool only a bool, and a list
-    default a list of items like its first."""
-    if isinstance(value, bool) or isinstance(default, bool):
-        return type(value) is type(default)
-    if isinstance(default, float):
+def _kind_ok(value, example) -> bool:
+    """Whether a spec value has the JSON type of an example: a float takes any
+    number, an int only integers, a bool only a bool, and a list a list of
+    items like its first."""
+    if isinstance(value, bool) or isinstance(example, bool):
+        return type(value) is type(example)
+    if isinstance(example, float):
         return isinstance(value, (int, float))
-    if isinstance(default, list):
-        return isinstance(value, list) and all(_kind_ok(v, default[0]) for v in value)
-    return isinstance(value, type(default))
+    if isinstance(example, list):
+        return isinstance(value, list) and all(_kind_ok(v, example[0]) for v in value)
+    return isinstance(value, type(example))
 
 
-def _check_kinds(block: dict, defaults: dict, where: str) -> None:
-    """InputError naming the key when a value's type differs from its default's."""
+def _check_kinds(block: dict, defaults: dict, name: str) -> None:
+    """InputError naming block and key for a value its field does not take."""
     for key, value in block.items():
-        default = defaults.get(key)
-        if default is None:
-            if value is None or key not in _NONE_KINDS:
-                continue
-            default = _NONE_KINDS[key]
-        if not _kind_ok(value, default):
-            if isinstance(default, list):
-                kind = f"a list, each item {_KIND_NAMES[type(default[0])]}"
-            else:
-                kind = _KIND_NAMES[type(default)]
-            raise InputError(f"{key!r}{where} must be {kind}, got {value!r}")
+        example, *exact = _KINDS.get(name, {}).get(key, (defaults.get(key),))
+        if example is None or value in exact or _kind_ok(value, example):
+            continue  # a None default without a _KINDS entry is checked later
+        if isinstance(example, list):
+            kind = f"a list, each item {_KIND_NAMES[type(example[0])]}"
+        else:
+            kind = _KIND_NAMES[type(example)]
+        kind = ", or ".join([kind, *("null" if x is None else json.dumps(x) for x in exact)])
+        where = "the spec" if name == "spec" else f"the {name!r} block"
+        raise InputError(f"{key!r} in {where} must be {kind}, got {value!r}")
 
 
 def resolve_spec(raw: dict) -> dict:
@@ -199,10 +204,10 @@ def resolve_spec(raw: dict) -> dict:
                 unknown = [sub for sub in val if sub not in schema]
                 if unknown:
                     raise InputError(f"unknown key {unknown[0]!r} in the {key!r} block")
-                _check_kinds(val, schema, f" in the {key!r} block")
+                _check_kinds(val, schema, key)
             spec[key].update(val)
         else:
-            _check_kinds({key: val}, _DEFAULTS, " in the spec")
+            _check_kinds({key: val}, _DEFAULTS, "spec")
             spec[key] = copy.deepcopy(val)
     problem = spec["problem"]
     if problem not in (TVGS, DMRI):
@@ -215,7 +220,7 @@ def resolve_spec(raw: dict) -> dict:
     src = data.get("source")
     if problem == TVGS:
         if src == "synthetic":
-            _check_kinds(data, _SYNTH_DEFAULTS, " in the 'data' block")
+            _check_kinds(data, _SYNTH_DEFAULTS, "data")
             spec["data"] = {**_SYNTH_DEFAULTS, **data}
         elif src == "csv":
             for k in ("data_path", "coords_path"):
@@ -231,7 +236,7 @@ def resolve_spec(raw: dict) -> dict:
     else:
         if src != "phantom":
             raise InputError(f"unknown dmri data source {src!r}")
-        _check_kinds(data, _PHANTOM_DEFAULTS, " in the 'data' block")
+        _check_kinds(data, _PHANTOM_DEFAULTS, "data")
         spec["data"] = {**_PHANTOM_DEFAULTS, **data}
         if spec["sampling"]["kind"] not in ("cartesian", "radial"):
             raise InputError("dmri sampling kind must be 'cartesian' or 'radial'")

@@ -314,9 +314,13 @@ def _affine_l1_multiplier(V, alpha):
     whose gradient is -r with r = sum z - 1.  With w = v - mu, a = alpha/|w|
     and u = w/|w| on the active entries, the Newton step delta solves
     c delta + q/2 conj(delta) = r for c = sum(1 - a/2), q = sum a u^2; on
-    real data it is r/k, exact on the current linear segment.  A step is
-    halved until it shrinks |r| or meets Armijo on Phi.  The solve stops at
-    |r| <= 8 n eps (1 + alpha + max|v|) or raises SolverError."""
+    real data it is r/k, exact on the current linear segment.  When alpha
+    dominates |v|, Phi's valley is the circle |mu - g| ~ alpha about the
+    active entries' centroid g, so the step is taken along that circle (its
+    radial part changes |mu - g|, its tangential part the angle; on real
+    data this is the straight step).  A step is halved until it shrinks |r|
+    or meets Armijo on Phi.  The solve stops at |r| <= 8 n eps (1 + alpha +
+    max|v|) or raises SolverError."""
     n = V.shape[0]
     tol = 8 * n * np.finfo(float).eps * (1.0 + alpha + np.abs(V).max(axis=0))
     if not np.isfinite(tol).all():
@@ -336,23 +340,37 @@ def _affine_l1_multiplier(V, alpha):
         done = np.abs(r) <= tol
         if done.all():
             return mu
-        m = np.where(mag > alpha, mag, np.inf)  # active moduli; inf zeroes a and u elsewhere
+        active = mag > alpha
+        m = np.where(active, mag, np.inf)  # active moduli; inf zeroes a and u elsewhere
         a, u = alpha / m, W / m
-        c = (mag > alpha).sum(axis=0) - 0.5 * a.sum(axis=0)
+        k = active.sum(axis=0)
+        c = k - 0.5 * a.sum(axis=0)
         q = (a * u * u).sum(axis=0)
         den = c * c - 0.25 * np.abs(q) ** 2
         delta = np.where(den > 0, (c * r - 0.5 * q * np.conj(r)) / np.where(den > 0, den, 1.0),
                          r / n)
         delta[done] = 0.0
         slope = 1e-4 * np.real(np.conj(r) * delta)  # Armijo share of Phi's descent rate
+        d = mu - (V * active).sum(axis=0) / np.maximum(k, 1)  # mu - g
+        rho = np.where(k > 0, np.abs(d), 0.0)  # 0: no circle, straight step
+        inv = 1.0 / np.where(rho > 0, rho, np.inf)
+        e = d * inv
         step = np.ones_like(phi)
         while True:
-            W1, mag1, r1, phi1 = state(mu + step * delta)
+            # s = (s_r + i s_t) e; the arc point g + (rho + s_r) e exp(i s_t/rho)
+            # is written as mu + s plus its offset, which is 0 on real data
+            s = step * delta
+            s_r, theta = np.real(s * np.conj(e)), np.imag(s * np.conj(e)) * inv
+            t = s - s_r * e  # tangential part i s_t e
+            sinc = np.sinc(theta / np.pi)
+            bend = (-2.0 * np.sin(0.5 * theta) ** 2 * (rho + s_r) * e
+                    + (s_r * inv * sinc + sinc - 1.0) * t)
+            W1, mag1, r1, phi1 = state(mu + s + bend)
             ok = (np.abs(r1) < np.abs(r)) | (phi1 <= phi - step * slope)
             if ok.all() or step.min() < 1e-18:  # 60 halvings: below roundoff
                 break
             step = np.where(ok, step, 0.5 * step)
-        mu, W, mag, r, phi = mu + step * delta, W1, mag1, r1, phi1
+        mu, W, mag, r, phi = mu + s + bend, W1, mag1, r1, phi1
     raise SolverError(f"affine-l1 prox multiplier not found in {_PROX_MAX_ITER} Newton steps",
                       residual=float(np.abs(r).max()), iteration=_PROX_MAX_ITER)
 

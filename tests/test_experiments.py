@@ -241,6 +241,7 @@ def test_resolve_spec_rejects_unknown_block_keys(block):
     ({"sampling": {"ratios": 0.3}}, "'ratios' in the 'sampling' block"),
     ({"dims": {"inner": [3.0]}}, "'inner' in the 'dims' block"),
     ({"data": {"source": "synthetic", "nodes": "16"}}, "'nodes' in the 'data' block"),
+    ({"kernels": "default8"}, "'kernels' in the spec"),
 ])
 def test_resolve_spec_rejects_values_of_the_wrong_type(fields, key):
     with pytest.raises(InputError, match=key):
@@ -252,6 +253,7 @@ def test_resolve_spec_accepts_numbers_and_null_where_defaults_allow():
                              "graph": {"eps": 1}})
     assert resolved["solver"] == {"lambda1": 1, "cg_max": None}
     assert resolve_spec({"problem": "tvgs", "solver": {"cg_max": 40}})["solver"]["cg_max"] == 40
+    assert resolve_spec({"problem": "tvgs", "kernels": "default7"})["kernels"] == "default7"
 
 
 def test_resolve_spec_accepts_every_solver_field():

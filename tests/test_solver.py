@@ -315,9 +315,9 @@ def test_b_update_complex_affine_feasibility():
 
 
 def test_affine_l1_prox_complex_route_matches_exact_real_route():
-    # the complex block prox (operator splitting) and the real one (exact
-    # piecewise-linear multiplier) are independent algorithms; on real data
-    # cast to complex they must produce the same point
+    # one multiplier solve serves both dtypes; on real data and on the same
+    # data cast to complex it must produce the same point (the check against
+    # an independent algorithm is the exact real breakpoint search below)
     from mkimpute.solver import _prox_affine_l1
     rng = np.random.default_rng(3)
     worst = 0.0
@@ -365,7 +365,7 @@ def _affine_l1_kkt_violation(V, Z, alpha):
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(blocks=st.integers(1, 3), n_l=st.integers(1, 10), cols=st.integers(1, 4),
        complex_=st.booleans(), log_scale=st.floats(-6, 6),
-       alpha=st.one_of(st.just(0.0), st.floats(1e-8, 1e4)),
+       alpha=st.one_of(st.just(0.0), st.floats(1e-8, 1e8)),
        duplicate_rows=st.booleans(), zero_column=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_affine_l1_prox_is_feasible_and_kkt_exact(blocks, n_l, cols, complex_, log_scale,
@@ -410,6 +410,22 @@ def test_affine_l1_prox_complex_optimum_when_weight_dominates():
     assert _affine_l1_kkt_violation(V, Z, 10.0) <= 1e-9
     objective = 0.5 * np.sum(np.abs(Z - V) ** 2) + 10.0 * np.abs(Z).sum()
     assert objective == pytest.approx(15.838862100781, abs=1e-9)
+
+
+def test_affine_l1_prox_complex_weight_far_above_entries(monkeypatch):
+    # alpha = 3-30 |v|: Phi's valley is a circle of radius ~alpha, on which
+    # straight Newton steps zig-zag; this block took over 100 of them
+    V = np.array([[9.8e5 + 3.71e6j], [-4.82e5 + 6.4e5j], [1.01e4 - 3.71e5j]])
+    Z = solver._prox_affine_l1(V, 1e7, 3)
+    assert abs(Z.sum() - 1.0) <= 1e-12 * (1.0 + np.abs(V).max())
+    assert _affine_l1_kkt_violation(V, Z, 1e7) <= 1e-9
+    monkeypatch.setattr(solver, "_PROX_MAX_ITER", 30)
+    rng = np.random.default_rng(6)
+    for scale in (1.0, 1e3, 1e6):
+        for ratio in (3.0, 10.0, 30.0):
+            for n in (2, 5, 20):
+                V = scale * (rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4)))
+                solver._affine_l1_multiplier(V, ratio * scale)
 
 
 def test_affine_l1_prox_raises_instead_of_returning_unconverged(monkeypatch):
