@@ -3,7 +3,7 @@ latent-geometry constraints, for time-varying graph signals and dynamic MRI."""
 
 from .errors import DataError, InputError, SolverError
 from .graphs import GraphOperators, build_graph_operators
-from .kernels import KernelSpec, build_kernel_matrix, build_kernel_supermatrix, eval_kernel
+from .kernels import KernelSpec, build_kernel_matrix
 from .model import FactorModel, ModelDims, SolverConfig, count_unknowns, init_factors, predict
 from .navigators import LandmarkSet, NavigatorSet, form_navigators_dmri, form_navigators_tvgs, select_landmarks
 from .sampling import SamplingPattern, apply_sampling, complement
@@ -12,7 +12,7 @@ from .solver import DMRI, TVGS, SolveReport, solve, solve_from_model
 __all__ = [
     "DataError", "InputError", "SolverError",
     "GraphOperators", "build_graph_operators",
-    "KernelSpec", "build_kernel_matrix", "build_kernel_supermatrix", "eval_kernel",
+    "KernelSpec", "build_kernel_matrix",
     "FactorModel", "ModelDims", "SolverConfig", "count_unknowns", "init_factors", "predict",
     "LandmarkSet", "NavigatorSet", "form_navigators_dmri", "form_navigators_tvgs", "select_landmarks",
     "SamplingPattern", "apply_sampling", "complement",

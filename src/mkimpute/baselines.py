@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InputError
 from .graphs import GraphOperators
 from .kernels import KernelSpec, build_kernel_matrix, gaussian_spec
-from .model import FactorModel, ModelDims, SolverConfig
+from .model import FactorModel, ModelDims, SolverConfig, gaussian_draw
 from .sampling import SamplingPattern
 from .solver import (
     TVGS,
@@ -73,7 +73,7 @@ def _sca_baseline_loop(Y, pattern, graph, config: SolverConfig, links, tikhonov)
     mats = [mat for mat, _ in links]
     free = [i for i, (_, tau) in enumerate(links) if tau is not None]
     S_y = np.where(pattern.mask, Y, 0)
-    X = S_y.astype(np.result_type(S_y.dtype, *(mats[i].dtype for i in free)))
+    X = S_y
     gamma = config.gamma0
     report = SolveReport(problem=TVGS)
 
@@ -130,17 +130,8 @@ def _sca_baseline_loop(Y, pattern, graph, config: SolverConfig, links, tikhonov)
 
 def _mmf_init(n_rows, n_cols, rank, depth, seed, dtype):
     rng = np.random.default_rng(seed)
-
-    def draw(r, c):
-        std = 1.0 / np.sqrt(c)
-        if np.issubdtype(np.dtype(dtype), np.complexfloating):
-            return (std / np.sqrt(2.0)) * (
-                rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
-            )
-        return std * rng.standard_normal((r, c))
-
     shapes = [(n_rows, rank)] + [(rank, rank)] * (depth - 1) + [(rank, n_cols)]
-    return [draw(r, c) for r, c in shapes]
+    return [gaussian_draw(rng, shape, 1.0 / np.sqrt(shape[1]), dtype) for shape in shapes]
 
 
 def mmf_solve(Y, pattern, graph, rank, depth, config: SolverConfig):
@@ -181,9 +172,8 @@ def nbp_solve(Y, pattern, graph, spec: BaselineSpec, config: SolverConfig):
     if d > min(Y.shape):
         raise InputError(f"rank {d} exceeds min(I0, I_N) = {min(Y.shape)}")
     rng = np.random.default_rng(config.seed)
-    dtype = np.complex128 if np.iscomplexobj(Y) else np.float64
-    B = (rng.standard_normal((Y.shape[0], d)) / np.sqrt(d)).astype(dtype)
-    C = (rng.standard_normal((d, Y.shape[1])) / np.sqrt(Y.shape[1])).astype(dtype)
+    B = rng.standard_normal((Y.shape[0], d)) / np.sqrt(d)
+    C = rng.standard_normal((d, Y.shape[1])) / np.sqrt(Y.shape[1])
     links = [(K_Z, None), (B, config.tau_D), (C, config.tau_B), (K_Y, None)]
     return _sca_baseline_loop(Y, pattern, graph, config, links, config.lambda2)
 
@@ -192,9 +182,8 @@ def krg_solve(Y, pattern, graph, spec: BaselineSpec, config: SolverConfig):
     """One-sided kernel regression X ~ H K_Y."""
     _, K_Y = _row_col_kernels(Y, pattern, spec.kernel_row, spec.kernel_col,
                               spec.size_cap)
-    dtype = np.complex128 if np.iscomplexobj(Y) else np.float64
     rng = np.random.default_rng(config.seed)
-    H = (rng.standard_normal(Y.shape) / np.sqrt(Y.shape[1])).astype(dtype)
+    H = rng.standard_normal(Y.shape) / np.sqrt(Y.shape[1])
     links = [(H, config.tau_D), (K_Y, None)]
     return _sca_baseline_loop(Y, pattern, graph, config, links, config.lambda2)
 
@@ -203,9 +192,8 @@ def kgl_solve(Y, pattern, graph, spec: BaselineSpec, config: SolverConfig):
     """Two-sided kernel expansion X ~ K_Z G K_Y without a low-rank split."""
     K_Z, K_Y = _row_col_kernels(Y, pattern, spec.kernel_row, spec.kernel_col,
                                 spec.size_cap)
-    dtype = np.complex128 if np.iscomplexobj(Y) else np.float64
     rng = np.random.default_rng(config.seed)
-    G = (rng.standard_normal(Y.shape) / np.sqrt(Y.shape[1])).astype(dtype)
+    G = rng.standard_normal(Y.shape) / np.sqrt(Y.shape[1])
     links = [(K_Z, None), (G, config.tau_D), (K_Y, None)]
     return _sca_baseline_loop(Y, pattern, graph, config, links, config.lambda2)
 

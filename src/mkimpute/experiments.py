@@ -25,12 +25,15 @@ from .kernels import (
     KernelSpec,
     default_kernel_dictionary,
     gaussian_spec,
+    landmark_mean,
     median_distance_gaussian,
 )
 from .metrics import compute_metrics
 from .model import ModelDims, SolverConfig
 from .mri import PhantomParams, ifft2_frames, make_phantom
 from .navigators import (
+    STRATEGIES,
+    TVGS_MODES,
     form_navigators_dmri,
     form_navigators_tvgs,
     select_landmarks,
@@ -89,6 +92,10 @@ _KINDS = {
 }
 _KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
                dict: "an object"}
+
+# The keys each kernel kind takes besides "kind".
+_KERNEL_KEYS = {"gaussian": ("sigma", "gamma"), "polynomial": ("degree", "intercept"),
+                "linear": ()}
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +197,50 @@ def _check_kinds(block: dict, defaults: dict, name: str) -> None:
         raise InputError(f"{key!r} in {where} must be {kind}, got {value!r}")
 
 
+def _finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _check_kernels(entries) -> None:
+    """InputError naming entry index and key for a kernel entry that cannot
+    be built: an unknown kind or key, a gaussian without exactly one finite
+    positive width (``sigma``, which may be "median", or ``gamma``), or a
+    polynomial without an integer degree >= 1 or with a non-finite intercept."""
+    if entries == "default7":
+        return
+    for i, item in enumerate(entries):
+        def fail(key, want):
+            got = repr(item[key]) if key in item else "nothing"
+            return InputError(f"kernel entry {i}: {key!r} must be {want}, got {got}")
+
+        kind = item.get("kind")
+        if kind not in _KERNEL_KEYS:
+            raise fail("kind", "'gaussian', 'polynomial' or 'linear'")
+        for key in item:
+            if key != "kind" and key not in _KERNEL_KEYS[kind]:
+                raise InputError(f"kernel entry {i}: a {kind} kernel takes no key {key!r}")
+        if kind == "gaussian":
+            if ("sigma" in item) == ("gamma" in item):
+                raise InputError(
+                    f"kernel entry {i}: a gaussian kernel takes exactly one of "
+                    "'sigma' and 'gamma'"
+                )
+            key = "sigma" if "sigma" in item else "gamma"
+            value = item[key]
+            if not (_finite_number(value) and value > 0
+                    or key == "sigma" and value == "median"):
+                want = "a finite number > 0" + (' or "median"' if key == "sigma" else "")
+                raise fail(key, want)
+        elif kind == "polynomial":
+            degree = item.get("degree")
+            if not (type(degree) is int and degree >= 1):
+                raise fail("degree", "an integer >= 1")
+            intercept = item.get("intercept")
+            if not (intercept is None or _finite_number(intercept)):
+                raise fail("intercept", "a finite number or null")
+
+
 def resolve_spec(raw: dict) -> dict:
     """Materialize every default and validate; raises InputError on bad fields."""
     spec = copy.deepcopy(_DEFAULTS)
@@ -253,13 +304,25 @@ def resolve_spec(raw: dict) -> dict:
             raise InputError(f"unknown metric {name!r}")
     if spec["repeats"] < 1:
         raise InputError("repeats must be at least 1")
+    for name, seed in (("base_seed", spec["base_seed"]), ("data.seed", spec["data"].get("seed"))):
+        if isinstance(seed, int) and seed < 0:  # a csv source has no seed
+            raise InputError(f"{name} must be non-negative, got {seed}")
+    if problem == TVGS and spec["navigator"]["mode"] not in TVGS_MODES:
+        raise InputError(f"navigator mode must be one of {TVGS_MODES}, "
+                         f"got {spec['navigator']['mode']!r}")
+    if spec["landmarks"]["strategy"] not in STRATEGIES:
+        raise InputError(f"landmark strategy must be one of {STRATEGIES}, "
+                         f"got {spec['landmarks']['strategy']!r}")
     if spec["landmarks"]["count"] < 1:
         raise InputError("landmark count must be at least 1")
+    _check_kernels(spec["kernels"])
     depth = spec["dims"]["depth"]
     inner = list(spec["dims"]["inner"])
     if len(inner) != depth - 1:
         raise InputError(f"depth {depth} needs {depth - 1} inner dims, got {inner}")
-    SolverConfig(**spec["solver"])  # validates weights and schedule
+    if any(d < 1 for d in inner):
+        raise InputError(f"inner dims must be at least 1, got {inner}")
+    SolverConfig(**spec["solver"])  # validates weights, schedule and seed
     return spec
 
 
@@ -267,8 +330,8 @@ def _kernel_specs_from_config(cfg, landmark_points) -> list[KernelSpec]:
     if cfg == "default7":
         return default_kernel_dictionary(landmark_points)
     specs = []
-    for item in cfg:
-        kind = item.get("kind")
+    for item in cfg:  # entries checked by _check_kernels
+        kind = item["kind"]
         if kind == "gaussian":
             if item.get("sigma") == "median":
                 specs.append(median_distance_gaussian(landmark_points))
@@ -278,14 +341,12 @@ def _kernel_specs_from_config(cfg, landmark_points) -> list[KernelSpec]:
                 specs.append(KernelSpec("gaussian", gamma=item["gamma"]))
         elif kind == "linear":
             specs.append(KernelSpec("linear"))
-        elif kind == "polynomial":
+        else:
             intercept = item.get("intercept")
             if intercept is None:
-                intercept = complex(np.mean(landmark_points))
+                intercept = landmark_mean(landmark_points)
             specs.append(KernelSpec("polynomial", degree=item["degree"],
                                     intercept=intercept))
-        else:
-            raise InputError(f"unknown kernel kind {kind!r}")
     return specs
 
 

@@ -39,14 +39,14 @@ class KernelSpec:
         Gaussian rate, required > 0 for the gaussian kind.
     degree : int
         Polynomial degree r >= 1.
-    intercept : complex
+    intercept : float or complex
         Polynomial intercept c.
     """
 
     kind: str
     gamma: float = 1.0
     degree: int = 1
-    intercept: complex = 0.0
+    intercept: float | complex = 0.0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -79,11 +79,16 @@ def median_distance_gaussian(points: np.ndarray) -> KernelSpec:
     return gaussian_spec(med if med > 0 else 1.0)
 
 
+def landmark_mean(landmarks: np.ndarray) -> float | complex:
+    """Default polynomial intercept: the entry-wise mean of the landmark
+    points, real for real points and complex for complex ones."""
+    return np.mean(landmarks).item()
+
+
 def default_kernel_dictionary(landmarks: np.ndarray) -> list[KernelSpec]:
     """Seven-kernel default dictionary: gaussian sigma in {0.2, 0.4, 0.8} and
-    polynomial degree in {1, 2, 3, 4} with intercept = entry-wise mean of the
-    landmark points."""
-    c = complex(np.mean(landmarks))
+    polynomial degree in {1, 2, 3, 4} with intercept ``landmark_mean``."""
+    c = landmark_mean(landmarks)
     gauss = [gaussian_spec(s) for s in (0.2, 0.4, 0.8)]
     poly = [KernelSpec(POLYNOMIAL, degree=r, intercept=c) for r in (1, 2, 3, 4)]
     return gauss + poly
@@ -102,21 +107,6 @@ class KernelMatrix:
         if self.entries.shape != (n, n):
             raise InputError("kernel matrix must be square")
         self.landmark_count = n
-
-
-def eval_kernel(spec: KernelSpec, l: np.ndarray, l_prime: np.ndarray) -> complex:
-    """Evaluate one kernel on a pair of equal-length vectors."""
-    l = np.asarray(l).ravel()
-    l_prime = np.asarray(l_prime).ravel()
-    if l.shape != l_prime.shape or l.size < 1:
-        raise InputError(f"vector length mismatch: {l.shape} vs {l_prime.shape}")
-    if spec.kind == LINEAR:
-        return complex(np.vdot(l, l_prime))
-    if spec.kind == GAUSSIAN:
-        d = l - np.conj(l_prime)
-        return complex(np.exp(-spec.gamma * np.sum(d * d)))
-    d = np.vdot(l, l_prime) + spec.intercept
-    return complex(d**spec.degree)
 
 
 def build_kernel_matrix(landmarks: np.ndarray, spec: KernelSpec) -> KernelMatrix:
@@ -139,21 +129,3 @@ def build_kernel_matrix(landmarks: np.ndarray, spec: KernelSpec) -> KernelMatrix
         cross = landmarks.T @ np.conj(landmarks)
         entries = np.exp(-spec.gamma * (sq[:, None] + np.conj(sq)[None, :] - 2.0 * cross))
     return KernelMatrix(entries=np.ascontiguousarray(entries), spec=spec)
-
-
-def build_kernel_supermatrix(mats: list[KernelMatrix]) -> np.ndarray:
-    """Block-diagonal stack of M kernel matrices; off-diagonal blocks exactly zero."""
-    if not mats:
-        raise InputError("need at least one kernel matrix")
-    n = mats[0].landmark_count
-    for km in mats:
-        if km.landmark_count != n:
-            raise InputError(
-                f"mixed landmark counts in supermatrix: {km.landmark_count} vs {n}"
-            )
-    m = len(mats)
-    dtype = np.result_type(*(km.entries.dtype for km in mats))
-    out = np.zeros((m * n, m * n), dtype=dtype)
-    for i, km in enumerate(mats):
-        out[i * n : (i + 1) * n, i * n : (i + 1) * n] = km.entries
-    return out

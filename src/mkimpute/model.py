@@ -89,6 +89,8 @@ class SolverConfig:
                 raise InputError(f"{name} must be at least 1")
         if not self.tol_objective >= 0:
             raise InputError("tol_objective must be non-negative")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
         if self.z_rule not in ("ratio", "prox"):
             raise InputError(f"unknown z_rule {self.z_rule!r}")
 
@@ -144,6 +146,15 @@ def count_unknowns(dims: ModelDims) -> int:
     return dims.n_kernels * (pairs + dims.n_cols * dims.n_landmarks)
 
 
+def gaussian_draw(rng, shape, std, dtype):
+    """Normal draws of standard deviation ``std``; a complex dtype splits the
+    variance evenly between the real and imaginary parts."""
+    if np.issubdtype(np.dtype(dtype), np.complexfloating):
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return (std / np.sqrt(2.0)) * z
+    return std * rng.standard_normal(shape)
+
+
 def init_factors(
     dims: ModelDims,
     seed: int,
@@ -157,25 +168,18 @@ def init_factors(
     actual kernel matrices by the caller.
     """
     rng = np.random.default_rng(seed)
-    complex_out = np.issubdtype(np.dtype(dtype), np.complexfloating)
-
-    def draw(rows, cols, std):
-        if complex_out:
-            z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-            return (std / np.sqrt(2.0)) * z
-        return std * rng.standard_normal((rows, cols))
-
     d = dims.d_list
     m_count = dims.n_kernels
     factors = []
     coeffs = []
     for _ in range(m_count):
         row = [
-            draw(d[q - 1], d[q], 1.0 / np.sqrt(d[q] * m_count))
+            gaussian_draw(rng, (d[q - 1], d[q]), 1.0 / np.sqrt(d[q] * m_count), dtype)
             for q in range(1, dims.depth + 1)
         ]
         factors.append(row)
-        b = draw(dims.n_landmarks, dims.n_cols, 1.0 / np.sqrt(dims.n_landmarks * m_count))
+        b = gaussian_draw(rng, (dims.n_landmarks, dims.n_cols),
+                          1.0 / np.sqrt(dims.n_landmarks * m_count), dtype)
         b += (1.0 - b.sum(axis=0)) / dims.n_landmarks  # affine feasibility
         coeffs.append(b)
     if kernels is None:
@@ -186,17 +190,6 @@ def init_factors(
             raise InputError(f"expected {m_count} kernel matrices, got {len(kernels)}")
         kernels = [np.asarray(k) for k in kernels]
     return FactorModel(dims=dims, factors=factors, kernels=kernels, coeffs=coeffs)
-
-
-def reduce_to_mmf(model: FactorModel) -> FactorModel:
-    """Drop the latent-geometry machinery: identity kernels, no affine or
-    sparsity handling in the solver.  Dimensions (and the unknown count) are
-    unchanged."""
-    out = model.copy()
-    eye = np.eye(model.dims.n_landmarks, dtype=model.kernels[0].dtype)
-    out.kernels = [eye.copy() for _ in range(model.dims.n_kernels)]
-    out.mmf = True
-    return out
 
 
 def save_model(model: FactorModel, path) -> None:

@@ -22,10 +22,12 @@ NAV2 = "nav2"  # node time profiles (rows)
 NAV3 = "nav3"  # neighborhood x time-window patches
 NAV4 = "nav4"  # full-node time windows
 DMRI_BAND = "dmri-band"
+TVGS_MODES = (NAV1, NAV2, NAV3, NAV4)
 
 MAXMIN = "maxmin"
 KMEANS = "kmeans"
 FUZZY_CMEANS = "fuzzy-cmeans"
+STRATEGIES = (MAXMIN, KMEANS, FUZZY_CMEANS)
 
 
 @dataclass

@@ -703,12 +703,8 @@ def solve(problem, Y, pattern: SamplingPattern, operators, landmarks: LandmarkSe
             f"landmark set has {landmarks.count} points, dims expect {dims.n_landmarks}"
         )
     kmats = [build_kernel_matrix(landmarks.points, s).entries for s in kernel_specs]
-    complex_model = (
-        problem == DMRI
-        or np.iscomplexobj(Y)
-        or any(np.iscomplexobj(k) for k in kmats)
-    )
-    dtype = np.complex128 if complex_model else np.float64
+    # one field for the whole model: real data on real kernels stays real
+    dtype = np.result_type(np.float64, Y, *kmats)
     kernels = [k.astype(dtype) for k in kmats]
     model0 = init_factors(dims, config.seed, dtype, kernels)
     # match the initial prediction's energy to the zero-filled iterate so the

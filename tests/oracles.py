@@ -3,16 +3,18 @@
 Every routine here re-derives the optimality system from scratch (explicit
 Kronecker matrices, bordered KKT systems, affine residual stacking) so the
 fast block implementations are checked against an independent path.  The
-analytic sub-task gradients, the multi-layer factorization reduction check
-and the exact sort-based multiplier of the real affine-l1 prox live here too:
-they exist only to verify the engine.
+analytic sub-task gradients, the multi-layer factorization reduction check,
+the exact sort-based multiplier of the real affine-l1 prox, pointwise kernel
+evaluation and the block-diagonal kernel supermatrix live here too: they
+exist only to verify the engine.
 """
 
 import numpy as np
 
 from mkimpute.errors import InputError, SolverError
 from mkimpute.graphs import build_graph_operators
-from mkimpute.model import FactorModel, ModelDims, SolverConfig, init_factors, reduce_to_mmf
+from mkimpute.kernels import GAUSSIAN, LINEAR, KernelMatrix, KernelSpec
+from mkimpute.model import FactorModel, ModelDims, SolverConfig, init_factors
 from mkimpute.mri import dft_temporal, idft_temporal, ifft2_frames
 from mkimpute.sampling import sample_p1
 from mkimpute.solver import TVGS, factor_wings, sca_step_schedule, solve_from_model
@@ -162,6 +164,54 @@ def kron_sylvester(G, H, C, c):
     n = C.size
     A = np.kron(H.T, G) + c * np.eye(n, dtype=np.result_type(G.dtype, H.dtype))
     return np.linalg.solve(A, C.ravel(order="F")).reshape(C.shape, order="F")
+
+
+# ---------------------------------------------------------------------------
+# kernels and the mmf reduction
+# ---------------------------------------------------------------------------
+
+def eval_kernel(spec: KernelSpec, l: np.ndarray, l_prime: np.ndarray) -> complex:
+    """Evaluate one kernel on a pair of equal-length vectors."""
+    l = np.asarray(l).ravel()
+    l_prime = np.asarray(l_prime).ravel()
+    if l.shape != l_prime.shape or l.size < 1:
+        raise InputError(f"vector length mismatch: {l.shape} vs {l_prime.shape}")
+    if spec.kind == LINEAR:
+        return complex(np.vdot(l, l_prime))
+    if spec.kind == GAUSSIAN:
+        d = l - np.conj(l_prime)
+        return complex(np.exp(-spec.gamma * np.sum(d * d)))
+    d = np.vdot(l, l_prime) + spec.intercept
+    return complex(d**spec.degree)
+
+
+def build_kernel_supermatrix(mats: list[KernelMatrix]) -> np.ndarray:
+    """Block-diagonal stack of M kernel matrices; off-diagonal blocks exactly zero."""
+    if not mats:
+        raise InputError("need at least one kernel matrix")
+    n = mats[0].landmark_count
+    for km in mats:
+        if km.landmark_count != n:
+            raise InputError(
+                f"mixed landmark counts in supermatrix: {km.landmark_count} vs {n}"
+            )
+    m = len(mats)
+    dtype = np.result_type(*(km.entries.dtype for km in mats))
+    out = np.zeros((m * n, m * n), dtype=dtype)
+    for i, km in enumerate(mats):
+        out[i * n : (i + 1) * n, i * n : (i + 1) * n] = km.entries
+    return out
+
+
+def reduce_to_mmf(model: FactorModel) -> FactorModel:
+    """Drop the latent-geometry machinery: identity kernels, no affine or
+    sparsity handling in the solver.  Dimensions (and the unknown count) are
+    unchanged."""
+    out = model.copy()
+    eye = np.eye(model.dims.n_landmarks, dtype=model.kernels[0].dtype)
+    out.kernels = [eye.copy() for _ in range(model.dims.n_kernels)]
+    out.mmf = True
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -200,3 +200,17 @@ def test_mmf_solve_follows_dense_reference_trajectory(depth, lambda_L):
         X, _, _ = mmf_solve(Y, pattern, graph, 2, depth,
                             dataclasses.replace(config, outer_iters=k))
         assert float(np.max(np.abs(X - reference[k - 1]))) <= 1e-9
+
+
+def test_krg_on_complex_data_stays_complex_and_consistent():
+    # the free link is drawn real; complex data promotes it on the first solve
+    Y, pattern, graph = _toy_problem(seed=4)
+    rng = np.random.default_rng(4)
+    Yc = Y * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (Y.shape[0], 1)))  # row phases
+    config = SolverConfig(lambda2=1e-2, lambda_L=0.01, outer_iters=6,
+                          tol_objective=0.0, seed=4)
+    X, (H,), report = krg_solve(Yc, pattern, graph, BaselineSpec(kind="krg"), config)
+    assert np.iscomplexobj(X) and np.iscomplexobj(H)
+    assert np.array_equal(X[pattern.mask], Yc[pattern.mask])
+    assert max(report.consistency) == 0.0
+    assert report.objective[-1] < report.initial_objective

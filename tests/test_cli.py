@@ -114,3 +114,20 @@ def test_validate_wrongly_typed_value_is_one_json_line(tmp_path, capsys):
     payload = json.loads(err[0])
     assert payload["error"] == "InputError"
     assert "count" in payload["message"] and "landmarks" in payload["message"]
+
+
+@pytest.mark.parametrize("fields, key", [
+    ({"kernels": [{"kind": "polynomial"}]}, "degree"),
+    ({"data": {"source": "synthetic", "seed": -1}}, "seed"),
+])
+def test_validate_and_run_reject_specs_that_fail_every_cell(tmp_path, capsys, fields, key):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"problem": "tvgs", **fields}))
+    for argv in (["validate", str(spec_path)],
+                 ["run", str(spec_path), "--output", str(tmp_path / "out")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["error"] == "InputError"
+        assert key in payload["message"]

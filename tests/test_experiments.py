@@ -269,3 +269,38 @@ def test_load_tvgs_csv_non_finite_names_line(tmp_path, cell):
     coords.write_text("0.1,0.2\n0.3,0.4\n")
     with pytest.raises(DataError, match=r"data\.csv:2: non-finite"):
         load_tvgs_csv(data, coords)
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"kernels": [{"kind": "polynomial"}]}, "kernel entry 0: 'degree'"),
+    ({"kernels": [{"kind": "polynomial", "degree": 0}]}, "kernel entry 0: 'degree'"),
+    ({"kernels": [{"kind": "polynomial", "degree": 1.5}]}, "kernel entry 0: 'degree'"),
+    ({"kernels": [{"kind": "polynomial", "degree": True}]}, "kernel entry 0: 'degree'"),
+    ({"kernels": [{"kind": "polynomial", "degree": 2, "intercept": "x"}]},
+     "kernel entry 0: 'intercept'"),
+    ({"kernels": [{"kind": "polynomial", "degree": 2, "intercept": float("nan")}]},
+     "kernel entry 0: 'intercept'"),
+    ({"kernels": [{"kind": "gaussian"}]}, "kernel entry 0: .*'sigma' and 'gamma'"),
+    ({"kernels": [{"kind": "gaussian", "sigma": 0.4, "gamma": 3}]},
+     "kernel entry 0: .*'sigma' and 'gamma'"),
+    ({"kernels": [{"kind": "gaussian", "sigma": "wide"}]}, "kernel entry 0: 'sigma'"),
+    ({"kernels": [{"kind": "gaussian", "sigma": 0}]}, "kernel entry 0: 'sigma'"),
+    ({"kernels": [{"kind": "gaussian", "gamma": float("inf")}]}, "kernel entry 0: 'gamma'"),
+    ({"kernels": [{"kind": "gaussian", "gamma": "median"}]}, "kernel entry 0: 'gamma'"),
+    ({"kernels": [{"kind": "linear", "degree": 2}]}, "kernel entry 0: .*'degree'"),
+    ({"kernels": [{"kind": "cubic"}]}, "kernel entry 0: 'kind'"),
+    ({"kernels": [{"sigma": 0.4}]}, "kernel entry 0: 'kind'"),
+    ({"kernels": [{"kind": "linear"}, {"kind": "gaussian", "sigma": -1}]},
+     "kernel entry 1: 'sigma'"),
+    ({"dims": {"depth": 3, "inner": [4, 0]}}, "inner"),
+    ({"navigator": {"mode": "nav9"}}, "navigator mode"),
+    ({"landmarks": {"strategy": "random"}}, "landmark strategy"),
+    ({"base_seed": -1}, "base_seed"),
+    ({"data": {"source": "synthetic", "seed": -1}}, "data.seed"),
+    ({"solver": {"seed": -2}}, "seed"),
+    ({"problem": "dmri", "data": {"source": "phantom", "seed": -1},
+      "sampling": {"kind": "radial", "ratios": [4.0]}}, "data.seed"),
+])
+def test_resolve_spec_rejects_fields_that_fail_every_cell(fields, match):
+    with pytest.raises(InputError, match=match):
+        resolve_spec({"problem": "tvgs", **fields})

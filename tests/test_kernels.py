@@ -5,11 +5,10 @@ from mkimpute.errors import InputError
 from mkimpute.kernels import (
     KernelSpec,
     build_kernel_matrix,
-    build_kernel_supermatrix,
     default_kernel_dictionary,
-    eval_kernel,
     gaussian_spec,
 )
+from oracles import build_kernel_supermatrix, eval_kernel
 
 
 def test_linear_complex_pair():
@@ -153,3 +152,18 @@ def test_default_dictionary_layout():
     assert specs[0].gamma == pytest.approx(1.0 / (2 * 0.2**2))
     assert [s.degree for s in specs[3:]] == [1, 2, 3, 4]
     assert specs[4].intercept == pytest.approx(complex(pts.mean()))
+
+
+def test_default_intercept_takes_the_landmarks_field():
+    from mkimpute.experiments import _kernel_specs_from_config
+    rng = np.random.default_rng(3)
+    real_pts = rng.standard_normal((4, 8)) + 2.0
+    complex_pts = real_pts + 1j * rng.standard_normal((4, 8))
+    for pts, field in ((real_pts, float), (complex_pts, complex)):
+        specs = default_kernel_dictionary(pts)
+        assert all(type(s.intercept) is field for s in specs[3:])
+        assert specs[3].intercept == pytest.approx(pts.mean())
+        from_spec = _kernel_specs_from_config([{"kind": "polynomial", "degree": 2}], pts)
+        assert from_spec[0].intercept == specs[3].intercept
+    poly = build_kernel_matrix(real_pts, default_kernel_dictionary(real_pts)[5])
+    assert poly.entries.dtype == np.float64

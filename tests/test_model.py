@@ -10,9 +10,9 @@ from mkimpute.model import (
     init_factors,
     load_model,
     predict,
-    reduce_to_mmf,
     save_model,
 )
+from oracles import reduce_to_mmf
 
 
 def _sum_form(model):
@@ -219,3 +219,8 @@ def test_checkpoint_round_trip(tmp_path):
 def test_solver_config_rejects_unworkable_settings(field, value):
     with pytest.raises(InputError, match=field):
         SolverConfig(**{field: value})
+
+
+def test_solver_config_rejects_negative_seed():
+    with pytest.raises(InputError, match="seed"):
+        SolverConfig(seed=-1)

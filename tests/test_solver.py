@@ -881,3 +881,21 @@ def test_x_update_cg_rejects_nan_residual():
     with pytest.raises(SolverError, match="nan"):
         consistent_smooth_solve(Y, pattern, np.zeros((8, 8)), np.zeros((8, 8)),
                                 graph.L_sobolev, graph.delta, 0.1, 1.0)
+
+
+def test_solve_real_signal_with_default7_stays_real():
+    # the default dictionary's polynomial kernels take the landmarks' own
+    # field, so a real graph signal is solved in real arithmetic throughout
+    from mkimpute.kernels import default_kernel_dictionary
+    Y, pattern, graph = _ring_problem()
+    lmk = _landmarks_from(Y, pattern, 6)
+    specs = default_kernel_dictionary(lmk.points)
+    dims = ModelDims(12, 20, 6, len(specs), 2, (3,))
+    config = SolverConfig(lambda2=1e-3, lambda_L=0.05, outer_iters=3,
+                          tol_objective=0.0, seed=0)
+    X, model, report = solve(TVGS, Y, pattern, graph, lmk, specs, dims, config)
+    assert X.dtype == np.float64
+    arrays = [d for row in model.factors for d in row] + model.coeffs + model.kernels
+    assert all(a.dtype == np.float64 for a in arrays)
+    assert np.array_equal(X[pattern.mask], Y[pattern.mask])
+    assert max(report.affine_residual) < 1e-8
