@@ -114,6 +114,7 @@ def _sca_baseline_loop(Y, pattern, graph, config: SolverConfig, links, tikhonov)
         )
         report.affine_residual.append(0.0)
         report.b_inner_iters.append(0)
+        report.b_residual.append(0.0)
         report.cg_iters.append(cg_iters)
         report.gammas.append(gamma)
         report.seconds.append(time.perf_counter() - t0)

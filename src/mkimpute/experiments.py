@@ -273,6 +273,10 @@ def resolve_spec(raw: dict) -> dict:
         if src == "synthetic":
             _check_kinds(data, _SYNTH_DEFAULTS, "data")
             spec["data"] = {**_SYNTH_DEFAULTS, **data}
+            nodes = spec["data"]["nodes"]
+            if spec["data"]["modes"] >= nodes:  # mode j is eigenvector j + 1 of the graph
+                raise InputError(f"data.modes must be below data.nodes = {nodes}, "
+                                 f"got {spec['data']['modes']}")
         elif src == "csv":
             for k in ("data_path", "coords_path"):
                 if k not in data:
@@ -310,6 +314,17 @@ def resolve_spec(raw: dict) -> dict:
     if problem == TVGS and spec["navigator"]["mode"] not in TVGS_MODES:
         raise InputError(f"navigator mode must be one of {TVGS_MODES}, "
                          f"got {spec['navigator']['mode']!r}")
+    nav = spec["navigator"]
+    if problem == TVGS and nav["mode"] in ("nav3", "nav4"):
+        # the windows need 0 < delta_t < I_N/2; I_N is known here for synthetic data
+        times = spec["data"]["times"] if src == "synthetic" else math.inf
+        if not 0 < nav["delta_t"] < times / 2:
+            raise InputError(f"navigator.delta_t must lie in (0, {times / 2}) for "
+                             f"{nav['mode']}, got {nav['delta_t']}")
+    for key in ("rank", "depth"):
+        if spec["baseline"][key] < 1:
+            raise InputError(f"baseline.{key} must be at least 1, "
+                             f"got {spec['baseline'][key]}")
     if spec["landmarks"]["strategy"] not in STRATEGIES:
         raise InputError(f"landmark strategy must be one of {STRATEGIES}, "
                          f"got {spec['landmarks']['strategy']!r}")

@@ -63,8 +63,8 @@ class SolverConfig:
     cg_tol: float = 1e-9
     cg_max: int | None = None  # defaults to the CG bound from a conditioning estimate,
     #                            at least 10 * sqrt(free-entry count) + 10
-    inner_tol: float = 1e-8
-    inner_max: int = 500
+    inner_tol: float = 1e-8  # B update: bound on its proximal-gradient residual
+    inner_max: int = 500  # B update: cap on its Newton steps
     z_rule: str = "ratio"  # "ratio": Soft[F_t(X) + (tau_Z/l2) Z, l3/l2]
     #                        "prox":  Soft[(l2 F_t(X) + tau_Z Z)/(l2+tau_Z), l3/(l2+tau_Z)]
     seed: int = 0

@@ -32,9 +32,6 @@ from .sampling import SamplingPattern
 TVGS = "tvgs"
 DMRI = "dmri"
 
-_TINY = 1e-300
-
-
 # ---------------------------------------------------------------------------
 # schedule and extrapolation
 # ---------------------------------------------------------------------------
@@ -84,6 +81,7 @@ class SolveReport:
     consistency: list[float] = field(default_factory=list)
     affine_residual: list[float] = field(default_factory=list)
     b_inner_iters: list[int] = field(default_factory=list)
+    b_residual: list[float] = field(default_factory=list)  # 0 on the closed-form mmf path
     cg_iters: list[int] = field(default_factory=list)
     gammas: list[float] = field(default_factory=list)
     seconds: list[float] = field(default_factory=list)
@@ -285,13 +283,6 @@ def update_factor(q_index: int, X_hat, model: FactorModel, lam: float, tau: floa
     return _coupled_block_solve(lefts, rights, X_hat, D_hats, c, tau)
 
 
-def tvgs_update_D(q: int, X_hat, model: FactorModel, lambda2: float, tau_D: float):
-    """Factor update for 1-based layer index q (spec-facing wrapper)."""
-    if not 1 <= q <= model.dims.depth:
-        raise InputError(f"layer index {q} outside 1..{model.dims.depth}")
-    return update_factor(q - 1, X_hat, model, lambda2, tau_D)
-
-
 # ---------------------------------------------------------------------------
 # coefficient (B) sub-task
 # ---------------------------------------------------------------------------
@@ -375,110 +366,168 @@ def _affine_l1_multiplier(V, alpha):
                       residual=float(np.abs(r).max()), iteration=_PROX_MAX_ITER)
 
 
+def _affine_l1_shift(V, alpha, n_l):
+    """V minus the multiplier mu of each (column, block) of the blockwise prox
+    of alpha||.||_1 + {per-block column sums = 1}: the prox is soft(W, alpha)
+    and its active entries are |W| > alpha."""
+    W = np.empty_like(V)
+    for mb in range(V.shape[0] // n_l):
+        Vm = V[mb * n_l : (mb + 1) * n_l]
+        W[mb * n_l : (mb + 1) * n_l] = Vm - _affine_l1_multiplier(Vm, alpha)
+    return W
+
+
+def _snap_affine(Z, n_l):
+    """Shift every block's columns to sum to 1; the shift is bounded by the
+    multiplier solve tolerance."""
+    Z3 = Z.reshape(-1, n_l, Z.shape[1])
+    return (Z3 + (1.0 - Z3.sum(axis=1, keepdims=True)) / n_l).reshape(Z.shape)
+
+
 def _prox_affine_l1(V, alpha, n_l):
     """Blockwise prox of alpha||.||_1 + {per-block column sums = 1}.
 
     V stacks M blocks of n_l rows; the affine equality is handled by one
     scalar multiplier per (column, block).  The result is snapped to exact
-    feasibility (the snap is bounded by the multiplier solve tolerance)."""
-    out = np.empty_like(V)
-    blocks = V.shape[0] // n_l
-    for mb in range(blocks):
-        Vm = V[mb * n_l : (mb + 1) * n_l]
-        if alpha == 0.0:
-            Z = Vm + (1.0 - Vm.sum(axis=0)) / n_l
-        else:
-            Z = _soft_complex(Vm - _affine_l1_multiplier(Vm, alpha), alpha)
-            Z = Z + (1.0 - Z.sum(axis=0)) / n_l
-        out[mb * n_l : (mb + 1) * n_l] = Z
-    return out
+    feasibility."""
+    return _snap_affine(_soft_complex(_affine_l1_shift(V, alpha, n_l), alpha), n_l)
+
+
+def _components(x):
+    """Real coordinates of a field array along a new axis 1: (Re, Im) for
+    complex data, the array itself for real data."""
+    return np.stack([x.real, x.imag], axis=1) if np.iscomplexobj(x) else x[:, None]
+
+
+def _col_sq(x):
+    return np.real(np.conj(x) * x).sum(axis=0)
 
 
 def update_B(X_hat, model: FactorModel, lambda1: float, tau_B: float,
              inner_tol: float = 1e-8, inner_max: int = 500):
-    """Monotone accelerated proximal-gradient solve of the coefficient
-    sub-task under the affine constraint 1^H B_m = 1^H:
+    """Dual semismooth Newton solve of the coefficient sub-task under the
+    affine constraint 1^H B_m = 1^H:
 
         min 1/2||X - A B||^2 + lambda1||B||_1 + tau_B/2||B - B_hat||^2
 
-    with A = D^(1)...D^(Q) K blockwise.  Iterates stay exactly feasible; the
-    recorded objective trace is non-increasing by construction.  Returns
-    (blocks, stats) where stats carries iterations, trace and the final
-    proximal-gradient residual."""
+    with A = D^(1)...D^(Q) K blockwise.  A = U P with P of r <= M d_1 rows,
+    so each column has an r-dimensional dual, strongly concave for tau_B > 0
+    (Li, Sun & Toh, SIAM J. Optim. 28(1), 2018), with primal point
+    b(z) = prox(b_hat - P^H z / tau_B) (the prox of lambda1/tau_B ||.||_1
+    and the constraint, so every iterate is exactly feasible) and gradient
+    P b(z) - U^H x - z.  Newton steps solve (I + P J P^H / tau_B) d = grad
+    per column, J the prox's generalized Jacobian, and backtrack to Armijo's
+    rule; once Armijo's predicted gain is below roundoff, a step that lowers
+    |grad| is taken instead.  The solve stops at the proximal-gradient
+    residual L||B - prox(B - grad f(B)/L)|| / max(1, ||B||) <= inner_tol,
+    or after inner_max Newton steps.  Returns (blocks, stats): the Newton
+    steps taken, the objective trace (the least objective reached so far,
+    from B_hat on), the final residual and whether it met inner_tol."""
     dims = model.dims
-    n_l = dims.n_landmarks
-    A = np.concatenate([model.block_basis(m) for m in range(dims.n_kernels)], axis=1)
+    n_l, M = dims.n_landmarks, dims.n_kernels
+    U, R = np.linalg.qr(np.concatenate([model.factors[m][0] for m in range(M)], axis=1))
+    d_1 = R.shape[1] // M
+    # D_m^(1) = U R_m, so A_m = U P_m with P_m = R_m D_m^(2)...D_m^(Q) K_m
+    P = np.concatenate([_chain([R[:, m * d_1 : (m + 1) * d_1], *model.factors[m][1:],
+                                model.kernels[m]]) for m in range(M)], axis=1)
     B_hat = np.concatenate(model.coeffs, axis=0)
-    G = A.conj().T @ A
-    C = A.conj().T @ X_hat
-    x_sq = 0.5 * float(np.vdot(X_hat, X_hat).real)
-    spec_g = np.linalg.eigvalsh(G)
-    lip = float(spec_g[-1].real) + tau_B
-    mu = tau_B + max(0.0, float(spec_g[0].real))  # tau makes the smooth part strongly convex
-    momentum = (math.sqrt(lip) - math.sqrt(mu)) / (math.sqrt(lip) + math.sqrt(mu))
-    step = 1.0 / lip
-    alpha = step * lambda1
+    dtype = np.result_type(P, X_hat, B_hat)
+    P, B_hat = P.astype(dtype, copy=False), B_hat.astype(dtype, copy=False)
+    y = (U.conj().T @ X_hat).astype(dtype, copy=False)
+    r, n = P.shape
+    cols = y.shape[1]
+    alpha = lambda1 / tau_B
+    p_norm = math.sqrt(max(float(np.linalg.eigvalsh(P @ P.conj().T)[-1]), 0.0))
+    lip = p_norm ** 2 + tau_B
+    fit0 = 0.5 * float(np.vdot(X_hat, X_hat).real - np.vdot(y, y).real)  # the fit outside range(U)
 
-    def smooth_grad(B):
-        return G @ B - C + tau_B * (B - B_hat)
+    # P in real coordinates: Pt[(x, c), i, a] is component c of row x of P
+    # applied to the unit a of entry i (1 or 1j); outer holds the products
+    # Pt[:, i, a] Pt[:, i, b]^T of every entry, so one matmul with the
+    # prox's per-entry Jacobian blocks sums them for every column
+    basis = (1.0, 1j) if np.iscomplexobj(P) else (1.0,)
+    k = len(basis)
+    Pt = np.stack([_components(e * P) for e in basis], axis=-1).reshape(k * r, n, k)
+    outer = (Pt[:, None, :, :, None] * Pt[None, :, :, None, :]).reshape((k * r) ** 2, n * k * k)
 
-    def objective(B):
-        quad = x_sq - float(np.vdot(C, B).real) + 0.5 * float(np.vdot(B, G @ B).real)
-        prox_term = 0.5 * tau_B * float(np.vdot(B - B_hat, B - B_hat).real)
-        return quad + prox_term + lambda1 * float(np.abs(B).sum())
+    def state(Z, j=slice(None)):  # b(z), its shifted point, grad phi and phi per column
+        W = _affine_l1_shift(B_hat[:, j] - (P.conj().T @ Z) / tau_B, alpha, n_l)
+        B = _snap_affine(_soft_complex(W, alpha), n_l)
+        G = P @ B - y[:, j] - Z
+        phi = (0.5 * tau_B * _col_sq(B - B_hat[:, j]) + lambda1 * np.abs(B).sum(axis=0)
+               + np.real(np.conj(Z) * G).sum(axis=0) + 0.5 * _col_sq(Z))
+        return Z, B, W, G, phi
 
-    # start from the better of the previous blocks and the l1-free KKT point
-    # (the latter is exact for lambda1 = 0 and close for small weights)
-    M = dims.n_kernels
-    E = np.zeros((M, M * n_l), dtype=G.dtype)
-    for m in range(M):
-        E[m, m * n_l : (m + 1) * n_l] = 1.0
-    kkt = np.zeros((M * n_l + M, M * n_l + M), dtype=G.dtype)
-    kkt[: M * n_l, : M * n_l] = G + tau_B * np.eye(M * n_l, dtype=G.dtype)
-    kkt[: M * n_l, M * n_l :] = E.conj().T
-    kkt[M * n_l :, : M * n_l] = E
-    rhs = np.concatenate([C + tau_B * B_hat,
-                          np.ones((M, B_hat.shape[1]), dtype=G.dtype)], axis=0)
-    B_kkt = np.linalg.solve(kkt, rhs)[: M * n_l]
-    B_kkt = _prox_affine_l1(B_kkt, 0.0, n_l)  # snap the equality exactly
+    def objective(B, G, Z):  # P B - y = G + Z
+        return (fit0 + 0.5 * float(_col_sq(G + Z).sum()) + lambda1 * float(np.abs(B).sum())
+                + 0.5 * tau_B * float(_col_sq(B - B_hat).sum()))
 
-    B = B_hat.copy()
-    f_b = objective(B)
-    f_kkt = objective(B_kkt)
-    if f_kkt < f_b:
-        B, f_b = B_kkt, f_kkt
-    Yk = B.copy()
-    trace = [f_b]
-    residual = np.inf
+    def residual(B, G, Z):
+        grad = P.conj().T @ (G + Z) + tau_B * (B - B_hat)
+        gap = B - _prox_affine_l1(B - grad / lip, lambda1 / lip, n_l)
+        return lip * float(np.linalg.norm(gap)) / max(1.0, float(np.linalg.norm(B)))
+
+    def newton_matrices(W):
+        # per entry, the prox's Jacobian block is T = (1 - a) I + a u u^T on
+        # active entries (a = alpha/|w|, u = w/|w| in real coordinates; T = 1
+        # on real data), 0 elsewhere; each block's affine constraint removes
+        # F S^-1 F^T with F = sum P~ T and S = sum T over the block
+        mag = np.abs(W)
+        active = (mag > alpha) | (alpha == 0.0)
+        m = np.where(mag > alpha, mag, np.inf)
+        a = alpha / m
+        u = _components(W) / m[:, None, :]
+        T = ((active * (1.0 - a))[:, None, None, :] * np.eye(k)[None, :, :, None]
+             + a[:, None, None, :] * u[:, :, None, :] * u[:, None, :, :])  # (n, k, k, cols)
+        H = (outer @ T.reshape(n * k * k, cols)).reshape(k * r, k * r, cols).transpose(2, 0, 1)
+        for mb in range(M):
+            Tm = T[mb * n_l : (mb + 1) * n_l]
+            F = (Pt[:, mb * n_l : (mb + 1) * n_l].reshape(k * r, n_l * k)
+                 @ Tm.reshape(n_l * k, k * cols)).reshape(k * r, k, cols).transpose(2, 0, 1)
+            H = H - F @ np.linalg.solve(Tm.sum(axis=0).transpose(2, 0, 1), F.transpose(0, 2, 1))
+        return np.eye(k * r) + H / tau_B
+
+    Z, B, W, G, phi = state(P @ B_hat - y)
+    # the objective at B_hat, where P B_hat - y = Z
+    trace = [fit0 + 0.5 * float(_col_sq(Z).sum()) + lambda1 * float(np.abs(B_hat).sum())]
+    eps = np.finfo(float).eps
     it = 0
-    check_every = 8  # KKT residual probes are as costly as a full step
-    for it in range(1, inner_max + 1):
-        Zk = _prox_affine_l1(Yk - step * smooth_grad(Yk), alpha, n_l)
-        f_z = objective(Zk)
-        B_prev = B
-        if f_z <= f_b:
-            B, f_b = Zk, f_z
-        else:
-            # guaranteed-descent plain proximal step when the accelerated
-            # candidate loses (keeps the trace non-increasing and the iterate
-            # contracting even when objective differences drown in roundoff)
-            pg = _prox_affine_l1(B - step * smooth_grad(B), alpha, n_l)
-            B, f_b = pg, objective(pg)
-        Yk = B + momentum * (B - B_prev)
-        trace.append(f_b)
-        if it % check_every == 0 or it == inner_max:
-            pg = _prox_affine_l1(B - step * smooth_grad(B), alpha, n_l)
-            residual = float(np.linalg.norm(B - pg)) / (
-                step * max(1.0, float(np.linalg.norm(B)))
-            )
-            if residual <= inner_tol:
-                break
-    blocks = [B[m * n_l : (m + 1) * n_l] for m in range(dims.n_kernels)]
+    while True:
+        trace.append(min(trace[-1], objective(B, G, Z)))
+        res = residual(B, G, Z)
+        if res <= inner_tol or it == inner_max:
+            break
+        it += 1
+        g = _components(G).reshape(k * r, cols)
+        d_real = np.linalg.solve(newton_matrices(W), g.T[..., None])[..., 0].T
+        slope = (g * d_real).sum(axis=0)
+        d_real = d_real.reshape(r, k, cols)
+        d = d_real[:, 0] + 1j * d_real[:, 1] if k == 2 else d_real[:, 0]
+        # |grad phi| cannot be lowered below its evaluation roundoff
+        g_sq = np.maximum(_col_sq(G), (64 * eps * (1.0 + np.sqrt(_col_sq(y)) + np.sqrt(_col_sq(Z))
+                                                  + p_norm * np.sqrt(_col_sq(B)))) ** 2)
+        step = np.ones(cols)
+        pending = np.arange(cols)
+        while pending.size:
+            s = step[pending]
+            *trial, phi_t = state(Z[:, pending] + s * d[:, pending], pending)
+            gain = s * slope[pending]
+            ok = ((phi_t >= phi[pending] + 1e-4 * gain)
+                  | ((gain < 64 * eps * (1.0 + np.abs(phi[pending])))
+                     & (_col_sq(trial[3]) < g_sq[pending]))
+                  | (s < 1e-18))  # 60 halvings: below roundoff
+            done = pending[ok]
+            for arr, new in zip((Z, B, W, G), trial):
+                arr[:, done] = new[:, ok]
+            phi[done] = phi_t[ok]
+            pending = pending[~ok]
+            step[pending] *= 0.5
+    blocks = [B[m * n_l : (m + 1) * n_l] for m in range(M)]
     stats = {
         "iterations": it,
         "objective_trace": trace,
-        "residual": residual,
-        "converged": residual <= inner_tol,
+        "residual": res,
+        "converged": res <= inner_tol,
     }
     return blocks, stats
 
@@ -644,15 +693,15 @@ def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
                 half.factors[m][q] = new_blocks[m]
         if model.mmf:
             half.coeffs = update_B_ridge(X, model, lam_tik, config.tau_B)
-            b_iters = 0
+            b_iters, b_res = 0, 0.0
         else:
             half.coeffs, b_stats = update_B(X, model, config.lambda1, config.tau_B,
                                             config.inner_tol, config.inner_max)
-            b_iters = b_stats["iterations"]
+            b_iters, b_res = b_stats["iterations"], b_stats["residual"]
             if not b_stats["converged"]:
                 report.warnings.append(
-                    f"iter {n + 1}: B inner solve hit the cap at residual "
-                    f"{b_stats['residual']:.3e}"
+                    f"iter {n + 1}: B inner solve hit the cap of {b_iters} Newton steps "
+                    f"at residual {b_res:.3e}"
                 )
 
         nxt = sca_extrapolate(
@@ -678,6 +727,7 @@ def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
         report.consistency.append(cons)
         report.affine_residual.append(affine_residual(model))
         report.b_inner_iters.append(b_iters)
+        report.b_residual.append(b_res)
         report.cg_iters.append(cg_iters)
         report.gammas.append(gamma)
         report.seconds.append(time.perf_counter() - t0)

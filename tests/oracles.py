@@ -5,8 +5,8 @@ Kronecker matrices, bordered KKT systems, affine residual stacking) so the
 fast block implementations are checked against an independent path.  The
 analytic sub-task gradients, the multi-layer factorization reduction check,
 the exact sort-based multiplier of the real affine-l1 prox, pointwise kernel
-evaluation and the block-diagonal kernel supermatrix live here too: they
-exist only to verify the engine.
+evaluation, the block-diagonal kernel supermatrix and the 1-based factor
+update wrapper live here too: they exist only to verify the engine.
 """
 
 import numpy as np
@@ -17,7 +17,13 @@ from mkimpute.kernels import GAUSSIAN, LINEAR, KernelMatrix, KernelSpec
 from mkimpute.model import FactorModel, ModelDims, SolverConfig, init_factors
 from mkimpute.mri import dft_temporal, idft_temporal, ifft2_frames
 from mkimpute.sampling import sample_p1
-from mkimpute.solver import TVGS, factor_wings, sca_step_schedule, solve_from_model
+from mkimpute.solver import (
+    TVGS,
+    factor_wings,
+    sca_step_schedule,
+    solve_from_model,
+    update_factor,
+)
 
 
 def _chain(mats):
@@ -90,6 +96,13 @@ def dense_d_oracle(q_index, X_hat, model, lam, tau):
     if q_index == 0:
         return [D[:, m * r:(m + 1) * r] for m in range(M)]
     return [D[m * p:(m + 1) * p, m * r:(m + 1) * r] for m in range(M)]
+
+
+def tvgs_update_D(q: int, X_hat, model: FactorModel, lambda2: float, tau_D: float):
+    """Factor update for 1-based layer index q (spec-facing wrapper)."""
+    if not 1 <= q <= model.dims.depth:
+        raise InputError(f"layer index {q} outside 1..{model.dims.depth}")
+    return update_factor(q - 1, X_hat, model, lambda2, tau_D)
 
 
 def dense_b_oracle(X_hat, model, tau):

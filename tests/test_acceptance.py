@@ -26,7 +26,6 @@ from mkimpute.solver import (
     dmri_update_X,
     sca_step_schedule,
     solve,
-    tvgs_update_D,
     tvgs_update_X,
     update_B,
 )
@@ -41,6 +40,7 @@ from oracles import (
     dmri_x_subtask_gradient,
     mmf_as_special_case_check,
     random_model,
+    tvgs_update_D,
     x_subtask_gradient,
 )
 
@@ -348,3 +348,17 @@ def test_criterion_11_determinism(tvgs_run, dmri_run):
         assert a["report"].b_inner_iters == b["report"].b_inner_iters, label
     print("criterion 11 PASS: repeated solves are bit-identical "
           "(timing columns aside)")
+
+
+def test_fixture_b_updates_meet_their_tolerance(tvgs_run, dmri_run):
+    # every B update of both recoveries reaches inner_tol within its Newton
+    # step cap: no cap warning, and the recorded residual is certified
+    tol = SolverConfig().inner_tol
+    for name, fixture in (("tvgs", tvgs_run), ("dmri", dmri_run)):
+        report = fixture["first"]["report"]
+        capped = [w for w in report.warnings if "B inner solve" in w]
+        assert not capped, f"{name}: {len(capped)} B cap warnings, first {capped[0]!r}"
+        assert len(report.b_residual) == report.iterations
+        assert max(report.b_residual) <= tol
+        print(f"{name}: {sum(report.b_inner_iters)} Newton steps in "
+              f"{report.iterations} B updates, worst residual {max(report.b_residual):.2e}")

@@ -1,23 +1,44 @@
-"""The benchmark's traced run wraps mkimpute layers by (module, attribute);
-every binding it names must exist, so a refactor that drops one fails here
-and not only in the traced benchmark."""
+"""The benchmark's traced run wraps mkimpute layers by (module, attribute)
+and reads counters from their results; every binding it names and every
+result key it reads must exist, so a refactor that drops one fails here and
+not only in the traced benchmark."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from mkimpute.model import ModelDims, init_factors
+from mkimpute.solver import update_B
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def _layer_wrappers():
+def _tracing_module():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.LAYER_WRAPPERS
+    return module
+
+
+def _layer_wrappers():
+    return _tracing_module().LAYER_WRAPPERS
 
 
 @pytest.mark.parametrize("module_name,attr,span", _layer_wrappers())
 def test_traced_binding_exists(module_name, attr, span):
     assert callable(getattr(importlib.import_module(module_name), attr, None)), span
+
+
+def test_traced_counters_read_update_b_stats():
+    # the traced run counts B Newton steps and cap hits from update_B's stats
+    tracing = _tracing_module()
+    model = init_factors(ModelDims(6, 4, 3, 1, 2, (2,)), 0, np.float64)
+    X_hat = np.random.default_rng(0).standard_normal((6, 4))
+    result = update_B(X_hat, model, 0.1, 1.0)
+    tracer = tracing.Tracer()
+    tracing._count_results(tracer, "solver.update_B", result)
+    assert tracer.counters == {"solver.b_inner_iters": result[1]["iterations"],
+                               "solver.b_cap_hits": 0}

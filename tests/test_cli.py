@@ -131,3 +131,23 @@ def test_validate_and_run_reject_specs_that_fail_every_cell(tmp_path, capsys, fi
         payload = json.loads(err[0])
         assert payload["error"] == "InputError"
         assert key in payload["message"]
+
+
+@pytest.mark.parametrize("fields, key", [
+    ({"data": {"source": "synthetic", "nodes": 12, "times": 16, "modes": 12}}, "data.modes"),
+    ({"data": {"source": "synthetic", "nodes": 12, "times": 16},
+      "methods": ["mlkr", "mmf"], "baseline": {"rank": 0}}, "baseline.rank"),
+    ({"data": {"source": "synthetic", "nodes": 12, "times": 16},
+      "navigator": {"mode": "nav3", "delta_t": 8}}, "navigator.delta_t"),
+])
+def test_validate_and_run_reject_sizes_that_fail_at_run_time(tmp_path, capsys, fields, key):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"problem": "tvgs", **fields}))
+    for argv in (["validate", str(spec_path)],
+                 ["run", str(spec_path), "--output", str(tmp_path / "out")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["error"] == "InputError"
+        assert key in payload["message"]

@@ -304,3 +304,29 @@ def test_load_tvgs_csv_non_finite_names_line(tmp_path, cell):
 def test_resolve_spec_rejects_fields_that_fail_every_cell(fields, match):
     with pytest.raises(InputError, match=match):
         resolve_spec({"problem": "tvgs", **fields})
+
+
+SMALL_SYNTHETIC = {"source": "synthetic", "nodes": 12, "times": 16}
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"data": {**SMALL_SYNTHETIC, "modes": 12}}, "data.modes"),
+    ({"data": {**SMALL_SYNTHETIC, "modes": 20}}, "data.modes"),
+    ({"baseline": {"rank": 0}}, "baseline.rank"),
+    ({"baseline": {"depth": 0}}, "baseline.depth"),
+    ({"navigator": {"mode": "nav3", "delta_t": 0}}, "navigator.delta_t"),
+    ({"data": SMALL_SYNTHETIC, "navigator": {"mode": "nav4", "delta_t": 8}},
+     "navigator.delta_t"),
+    ({"data": {"source": "csv", "data_path": "y.csv", "coords_path": "c.csv"},
+      "navigator": {"mode": "nav3", "delta_t": -1}}, "navigator.delta_t"),
+])
+def test_resolve_spec_rejects_sizes_that_fail_at_run_time(fields, match):
+    with pytest.raises(InputError, match=match):
+        resolve_spec({"problem": "tvgs", **fields})
+
+
+def test_resolve_spec_accepts_the_largest_valid_sizes():
+    spec = resolve_spec({"problem": "tvgs", "data": {**SMALL_SYNTHETIC, "modes": 11},
+                         "navigator": {"mode": "nav4", "delta_t": 7},
+                         "baseline": {"rank": 1, "depth": 1}})
+    assert spec["data"]["modes"] == 11 and spec["navigator"]["delta_t"] == 7

@@ -22,7 +22,6 @@ from mkimpute.solver import (
     sca_step_schedule,
     soft_threshold,
     solve,
-    tvgs_update_D,
     tvgs_update_X,
     update_B,
     update_B_ridge,
@@ -38,6 +37,7 @@ from oracles import (
     dense_x_oracle,
     dmri_x_subtask_gradient,
     random_model,
+    tvgs_update_D,
     x_subtask_gradient,
 )
 
@@ -832,6 +832,40 @@ def test_x_update_cg_cap_raises_with_residual():
     assert err.value.residual is not None and err.value.residual > 1e-14
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(complex_=st.booleans(), m_count=st.integers(1, 2), depth=st.integers(1, 2),
+       n_l=st.integers(2, 6), cols=st.integers(1, 5), rank_one_first=st.booleans(),
+       ratio=st.one_of(st.just(0.0), st.floats(1e-4, 1e4)), tau=st.floats(1e-2, 10.0),
+       seed=st.integers(0, 2**16))
+def test_b_update_is_feasible_and_certified(complex_, m_count, depth, n_l, cols,
+                                            rank_one_first, ratio, tau, seed):
+    # the dual Newton solve on real and complex blocks, with a rank-deficient
+    # first factor and an l1 weight from 0 to far above the entries of B_hat
+    dtype = np.complex128 if complex_ else np.float64
+    rng = np.random.default_rng(seed)
+    dims = ModelDims(7, cols, n_l, m_count, depth, (3,) if depth == 2 else ())
+    model = random_model(dims, seed, dtype)
+    if rank_one_first:
+        for row in model.factors:
+            row[0] = row[0][:, :1] @ row[0][:1, :]
+    X_hat = rng.standard_normal((7, cols)).astype(dtype)
+    if complex_:
+        X_hat = X_hat + 1j * rng.standard_normal((7, cols))
+    B_hat = np.concatenate(model.coeffs, axis=0)
+    lambda1 = ratio * tau * float(np.abs(B_hat).max())
+    blocks, stats = update_B(X_hat, model, lambda1, tau)
+    B = np.concatenate(blocks, axis=0)
+    scale = 1.0 + float(np.abs(B).max())
+    for blk in blocks:
+        assert np.abs(blk.sum(axis=0) - 1.0).max() <= 1e-12 * scale
+    assert stats["converged"] and stats["residual"] <= 1e-8
+    if lambda1 == 0.0:
+        # tau-strong convexity: ||B - B*|| <= 2 ||gradient mapping|| / tau
+        ref = dense_b_oracle(X_hat, model, tau)
+        bound = 2.0 * stats["residual"] * max(1.0, float(np.linalg.norm(B))) / tau
+        assert np.linalg.norm(B - ref) <= bound + 1e-10 * (1.0 + np.linalg.norm(ref))
+
+
 def test_b_update_cap_reports_non_convergence():
     rng = np.random.default_rng(31)
     dims = ModelDims(7, 5, 3, 1, 2, (2,))
@@ -899,3 +933,20 @@ def test_solve_real_signal_with_default7_stays_real():
     assert all(a.dtype == np.float64 for a in arrays)
     assert np.array_equal(X[pattern.mask], Y[pattern.mask])
     assert max(report.affine_residual) < 1e-8
+
+
+def test_solve_reports_b_cap_hits_and_residuals():
+    Y, pattern, graph = _ring_problem(seed=4)
+    lmk = _landmarks_from(Y, pattern, 5, seed=4)
+    from mkimpute.kernels import gaussian_spec
+    dims = ModelDims(12, 20, 5, 1, 2, (3,))
+    config = SolverConfig(lambda1=0.5, lambda_L=0.05, outer_iters=3, tol_objective=0.0,
+                          inner_tol=1e-14, inner_max=1, seed=4)
+    _, _, report = solve(TVGS, Y, pattern, graph, lmk, [gaussian_spec(1.0)], dims, config)
+    assert len(report.b_residual) == report.iterations == 3
+    assert report.b_inner_iters == [1, 1, 1]
+    assert len(report.warnings) == 3
+    for n, (warning, res) in enumerate(zip(report.warnings, report.b_residual), start=1):
+        assert res > config.inner_tol
+        assert warning == (f"iter {n}: B inner solve hit the cap of 1 Newton steps "
+                           f"at residual {res:.3e}")
