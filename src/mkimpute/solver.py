@@ -295,6 +295,9 @@ def _soft_complex(A, thr):
 
 
 _PROX_MAX_ITER = 100  # Newton steps of the multiplier solve
+# update_B forms P~ T, and with it the Newton matrices, for batches of
+# columns that hold at most this many entries (16 MB)
+_NEWTON_BATCH = 1 << 21
 
 
 def _affine_l1_multiplier(V, alpha):
@@ -418,11 +421,15 @@ def update_B(X_hat, model: FactorModel, lambda1: float, tau_B: float,
     P b(z) - U^H x - z.  Newton steps solve (I + P J P^H / tau_B) d = grad
     per column, J the prox's generalized Jacobian, and backtrack to Armijo's
     rule; once Armijo's predicted gain is below roundoff, a step that lowers
-    |grad| is taken instead.  The solve stops at the proximal-gradient
-    residual L||B - prox(B - grad f(B)/L)|| / max(1, ||B||) <= inner_tol,
-    or after inner_max Newton steps.  Returns (blocks, stats): the Newton
-    steps taken, the objective trace (the least objective reached so far,
-    from B_hat on), the final residual and whether it met inner_tol."""
+    |grad| is taken instead.  The solve returns the last iterate once its
+    proximal-gradient residual L||B - prox(B - grad f(B)/L)|| / max(1, ||B||)
+    is <= inner_tol.  If it stops first, after inner_max Newton steps or three
+    Newton steps that made no progress beyond roundoff, it returns each
+    column's least-objective primal point so far, B_hat's if none did better
+    (the objective splits by column), so f(B) <= f(B_hat).  Returns (blocks,
+    stats): the Newton steps taken, the objective of the returned point as it
+    was after each step (from B_hat on, non-increasing up to the final
+    certified iterate), its residual and whether that met inner_tol."""
     dims = model.dims
     n_l, M = dims.n_landmarks, dims.n_kernels
     U, R = np.linalg.qr(np.concatenate([model.factors[m][0] for m in range(M)], axis=1))
@@ -442,13 +449,11 @@ def update_B(X_hat, model: FactorModel, lambda1: float, tau_B: float,
     fit0 = 0.5 * float(np.vdot(X_hat, X_hat).real - np.vdot(y, y).real)  # the fit outside range(U)
 
     # P in real coordinates: Pt[(x, c), i, a] is component c of row x of P
-    # applied to the unit a of entry i (1 or 1j); outer holds the products
-    # Pt[:, i, a] Pt[:, i, b]^T of every entry, so one matmul with the
-    # prox's per-entry Jacobian blocks sums them for every column
+    # applied to the unit a of entry i (1 or 1j)
     basis = (1.0, 1j) if np.iscomplexobj(P) else (1.0,)
     k = len(basis)
     Pt = np.stack([_components(e * P) for e in basis], axis=-1).reshape(k * r, n, k)
-    outer = (Pt[:, None, :, :, None] * Pt[None, :, :, None, :]).reshape((k * r) ** 2, n * k * k)
+    batch = max(1, _NEWTON_BATCH // (k * r * n * k))  # columns per Newton batch
 
     def state(Z, j=slice(None)):  # b(z), its shifted point, grad phi and phi per column
         W = _affine_l1_shift(B_hat[:, j] - (P.conj().T @ Z) / tau_B, alpha, n_l)
@@ -458,48 +463,82 @@ def update_B(X_hat, model: FactorModel, lambda1: float, tau_B: float,
                + np.real(np.conj(Z) * G).sum(axis=0) + 0.5 * _col_sq(Z))
         return Z, B, W, G, phi
 
-    def objective(B, G, Z):  # P B - y = G + Z
-        return (fit0 + 0.5 * float(_col_sq(G + Z).sum()) + lambda1 * float(np.abs(B).sum())
-                + 0.5 * tau_B * float(_col_sq(B - B_hat).sum()))
+    def objective(B, F):  # per column, less its fit outside range(U); F = P B - y
+        return 0.5 * _col_sq(F) + lambda1 * np.abs(B).sum(axis=0) + 0.5 * tau_B * _col_sq(B - B_hat)
 
-    def residual(B, G, Z):
-        grad = P.conj().T @ (G + Z) + tau_B * (B - B_hat)
+    def residual(B, F):
+        grad = P.conj().T @ F + tau_B * (B - B_hat)
         gap = B - _prox_affine_l1(B - grad / lip, lambda1 / lip, n_l)
         return lip * float(np.linalg.norm(gap)) / max(1.0, float(np.linalg.norm(B)))
 
-    def newton_matrices(W):
-        # per entry, the prox's Jacobian block is T = (1 - a) I + a u u^T on
+    def newton_matrices(T):
+        # I + P J P^H / tau_B for a batch of columns, from the prox's per-entry
+        # Jacobian blocks T (b, n, k, k): the sum of P~ T P~^T over the
+        # entries, less F S^-1 F^T per block for its affine constraint, with
+        # F = sum P~ T and S = sum T over the block
+        b = len(T)
+        PT = Pt[None, :, :, 0, None] * T[:, None, :, 0]  # (b, kr, n, k)
+        for c in range(1, k):
+            PT += Pt[None, :, :, c, None] * T[:, None, :, c]
+        H = (PT.reshape(b * k * r, n * k) @ Pt.reshape(k * r, n * k).T).reshape(b, k * r, k * r)
+        F = PT.reshape(b, k * r, M, n_l, k).sum(axis=3)
+        S = T.reshape(b, M, n_l, k, k).sum(axis=2)
+        for mb in range(M):
+            H -= F[:, :, mb] @ np.linalg.solve(S[:, mb], F[:, :, mb].transpose(0, 2, 1))
+        H /= tau_B
+        H += np.eye(k * r)
+        return H
+
+    def newton_direction(W, g):
+        # solves the Newton system per column (g in real coordinates).  Per
+        # entry, the prox's Jacobian block is T = (1 - a) I + a u u^T on
         # active entries (a = alpha/|w|, u = w/|w| in real coordinates; T = 1
-        # on real data), 0 elsewhere; each block's affine constraint removes
-        # F S^-1 F^T with F = sum P~ T and S = sum T over the block
+        # on real data), 0 elsewhere
         mag = np.abs(W)
         active = (mag > alpha) | (alpha == 0.0)
         m = np.where(mag > alpha, mag, np.inf)
         a = alpha / m
         u = _components(W) / m[:, None, :]
         T = ((active * (1.0 - a))[:, None, None, :] * np.eye(k)[None, :, :, None]
-             + a[:, None, None, :] * u[:, :, None, :] * u[:, None, :, :])  # (n, k, k, cols)
-        H = (outer @ T.reshape(n * k * k, cols)).reshape(k * r, k * r, cols).transpose(2, 0, 1)
-        for mb in range(M):
-            Tm = T[mb * n_l : (mb + 1) * n_l]
-            F = (Pt[:, mb * n_l : (mb + 1) * n_l].reshape(k * r, n_l * k)
-                 @ Tm.reshape(n_l * k, k * cols)).reshape(k * r, k, cols).transpose(2, 0, 1)
-            H = H - F @ np.linalg.solve(Tm.sum(axis=0).transpose(2, 0, 1), F.transpose(0, 2, 1))
-        return np.eye(k * r) + H / tau_B
+             + a[:, None, None, :] * u[:, :, None, :] * u[:, None, :, :])
+        T = np.ascontiguousarray(T.transpose(3, 0, 1, 2))  # (cols, n, k, k)
+        if alpha == 0.0:  # T = I everywhere: one matrix serves every column
+            return np.linalg.solve(newton_matrices(T[:1])[0], g)
+        d = np.empty((cols, k * r))
+        for c0 in range(0, cols, batch):
+            j = slice(c0, c0 + batch)
+            d[j] = np.linalg.solve(newton_matrices(T[j]), g[:, j].T[..., None])[..., 0]
+        return d.T
 
     Z, B, W, G, phi = state(P @ B_hat - y)
-    # the objective at B_hat, where P B_hat - y = Z
-    trace = [fit0 + 0.5 * float(_col_sq(Z).sum()) + lambda1 * float(np.abs(B_hat).sum())]
+    # the returned point: the last iterate once it meets inner_tol, else each
+    # column's least-objective primal point so far, from B_hat (feasible) on,
+    # with its fit P B - y.  Near the solution the objective cannot rank the
+    # iterates: with lambda1/tau_B = 3e3 an iterate at residual 7e-12 lay
+    # 3e-13 (relative) above one at 3e-7.
+    best, best_fit = B_hat.copy(), P @ B_hat - y
+    best_obj = objective(best, best_fit)
+    trace = [fit0 + float(best_obj.sum())]
     eps = np.finfo(float).eps
-    it = 0
+    it = idle = 0
+    least, high = np.inf, phi.copy()
     while True:
-        trace.append(min(trace[-1], objective(B, G, Z)))
-        res = residual(B, G, Z)
-        if res <= inner_tol or it == inner_max:
+        res, obj = residual(B, G + Z), objective(B, G + Z)
+        take = np.full(cols, res <= inner_tol) | (obj <= best_obj)
+        best[:, take], best_fit[:, take] = B[:, take], (G + Z)[:, take]
+        best_obj = np.where(take, obj, best_obj)
+        trace.append(fit0 + float(best_obj.sum()))
+        # a Newton step is idle if it neither lowers the least residual nor
+        # raises some column's phi beyond roundoff above its highest so far;
+        # three in a row end the solve, stalled in roundoff
+        rose = phi > high + 64 * eps * (1.0 + np.abs(high))
+        idle = 0 if res < least or rose.any() else idle + 1
+        least, high = min(least, res), np.maximum(high, phi)
+        if res <= inner_tol or it == inner_max or idle == 3:
             break
         it += 1
         g = _components(G).reshape(k * r, cols)
-        d_real = np.linalg.solve(newton_matrices(W), g.T[..., None])[..., 0].T
+        d_real = newton_direction(W, g)
         slope = (g * d_real).sum(axis=0)
         d_real = d_real.reshape(r, k, cols)
         d = d_real[:, 0] + 1j * d_real[:, 1] if k == 2 else d_real[:, 0]
@@ -522,6 +561,9 @@ def update_B(X_hat, model: FactorModel, lambda1: float, tau_B: float,
             phi[done] = phi_t[ok]
             pending = pending[~ok]
             step[pending] *= 0.5
+    if not take.all():  # the returned point is not the last iterate
+        res = residual(best, best_fit)
+    B = best
     blocks = [B[m * n_l : (m + 1) * n_l] for m in range(M)]
     stats = {
         "iterations": it,
@@ -699,8 +741,10 @@ def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
                                             config.inner_tol, config.inner_max)
             b_iters, b_res = b_stats["iterations"], b_stats["residual"]
             if not b_stats["converged"]:
+                how = ("hit the cap of" if b_iters == config.inner_max
+                       else "stalled in roundoff after")
                 report.warnings.append(
-                    f"iter {n + 1}: B inner solve hit the cap of {b_iters} Newton steps "
+                    f"iter {n + 1}: B inner solve {how} {b_iters} Newton steps "
                     f"at residual {b_res:.3e}"
                 )
 

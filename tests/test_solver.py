@@ -876,6 +876,76 @@ def test_b_update_cap_reports_non_convergence():
     assert stats["iterations"] == 3
 
 
+def _b_objective(X_hat, model, blocks, lambda1, tau):
+    A = np.concatenate([model.block_basis(m) for m in range(model.dims.n_kernels)], axis=1)
+    B, B_hat = np.concatenate(blocks, axis=0), np.concatenate(model.coeffs, axis=0)
+    return (0.5 * np.linalg.norm(X_hat - A @ B) ** 2 + lambda1 * np.abs(B).sum()
+            + 0.5 * tau * np.linalg.norm(B - B_hat) ** 2)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("inner_max", [1, 2, 500])
+def test_b_update_trace_describes_the_returned_point(complex_, inner_max):
+    # the trace starts at f(B_hat), ends at f(B) for the B returned, and
+    # never rises; a capped solve keeps B_hat's columns where its Newton
+    # iterates did worse, so f(B) <= f(B_hat) holds at every cap
+    dtype = np.complex128 if complex_ else np.float64
+    rng = np.random.default_rng(3)
+    dims = ModelDims(7, 6, 4, 2, 2, (3,))
+    model = random_model(dims, 3, dtype)
+    X_hat = rng.standard_normal((7, 6)).astype(dtype)
+    if complex_:
+        X_hat = X_hat + 1j * rng.standard_normal((7, 6))
+    lambda1, tau = 2.0, 0.1
+    blocks, stats = update_B(X_hat, model, lambda1, tau, inner_max=inner_max)
+    trace = np.array(stats["objective_trace"])
+    f_hat = _b_objective(X_hat, model, model.coeffs, lambda1, tau)
+    f_new = _b_objective(X_hat, model, blocks, lambda1, tau)
+    assert trace[0] == pytest.approx(f_hat, rel=1e-12)
+    assert trace[-1] == pytest.approx(f_new, rel=1e-12)
+    assert np.all(np.diff(trace) <= 1e-12 * trace[0])
+    assert f_new <= f_hat * (1 + 1e-12)
+    assert stats["converged"] == (inner_max == 500)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_b_update_newton_batches_agree(monkeypatch, complex_):
+    # the Newton matrices are formed for batches of columns under a memory
+    # bound; one column per batch must give the same solve
+    dtype = np.complex128 if complex_ else np.float64
+    rng = np.random.default_rng(6)
+    dims = ModelDims(9, 7, 4, 2, 2, (3,))
+    model = random_model(dims, 6, dtype)
+    X_hat = rng.standard_normal((9, 7)).astype(dtype)
+    if complex_:
+        X_hat = X_hat + 1j * rng.standard_normal((9, 7))
+    whole, stats = update_B(X_hat, model, 0.3, 0.5)
+    monkeypatch.setattr(solver, "_NEWTON_BATCH", 1)
+    single, single_stats = update_B(X_hat, model, 0.3, 0.5)
+    assert single_stats["iterations"] == stats["iterations"]
+    for a, b in zip(whole, single):
+        assert np.allclose(a, b, rtol=0, atol=1e-12)
+
+
+def test_b_update_stops_when_stalled_in_roundoff():
+    # lambda1/tau_B = 3e4 on complex data: the residual floor lies above
+    # 1e-10, so the solve stops after three idle Newton steps instead of
+    # running to inner_max; at the default tolerance it converges
+    rng = np.random.default_rng(5)
+    dims = ModelDims(8, 4, 5, 2, 1, ())
+    model = random_model(dims, 5, np.complex128)
+    X_hat = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+    blocks, stats = update_B(X_hat, model, 3e4, 1.0, inner_tol=1e-10)
+    assert not stats["converged"] and stats["residual"] > 1e-10
+    assert stats["iterations"] <= 30
+    for blk in blocks:
+        assert np.abs(blk.sum(axis=0) - 1.0).max() <= 1e-12
+    f_hat = _b_objective(X_hat, model, model.coeffs, 3e4, 1.0)
+    assert _b_objective(X_hat, model, blocks, 3e4, 1.0) <= f_hat * (1 + 1e-12)
+    _, stats = update_B(X_hat, model, 3e4, 1.0)
+    assert stats["converged"] and stats["iterations"] <= 30
+
+
 def test_solve_flags_non_finite_iterates():
     from mkimpute.errors import SolverError
     Y, pattern, graph = _ring_problem(seed=12)
