@@ -296,7 +296,7 @@ def _soft_complex(A, thr):
 
 _PROX_MAX_ITER = 100  # Newton steps of the multiplier solve
 # update_B forms P~ T, and with it the Newton matrices, for batches of
-# columns that hold at most this many entries (16 MB)
+# columns that hold at most this many entries (16 MB), or for one column
 _NEWTON_BATCH = 1 << 21
 
 
