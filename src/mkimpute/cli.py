@@ -2,7 +2,7 @@
 
 Subcommands: run a spec file, validate it, generate a phantom, or export a
 sampling mask.  Errors exit nonzero with one machine-readable JSON line on
-stderr.
+stderr; so does a run in which some sweep cell failed.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .errors import DataError, InputError, SolverError
 from .experiments import resolve_spec, run_experiment
@@ -23,9 +24,17 @@ def _load_spec(path: str) -> dict:
 
 
 def _cmd_run(args) -> int:
-    rows = run_experiment(_load_spec(args.spec), output_dir=args.output)
+    spec = resolve_spec(_load_spec(args.spec))
+    out_dir = Path(args.output if args.output is not None else spec["output_dir"])
+    rows = run_experiment(spec, output_dir=out_dir)
     print(f"completed {len(rows)} runs")
-    return 0
+    log = out_dir / "errors.log"
+    if not log.exists():
+        return 0
+    failed = len(log.read_text().splitlines())
+    print(json.dumps({"error": "CellsFailed", "message": f"{failed} sweep cells failed, see {log}",
+                      "failed_cells": failed, "errors_log": str(log)}), file=sys.stderr)
+    return 1
 
 
 def _cmd_validate(args) -> int:

@@ -330,6 +330,22 @@ def resolve_spec(raw: dict) -> dict:
                          f"got {spec['landmarks']['strategy']!r}")
     if spec["landmarks"]["count"] < 1:
         raise InputError("landmark count must be at least 1")
+    if problem == DMRI or src == "synthetic":
+        # sizes the spec fixes: the most navigators the mode can produce, which
+        # bounds the engine's landmarks, and nbp's rank bound
+        if problem == DMRI:
+            n_nav = spec["data"]["i3"]
+        else:
+            nodes, times = spec["data"]["nodes"], spec["data"]["times"]
+            windows = times - 2 * nav["delta_t"]
+            n_nav = {"nav1": times, "nav2": nodes, "nav3": nodes * windows,
+                     "nav4": windows}[nav["mode"]]
+            if "nbp" in spec["methods"] and spec["baseline"]["rank"] > min(nodes, times):
+                raise InputError(f"baseline.rank must be at most min(data.nodes, data.times) "
+                                 f"= {min(nodes, times)} for nbp, got {spec['baseline']['rank']}")
+        if MAIN_METHOD in spec["methods"] and spec["landmarks"]["count"] > n_nav:
+            raise InputError(f"landmarks.count must be at most the {n_nav} navigators "
+                             f"the data produces, got {spec['landmarks']['count']}")
     _check_kernels(spec["kernels"])
     depth = spec["dims"]["depth"]
     inner = list(spec["dims"]["inner"])
@@ -496,6 +512,7 @@ def run_experiment(raw_spec: dict, output_dir=None) -> list[dict]:
     spec = resolve_spec(raw_spec)
     out_dir = Path(output_dir if output_dir is not None else spec["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "errors.log").unlink(missing_ok=True)  # it describes this run only
     spec["output_dir"] = str(out_dir)
     with open(out_dir / "spec.resolved.json", "w") as fh:
         json.dump(spec, fh, indent=2, sort_keys=True)
@@ -537,7 +554,8 @@ def run_experiment(raw_spec: dict, output_dir=None) -> list[dict]:
         try:
             results[idx] = run_one(ratio, rep, seed)
         except Exception as exc:  # a failed cell is recorded, the sweep continues
-            errors[idx] = f"cell ratio={ratio} repeat={rep}: {exc}"
+            message = str(exc).replace("\n", " ")  # one line per failed cell
+            errors[idx] = f"cell ratio={ratio} repeat={rep}: {message}"
 
     workers = max(1, int(spec["workers"]))
     if workers == 1:

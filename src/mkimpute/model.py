@@ -106,15 +106,6 @@ class FactorModel:
     coeffs: list[np.ndarray]  # B_m
     mmf: bool = False
 
-    def copy(self) -> "FactorModel":
-        return FactorModel(
-            dims=self.dims,
-            factors=[[d.copy() for d in row] for row in self.factors],
-            kernels=[k.copy() for k in self.kernels],
-            coeffs=[b.copy() for b in self.coeffs],
-            mmf=self.mmf,
-        )
-
     def block_basis(self, m: int) -> np.ndarray:
         """A_m = D_m^(1) ... D_m^(Q) K_m, the I0 x N_l regression basis."""
         out = self.factors[m][0]

@@ -56,19 +56,17 @@ class IterateTuple:
 
 
 def sca_extrapolate(current: IterateTuple, half: IterateTuple, gamma: float) -> IterateTuple:
-    """Componentwise convex combination of every variable in the tuple."""
-    model = current.model.copy()
-    for m in range(model.dims.n_kernels):
-        for q in range(model.dims.depth):
-            model.factors[m][q] = (
-                gamma * half.model.factors[m][q] + (1.0 - gamma) * current.model.factors[m][q]
-            )
-        model.coeffs[m] = gamma * half.model.coeffs[m] + (1.0 - gamma) * current.model.coeffs[m]
-    Z = None
-    if current.Z is not None:
-        Z = gamma * half.Z + (1.0 - gamma) * current.Z
-    X = gamma * half.X + (1.0 - gamma) * current.X
-    return IterateTuple(X=X, model=model, Z=Z, gamma=gamma)
+    """Componentwise convex combination of every variable in the tuple.  The
+    kernels are fixed, so the new model shares the current one's arrays."""
+    def mix(h, c):
+        return gamma * h + (1.0 - gamma) * c
+
+    cur = current.model
+    factors = [list(map(mix, h, c)) for h, c in zip(half.model.factors, cur.factors)]
+    model = FactorModel(cur.dims, factors, list(cur.kernels),
+                        list(map(mix, half.model.coeffs, cur.coeffs)), cur.mmf)
+    Z = None if current.Z is None else mix(half.Z, current.Z)
+    return IterateTuple(X=mix(half.X, current.X), model=model, Z=Z, gamma=gamma)
 
 
 @dataclass
@@ -103,30 +101,35 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# conjugate gradient on masked matrices
+# preconditioned conjugate gradient
 # ---------------------------------------------------------------------------
 
-def _cg_masked(apply_op, b, x0, tol, max_iter):
-    """CG for a Hermitian positive definite operator acting on matrices whose
-    support is a fixed mask (both b and x0 already restricted)."""
+def _pcg(apply_op, b, x0, tol, max_iter, precond=None):
+    """CG for a Hermitian positive definite operator on arrays of b's shape,
+    preconditioned by the Hermitian positive definite map ``precond`` if one
+    is given.  Runs until the relative residual sqrt(r^H M r / b^H M b) is at
+    most tol, M the preconditioner (the identity without one), or for
+    max_iter steps.  Returns (x, relative residual, iterations)."""
     x = x0.copy()
     r = b - apply_op(x)
-    p = r.copy()
-    rs = float(np.vdot(r, r).real)
-    b_norm = math.sqrt(float(np.vdot(b, b).real))
+    z = r if precond is None else precond(r)
+    p = z.copy()
+    rz = float(np.vdot(r, z).real)
+    b_norm = math.sqrt(float(np.vdot(b, b if precond is None else precond(b)).real))
     if b_norm == 0.0:
         return np.zeros_like(b), 0.0, 0
     it = 0
-    while math.sqrt(rs) / b_norm > tol and it < max_iter:
+    while math.sqrt(rz) / b_norm > tol and it < max_iter:
         Ap = apply_op(p)
-        alpha = rs / float(np.vdot(p, Ap).real)
+        alpha = rz / float(np.vdot(p, Ap).real)
         x = x + alpha * p
         r = r - alpha * Ap
-        rs_new = float(np.vdot(r, r).real)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        z = r if precond is None else precond(r)
+        rz_new = float(np.vdot(r, z).real)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
         it += 1
-    return x, math.sqrt(rs) / b_norm, it
+    return x, math.sqrt(rz) / b_norm, it
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +175,7 @@ def consistent_smooth_solve(Y, pattern, target, X_prev, L_sob, delta, lambda_L, 
     if cg_max is None:
         cg_max = _cg_cap(L_sob, lambda_L, tau_X, cg_tol, int(free.sum()))
     x0 = np.where(free, X_prev, 0).astype(b.dtype)
-    V, res, iters = _cg_masked(apply_op, b, x0, cg_tol, cg_max)
+    V, res, iters = _pcg(apply_op, b, x0, cg_tol, cg_max)
     if not res <= cg_tol:  # also catches a NaN residual
         raise SolverError(
             f"X-update CG stalled at relative residual {res:.3e} after {iters} iterations",
@@ -213,12 +216,14 @@ def factor_wings(model: FactorModel, q_index: int):
     return lefts, rights
 
 
-def _sylvester_pd(G, H, C, c):
-    """Solve G D H + c D = C with G, H Hermitian PSD via eigendecompositions."""
+def _sylvester_pd(G, H, c):
+    """The solve C -> D of G D H + c D = C for Hermitian PSD G and H, from one
+    eigendecomposition of each; G, H and C may be stacked along leading axes."""
     a, U = np.linalg.eigh(G)
     b, V = np.linalg.eigh(H)
-    num = U.conj().T @ C @ V
-    return U @ (num / (a[:, None] * b[None, :] + c)) @ V.conj().T
+    den = a[..., :, None] * b[..., None, :] + c
+    Uh, Vh = U.conj().swapaxes(-1, -2), V.conj().swapaxes(-1, -2)
+    return lambda C: U @ ((Uh @ C @ V) / den) @ Vh
 
 
 def chain_link_solve(left, right, X_hat, D_hat, c, tau):
@@ -239,30 +244,42 @@ def chain_link_solve(left, right, X_hat, D_hat, c, tau):
         return np.linalg.solve(G + c * np.eye(G.shape[0], dtype=G.dtype), rhs)
     H = right @ right.conj().T
     C = left.conj().T @ X_hat @ right.conj().T + tau * D_hat
-    return _sylvester_pd(G, H, C, c)
+    return _sylvester_pd(G, H, c)(C)
+
+
+_D_CG_TOL = 1e-12  # relative residual of the coupled factor solve
 
 
 def _coupled_block_solve(lefts, rights, X_hat, D_hats, c, tau):
-    """Exact solve of the support-restricted normal equations for the
-    block-diagonal factor:  sum_m' G_{m m'} D_{m'} H_{m' m} + c D_m = C_m.
-
-    The blocks couple through the shared residual, so the stacked system is
-    assembled densely; block sizes are small by design."""
+    """Support-restricted normal equations of the block-diagonal factor,
+    sum_m' G_{m m'} D_{m'} H_{m' m} + c D_m = C_m, G_{m m'} = L_m^H L_m' and
+    H_{m' m} = R_m' R_m^H, by CG on the stack of blocks, applied blockwise.
+    CG is preconditioned by, and started from, each block's own Sylvester
+    solve, so one block needs no step.  It stops at relative residual
+    _D_CG_TOL in the preconditioner's norm or raises SolverError, also on a
+    NaN, within twice the unknown count: roundoff adds steps at small c
+    (seven random blocks at c = 1e-6 took 1.55 per unknown)."""
     M = len(lefts)
     p, r = D_hats[0].shape
-    n = p * r
-    A = np.zeros((M * n, M * n), dtype=np.result_type(X_hat.dtype, lefts[0].dtype))
-    rhs = np.zeros(M * n, dtype=A.dtype)
-    for m in range(M):
-        Cm = lefts[m].conj().T @ X_hat @ rights[m].conj().T + tau * D_hats[m]
-        rhs[m * n : (m + 1) * n] = Cm.ravel(order="F")
-        for mp in range(M):
-            G = lefts[m].conj().T @ lefts[mp]
-            H = rights[mp] @ rights[m].conj().T
-            A[m * n : (m + 1) * n, mp * n : (mp + 1) * n] = np.kron(H.T, G)
-    A += c * np.eye(M * n, dtype=A.dtype)
-    u = np.linalg.solve(A, rhs)
-    return [u[m * n : (m + 1) * n].reshape(p, r, order="F") for m in range(M)]
+    L = np.concatenate(lefts, axis=1)
+    R = np.concatenate(rights, axis=0)
+    G = (L.conj().T @ L).reshape(M, p, M, p).transpose(0, 2, 1, 3)  # [m, m'] = L_m^H L_m'
+    H = (R @ R.conj().T).reshape(M, r, M, r).transpose(2, 0, 1, 3)  # [m, m'] = R_m' R_m^H
+    C = np.stack([left.conj().T @ X_hat @ right.conj().T
+                  for left, right in zip(lefts, rights)]) + tau * np.stack(D_hats)
+    d = np.arange(M)
+    precond = _sylvester_pd(G[d, d], H[d, d], c)
+
+    def apply_op(V):
+        return (G @ V[None] @ H).sum(axis=1) + c * V
+
+    D, res, iters = _pcg(apply_op, C, precond(C), _D_CG_TOL, 2 * M * p * r, precond)
+    if not res <= _D_CG_TOL:  # also catches a NaN residual
+        raise SolverError(
+            f"factor-update CG stalled at relative residual {res:.3e} after {iters} iterations",
+            residual=res, iteration=iters,
+        )
+    return list(D)
 
 
 def update_factor(q_index: int, X_hat, model: FactorModel, lam: float, tau: float):
@@ -278,8 +295,6 @@ def update_factor(q_index: int, X_hat, model: FactorModel, lam: float, tau: floa
                                 np.concatenate(D_hats, axis=1), c, tau)
         d1 = D_hats[0].shape[1]
         return [wide[:, m * d1 : (m + 1) * d1] for m in range(model.dims.n_kernels)]
-    if model.dims.n_kernels == 1:
-        return [chain_link_solve(lefts[0], rights[0], X_hat, D_hats[0], c, tau)]
     return _coupled_block_solve(lefts, rights, X_hat, D_hats, c, tau)
 
 
@@ -703,7 +718,7 @@ def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
     else:
         X = ifft2_frames(S_y, frame_dims[0], frame_dims[1])
         Z = dft_temporal(X)
-    model = model0.copy()
+    model = model0  # every iteration builds a new model; model0 is never written
     report = SolveReport(problem=problem)
     report.initial_objective = full_objective(problem, X, model, config, graph=graph, Z=Z)
     gamma = config.gamma0
@@ -728,17 +743,14 @@ def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
                                    config.tau_X, frame_dims)
             Z_half = dmri_update_Z(X, Z, config.lambda2, config.lambda3,
                                    config.tau_Z, config.z_rule)
-        half = model.copy()
-        for q in range(model.dims.depth):
-            new_blocks = update_factor(q, X, model, lam_tik, config.tau_D)
-            for m in range(model.dims.n_kernels):
-                half.factors[m][q] = new_blocks[m]
+        by_layer = [update_factor(q, X, model, lam_tik, config.tau_D)
+                    for q in range(model.dims.depth)]
         if model.mmf:
-            half.coeffs = update_B_ridge(X, model, lam_tik, config.tau_B)
+            coeffs = update_B_ridge(X, model, lam_tik, config.tau_B)
             b_iters, b_res = 0, 0.0
         else:
-            half.coeffs, b_stats = update_B(X, model, config.lambda1, config.tau_B,
-                                            config.inner_tol, config.inner_max)
+            coeffs, b_stats = update_B(X, model, config.lambda1, config.tau_B,
+                                       config.inner_tol, config.inner_max)
             b_iters, b_res = b_stats["iterations"], b_stats["residual"]
             if not b_stats["converged"]:
                 how = ("hit the cap of" if b_iters == config.inner_max
@@ -748,6 +760,8 @@ def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
                     f"at residual {b_res:.3e}"
                 )
 
+        half = FactorModel(model.dims, [list(row) for row in zip(*by_layer)],
+                           model.kernels, coeffs, model.mmf)
         nxt = sca_extrapolate(
             IterateTuple(X=X, model=model, Z=Z),
             IterateTuple(X=X_half, model=half, Z=Z_half),

@@ -9,6 +9,8 @@ evaluation, the block-diagonal kernel supermatrix and the 1-based factor
 update wrapper live here too: they exist only to verify the engine.
 """
 
+import copy
+
 import numpy as np
 
 from mkimpute.errors import InputError, SolverError
@@ -220,7 +222,7 @@ def reduce_to_mmf(model: FactorModel) -> FactorModel:
     """Drop the latent-geometry machinery: identity kernels, no affine or
     sparsity handling in the solver.  Dimensions (and the unknown count) are
     unchanged."""
-    out = model.copy()
+    out = copy.deepcopy(model)
     eye = np.eye(model.dims.n_landmarks, dtype=model.kernels[0].dtype)
     out.kernels = [eye.copy() for _ in range(model.dims.n_kernels)]
     out.mmf = True
@@ -329,7 +331,7 @@ def mmf_as_special_case_check(dims: ModelDims, seed: int, lambda1: float = 0.0,
     if identity_kernels:
         model0 = reduce_to_mmf(base)
     else:
-        model0 = base.copy()
+        model0 = copy.deepcopy(base)
         k_rng = np.random.default_rng(seed + 1)
         model0.kernels = [np.eye(dims.n_landmarks) + 0.3 * k_rng.standard_normal(
             (dims.n_landmarks, dims.n_landmarks)) for _ in range(dims.n_kernels)]

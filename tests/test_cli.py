@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mkimpute.cli import main
+from mkimpute.experiments import make_tvgs_synthetic
 from mkimpute.mri import load_kt
 from mkimpute.sampling import load_mask_csv
 
@@ -139,6 +140,21 @@ def test_validate_and_run_reject_specs_that_fail_every_cell(tmp_path, capsys, fi
       "methods": ["mlkr", "mmf"], "baseline": {"rank": 0}}, "baseline.rank"),
     ({"data": {"source": "synthetic", "nodes": 12, "times": 16},
       "navigator": {"mode": "nav3", "delta_t": 8}}, "navigator.delta_t"),
+    ({"data": {"source": "synthetic", "nodes": 12, "times": 16},
+      "landmarks": {"count": 40}}, "landmarks.count"),
+    ({"data": {"source": "synthetic", "nodes": 12, "times": 16},
+      "methods": ["mlkr", "nbp"], "baseline": {"rank": 20}}, "baseline.rank"),
+    ({"data": {"source": "synthetic", "nodes": 12, "times": 16},
+      "navigator": {"mode": "nav2"}, "landmarks": {"count": 13}}, "landmarks.count"),
+    ({"data": {"source": "synthetic", "nodes": 12, "times": 16},
+      "navigator": {"mode": "nav3", "delta_t": 3}, "landmarks": {"count": 121}},
+     "landmarks.count"),
+    ({"data": {"source": "synthetic", "nodes": 12, "times": 16},
+      "navigator": {"mode": "nav4", "delta_t": 3}, "landmarks": {"count": 11}},
+     "landmarks.count"),
+    ({"problem": "dmri", "data": {"source": "phantom", "i1": 16, "i2": 16, "i3": 8},
+      "sampling": {"kind": "radial", "ratios": [4.0]}, "landmarks": {"count": 9}},
+     "landmarks.count"),
 ])
 def test_validate_and_run_reject_sizes_that_fail_at_run_time(tmp_path, capsys, fields, key):
     spec_path = tmp_path / "spec.json"
@@ -151,3 +167,32 @@ def test_validate_and_run_reject_sizes_that_fail_at_run_time(tmp_path, capsys, f
         payload = json.loads(err[0])
         assert payload["error"] == "InputError"
         assert key in payload["message"]
+
+
+def _csv_spec(tmp_path, landmarks):
+    # csv data: resolve_spec cannot know the navigator count before reading it
+    Y, coords = make_tvgs_synthetic(14, 16, 2, 3, seed=2)
+    np.savetxt(tmp_path / "y.csv", Y, delimiter=",")
+    np.savetxt(tmp_path / "c.csv", coords.T, delimiter=",")
+    spec = {**TVGS_SPEC, "data": {"source": "csv", "data_path": str(tmp_path / "y.csv"),
+                                  "coords_path": str(tmp_path / "c.csv")},
+            "landmarks": {"strategy": "maxmin", "count": landmarks}}
+    spec_path = tmp_path / f"spec{landmarks}.json"
+    spec_path.write_text(json.dumps(spec))
+    return str(spec_path)
+
+
+def test_run_with_failed_cells_exits_nonzero_and_names_the_log(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", _csv_spec(tmp_path, 10_000), "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "completed 0 runs"
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["failed_cells"] == 1
+    assert payload["errors_log"] == str(out / "errors.log")
+    assert "10000" in (out / "errors.log").read_text()
+    # a clean run into the same directory drops the stale log and exits 0
+    assert main(["run", _csv_spec(tmp_path, 5), "--output", str(out)]) == 0
+    assert not (out / "errors.log").exists()

@@ -219,6 +219,12 @@ def test_metric_selection_filters_columns(tmp_path):
 
 def test_failed_cell_recorded_not_fatal(tmp_path):
     spec = json.loads(json.dumps(TVGS_SPEC))
+    # csv data: N_nav is known only once the data is read, so the spec resolves
+    Y, coords = make_tvgs_synthetic(16, 18, 2, 4, seed=7)
+    np.savetxt(tmp_path / "y.csv", Y, delimiter=",")
+    np.savetxt(tmp_path / "c.csv", coords.T, delimiter=",")
+    spec["data"] = {"source": "csv", "data_path": str(tmp_path / "y.csv"),
+                    "coords_path": str(tmp_path / "c.csv")}
     spec["landmarks"]["count"] = 10_000  # exceeds N_nav: cell fails
     rows = run_experiment(spec, output_dir=tmp_path)
     assert rows == []
@@ -325,8 +331,36 @@ def test_resolve_spec_rejects_sizes_that_fail_at_run_time(fields, match):
         resolve_spec({"problem": "tvgs", **fields})
 
 
+@pytest.mark.parametrize("fields, n_nav", [
+    ({"navigator": {"mode": "nav1"}}, 16),
+    ({"navigator": {"mode": "nav2"}}, 12),
+    ({"navigator": {"mode": "nav3", "delta_t": 3}}, 12 * 10),
+    ({"navigator": {"mode": "nav4", "delta_t": 3}}, 10),
+    ({"problem": "dmri", "data": {"source": "phantom", "i3": 8},
+      "sampling": {"kind": "radial", "ratios": [4.0]}}, 8),
+])
+def test_resolve_spec_bounds_landmarks_by_the_navigator_count(fields, n_nav):
+    spec = {"problem": "tvgs", "data": SMALL_SYNTHETIC, **fields}
+    assert resolve_spec({**spec, "landmarks": {"count": n_nav}})["landmarks"]["count"] == n_nav
+    with pytest.raises(InputError, match="landmarks.count"):
+        resolve_spec({**spec, "landmarks": {"count": n_nav + 1}})
+    # only the engine uses landmarks
+    methods = ["zero-fill"] if spec["problem"] == "dmri" else ["mmf", "zero-fill"]
+    assert resolve_spec({**spec, "methods": methods, "landmarks": {"count": n_nav + 1}})
+
+
+def test_resolve_spec_bounds_the_nbp_rank_only_when_nbp_runs():
+    spec = {"problem": "tvgs", "data": SMALL_SYNTHETIC, "landmarks": {"count": 5},
+            "baseline": {"rank": 12}}
+    assert resolve_spec({**spec, "methods": ["mlkr", "nbp"]})["baseline"]["rank"] == 12
+    assert resolve_spec({**spec, "methods": ["mmf"], "baseline": {"rank": 13}})
+    with pytest.raises(InputError, match="baseline.rank"):
+        resolve_spec({**spec, "methods": ["nbp"], "baseline": {"rank": 13}})
+
+
 def test_resolve_spec_accepts_the_largest_valid_sizes():
     spec = resolve_spec({"problem": "tvgs", "data": {**SMALL_SYNTHETIC, "modes": 11},
                          "navigator": {"mode": "nav4", "delta_t": 7},
+                         "landmarks": {"count": 2},  # the two windows nav4 forms
                          "baseline": {"rank": 1, "depth": 1}})
     assert spec["data"]["modes"] == 11 and spec["navigator"]["delta_t"] == 7

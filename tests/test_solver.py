@@ -260,6 +260,65 @@ def test_d_update_layer_bounds():
         tvgs_update_D(3, np.zeros((4, 4)), model, 0.1, 0.1)
 
 
+def _defective_model(dims, seed, complex_, defect):
+    """Random model whose first factors and coefficients carry a defect that
+    makes the lefts and rights of the factor update rank-deficient: a zero or
+    repeated column of every D_m^(1) and row of every B_m."""
+    model = random_model(dims, seed, np.complex128 if complex_ else np.float64)
+    for m in range(dims.n_kernels):
+        D1, B = model.factors[m][0], model.coeffs[m]
+        if defect == "zero":
+            D1[:, 0], B[0] = 0, 0
+        elif defect == "repeat":
+            D1[:, 0], B[0] = D1[:, -1], B[-1]
+    return model
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(m_count=st.integers(1, 3), depth=st.integers(2, 3), complex_=st.booleans(),
+       n_l=st.integers(2, 5), inner=st.integers(1, 4),
+       defect=st.sampled_from(["none", "zero", "repeat"]),
+       log_c=st.floats(-6.0, 1.0), tau_share=st.floats(0.0, 1.0), seed=st.integers(0, 999))
+def test_d_update_matches_dense_oracle_on_rank_deficient_wings(m_count, depth, complex_, n_l,
+                                                               inner, defect, log_c,
+                                                               tau_share, seed):
+    dims = ModelDims(7, 6, n_l, m_count, depth, (inner,) * (depth - 1))
+    model = _defective_model(dims, seed, complex_, defect)
+    rng = np.random.default_rng(seed)
+    X_hat = rng.standard_normal((7, 6))
+    if complex_:
+        X_hat = X_hat + 1j * rng.standard_normal((7, 6))
+    c = 10.0 ** log_c
+    tau = tau_share * c
+    for q in range(1, depth):
+        got = solver.update_factor(q, X_hat, model, c - tau, tau)
+        ref = dense_d_oracle(q, X_hat, model, c - tau, tau)
+        assert _rel(np.stack(got), np.stack(ref)) <= 1e-8
+
+
+def test_d_update_single_block_is_the_sylvester_link_solve():
+    # one block needs no CG step: the update is chain_link_solve's, bit for bit
+    dims = ModelDims(6, 5, 3, 1, 3, (2, 4))
+    model = random_model(dims, 8, np.complex128)
+    rng = np.random.default_rng(8)
+    X_hat = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+    for q in (1, 2):
+        (left,), (right,) = solver.factor_wings(model, q)
+        got = solver.update_factor(q, X_hat, model, 0.3, 0.7)
+        ref = chain_link_solve(left, right, X_hat, model.factors[0][q], 1.0, 0.7)
+        assert np.array_equal(got[0], ref)
+
+
+@pytest.mark.parametrize("m_count", [1, 2])
+def test_d_update_rejects_nan_data(m_count):
+    dims = ModelDims(6, 5, 3, m_count, 2, (2,))
+    model = random_model(dims, 9)
+    X_hat = np.random.default_rng(9).standard_normal((6, 5))
+    X_hat[2, 3] = np.nan
+    with pytest.raises(SolverError, match="factor-update CG"):
+        solver.update_factor(1, X_hat, model, 0.3, 0.7)
+
+
 # ---------------------------------------------------------------------------
 # coefficient update
 # ---------------------------------------------------------------------------
@@ -717,6 +776,20 @@ def test_solve_tvgs_full_observation_single_step():
     config = SolverConfig(lambda_L=0.0, outer_iters=3, seed=0)
     X, _, _ = solve(TVGS, Y, pattern, graph, lmk, [gaussian_spec(1.0)], dims, config)
     assert np.array_equal(X, Y)
+
+
+def test_solve_leaves_the_initial_model_untouched():
+    Y, pattern, graph = _ring_problem(seed=4)
+    dims = ModelDims(12, 20, 5, 2, 3, (3, 2))
+    model0 = random_model(dims, 4)
+    before = [a.copy() for row in model0.factors for a in row] + \
+        [a.copy() for a in model0.kernels + model0.coeffs]
+    config = SolverConfig(lambda1=1e-3, lambda2=1e-3, lambda_L=0.02,
+                          outer_iters=3, tol_objective=0.0)
+    _, model, _ = solver.solve_from_model(TVGS, Y, pattern, graph, model0, config)
+    after = [a for row in model0.factors for a in row] + model0.kernels + model0.coeffs
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert model is not model0
 
 
 def test_solve_deterministic_reports():
