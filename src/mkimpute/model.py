@@ -60,7 +60,8 @@ class SolverConfig:
     zeta: float = 0.5  # in (0, 1)
     outer_iters: int = 300
     tol_objective: float = 1e-6
-    cg_tol: float = 1e-9
+    cg_tol: float = 1e-9  # X update: bound on the CG relative residual, measured in
+    #                       the fast-diagonalization preconditioner's norm
     cg_max: int | None = None  # defaults to the CG bound from a conditioning estimate,
     #                            at least 10 * sqrt(free-entry count) + 10
     inner_tol: float = 1e-8  # B update: bound on its proximal-gradient residual

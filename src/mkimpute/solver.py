@@ -94,10 +94,13 @@ class SolveReport:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["iteration", "objective", "consistency_residual",
-                        "constraint_residual", "seconds"])
+                        "constraint_residual", "seconds", "gamma", "cg_iters",
+                        "b_inner_iters", "b_residual"])
             for i in range(self.iterations):
                 w.writerow([i + 1, repr(self.objective[i]), repr(self.consistency[i]),
-                            repr(self.affine_residual[i]), repr(self.seconds[i])])
+                            repr(self.affine_residual[i]), repr(self.seconds[i]),
+                            repr(self.gammas[i]), self.cg_iters[i], self.b_inner_iters[i],
+                            repr(self.b_residual[i])])
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +143,13 @@ def _cg_cap(L_sob, lambda_L, tau_X, tol, n_free):
     """Iteration cap for the X-update CG from its convergence bound
     (sqrt(kappa)/2) ln(2 sqrt(kappa)/tol), floored at 10 sqrt(n_free) + 10.
 
-    The restricted operator's spectrum lies in [1 + tau_X, 1 + tau_X +
-    lambda_L lam_max(S) lam_max(DD^T)]; lam_max(S) is bounded by Gershgorin
-    and lam_max(DD^T) <= 4 for the one-step difference."""
+    The unrestricted operator A = (1 + tau_X) I + lambda_L (S (x) DD^T) has
+    its spectrum in [1 + tau_X, 1 + tau_X + lambda_L lam_max(S) lam_max(DD^T)];
+    lam_max(S) is bounded by Gershgorin and lam_max(DD^T) <= 4 for the
+    one-step difference.  The bound holds for the preconditioned CG too: its
+    preconditioner (A^-1)_ff, f the free entries, is the inverse of the Schur
+    complement A_ff - A_fo A_oo^-1 A_of, which lies between (1 + tau_X) I and
+    A_ff <= lam_max(A) I, so the preconditioned spectrum lies in [1, kappa(A)]."""
     floor = 10 * math.ceil(math.sqrt(max(n_free, 1))) + 10
     if not tol > 0:
         return floor  # the bound needs a positive tolerance
@@ -158,7 +165,11 @@ def consistent_smooth_solve(Y, pattern, target, X_prev, L_sob, delta, lambda_L, 
 
     Observed entries are assigned from Y; the complement solves a restricted
     SPD system, applied matrix-free (never materializing the Kronecker form).
-    Returns (X, cg_iterations).
+    CG is preconditioned by the exact inverse of the unrestricted operator
+    (1 + tau_X) I + lambda_L (S (x) DD^T), which is diagonal in the
+    eigenbases of S and DD^T (fast diagonalization), restricted to the free
+    entries; cg_tol bounds the relative residual in that preconditioner's
+    norm.  Returns (X, cg_iterations).
     """
     obs = pattern.mask
     free = ~obs
@@ -172,10 +183,17 @@ def consistent_smooth_solve(Y, pattern, target, X_prev, L_sob, delta, lambda_L, 
     def apply_op(V):
         return np.where(free, (1.0 + tau_X) * V + lambda_L * (L_sob @ V @ ddt), 0)
 
+    s, U = np.linalg.eigh(L_sob)
+    d, Q = np.linalg.eigh(ddt)
+    den = (1.0 + tau_X) + lambda_L * s[:, None] * d[None, :]
+
+    def precond(R):  # S and DD^T are real, so are their eigenvectors
+        return np.where(free, U @ ((U.T @ R @ Q) / den) @ Q.T, 0)
+
     if cg_max is None:
         cg_max = _cg_cap(L_sob, lambda_L, tau_X, cg_tol, int(free.sum()))
     x0 = np.where(free, X_prev, 0).astype(b.dtype)
-    V, res, iters = _pcg(apply_op, b, x0, cg_tol, cg_max)
+    V, res, iters = _pcg(apply_op, b, x0, cg_tol, cg_max, precond)
     if not res <= cg_tol:  # also catches a NaN residual
         raise SolverError(
             f"X-update CG stalled at relative residual {res:.3e} after {iters} iterations",

@@ -87,13 +87,19 @@ def test_extrapolate_endpoints():
     assert np.allclose(lo.X, cur.X, atol=1e-11)
 
 
-def test_extrapolate_preserves_affine_constraint():
-    dims = ModelDims(4, 5, 3, 2, 2, (2,))
-    a = init_factors(dims, 2)
-    b = init_factors(dims, 3)
-    mid = sca_extrapolate(IterateTuple(X=np.zeros((4, 5)), model=a),
-                          IterateTuple(X=np.ones((4, 5)), model=b), 0.37)
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(complex_=st.booleans(), m_count=st.integers(1, 3), n_l=st.integers(1, 6),
+       cols=st.integers(1, 5), gamma=st.floats(0.0, 1.0, exclude_min=True),
+       seed=st.integers(0, 999))
+def test_extrapolate_preserves_affine_constraint(complex_, m_count, n_l, cols, gamma, seed):
+    dtype = np.complex128 if complex_ else np.float64
+    dims = ModelDims(4, cols, n_l, m_count, 2, (2,))
+    a = init_factors(dims, seed, dtype)
+    b = init_factors(dims, seed + 1, dtype)
+    mid = sca_extrapolate(IterateTuple(X=np.zeros((4, cols)), model=a),
+                          IterateTuple(X=np.ones((4, cols)), model=b), gamma)
     for blk in mid.model.coeffs:
+        assert blk.dtype == dtype
         assert np.max(np.abs(blk.sum(axis=0) - 1.0)) < 1e-12
 
 
@@ -144,6 +150,38 @@ def test_x_update_matches_dense_oracle():
         assert _rel(X, ref) < 1e-8
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(n=st.integers(3, 7), t=st.integers(2, 6), complex_=st.booleans(),
+       p_obs=st.floats(0.0, 1.0), row_fill=st.sampled_from([None, True, False]),
+       col_fill=st.sampled_from([None, True, False]),
+       log_lam=st.one_of(st.none(), st.floats(-3.0, 2.0)), tau=st.floats(0.0, 2.0),
+       seed=st.integers(0, 999))
+def test_x_update_matches_dense_oracle_on_random_masks(n, t, complex_, p_obs, row_fill,
+                                                       col_fill, log_lam, tau, seed):
+    # row_fill / col_fill make one row / column fully observed (True) or
+    # fully missing (False); log_lam None is the unsmoothed lambda_L = 0
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        out = rng.standard_normal((n, t))
+        return out + 1j * rng.standard_normal((n, t)) if complex_ else out
+
+    Y, target, X_prev = draw(), draw(), draw()
+    mask = rng.random((n, t)) < p_obs
+    if row_fill is not None:
+        mask[rng.integers(n), :] = row_fill
+    if col_fill is not None:
+        mask[:, rng.integers(t)] = col_fill
+    pattern = SamplingPattern(mask, "random", p_obs, seed)
+    graph = _graph(n, t, seed=seed)
+    lam = 0.0 if log_lam is None else 10.0 ** log_lam
+    X, _ = consistent_smooth_solve(Y, pattern, target, X_prev, graph.L_sobolev,
+                                   graph.delta, lam, tau, cg_tol=1e-12)
+    ref = dense_x_oracle(Y, mask, target, X_prev, graph.L_sobolev, graph.delta, lam, tau)
+    assert np.array_equal(X[mask], Y[mask])
+    assert _rel(X, ref) <= 1e-8
+
+
 def test_x_update_observed_entries_pinned():
     rng = np.random.default_rng(3)
     dims = ModelDims(6, 5, 2, 1, 1, ())
@@ -156,8 +194,10 @@ def test_x_update_observed_entries_pinned():
 
 
 def test_x_update_default_cap_follows_conditioning():
-    # kNN weights of 1/d^2 give lam_max(S) ~ 3.5e5; CG needs about 1000
-    # iterations, twice the free-entry floor of 10 sqrt(free) + 10
+    # kNN weights of 1/d^2 give lam_max(S) ~ 3.5e5: the conditioning cap lies
+    # far above the free-entry floor of 10 sqrt(free) + 10, and the
+    # fast-diagonalization preconditioner takes CG well below the ~1000
+    # steps the unpreconditioned solve needs here
     from mkimpute.experiments import make_tvgs_synthetic
     Y, coords = make_tvgs_synthetic(50, 80, 3, 5, seed=11)
     graph = build_graph_operators(coords, 5, 0.1, 1.0, 80)
@@ -165,8 +205,10 @@ def test_x_update_default_cap_follows_conditioning():
     zeros = np.zeros_like(Y)
     X, iters = consistent_smooth_solve(Y, pattern, zeros, zeros, graph.L_sobolev,
                                        graph.delta, 0.1, 1.0)
-    floor = 10 * int(np.ceil(np.sqrt((~pattern.mask).sum()))) + 10
-    assert iters > floor
+    n_free = int((~pattern.mask).sum())
+    floor = 10 * int(np.ceil(np.sqrt(n_free))) + 10
+    assert solver._cg_cap(graph.L_sobolev, 0.1, 1.0, 1e-9, n_free) > floor
+    assert iters < 400
     X_ref, _ = consistent_smooth_solve(Y, pattern, zeros, zeros, graph.L_sobolev,
                                        graph.delta, 0.1, 1.0, cg_max=100000)
     assert np.array_equal(X, X_ref)
@@ -1044,7 +1086,8 @@ def test_report_csv_schema(tmp_path):
     path = tmp_path / "trace.csv"
     report.to_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,objective,consistency_residual,constraint_residual,seconds"
+    assert lines[0] == ("iteration,objective,consistency_residual,constraint_residual,seconds,"
+                        "gamma,cg_iters,b_inner_iters,b_residual")
     assert len(lines) == 1 + report.iterations
 
 
