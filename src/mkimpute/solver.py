@@ -104,21 +104,21 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# preconditioned conjugate gradient
+# preconditioned conjugate gradient and the Sylvester solve
 # ---------------------------------------------------------------------------
 
-def _pcg(apply_op, b, x0, tol, max_iter, precond=None):
+def _pcg(apply_op, b, x0, tol, max_iter, precond):
     """CG for a Hermitian positive definite operator on arrays of b's shape,
-    preconditioned by the Hermitian positive definite map ``precond`` if one
-    is given.  Runs until the relative residual sqrt(r^H M r / b^H M b) is at
-    most tol, M the preconditioner (the identity without one), or for
-    max_iter steps.  Returns (x, relative residual, iterations)."""
+    preconditioned by the Hermitian positive definite map ``precond``.  Runs
+    until the relative residual sqrt(r^H M r / b^H M b) is at most tol, M the
+    preconditioner, or for max_iter steps.  Returns (x, relative residual,
+    iterations)."""
     x = x0.copy()
     r = b - apply_op(x)
-    z = r if precond is None else precond(r)
+    z = precond(r)
     p = z.copy()
     rz = float(np.vdot(r, z).real)
-    b_norm = math.sqrt(float(np.vdot(b, b if precond is None else precond(b)).real))
+    b_norm = math.sqrt(float(np.vdot(b, precond(b)).real))
     if b_norm == 0.0:
         return np.zeros_like(b), 0.0, 0
     it = 0
@@ -127,12 +127,22 @@ def _pcg(apply_op, b, x0, tol, max_iter, precond=None):
         alpha = rz / float(np.vdot(p, Ap).real)
         x = x + alpha * p
         r = r - alpha * Ap
-        z = r if precond is None else precond(r)
+        z = precond(r)
         rz_new = float(np.vdot(r, z).real)
         p = z + (rz_new / rz) * p
         rz = rz_new
         it += 1
     return x, math.sqrt(rz) / b_norm, it
+
+
+def _sylvester_pd(G, H, c):
+    """The solve C -> D of G D H + c D = C for Hermitian PSD G and H, from one
+    eigendecomposition of each; G, H and C may be stacked along leading axes."""
+    a, U = np.linalg.eigh(G)
+    b, V = np.linalg.eigh(H)
+    den = a[..., :, None] * b[..., None, :] + c
+    Uh, Vh = U.conj().swapaxes(-1, -2), V.conj().swapaxes(-1, -2)
+    return lambda C: U @ ((Uh @ C @ V) / den) @ Vh
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +193,10 @@ def consistent_smooth_solve(Y, pattern, target, X_prev, L_sob, delta, lambda_L, 
     def apply_op(V):
         return np.where(free, (1.0 + tau_X) * V + lambda_L * (L_sob @ V @ ddt), 0)
 
-    s, U = np.linalg.eigh(L_sob)
-    d, Q = np.linalg.eigh(ddt)
-    den = (1.0 + tau_X) + lambda_L * s[:, None] * d[None, :]
+    solve = _sylvester_pd(lambda_L * L_sob, ddt, 1.0 + tau_X)
 
-    def precond(R):  # S and DD^T are real, so are their eigenvectors
-        return np.where(free, U @ ((U.T @ R @ Q) / den) @ Q.T, 0)
+    def precond(R):
+        return np.where(free, solve(R), 0)
 
     if cg_max is None:
         cg_max = _cg_cap(L_sob, lambda_L, tau_X, cg_tol, int(free.sum()))
@@ -232,16 +240,6 @@ def factor_wings(model: FactorModel, q_index: int):
         tail = list(row[q_index + 1 :]) + [model.kernels[m], model.coeffs[m]]
         rights.append(_chain(tail))
     return lefts, rights
-
-
-def _sylvester_pd(G, H, c):
-    """The solve C -> D of G D H + c D = C for Hermitian PSD G and H, from one
-    eigendecomposition of each; G, H and C may be stacked along leading axes."""
-    a, U = np.linalg.eigh(G)
-    b, V = np.linalg.eigh(H)
-    den = a[..., :, None] * b[..., None, :] + c
-    Uh, Vh = U.conj().swapaxes(-1, -2), V.conj().swapaxes(-1, -2)
-    return lambda C: U @ ((Uh @ C @ V) / den) @ Vh
 
 
 def chain_link_solve(left, right, X_hat, D_hat, c, tau):
