@@ -92,8 +92,8 @@ def _sca_baseline_loop(Y, pattern, graph, config: SolverConfig, links, tikhonov)
         _check_finite(X, "X", n + 1)
         gamma = sca_step_schedule(gamma, config.zeta)
         X_half, cg_iters = consistent_smooth_solve(
-            Y, pattern, reduce(np.matmul, mats), X, graph.L_sobolev, graph.delta,
-            config.lambda_L, config.tau_X, config.cg_tol, config.cg_max,
+            Y, pattern, reduce(np.matmul, mats), X, graph, config.lambda_L, config.tau_X,
+            config.cg_tol, config.cg_max,
         )
         half = {}
         for i in free:
@@ -159,8 +159,8 @@ def _row_col_kernels(Y, pattern, spec_row, spec_col, cap):
             f"kernel matrices; dimension exceeds the cap of {cap}"
         )
     S_y = np.where(pattern.mask, Y, 0)
-    K_row = build_kernel_matrix(S_y.T, spec_row).entries  # rows as points
-    K_col = build_kernel_matrix(S_y, spec_col).entries  # columns as points
+    K_row = build_kernel_matrix(S_y.T, spec_row)  # rows as points
+    K_col = build_kernel_matrix(S_y, spec_col)  # columns as points
     return K_row, K_col
 
 

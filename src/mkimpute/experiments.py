@@ -308,6 +308,11 @@ def resolve_spec(raw: dict) -> dict:
             raise InputError(f"unknown metric {name!r}")
     if spec["repeats"] < 1:
         raise InputError("repeats must be at least 1")
+    if spec["workers"] < 1:
+        raise InputError(f"workers must be at least 1, got {spec['workers']}")
+    if spec["sampling"]["band"] != 0:  # the default 0 stays so old resolved specs validate
+        raise InputError("sampling.band is not read: the fully sampled central band is "
+                         f"navigator.upsilon rows wide, got band {spec['sampling']['band']}")
     for name, seed in (("base_seed", spec["base_seed"]), ("data.seed", spec["data"].get("seed"))):
         if isinstance(seed, int) and seed < 0:  # a csv source has no seed
             raise InputError(f"{name} must be non-negative, got {seed}")
@@ -557,13 +562,8 @@ def run_experiment(raw_spec: dict, output_dir=None) -> list[dict]:
             message = str(exc).replace("\n", " ")  # one line per failed cell
             errors[idx] = f"cell ratio={ratio} repeat={rep}: {message}"
 
-    workers = max(1, int(spec["workers"]))
-    if workers == 1:
-        for idx in range(len(cells)):
-            worker(idx)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(worker, range(len(cells))))
+    with ThreadPoolExecutor(max_workers=spec["workers"]) as pool:
+        list(pool.map(worker, range(len(cells))))
 
     rows = [row for idx in sorted(results) for row in results[idx]]
     all_rows = rows + aggregate_rows(rows, spec["methods"], ratios)

@@ -6,7 +6,8 @@ temporal differences:  tr(Delta^T X^T S X Delta)  with S = (L + eps*I)^beta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,19 +16,40 @@ from .errors import DataError, InputError
 
 @dataclass
 class GraphOperators:
-    """Adjacency, Laplacian, smoothed Laplacian power and temporal difference.
+    """Adjacency, Laplacian, temporal difference and the smoothness operator.
 
     ``neighbors[i]`` is the directed k-nearest-neighbor index list of node i
     (excluding i itself); W is the OR-symmetrized weighted adjacency.
+    S = (L + eps*I)^beta, DD^T and their eigenpairs do not change during a
+    solve: they are computed together, once, on first use, and every solve
+    on the graph shares them.
     """
 
     W: np.ndarray
     L: np.ndarray
-    L_sobolev: np.ndarray
     delta: np.ndarray
     eps: float
     beta: float
     neighbors: list[np.ndarray]
+    _smoothness: tuple | None = field(default=None, init=False, repr=False)
+    # a sweep's worker threads share one graph, and so one factorization
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
+
+    def smoothness(self):
+        """(S, (s, U), DD^T, (d, Q)) with S = (L + eps*I)^beta = U diag(s) U^T
+        and DD^T = Q diag(d) Q^T, eigenvalues ascending."""
+        with self._lock:
+            if self._smoothness is None:
+                lam, U = np.linalg.eigh(self.L + self.eps * np.eye(self.L.shape[0]))
+                s = np.maximum(lam, 0.0) ** self.beta
+                ddt = self.delta @ self.delta.T
+                self._smoothness = ((U * s) @ U.T, (s, U), ddt, np.linalg.eigh(ddt))
+            return self._smoothness
+
+    @property
+    def L_sobolev(self) -> np.ndarray:
+        """S = (L + eps*I)^beta."""
+        return self.smoothness()[0]
 
 
 def knn_graph(coords: np.ndarray, k: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -72,24 +94,6 @@ def laplacian(W: np.ndarray) -> np.ndarray:
     return np.diag(W.sum(axis=1)) - W
 
 
-def sobolev_operator(L: np.ndarray, eps: float, beta: float) -> np.ndarray:
-    """(L + eps*I)^beta: repeated products for integer beta, symmetric
-    eigendecomposition otherwise."""
-    if not eps > 0:
-        raise InputError(f"eps must be positive, got {eps}")
-    if not beta > 0:
-        raise InputError(f"beta must be positive, got {beta}")
-    A = np.asarray(L, dtype=float) + eps * np.eye(L.shape[0])
-    if float(beta).is_integer():
-        out = np.eye(A.shape[0])
-        for _ in range(int(beta)):
-            out = out @ A
-        return 0.5 * (out + out.T)
-    lam, U = np.linalg.eigh(A)
-    lam = np.maximum(lam, 0.0)
-    return (U * lam**beta) @ U.T
-
-
 def diff_operator(n_time: int) -> np.ndarray:
     """One-step difference matrix of shape I_N x (I_N - 1); X @ delta yields
     the column differences x_{t+1} - x_t."""
@@ -106,12 +110,14 @@ def build_graph_operators(
     coords: np.ndarray, k: int, eps: float, beta: float, n_time: int
 ) -> GraphOperators:
     """Assemble every operator needed by the graph-signal pipeline."""
+    if not eps > 0:
+        raise InputError(f"eps must be positive, got {eps}")
+    if not beta > 0:
+        raise InputError(f"beta must be positive, got {beta}")
     W, neighbors = knn_graph(coords, k)
-    L = laplacian(W)
     return GraphOperators(
         W=W,
-        L=L,
-        L_sobolev=sobolev_operator(L, eps, beta),
+        L=laplacian(W),
         delta=diff_operator(n_time),
         eps=eps,
         beta=beta,

@@ -14,9 +14,10 @@ the conversion used throughout is gamma = 1 / (2 * sigma^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from .errors import InputError
 
@@ -68,14 +69,10 @@ def median_distance_gaussian(points: np.ndarray) -> KernelSpec:
     """Gaussian kernel with the median pairwise distance of the given points
     (as columns) for sigma, the usual bandwidth heuristic."""
     pts = np.atleast_2d(np.asarray(points))
-    n = pts.shape[1]
-    if n < 2:
+    if pts.shape[1] < 2:
         return gaussian_spec(1.0)
-    dists = [
-        float(np.linalg.norm(pts[:, i] - pts[:, j]))
-        for i in range(n) for j in range(i + 1, n)
-    ]
-    med = float(np.median(dists))
+    # |a - b| on complex points is the distance of their real embeddings [Re; Im]
+    med = float(np.median(pdist(np.vstack([pts.real, pts.imag]).T)))
     return gaussian_spec(med if med > 0 else 1.0)
 
 
@@ -94,22 +91,7 @@ def default_kernel_dictionary(landmarks: np.ndarray) -> list[KernelSpec]:
     return gauss + poly
 
 
-@dataclass
-class KernelMatrix:
-    """Square kernel matrix over one landmark set."""
-
-    entries: np.ndarray
-    spec: KernelSpec
-    landmark_count: int = field(default=0)
-
-    def __post_init__(self):
-        n = self.entries.shape[0]
-        if self.entries.shape != (n, n):
-            raise InputError("kernel matrix must be square")
-        self.landmark_count = n
-
-
-def build_kernel_matrix(landmarks: np.ndarray, spec: KernelSpec) -> KernelMatrix:
+def build_kernel_matrix(landmarks: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Assemble the N_l x N_l matrix with entries k(l_k, l_k').
 
     ``landmarks`` holds the points as columns (nu x N_l).
@@ -128,4 +110,4 @@ def build_kernel_matrix(landmarks: np.ndarray, spec: KernelSpec) -> KernelMatrix
         sq = np.sum(landmarks * landmarks, axis=0)
         cross = landmarks.T @ np.conj(landmarks)
         entries = np.exp(-spec.gamma * (sq[:, None] + np.conj(sq)[None, :] - 2.0 * cross))
-    return KernelMatrix(entries=np.ascontiguousarray(entries), spec=spec)
+    return np.ascontiguousarray(entries)

@@ -135,11 +135,11 @@ def _pcg(apply_op, b, x0, tol, max_iter, precond):
     return x, math.sqrt(rz) / b_norm, it
 
 
-def _sylvester_pd(G, H, c):
-    """The solve C -> D of G D H + c D = C for Hermitian PSD G and H, from one
-    eigendecomposition of each; G, H and C may be stacked along leading axes."""
-    a, U = np.linalg.eigh(G)
-    b, V = np.linalg.eigh(H)
+def _sylvester_pd(G_eig, H_eig, c):
+    """The solve C -> D of G D H + c D = C for Hermitian PSD G and H, given as
+    their eigenpairs (a, U) and (b, V) from eigh; G, H and C may be stacked
+    along leading axes."""
+    (a, U), (b, V) = G_eig, H_eig
     den = a[..., :, None] * b[..., None, :] + c
     Uh, Vh = U.conj().swapaxes(-1, -2), V.conj().swapaxes(-1, -2)
     return lambda C: U @ ((Uh @ C @ V) / den) @ Vh
@@ -149,27 +149,25 @@ def _sylvester_pd(G, H, c):
 # X sub-task, graph flavor
 # ---------------------------------------------------------------------------
 
-def _cg_cap(L_sob, lambda_L, tau_X, tol, n_free):
+def _cg_cap(top, tau_X, tol, n_free):
     """Iteration cap for the X-update CG from its convergence bound
     (sqrt(kappa)/2) ln(2 sqrt(kappa)/tol), floored at 10 sqrt(n_free) + 10.
 
     The unrestricted operator A = (1 + tau_X) I + lambda_L (S (x) DD^T) has
-    its spectrum in [1 + tau_X, 1 + tau_X + lambda_L lam_max(S) lam_max(DD^T)];
-    lam_max(S) is bounded by Gershgorin and lam_max(DD^T) <= 4 for the
-    one-step difference.  The bound holds for the preconditioned CG too: its
+    its spectrum in [1 + tau_X, 1 + tau_X + top], top = lambda_L lam_max(S)
+    lam_max(DD^T).  The bound holds for the preconditioned CG too: its
     preconditioner (A^-1)_ff, f the free entries, is the inverse of the Schur
     complement A_ff - A_fo A_oo^-1 A_of, which lies between (1 + tau_X) I and
     A_ff <= lam_max(A) I, so the preconditioned spectrum lies in [1, kappa(A)]."""
     floor = 10 * math.ceil(math.sqrt(max(n_free, 1))) + 10
     if not tol > 0:
         return floor  # the bound needs a positive tolerance
-    lam_s = float(np.max(np.abs(L_sob).sum(axis=1)))
-    root_kappa = math.sqrt(1.0 + lambda_L * lam_s * 4.0 / (1.0 + tau_X))
+    root_kappa = math.sqrt(1.0 + top / (1.0 + tau_X))
     return max(floor, math.ceil(0.5 * root_kappa * math.log(2.0 * root_kappa / tol)))
 
 
-def consistent_smooth_solve(Y, pattern, target, X_prev, L_sob, delta, lambda_L, tau_X,
-                            cg_tol=1e-9, cg_max=None):
+def consistent_smooth_solve(Y, pattern, target, X_prev, graph: GraphOperators, lambda_L,
+                            tau_X, cg_tol=1e-9, cg_max=None):
     """Minimize 1/2||X - target||^2 + lambda_L/2 tr(X^T S X DD^T) +
     tau_X/2||X - X_prev||^2 subject to exact agreement with Y on the mask.
 
@@ -177,9 +175,9 @@ def consistent_smooth_solve(Y, pattern, target, X_prev, L_sob, delta, lambda_L, 
     SPD system, applied matrix-free (never materializing the Kronecker form).
     CG is preconditioned by the exact inverse of the unrestricted operator
     (1 + tau_X) I + lambda_L (S (x) DD^T), which is diagonal in the
-    eigenbases of S and DD^T (fast diagonalization), restricted to the free
-    entries; cg_tol bounds the relative residual in that preconditioner's
-    norm.  Returns (X, cg_iterations).
+    eigenbases of S and DD^T (fast diagonalization, from the eigenpairs the
+    graph stores), restricted to the free entries; cg_tol bounds the relative
+    residual in that preconditioner's norm.  Returns (X, cg_iterations).
     """
     obs = pattern.mask
     free = ~obs
@@ -187,19 +185,19 @@ def consistent_smooth_solve(Y, pattern, target, X_prev, L_sob, delta, lambda_L, 
     rhs_mat = target + tau_X * X_prev
     if lambda_L == 0.0:
         return np.where(obs, Y, rhs_mat / (1.0 + tau_X)), 0
-    ddt = delta @ delta.T
+    L_sob, (s, U), ddt, (d, Q) = graph.smoothness()
     b = np.where(free, -lambda_L * (L_sob @ S_y @ ddt) + rhs_mat, 0)
 
     def apply_op(V):
         return np.where(free, (1.0 + tau_X) * V + lambda_L * (L_sob @ V @ ddt), 0)
 
-    solve = _sylvester_pd(lambda_L * L_sob, ddt, 1.0 + tau_X)
+    solve = _sylvester_pd((lambda_L * s, U), (d, Q), 1.0 + tau_X)
 
     def precond(R):
         return np.where(free, solve(R), 0)
 
     if cg_max is None:
-        cg_max = _cg_cap(L_sob, lambda_L, tau_X, cg_tol, int(free.sum()))
+        cg_max = _cg_cap(lambda_L * s[-1] * d[-1], tau_X, cg_tol, int(free.sum()))
     x0 = np.where(free, X_prev, 0).astype(b.dtype)
     V, res, iters = _pcg(apply_op, b, x0, cg_tol, cg_max, precond)
     if not res <= cg_tol:  # also catches a NaN residual
@@ -214,8 +212,7 @@ def tvgs_update_X(Y, pattern, model, X_prev, graph: GraphOperators, lambda_L, ta
                   cg_tol=1e-9, cg_max=None):
     """Closed-form/CG solution of the consistency-constrained X sub-task."""
     return consistent_smooth_solve(
-        Y, pattern, predict(model), X_prev, graph.L_sobolev, graph.delta,
-        lambda_L, tau_X, cg_tol, cg_max,
+        Y, pattern, predict(model), X_prev, graph, lambda_L, tau_X, cg_tol, cg_max,
     )
 
 
@@ -260,7 +257,7 @@ def chain_link_solve(left, right, X_hat, D_hat, c, tau):
         return np.linalg.solve(G + c * np.eye(G.shape[0], dtype=G.dtype), rhs)
     H = right @ right.conj().T
     C = left.conj().T @ X_hat @ right.conj().T + tau * D_hat
-    return _sylvester_pd(G, H, c)(C)
+    return _sylvester_pd(np.linalg.eigh(G), np.linalg.eigh(H), c)(C)
 
 
 _D_CG_TOL = 1e-12  # relative residual of the coupled factor solve
@@ -284,7 +281,7 @@ def _coupled_block_solve(lefts, rights, X_hat, D_hats, c, tau):
     C = np.stack([left.conj().T @ X_hat @ right.conj().T
                   for left, right in zip(lefts, rights)]) + tau * np.stack(D_hats)
     d = np.arange(M)
-    precond = _sylvester_pd(G[d, d], H[d, d], c)
+    precond = _sylvester_pd(np.linalg.eigh(G[d, d]), np.linalg.eigh(H[d, d]), c)
 
     def apply_op(V):
         return (G @ V[None] @ H).sum(axis=1) + c * V
@@ -826,7 +823,7 @@ def solve(problem, Y, pattern: SamplingPattern, operators, landmarks: LandmarkSe
         raise InputError(
             f"landmark set has {landmarks.count} points, dims expect {dims.n_landmarks}"
         )
-    kmats = [build_kernel_matrix(landmarks.points, s).entries for s in kernel_specs]
+    kmats = [build_kernel_matrix(landmarks.points, s) for s in kernel_specs]
     # one field for the whole model: real data on real kernels stays real
     dtype = np.result_type(np.float64, Y, *kmats)
     kernels = [k.astype(dtype) for k in kmats]

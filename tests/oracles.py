@@ -15,7 +15,7 @@ import numpy as np
 
 from mkimpute.errors import InputError, SolverError
 from mkimpute.graphs import build_graph_operators
-from mkimpute.kernels import GAUSSIAN, LINEAR, KernelMatrix, KernelSpec
+from mkimpute.kernels import GAUSSIAN, LINEAR, KernelSpec
 from mkimpute.model import FactorModel, ModelDims, SolverConfig, init_factors
 from mkimpute.mri import dft_temporal, idft_temporal, ifft2_frames
 from mkimpute.sampling import sample_p1
@@ -200,21 +200,19 @@ def eval_kernel(spec: KernelSpec, l: np.ndarray, l_prime: np.ndarray) -> complex
     return complex(d**spec.degree)
 
 
-def build_kernel_supermatrix(mats: list[KernelMatrix]) -> np.ndarray:
-    """Block-diagonal stack of M kernel matrices; off-diagonal blocks exactly zero."""
+def build_kernel_supermatrix(mats: list[np.ndarray]) -> np.ndarray:
+    """Block-diagonal stack of M N_l x N_l kernel matrices; off-diagonal blocks
+    exactly zero."""
     if not mats:
         raise InputError("need at least one kernel matrix")
-    n = mats[0].landmark_count
+    n = mats[0].shape[0]
     for km in mats:
-        if km.landmark_count != n:
-            raise InputError(
-                f"mixed landmark counts in supermatrix: {km.landmark_count} vs {n}"
-            )
+        if km.shape != (n, n):
+            raise InputError(f"mixed landmark counts in supermatrix: {km.shape} vs {n}")
     m = len(mats)
-    dtype = np.result_type(*(km.entries.dtype for km in mats))
-    out = np.zeros((m * n, m * n), dtype=dtype)
+    out = np.zeros((m * n, m * n), dtype=np.result_type(*mats))
     for i, km in enumerate(mats):
-        out[i * n : (i + 1) * n, i * n : (i + 1) * n] = km.entries
+        out[i * n : (i + 1) * n, i * n : (i + 1) * n] = km
     return out
 
 

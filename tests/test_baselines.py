@@ -143,8 +143,8 @@ def test_baseline_sub_task_surrogate_descent():
                         kernel_col=gaussian_spec(2.0))
     from mkimpute.kernels import build_kernel_matrix
     S_y = np.where(pattern.mask, Y, 0)
-    K_Z = build_kernel_matrix(S_y.T, spec.kernel_row).entries
-    K_Y = build_kernel_matrix(S_y, spec.kernel_col).entries
+    K_Z = build_kernel_matrix(S_y.T, spec.kernel_row)
+    K_Y = build_kernel_matrix(S_y, spec.kernel_col)
     rng = np.random.default_rng(9)
     B = rng.standard_normal((Y.shape[0], 2))
     C = rng.standard_normal((2, Y.shape[1]))

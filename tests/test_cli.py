@@ -120,6 +120,7 @@ def test_validate_wrongly_typed_value_is_one_json_line(tmp_path, capsys):
 @pytest.mark.parametrize("fields, key", [
     ({"kernels": [{"kind": "polynomial"}]}, "degree"),
     ({"data": {"source": "synthetic", "seed": -1}}, "seed"),
+    ({"sampling": {"band": 4}}, "navigator.upsilon"),
 ])
 def test_validate_and_run_reject_specs_that_fail_every_cell(tmp_path, capsys, fields, key):
     spec_path = tmp_path / "spec.json"

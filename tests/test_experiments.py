@@ -90,6 +90,8 @@ def test_resolve_spec_materializes_defaults():
     assert resolved["sampling"]["kind"] == "p1"
     assert resolved["repeats"] == 1
     assert resolved["data"]["nodes"] == 50
+    # a resolved spec echoes sampling.band = 0 and must resolve again
+    assert resolve_spec(resolved)["sampling"]["band"] == 0
 
 
 def test_resolve_spec_rejects_unknown_fields():
@@ -306,6 +308,11 @@ def test_load_tvgs_csv_non_finite_names_line(tmp_path, cell):
     ({"solver": {"seed": -2}}, "seed"),
     ({"problem": "dmri", "data": {"source": "phantom", "seed": -1},
       "sampling": {"kind": "radial", "ratios": [4.0]}}, "data.seed"),
+    ({"workers": 0}, "workers"),
+    ({"workers": -3}, "workers"),
+    ({"sampling": {"band": 2}}, "navigator.upsilon"),
+    ({"problem": "dmri", "data": {"source": "phantom"},
+      "sampling": {"kind": "radial", "ratios": [4.0], "band": 4}}, "navigator.upsilon"),
 ])
 def test_resolve_spec_rejects_fields_that_fail_every_cell(fields, match):
     with pytest.raises(InputError, match=match):

@@ -3,12 +3,19 @@ import pytest
 
 from mkimpute.errors import DataError, InputError
 from mkimpute.graphs import (
+    GraphOperators,
     build_graph_operators,
     diff_operator,
     knn_graph,
     laplacian,
-    sobolev_operator,
 )
+
+
+def _sobolev(L, eps, beta):
+    """S = (L + eps*I)^beta as the graph over Laplacian L builds it."""
+    W = np.diag(np.diag(L)) - L
+    return GraphOperators(W=W, L=L, delta=diff_operator(2), eps=eps, beta=beta,
+                          neighbors=[]).L_sobolev
 
 
 def test_two_nodes_inverse_square_weight():
@@ -77,17 +84,17 @@ def test_laplacian_row_sums_zero():
 
 def test_sobolev_beta_one():
     L = laplacian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(sobolev_operator(L, 0.5, 1.0), L + 0.5 * np.eye(2))
+    assert np.allclose(_sobolev(L, 0.5, 1.0), L + 0.5 * np.eye(2))
 
 
 def test_sobolev_zero_laplacian_cubed():
-    S = sobolev_operator(np.zeros((4, 4)), 2.0, 3.0)
+    S = _sobolev(np.zeros((4, 4)), 2.0, 3.0)
     assert np.allclose(S, 8.0 * np.eye(4))
 
 
 def test_sobolev_two_node_eigenvalues():
     L = laplacian(np.array([[0.0, 1.0], [1.0, 0.0]]))  # eigenvalues {0, 2}
-    S = sobolev_operator(L, 1.0, 2.0)
+    S = _sobolev(L, 1.0, 2.0)
     assert np.allclose(np.sort(np.linalg.eigvalsh(S)), [1.0, 9.0])
 
 
@@ -96,14 +103,16 @@ def test_sobolev_fractional_beta_positive_definite():
     A = rng.random((6, 6))
     W = np.triu(A, 1) + np.triu(A, 1).T
     L = laplacian(W)
-    S = sobolev_operator(L, 0.3, 1.5)
+    S = _sobolev(L, 0.3, 1.5)
     assert np.allclose(S, S.T)
     assert np.linalg.eigvalsh(S).min() >= 0.3**1.5 - 1e-8
 
 
 def test_sobolev_rejects_bad_eps():
-    with pytest.raises(InputError):
-        sobolev_operator(np.zeros((2, 2)), 0.0, 1.0)
+    coords = np.array([[0.0, 1.0, 3.0]])
+    for eps, beta in ((0.0, 1.0), (-0.1, 1.0), (0.1, 0.0)):
+        with pytest.raises(InputError):
+            build_graph_operators(coords, 1, eps, beta, 4)
 
 
 def test_diff_operator_small():
@@ -163,3 +172,18 @@ def test_smoothness_gradient_matches_finite_differences():
             num[i, j] = (f(Xp) - f(Xm)) / (2 * h)
     rel = np.linalg.norm(num - grad) / np.linalg.norm(grad)
     assert rel < 1e-6
+
+
+def test_smoothness_eigenpairs_reproduce_the_operators():
+    # the X-update preconditioner and step cap read these eigenpairs, which
+    # are computed once and then shared
+    coords = np.random.default_rng(14).random((2, 7))
+    ops = build_graph_operators(coords, 3, 0.2, 1.5, 6)
+    S, (s, U), ddt, (d, Q) = ops.smoothness()
+    assert ops.smoothness() is ops.smoothness() and ops.L_sobolev is S
+    assert np.array_equal(ddt, ops.delta @ ops.delta.T)
+    assert np.allclose((U * s) @ U.T, S) and np.allclose((Q * d) @ Q.T, ddt)
+    assert np.all(np.diff(s) >= 0) and np.all(np.diff(d) >= 0)
+    lam = np.linalg.eigvalsh(ops.L + 0.2 * np.eye(7))
+    assert np.allclose(s, lam**1.5)
+

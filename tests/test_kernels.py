@@ -7,6 +7,7 @@ from mkimpute.kernels import (
     build_kernel_matrix,
     default_kernel_dictionary,
     gaussian_spec,
+    median_distance_gaussian,
 )
 from oracles import build_kernel_supermatrix, eval_kernel
 
@@ -51,19 +52,19 @@ def test_spec_validation():
 
 def test_matrix_single_landmark():
     km = build_kernel_matrix(np.array([[1.5]]), gaussian_spec(0.4))
-    assert km.entries.shape == (1, 1)
-    assert km.entries[0, 0] == pytest.approx(1.0)
+    assert km.shape == (1, 1)
+    assert km[0, 0] == pytest.approx(1.0)
 
 
 def test_matrix_linear_two_landmarks():
     km = build_kernel_matrix(np.array([[0.0, 1.0]]), KernelSpec("linear"))
-    assert np.allclose(km.entries, [[0.0, 0.0], [0.0, 1.0]])
+    assert np.allclose(km, [[0.0, 0.0], [0.0, 1.0]])
 
 
 def test_matrix_gaussian_two_landmarks():
     km = build_kernel_matrix(np.array([[0.0, 1.0]]), KernelSpec("gaussian", gamma=1.0))
     e = np.exp(-1.0)
-    assert np.allclose(km.entries, [[1.0, e], [e, 1.0]])
+    assert np.allclose(km, [[1.0, e], [e, 1.0]])
 
 
 def test_matrix_agrees_with_pairwise_eval():
@@ -74,7 +75,7 @@ def test_matrix_agrees_with_pairwise_eval():
         km = build_kernel_matrix(pts, spec)
         for i in range(5):
             for j in range(5):
-                assert km.entries[i, j] == pytest.approx(
+                assert km[i, j] == pytest.approx(
                     eval_kernel(spec, pts[:, i], pts[:, j]), abs=1e-10
                 )
 
@@ -95,7 +96,7 @@ def test_linear_matrix_hermitian_on_complex_landmarks():
     rng = np.random.default_rng(21)
     pts = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
     km = build_kernel_matrix(pts, KernelSpec("linear"))
-    assert np.allclose(km.entries, km.entries.conj().T)
+    assert np.allclose(km, km.conj().T)
 
 
 def test_gaussian_matrix_psd_on_real_landmarks():
@@ -103,21 +104,18 @@ def test_gaussian_matrix_psd_on_real_landmarks():
     for trial in range(4):
         pts = rng.standard_normal((4, 6 + trial))
         km = build_kernel_matrix(pts, KernelSpec("gaussian", gamma=0.5 + trial))
-        eigs = np.linalg.eigvalsh(km.entries.real)
+        eigs = np.linalg.eigvalsh(km.real)
         assert eigs.min() >= -1e-10
 
 
 def test_supermatrix_single_block_unchanged():
     km = build_kernel_matrix(np.array([[0.0, 1.0]]), KernelSpec("gaussian", gamma=1.0))
     sup = build_kernel_supermatrix([km])
-    assert np.array_equal(sup, km.entries)
+    assert np.array_equal(sup, km)
 
 
 def test_supermatrix_two_blocks():
-    from mkimpute.kernels import KernelMatrix
-    k1 = KernelMatrix(np.array([[1.0]]), KernelSpec("linear"))
-    k2 = KernelMatrix(np.array([[2.0]]), KernelSpec("linear"))
-    sup = build_kernel_supermatrix([k1, k2])
+    sup = build_kernel_supermatrix([np.array([[1.0]]), np.array([[2.0]])])
     assert np.array_equal(sup, [[1.0, 0.0], [0.0, 2.0]])
 
 
@@ -136,11 +134,8 @@ def test_supermatrix_support_count():
 
 
 def test_supermatrix_mixed_sizes_rejected():
-    from mkimpute.kernels import KernelMatrix
-    k1 = KernelMatrix(np.eye(2), KernelSpec("linear"))
-    k2 = KernelMatrix(np.eye(3), KernelSpec("linear"))
     with pytest.raises(InputError):
-        build_kernel_supermatrix([k1, k2])
+        build_kernel_supermatrix([np.eye(2), np.eye(3)])
 
 
 def test_default_dictionary_layout():
@@ -166,4 +161,30 @@ def test_default_intercept_takes_the_landmarks_field():
         from_spec = _kernel_specs_from_config([{"kind": "polynomial", "degree": 2}], pts)
         assert from_spec[0].intercept == specs[3].intercept
     poly = build_kernel_matrix(real_pts, default_kernel_dictionary(real_pts)[5])
-    assert poly.entries.dtype == np.float64
+    assert poly.dtype == np.float64
+
+
+def _median_sigma_by_pairs(pts):
+    """The median-distance bandwidth pair by pair, as a reference."""
+    n = pts.shape[1]
+    dists = [np.linalg.norm(pts[:, i] - pts[:, j]) for i in range(n) for j in range(i + 1, n)]
+    med = float(np.median(dists)) if dists else 0.0
+    return med if med > 0 else 1.0
+
+
+def test_median_distance_gaussian_matches_the_pairwise_loop():
+    rng = np.random.default_rng(8)
+    real = rng.standard_normal((4, 48))
+    cases = {
+        "real": real,
+        "complex": real + 1j * rng.standard_normal((4, 48)),
+        "single point": real[:, :1],
+        "duplicates": np.array([[0.0, 0.0, 0.0, 0.0, 1.0]]),  # median distance 0
+        "complex duplicates": np.repeat(real[:, :1] + 2j, 3, axis=1),
+    }
+    for name, pts in cases.items():
+        sigma = _median_sigma_by_pairs(pts)
+        assert median_distance_gaussian(pts).gamma == pytest.approx(
+            1.0 / (2.0 * sigma**2), rel=1e-14), name
+    assert median_distance_gaussian(real[:, :1]).gamma == 0.5  # sigma = 1
+    assert median_distance_gaussian(cases["duplicates"]).gamma == 0.5

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mkimpute.errors import DataError, InputError
 from mkimpute.mri import (
@@ -19,9 +21,17 @@ from mkimpute.mri import (
 )
 
 
-def _rand_kt(i1, i2, i3, seed=0):
+# Transform properties over drawn sizes: odd and even frame sides, including
+# 1 x 1 frames and single time points, on real and complex data.
+SIZES = dict(i1=st.integers(1, 9), i2=st.integers(1, 9), i3=st.integers(1, 6),
+             complex_=st.booleans(), seed=st.integers(0, 2**16))
+property_test = settings(derandomize=True, database=None, deadline=None)
+
+
+def _rand_kt(i1, i2, i3, complex_=True, seed=0):
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((i1 * i2, i3)) + 1j * rng.standard_normal((i1 * i2, i3))
+    X = rng.standard_normal((i1 * i2, i3))
+    return X + 1j * rng.standard_normal((i1 * i2, i3)) if complex_ else X
 
 
 def test_flatten_round_trip():
@@ -33,38 +43,44 @@ def test_flatten_round_trip():
     assert flat[1 + 4 * 2, 0] == cube[1, 2, 0]
 
 
-def test_constant_frame_impulse_at_centered_dc():
-    i1 = i2 = 8
-    X = np.full((i1 * i2, 2), 3.0 + 0j)
-    K = fft2_frames(X, i1, i2)
-    frame = K[:, 0].reshape(i1, i2, order="F")
-    dc = frame[i1 // 2, i2 // 2]  # DC-centered layout
-    assert dc == pytest.approx(i1 * i2 * 3.0)
-    off = frame.copy()
+@property_test
+@given(**SIZES)
+def test_constant_frame_impulse_at_centered_dc(i1, i2, i3, complex_, seed):
+    value = _rand_kt(1, 1, 1, complex_, seed)[0, 0]
+    K = fft2_frames(np.full((i1 * i2, i3), value), i1, i2)
+    frames = unflatten_frames(K, i1, i2)
+    dc = frames[i1 // 2, i2 // 2]  # DC-centered layout, odd or even sides
+    assert np.allclose(dc, i1 * i2 * value, rtol=1e-12)
+    off = frames.copy()
     off[i1 // 2, i2 // 2] = 0.0
-    assert np.max(np.abs(off)) < 1e-10
+    assert np.max(np.abs(off), initial=0.0) < 1e-10
 
 
-def test_fft2_round_trip():
-    X = _rand_kt(8, 6, 4)
-    back = ifft2_frames(fft2_frames(X, 8, 6), 8, 6)
+@property_test
+@given(**SIZES)
+def test_fft2_round_trip(i1, i2, i3, complex_, seed):
+    X = _rand_kt(i1, i2, i3, complex_, seed)
+    back = ifft2_frames(fft2_frames(X, i1, i2), i1, i2)
     assert np.max(np.abs(back - X)) < 1e-12
 
 
-def test_fft2_parseval_unnormalized():
-    X = _rand_kt(8, 8, 3, seed=2)
-    K = fft2_frames(X, 8, 8)
-    assert np.linalg.norm(K) ** 2 == pytest.approx(64 * np.linalg.norm(X) ** 2)
+@property_test
+@given(**SIZES)
+def test_fft2_parseval_unnormalized(i1, i2, i3, complex_, seed):
+    X = _rand_kt(i1, i2, i3, complex_, seed)
+    K = fft2_frames(X, i1, i2)
+    assert np.linalg.norm(K) ** 2 == pytest.approx(i1 * i2 * np.linalg.norm(X) ** 2)
 
 
-def test_fft2_adjoint():
-    rng = np.random.default_rng(3)
-    x = _rand_kt(4, 4, 2, seed=3)
-    y = _rand_kt(4, 4, 2, seed=4)
+@property_test
+@given(**SIZES)
+def test_fft2_adjoint(i1, i2, i3, complex_, seed):
+    x = _rand_kt(i1, i2, i3, complex_, seed)
+    y = _rand_kt(i1, i2, i3, complex_, seed + 1)
     # F^H = (I1*I2) * F^{-1} for the unnormalized pair
-    lhs = np.vdot(y, fft2_frames(x, 4, 4))
-    rhs = 16 * np.vdot(ifft2_frames(y, 4, 4), x)
-    assert lhs == pytest.approx(rhs)
+    lhs = np.vdot(y, fft2_frames(x, i1, i2))
+    rhs = i1 * i2 * np.vdot(ifft2_frames(y, i1, i2), x)
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-10)
 
 
 def test_temporal_constant_row():
@@ -72,16 +88,18 @@ def test_temporal_constant_row():
     assert np.allclose(dft_temporal(X), [[4.0, 0.0, 0.0, 0.0]])
 
 
-def test_temporal_round_trip_and_adjoint_scale():
-    X = _rand_kt(6, 5, 1, seed=5).reshape(6, 5)
+@property_test
+@given(**SIZES)
+def test_temporal_round_trip_and_adjoint_scale(i1, i2, i3, complex_, seed):
+    X = _rand_kt(i1, i2, i3, complex_, seed)
     assert np.max(np.abs(idft_temporal(dft_temporal(X)) - X)) < 1e-12
-    # Ft^H Ft = I3 * Id for the unnormalized convention
+    # Ft^H Ft = I3 * Id for the unnormalized convention (Ft^H = I3 * Ft^{-1}),
+    # so Parseval carries I3
     W = dft_temporal(X)
-    back = 5 * idft_temporal(W)  # Ft^H = I3 * Ft^{-1}
-    assert np.allclose(back, 5 * X)
-    x = _rand_kt(3, 5, 1, seed=6).reshape(3, 5)
-    y = _rand_kt(3, 5, 1, seed=7).reshape(3, 5)
-    assert np.vdot(y, dft_temporal(x)) == pytest.approx(5 * np.vdot(idft_temporal(y), x))
+    assert np.linalg.norm(W) ** 2 == pytest.approx(i3 * np.linalg.norm(X) ** 2)
+    y = _rand_kt(i1, i2, i3, complex_, seed + 1)
+    assert np.vdot(y, dft_temporal(X)) == pytest.approx(
+        i3 * np.vdot(idft_temporal(y), X), rel=1e-12, abs=1e-10)
 
 
 def test_temporal_single_tone():

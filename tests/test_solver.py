@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,8 +178,8 @@ def test_x_update_matches_dense_oracle_on_random_masks(n, t, complex_, p_obs, ro
     pattern = SamplingPattern(mask, "random", p_obs, seed)
     graph = _graph(n, t, seed=seed)
     lam = 0.0 if log_lam is None else 10.0 ** log_lam
-    X, _ = consistent_smooth_solve(Y, pattern, target, X_prev, graph.L_sobolev,
-                                   graph.delta, lam, tau, cg_tol=1e-12)
+    X, _ = consistent_smooth_solve(Y, pattern, target, X_prev, graph, lam, tau,
+                                   cg_tol=1e-12)
     ref = dense_x_oracle(Y, mask, target, X_prev, graph.L_sobolev, graph.delta, lam, tau)
     assert np.array_equal(X[mask], Y[mask])
     assert _rel(X, ref) <= 1e-8
@@ -203,14 +206,15 @@ def test_x_update_default_cap_follows_conditioning():
     graph = build_graph_operators(coords, 5, 0.1, 1.0, 80)
     pattern = sample_p1(50, 80, 0.3, seed=0)
     zeros = np.zeros_like(Y)
-    X, iters = consistent_smooth_solve(Y, pattern, zeros, zeros, graph.L_sobolev,
-                                       graph.delta, 0.1, 1.0)
+    X, iters = consistent_smooth_solve(Y, pattern, zeros, zeros, graph, 0.1, 1.0)
     n_free = int((~pattern.mask).sum())
     floor = 10 * int(np.ceil(np.sqrt(n_free))) + 10
-    assert solver._cg_cap(graph.L_sobolev, 0.1, 1.0, 1e-9, n_free) > floor
+    _, (s, _), _, (d, _) = graph.smoothness()
+    top = 0.1 * s[-1] * d[-1]
+    assert solver._cg_cap(top, 1.0, 1e-9, n_free) > floor
     assert iters < 400
-    X_ref, _ = consistent_smooth_solve(Y, pattern, zeros, zeros, graph.L_sobolev,
-                                       graph.delta, 0.1, 1.0, cg_max=100000)
+    X_ref, _ = consistent_smooth_solve(Y, pattern, zeros, zeros, graph, 0.1, 1.0,
+                                       cg_max=100000)
     assert np.array_equal(X, X_ref)
 
 
@@ -809,6 +813,83 @@ def test_solve_tvgs_objective_decreases():
     assert max(report.affine_residual) < 1e-8
 
 
+def _record_eigh_shapes(monkeypatch):
+    """The shape of every np.linalg.eigh argument, in call order."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))  # one append is atomic: worker threads may share it
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return shapes
+
+
+def test_graph_factorizations_run_once_per_graph(monkeypatch, tmp_path):
+    # S = (L + eps I)^beta and DD^T do not change during a solve: each is
+    # factorized once per graph, on first use, and not once per X update.
+    # I0 = 12 and I_N = 20 differ from every factor-solve size here (3 to 6).
+    from mkimpute.experiments import run_experiment
+    from mkimpute.kernels import gaussian_spec
+    Y, pattern, graph = _ring_problem()
+    lmk = _landmarks_from(Y, pattern, 6)
+    config = SolverConfig(lambda1=1e-3, lambda2=1e-3, lambda_L=0.05,
+                          outer_iters=4, tol_objective=0.0, seed=0)
+    shapes = _record_eigh_shapes(monkeypatch)
+    _, _, report = solve(TVGS, Y, pattern, graph, lmk, [gaussian_spec(1.0)],
+                         ModelDims(12, 20, 6, 1, 2, (3,)), config)
+    assert report.iterations == 4 and min(report.cg_iters) > 0
+    assert (shapes.count((12, 12)), shapes.count((20, 20))) == (1, 1)
+    # a sweep builds one graph that both cells' worker threads share; csv
+    # data, because the synthetic generator runs an eigh of its own
+    np.savetxt(tmp_path / "y.csv", Y, delimiter=",")
+    angles = 2 * np.pi * np.arange(12) / 12  # _ring_problem's nodes
+    np.savetxt(tmp_path / "c.csv", np.column_stack([np.cos(angles), np.sin(angles)]),
+               delimiter=",")
+    shapes.clear()
+    spec = {"problem": "tvgs",
+            "data": {"source": "csv", "data_path": str(tmp_path / "y.csv"),
+                     "coords_path": str(tmp_path / "c.csv")},
+            "sampling": {"kind": "p1", "ratios": [0.4, 0.6]},
+            "graph": {"k": 2, "eps": 0.2, "beta": 1.0},
+            "landmarks": {"count": 6}, "dims": {"depth": 2, "inner": [3]},
+            "baseline": {"rank": 4, "depth": 2},
+            "solver": {"lambda1": 1e-3, "lambda2": 1e-3, "lambda_L": 0.05,
+                       "outer_iters": 3},
+            "methods": ["mlkr", "mmf", "krg"], "workers": 2}
+    rows = run_experiment(spec, tmp_path / "out")
+    assert len(rows) == 6 and not (tmp_path / "out" / "errors.log").exists()
+    assert (shapes.count((12, 12)), shapes.count((20, 20))) == (1, 1)
+
+
+def test_graph_factorization_runs_once_under_concurrent_first_use(monkeypatch):
+    # eight threads ask one graph for its spectrum at once, switching every
+    # microsecond: the lock lets exactly one of them factorize
+    shapes = _record_eigh_shapes(monkeypatch)
+    graph = build_graph_operators(np.random.default_rng(15).random((2, 30)), 4, 0.1, 1.0, 25)
+    barrier = threading.Barrier(8)
+    seen = []
+
+    def first_use():
+        barrier.wait(timeout=10)
+        seen.append(graph.smoothness())
+
+    threads = [threading.Thread(target=first_use) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(seen) == 8 and all(s is seen[0] for s in seen)
+    assert sorted(shapes) == [(25, 25), (30, 30)]
+
+
 def test_solve_tvgs_full_observation_single_step():
     Y, _, graph = _ring_problem()
     pattern = sample_p1(12, 20, 1.0, seed=0)
@@ -1099,8 +1180,8 @@ def test_x_update_cg_rejects_nan_residual():
     Y[pattern.mask] = np.nan
     graph = _graph(8, 8, seed=32)
     with pytest.raises(SolverError, match="nan"):
-        consistent_smooth_solve(Y, pattern, np.zeros((8, 8)), np.zeros((8, 8)),
-                                graph.L_sobolev, graph.delta, 0.1, 1.0)
+        consistent_smooth_solve(Y, pattern, np.zeros((8, 8)), np.zeros((8, 8)), graph,
+                                0.1, 1.0)
 
 
 def test_solve_real_signal_with_default7_stays_real():

@@ -2,8 +2,11 @@
 have and never stored as dense Kronecker systems: those live in
 tests/oracles.py, as the references the fast solves are checked against."""
 
+import inspect
 import re
 from pathlib import Path
+
+from mkimpute import solver
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -14,3 +17,12 @@ def test_library_builds_no_kronecker_product():
              for n, line in enumerate(path.read_text().splitlines(), start=1)
              if re.search(r"\bkron\s*\(", line)]
     assert calls == [], f"np.kron called in the library at {calls}"
+
+
+def test_x_update_factorizes_nothing():
+    # S, DD^T and their eigenpairs are fixed for a graph and belong to it; the
+    # X update and its step cap only read them
+    for fn in (solver.consistent_smooth_solve, solver._cg_cap):
+        body = inspect.getsource(fn)
+        for pattern in (r"\beigh\b", r"delta\s*@\s*\w*delta", r"abs\(.*\)\.sum\("):
+            assert not re.search(pattern, body), f"{fn.__name__} matches {pattern!r}"
