@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines
-from .errors import DataError, InputError
+from .errors import DataError, InputError, SolverError
 from .graphs import build_graph_operators, knn_graph, laplacian
 from .kernels import (
     KernelSpec,
@@ -396,6 +396,19 @@ def _metric_row(method, ratio, seed, rep, seconds, wanted):
     return row
 
 
+def _warning_lines(method, ratio, repeat, report):
+    return [f"method={method} ratio={ratio} repeat={repeat}: {w}" for w in report.warnings]
+
+
+def _error_line(ratio, repeat, exc):
+    """One line naming the failed cell, the exception type and, for a solver
+    that stalled, where it stopped."""
+    message = f"{type(exc).__name__}: {exc}"
+    if isinstance(exc, SolverError):
+        message += f" (iteration={exc.iteration}, residual={exc.residual!r})"
+    return f"cell ratio={ratio} repeat={repeat}: " + message.replace("\n", " ")
+
+
 def _solve_main(spec, problem, Y, pattern, operators, nav, seed):
     lmk_cfg = spec["landmarks"]
     lmk = select_landmarks(nav, lmk_cfg["count"], lmk_cfg["strategy"], seed)
@@ -420,7 +433,7 @@ def _run_cell_tvgs(spec, Y, graph, ratio, repeat, seed, out_dir):
         S_y = np.where(pattern.mask, Y, 0)
         widths = {"kernel_row": median_distance_gaussian(S_y.T),
                   "kernel_col": median_distance_gaussian(S_y)}
-    rows = []
+    rows, notes = [], []
     for method in spec["methods"]:
         t0 = time.perf_counter()
         if method == MAIN_METHOD:
@@ -436,9 +449,10 @@ def _run_cell_tvgs(spec, Y, graph, ratio, repeat, seed, out_dir):
         rep = compute_metrics(X, Y, observed_mask=pattern.mask,
                               missing_only=missing_only)
         rows.append(_metric_row(method, ratio, seed, rep, seconds, spec["metrics"]))
+        notes += _warning_lines(method, ratio, repeat, report)
         if report.iterations and out_dir is not None:
             report.to_csv(out_dir / f"trace_{method}_r{ratio}_{repeat}.csv")
-    return rows
+    return rows, notes
 
 
 def _run_cell_dmri(spec, dataset, ratio, repeat, seed, out_dir):
@@ -450,7 +464,7 @@ def _run_cell_dmri(spec, dataset, ratio, repeat, seed, out_dir):
     else:
         pattern = with_band(radial_mask(i1, i2, i3, ratio, seed), i1, i2, band)
     truth = dataset.ground_truth_image
-    rows = []
+    rows, notes = [], []
     for method in spec["methods"]:
         t0 = time.perf_counter()
         report = None
@@ -471,9 +485,11 @@ def _run_cell_dmri(spec, dataset, ratio, repeat, seed, out_dir):
         rep = compute_metrics(X, truth, observed_mask=pattern.mask,
                               image_dims=(i1, i2))
         rows.append(_metric_row(method, ratio, seed, rep, seconds, spec["metrics"]))
-        if report is not None and report.iterations and out_dir is not None:
-            report.to_csv(out_dir / f"trace_{method}_a{ratio}_{repeat}.csv")
-    return rows
+        if report is not None:
+            notes += _warning_lines(method, ratio, repeat, report)
+            if report.iterations and out_dir is not None:
+                report.to_csv(out_dir / f"trace_{method}_a{ratio}_{repeat}.csv")
+    return rows, notes
 
 
 # ---------------------------------------------------------------------------
@@ -512,12 +528,14 @@ def aggregate_rows(rows: list[dict], methods, ratios) -> list[dict]:
 
 
 def run_experiment(raw_spec: dict, output_dir=None) -> list[dict]:
-    """Execute the full sweep; writes results.csv, per-run traces and the
-    resolved spec echo.  Returns the run rows (aggregates excluded)."""
+    """Execute the full sweep; writes results.csv, per-run traces, the
+    resolved spec echo, errors.log for failed cells and warnings.log for
+    solver warnings.  Returns the run rows (aggregates excluded)."""
     spec = resolve_spec(raw_spec)
     out_dir = Path(output_dir if output_dir is not None else spec["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "errors.log").unlink(missing_ok=True)  # it describes this run only
+    for log in ("errors.log", "warnings.log"):  # they describe this run only
+        (out_dir / log).unlink(missing_ok=True)
     spec["output_dir"] = str(out_dir)
     with open(out_dir / "spec.resolved.json", "w") as fh:
         json.dump(spec, fh, indent=2, sort_keys=True)
@@ -552,15 +570,15 @@ def run_experiment(raw_spec: dict, output_dir=None) -> list[dict]:
             cells.append((ratio, rep, spec["base_seed"] + i * repeats + rep))
 
     results: dict[int, list[dict]] = {}
+    notes: dict[int, list[str]] = {}
     errors: dict[int, str] = {}
 
     def worker(idx):
         ratio, rep, seed = cells[idx]
         try:
-            results[idx] = run_one(ratio, rep, seed)
+            results[idx], notes[idx] = run_one(ratio, rep, seed)
         except Exception as exc:  # a failed cell is recorded, the sweep continues
-            message = str(exc).replace("\n", " ")  # one line per failed cell
-            errors[idx] = f"cell ratio={ratio} repeat={rep}: {message}"
+            errors[idx] = _error_line(ratio, rep, exc)
 
     with ThreadPoolExecutor(max_workers=spec["workers"]) as pool:
         list(pool.map(worker, range(len(cells))))
@@ -572,4 +590,8 @@ def run_experiment(raw_spec: dict, output_dir=None) -> list[dict]:
         with open(out_dir / "errors.log", "w") as fh:
             for idx in sorted(errors):
                 fh.write(errors[idx] + "\n")
+    lines = [line for idx in sorted(notes) for line in notes[idx]]
+    if lines:
+        with open(out_dir / "warnings.log", "w") as fh:
+            fh.writelines(line + "\n" for line in lines)
     return rows

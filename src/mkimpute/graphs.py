@@ -22,7 +22,7 @@ class GraphOperators:
     (excluding i itself); W is the OR-symmetrized weighted adjacency.
     S = (L + eps*I)^beta, DD^T and their eigenpairs do not change during a
     solve: they are computed together, once, on first use, and every solve
-    on the graph shares them.
+    on the graph shares them, read-only.
     """
 
     W: np.ndarray
@@ -43,7 +43,12 @@ class GraphOperators:
                 lam, U = np.linalg.eigh(self.L + self.eps * np.eye(self.L.shape[0]))
                 s = np.maximum(lam, 0.0) ** self.beta
                 ddt = self.delta @ self.delta.T
-                self._smoothness = ((U * s) @ U.T, (s, U), ddt, np.linalg.eigh(ddt))
+                d, Q = np.linalg.eigh(ddt)
+                S = (U * s) @ U.T
+                # shared by every solve on the graph: a write would corrupt them all
+                for arr in (S, ddt, s, U, d, Q):
+                    arr.setflags(write=False)
+                self._smoothness = (S, (s, U), ddt, (d, Q))
             return self._smoothness
 
     @property

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -116,18 +117,21 @@ class FactorModel:
 
 
 def predict(model: FactorModel) -> np.ndarray:
-    """Evaluate the factorization: sum over m of D_m^(1)...D_m^(Q) K_m B_m."""
+    """Evaluate the factorization: sum over m of D_m^(1)...D_m^(Q) K_m B_m.
+
+    Each block is evaluated as D^(1) ((D^(2)...D^(Q) K) B): the one product
+    with I0 rows comes last and runs over the inner dimension d_1."""
     dims = model.dims
-    out = np.zeros(
-        (dims.n_rows, dims.n_cols),
-        dtype=np.result_type(*(f[0].dtype for f in model.factors), model.coeffs[0].dtype),
-    )
+    shape = (dims.n_rows, dims.n_cols)
+    out = None
     for m in range(dims.n_kernels):
-        left = model.block_basis(m)
-        chain = left @ model.coeffs[m]
-        if chain.shape != out.shape:
-            raise InputError(f"block {m} product has shape {chain.shape}, expected {out.shape}")
-        out = out + chain
+        first, *rest = model.factors[m]
+        tail = reduce(np.matmul, [*rest, model.kernels[m]])
+        chain = first @ (tail @ model.coeffs[m])
+        if chain.shape != shape:
+            raise InputError(f"block {m} product has shape {chain.shape}, expected {shape}")
+        # the first block's product is the sum so far: no zeroed array to add it to
+        out = chain if out is None else out + chain
     return out
 
 

@@ -111,8 +111,9 @@ def _pcg(apply_op, b, x0, tol, max_iter, precond):
     """CG for a Hermitian positive definite operator on arrays of b's shape,
     preconditioned by the Hermitian positive definite map ``precond``.  Runs
     until the relative residual sqrt(r^H M r / b^H M b) is at most tol, M the
-    preconditioner, or for max_iter steps.  Returns (x, relative residual,
-    iterations)."""
+    preconditioner, or for max_iter steps.  The iterates are updated in place
+    in arrays CG owns; b and x0 are not written.  Returns (x, relative
+    residual, iterations)."""
     x = x0.copy()
     r = b - apply_op(x)
     z = precond(r)
@@ -125,11 +126,12 @@ def _pcg(apply_op, b, x0, tol, max_iter, precond):
     while math.sqrt(rz) / b_norm > tol and it < max_iter:
         Ap = apply_op(p)
         alpha = rz / float(np.vdot(p, Ap).real)
-        x = x + alpha * p
-        r = r - alpha * Ap
+        x += alpha * p
+        r -= alpha * Ap
         z = precond(r)
         rz_new = float(np.vdot(r, z).real)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
         it += 1
     return x, math.sqrt(rz) / b_norm, it
@@ -140,9 +142,15 @@ def _sylvester_pd(G_eig, H_eig, c):
     their eigenpairs (a, U) and (b, V) from eigh; G, H and C may be stacked
     along leading axes."""
     (a, U), (b, V) = G_eig, H_eig
-    den = a[..., :, None] * b[..., None, :] + c
+    inv_den = 1.0 / (a[..., :, None] * b[..., None, :] + c)
     Uh, Vh = U.conj().swapaxes(-1, -2), V.conj().swapaxes(-1, -2)
-    return lambda C: U @ ((Uh @ C @ V) / den) @ Vh
+
+    def solve(C):
+        T = Uh @ C @ V
+        T *= inv_den
+        return U @ T @ Vh
+
+    return solve
 
 
 # ---------------------------------------------------------------------------
@@ -180,32 +188,40 @@ def consistent_smooth_solve(Y, pattern, target, X_prev, graph: GraphOperators, l
     residual in that preconditioner's norm.  Returns (X, cg_iterations).
     """
     obs = pattern.mask
-    free = ~obs
     S_y = np.where(obs, Y, 0)
     rhs_mat = target + tau_X * X_prev
     if lambda_L == 0.0:
         return np.where(obs, Y, rhs_mat / (1.0 + tau_X)), 0
     L_sob, (s, U), ddt, (d, Q) = graph.smoothness()
-    b = np.where(free, -lambda_L * (L_sob @ S_y @ ddt) + rhs_mat, 0)
+    lS = lambda_L * L_sob
+    keep = (~obs).astype(float)  # 1 on the free entries, 0 on the observed ones
+    b = rhs_mat - lS @ S_y @ ddt
+    b *= keep
 
     def apply_op(V):
-        return np.where(free, (1.0 + tau_X) * V + lambda_L * (L_sob @ V @ ddt), 0)
+        out = lS @ V @ ddt
+        out += (1.0 + tau_X) * V
+        out *= keep
+        return out
 
     solve = _sylvester_pd((lambda_L * s, U), (d, Q), 1.0 + tau_X)
 
     def precond(R):
-        return np.where(free, solve(R), 0)
+        out = solve(R)
+        out *= keep
+        return out
 
     if cg_max is None:
-        cg_max = _cg_cap(lambda_L * s[-1] * d[-1], tau_X, cg_tol, int(free.sum()))
-    x0 = np.where(free, X_prev, 0).astype(b.dtype)
+        cg_max = _cg_cap(lambda_L * s[-1] * d[-1], tau_X, cg_tol, int(keep.sum()))
+    x0 = (keep * X_prev).astype(b.dtype, copy=False)
     V, res, iters = _pcg(apply_op, b, x0, cg_tol, cg_max, precond)
     if not res <= cg_tol:  # also catches a NaN residual
         raise SolverError(
             f"X-update CG stalled at relative residual {res:.3e} after {iters} iterations",
             residual=res, iteration=iters,
         )
-    return S_y + np.where(free, V, 0), iters
+    V += S_y  # V is zero on the observed entries
+    return V, iters
 
 
 def tvgs_update_X(Y, pattern, model, X_prev, graph: GraphOperators, lambda_L, tau_X,

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -230,7 +231,29 @@ def test_failed_cell_recorded_not_fatal(tmp_path):
     spec["landmarks"]["count"] = 10_000  # exceeds N_nav: cell fails
     rows = run_experiment(spec, output_dir=tmp_path)
     assert rows == []
-    assert (tmp_path / "errors.log").exists()
+    assert (tmp_path / "errors.log").read_text().startswith("cell ratio=0.4 repeat=0: InputError: ")
+
+
+def test_errors_log_says_where_a_solver_stopped(tmp_path):
+    spec = json.loads(json.dumps(TVGS_SPEC))
+    spec["solver"]["cg_max"] = 1  # the X-update CG cannot converge in one step
+    assert run_experiment(spec, output_dir=tmp_path) == []
+    (line,) = (tmp_path / "errors.log").read_text().splitlines()
+    assert line.startswith("cell ratio=0.4 repeat=0: SolverError: X-update CG stalled")
+    assert re.search(r"\(iteration=1, residual=[0-9.e+-]+\)$", line)
+
+
+def test_solver_warnings_reach_warnings_log(tmp_path):
+    spec = json.loads(json.dumps(TVGS_SPEC))
+    spec["solver"]["inner_max"] = 1  # one Newton step: the B update hits its cap
+    rows = run_experiment(spec, output_dir=tmp_path)
+    lines = (tmp_path / "warnings.log").read_text().splitlines()
+    assert len(rows) == 2 and len(lines) == 8  # mlkr warns in each of its 8 iterations
+    assert all(line.startswith("method=mlkr ratio=0.4 repeat=0: iter ") for line in lines)
+    assert "B inner solve hit the cap of 1 Newton steps" in lines[0]
+    # a run without warnings into the same directory drops the stale log
+    assert run_experiment(TVGS_SPEC, output_dir=tmp_path)
+    assert not (tmp_path / "warnings.log").exists()
 
 
 @pytest.mark.parametrize("block", ["solver", "sampling", "navigator", "landmarks",

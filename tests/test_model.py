@@ -12,7 +12,7 @@ from mkimpute.model import (
     predict,
     save_model,
 )
-from oracles import reduce_to_mmf
+from oracles import random_model, reduce_to_mmf
 
 
 def _sum_form(model):
@@ -49,6 +49,21 @@ def _supermatrix_form(model):
         K[m * n_l:(m + 1) * n_l, m * n_l:(m + 1) * n_l] = model.kernels[m]
     B = np.concatenate(model.coeffs, axis=0)
     return prod @ K @ B
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("m_count", [1, 2, 3])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_predict_matches_the_left_to_right_product(depth, m_count, complex_):
+    # predict multiplies through the narrow inner dimensions first; the sum
+    # of left-to-right chains is the same number up to roundoff
+    dims = ModelDims(9, 7, 4, m_count, depth, (3, 5)[: depth - 1])
+    model = random_model(dims, 10 * depth + m_count,
+                         np.complex128 if complex_ else np.float64)
+    ref = sum(model.block_basis(m) @ model.coeffs[m] for m in range(m_count))
+    got = predict(model)
+    assert got.dtype == ref.dtype
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_predict_identity_factors():

@@ -1217,3 +1217,105 @@ def test_solve_reports_b_cap_hits_and_residuals():
         assert res > config.inner_tol
         assert warning == (f"iter {n}: B inner solve hit the cap of 1 Newton steps "
                            f"at residual {res:.3e}")
+
+
+# ---------------------------------------------------------------------------
+# in-place CG arithmetic: the solves write only to arrays they own
+# ---------------------------------------------------------------------------
+
+def _draw(rng, shape, complex_):
+    out = rng.standard_normal(shape)
+    return out + 1j * rng.standard_normal(shape) if complex_ else out
+
+
+def _assert_untouched(inputs, copies):
+    for name, arr in inputs.items():
+        assert arr.dtype == copies[name].dtype and np.array_equal(arr, copies[name]), name
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_pcg_leaves_b_and_x0_untouched(complex_):
+    rng = np.random.default_rng(40)
+    G = _draw(rng, (5, 5), complex_)
+    G = G @ G.conj().T
+    H = _draw(rng, (4, 4), complex_)
+    H = H @ H.conj().T
+    inputs = {"b": _draw(rng, (5, 4), complex_), "x0": _draw(rng, (5, 4), complex_)}
+    copies = {k: v.copy() for k, v in inputs.items()}
+    precond = solver._sylvester_pd(np.linalg.eigh(np.diag(np.diag(G).real)),
+                                   np.linalg.eigh(H), 0.5)
+    x, res, iters = solver._pcg(lambda V: G @ V @ H + 0.5 * V, inputs["b"], inputs["x0"],
+                                1e-12, 100, precond)
+    _assert_untouched(inputs, copies)
+    assert iters > 0 and res <= 1e-12 and x is not inputs["x0"]
+    assert _rel(G @ x @ H + 0.5 * x, copies["b"]) <= 1e-10
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_x_update_leaves_data_and_graph_untouched(complex_):
+    rng = np.random.default_rng(41)
+    graph = _graph(9, 11, seed=41)
+    pattern = sample_p1(9, 11, 0.4, seed=41)
+    inputs = {name: _draw(rng, (9, 11), complex_) for name in ("Y", "target", "X_prev")}
+    S, (s, U), ddt, (d, Q) = graph.smoothness()
+    inputs.update(mask=pattern.mask, S=S, s=s, U=U, ddt=ddt, d=d, Q=Q, L=graph.L,
+                  W=graph.W, delta=graph.delta)
+    copies = {k: v.copy() for k, v in inputs.items()}
+    X, iters = consistent_smooth_solve(inputs["Y"], pattern, inputs["target"],
+                                       inputs["X_prev"], graph, 0.7, 0.5)
+    _assert_untouched(inputs, copies)
+    assert iters > 0 and np.array_equal(X[pattern.mask], copies["Y"][pattern.mask])
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("wings", ["both", "left", "right"])
+def test_chain_link_solve_leaves_inputs_untouched(complex_, wings):
+    rng = np.random.default_rng(42)
+    inputs = {"X_hat": _draw(rng, (7, 6), complex_), "D_hat": _draw(rng, (3, 4), complex_)}
+    if wings != "right":
+        inputs["left"] = _draw(rng, (7, 3), complex_)
+    if wings != "left":
+        inputs["right"] = _draw(rng, (4, 6), complex_)
+    if wings == "left":
+        inputs["D_hat"] = _draw(rng, (3, 6), complex_)
+    elif wings == "right":
+        inputs["D_hat"] = _draw(rng, (7, 4), complex_)
+    copies = {k: v.copy() for k, v in inputs.items()}
+    chain_link_solve(inputs.get("left"), inputs.get("right"), inputs["X_hat"],
+                     inputs["D_hat"], 0.8, 0.3)
+    _assert_untouched(inputs, copies)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_coupled_block_solve_leaves_inputs_untouched(complex_):
+    rng = np.random.default_rng(43)
+    inputs = {"X_hat": _draw(rng, (8, 7), complex_)}
+    for m in range(3):
+        inputs[f"left{m}"] = _draw(rng, (8, 3), complex_)
+        inputs[f"right{m}"] = _draw(rng, (4, 7), complex_)
+        inputs[f"D_hat{m}"] = _draw(rng, (3, 4), complex_)
+    copies = {k: v.copy() for k, v in inputs.items()}
+    D = solver._coupled_block_solve([inputs[f"left{m}"] for m in range(3)],
+                                    [inputs[f"right{m}"] for m in range(3)], inputs["X_hat"],
+                                    [inputs[f"D_hat{m}"] for m in range(3)], 0.9, 0.4)
+    _assert_untouched(inputs, copies)
+    assert len(D) == 3 and all(not np.shares_memory(Dm, inputs[f"D_hat{m}"])
+                               for m, Dm in enumerate(D))
+
+
+def test_graph_spectrum_is_read_only():
+    # every solve on a graph, and every worker thread of a sweep, shares its
+    # S, DD^T and their eigenpairs: an in-place write raises instead of
+    # corrupting the solves after it (test_graph_factorizations_run_once_per_graph
+    # runs a solve and a two-worker sweep over these read-only arrays)
+    Y, pattern, graph = _ring_problem()
+    S, (s, U), ddt, (d, Q) = graph.smoothness()
+    for arr in (S, s, U, ddt, d, Q, graph.L_sobolev):
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    copies = [a.copy() for a in (S, s, U, ddt, d, Q)]
+    X, iters = consistent_smooth_solve(Y, pattern, np.zeros_like(Y), Y, graph, 0.3, 1.0)
+    assert iters > 0 and np.all(np.isfinite(X))
+    assert all(np.array_equal(a, c) for a, c in zip((S, s, U, ddt, d, Q), copies))

@@ -2,8 +2,10 @@
 have and never stored as dense Kronecker systems: those live in
 tests/oracles.py, as the references the fast solves are checked against."""
 
+import ast
 import inspect
 import re
+import textwrap
 from pathlib import Path
 
 from mkimpute import solver
@@ -26,3 +28,17 @@ def test_x_update_factorizes_nothing():
         body = inspect.getsource(fn)
         for pattern in (r"\beigh\b", r"delta\s*@\s*\w*delta", r"abs\(.*\)\.sum\("):
             assert not re.search(pattern, body), f"{fn.__name__} matches {pattern!r}"
+
+
+def test_cg_step_masks_without_where():
+    # the free-entry mask is applied in place by a float 0/1 array: np.where
+    # would allocate a fresh array twice in every CG step
+    tree = ast.parse(textwrap.dedent(inspect.getsource(solver.consistent_smooth_solve)))
+    closures = [node for node in ast.walk(tree.body[0])
+                if isinstance(node, ast.FunctionDef) and node is not tree.body[0]]
+    assert {fn.name for fn in closures} == {"apply_op", "precond"}
+    pcg = ast.parse(textwrap.dedent(inspect.getsource(solver._pcg))).body[0]
+    for fn in [pcg, *closures]:
+        calls = [node for node in ast.walk(fn)
+                 if isinstance(node, ast.Attribute) and node.attr == "where"]
+        assert calls == [], f"{fn.name} calls np.where"
