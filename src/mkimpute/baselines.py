@@ -3,14 +3,13 @@ spatio-temporal smoothness term with the main engine.
 
 The multi-layer factorization is the engine itself in its mmf reduction.
 The kernel baselines are chains X ~ F_1 ... F_k of fixed kernels and free
-Tikhonov-regularized links, run under the same diminishing-step scheme:
+Tikhonov-regularized links, run on the engine's outer loop (solver.sca_loop):
 solve every free link from the current iterate with the engine's chain-link
 solve, extrapolate, repeat.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -24,10 +23,10 @@ from .sampling import SamplingPattern
 from .solver import (
     TVGS,
     SolveReport,
-    _check_finite,
     chain_link_solve,
+    consistency_residual,
     consistent_smooth_solve,
-    sca_step_schedule,
+    sca_loop,
     smoothness_penalty,
     solve_from_model,
 )
@@ -65,63 +64,48 @@ def mean_fill(Y, pattern: SamplingPattern):
 
 
 def _sca_baseline_loop(Y, pattern, graph, config: SolverConfig, links, tikhonov):
-    """Shared outer loop over a chain X ~ F_1 ... F_k given as (matrix, tau)
-    links: tau None marks a fixed kernel; a free link has proximal weight tau
+    """Chain X ~ F_1 ... F_k given as (matrix, tau) links on the shared SCA
+    loop: tau None marks a fixed kernel; a free link has proximal weight tau
     and Tikhonov weight ``tikhonov``.  Every free link is solved from the
-    current iterate, then all are extrapolated.  Returns
+    current iterate with the engine's chain-link solve.  Returns
     (X, free links, report)."""
-    mats = [mat for mat, _ in links]
     free = [i for i, (_, tau) in enumerate(links) if tau is not None]
     S_y = np.where(pattern.mask, Y, 0)
-    X = S_y
-    gamma = config.gamma0
-    report = SolveReport(problem=TVGS)
 
-    def objective(X_cur):
-        resid = X_cur - reduce(np.matmul, mats)
-        val = 0.5 * float(np.vdot(resid, resid).real)
-        val += 0.5 * tikhonov * sum(float(np.vdot(mats[i], mats[i]).real) for i in free)
-        if config.lambda_L > 0:
-            val += 0.5 * config.lambda_L * smoothness_penalty(X_cur, graph.L_sobolev, graph.delta)
-        return val
-
-    report.initial_objective = objective(X)
-    obj_prev = report.initial_objective
-    for n in range(config.outer_iters):
-        t0 = time.perf_counter()
-        _check_finite(X, "X", n + 1)
-        gamma = sca_step_schedule(gamma, config.zeta)
+    def best_response(state):
+        X, mats = state
         X_half, cg_iters = consistent_smooth_solve(
             Y, pattern, reduce(np.matmul, mats), X, graph, config.lambda_L, config.tau_X,
             config.cg_tol, config.cg_max,
         )
-        half = {}
+        half = list(mats)
         for i in free:
             tau = links[i][1]
             left = reduce(np.matmul, mats[:i]) if i > 0 else None
             right = reduce(np.matmul, mats[i + 1 :]) if i < len(mats) - 1 else None
             half[i] = chain_link_solve(left, right, X, mats[i], tikhonov + tau, tau)
-        X = gamma * X_half + (1.0 - gamma) * X
-        X = np.where(pattern.mask, S_y, X)
-        for i in free:
-            mats[i] = gamma * half[i] + (1.0 - gamma) * mats[i]
+        return (X_half, half), {"cg_iters": cg_iters}
 
-        obj = objective(X)
-        _check_finite(obj, "objective", n + 1)
-        report.objective.append(obj)
-        report.consistency.append(
-            float(np.max(np.abs(np.where(pattern.mask, X, 0) - S_y), initial=0.0))
-        )
-        report.affine_residual.append(0.0)
-        report.b_inner_iters.append(0)
-        report.b_residual.append(0.0)
-        report.cg_iters.append(cg_iters)
-        report.gammas.append(gamma)
-        report.seconds.append(time.perf_counter() - t0)
-        if abs(obj - obj_prev) / max(1.0, abs(obj_prev)) < config.tol_objective:
-            report.converged = True
-            break
-        obj_prev = obj
+    def combine(state, half, gamma):
+        (X, mats), (X_half, mats_half) = state, half
+        X = np.where(pattern.mask, S_y, gamma * X_half + (1.0 - gamma) * X)
+        return X, [gamma * mats_half[i] + (1.0 - gamma) * m if i in free else m
+                   for i, m in enumerate(mats)]
+
+    def objective(state):
+        X, mats = state
+        resid = X - reduce(np.matmul, mats)
+        val = 0.5 * float(np.vdot(resid, resid).real)
+        val += 0.5 * tikhonov * sum(float(np.vdot(mats[i], mats[i]).real) for i in free)
+        if config.lambda_L > 0:
+            val += 0.5 * config.lambda_L * smoothness_penalty(X, graph.L_sobolev, graph.delta)
+        return val
+
+    def residuals(state):
+        return consistency_residual(state[0], pattern, S_y), 0.0
+
+    (X, mats), report = sca_loop(TVGS, config, (S_y, [mat for mat, _ in links]),
+                                 best_response, combine, objective, residuals)
     return X, [mats[i] for i in free], report
 
 

@@ -313,6 +313,9 @@ def resolve_spec(raw: dict) -> dict:
     if spec["sampling"]["band"] != 0:  # the default 0 stays so old resolved specs validate
         raise InputError("sampling.band is not read: the fully sampled central band is "
                          f"navigator.upsilon rows wide, got band {spec['sampling']['band']}")
+    if problem == DMRI and spec["missing_only_metrics"]:  # false stays accepted
+        raise InputError("missing_only_metrics is not read for dmri: the k-space mask "
+                         "does not index the image's entries")
     for name, seed in (("base_seed", spec["base_seed"]), ("data.seed", spec["data"].get("seed"))):
         if isinstance(seed, int) and seed < 0:  # a csv source has no seed
             raise InputError(f"{name} must be non-negative, got {seed}")

@@ -6,10 +6,12 @@ with a diminishing step gamma_{n+1} = gamma_n (1 - zeta * gamma_n):
 
     O^(n+1) = gamma_{n+1} O^(n+1/2) + (1 - gamma_{n+1}) O^(n)
 
-Two problem flavors share the machinery: the graph-signal problem keeps
-observed matrix entries fixed and penalizes spatio-temporal roughness; the
-k-space problem keeps observed k-space entries fixed and penalizes the
-temporal spectrum of the image sequence.
+One loop, sca_loop, runs every model: the engine on both problems and the
+kernel-chain baselines supply their best responses, convex combination,
+objective and residuals.  Two problem flavors share the machinery: the
+graph-signal problem keeps observed matrix entries fixed and penalizes
+spatio-temporal roughness; the k-space problem keeps observed k-space
+entries fixed and penalizes the temporal spectrum of the image sequence.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ class IterateTuple:
     X: np.ndarray
     model: FactorModel
     Z: np.ndarray | None = None
-    gamma: float = 1.0
 
 
 def sca_extrapolate(current: IterateTuple, half: IterateTuple, gamma: float) -> IterateTuple:
@@ -66,7 +67,7 @@ def sca_extrapolate(current: IterateTuple, half: IterateTuple, gamma: float) -> 
     model = FactorModel(cur.dims, factors, list(cur.kernels),
                         list(map(mix, half.model.coeffs, cur.coeffs)), cur.mmf)
     Z = None if current.Z is None else mix(half.Z, current.Z)
-    return IterateTuple(X=mix(half.X, current.X), model=model, Z=Z, gamma=gamma)
+    return IterateTuple(X=mix(half.X, current.X), model=model, Z=Z)
 
 
 @dataclass
@@ -707,12 +708,6 @@ def full_objective(problem, X, model, config: SolverConfig, graph=None, Z=None):
 # outer loop
 # ---------------------------------------------------------------------------
 
-def _check_finite(arr, what, iteration):
-    if not np.all(np.isfinite(arr)):
-        raise SolverError(f"{what} became non-finite at outer iteration {iteration}",
-                          iteration=iteration)
-
-
 def affine_residual(model: FactorModel) -> float:
     """Worst deviation of a block's column sums from 1; 0 for the mmf
     reduction, which imposes no affine constraint."""
@@ -722,6 +717,56 @@ def affine_residual(model: FactorModel) -> float:
     for b in model.coeffs:
         worst = max(worst, float(np.max(np.abs(b.sum(axis=0) - 1.0))))
     return worst
+
+
+def consistency_residual(A, pattern, S_y) -> float:
+    """Worst deviation of A from the observations S_y on the mask."""
+    return float(np.max(np.abs(np.where(pattern.mask, A, 0) - S_y), initial=0.0))
+
+
+def sca_loop(problem, config: SolverConfig, state, best_response, combine, objective,
+             residuals):
+    """The SCA outer loop every model runs.  Iteration n takes the best
+    responses ``best_response(state) -> (half, stats)``, all conditioned on
+    the current point, and moves to ``combine(state, half, gamma_n)``, gamma_n
+    from sca_step_schedule.  It records ``objective(state)``, ``residuals(state)
+    -> (consistency, affine residual)`` and the stats: ``cg_iters``,
+    ``b_inner_iters`` and ``b_residual`` (0 if absent) and a ``warning``.  The
+    loop stops after config.outer_iters iterations or once the relative
+    objective change is below config.tol_objective.  A non-finite objective
+    raises SolverError, at iteration 1 for the starting point.  Returns
+    (state, report)."""
+    def finite(obj, n):
+        if not math.isfinite(obj):
+            raise SolverError(f"objective became non-finite at outer iteration {n}",
+                              iteration=n)
+        return obj
+
+    report = SolveReport(problem=problem)
+    report.initial_objective = obj_prev = finite(objective(state), 1)
+    gamma = config.gamma0
+    for n in range(1, config.outer_iters + 1):
+        t0 = time.perf_counter()
+        gamma = sca_step_schedule(gamma, config.zeta)
+        half, stats = best_response(state)
+        if "warning" in stats:
+            report.warnings.append(f"iter {n}: {stats['warning']}")
+        state = combine(state, half, gamma)
+        obj = finite(objective(state), n)
+        cons, affine = residuals(state)
+        report.objective.append(obj)
+        report.consistency.append(cons)
+        report.affine_residual.append(affine)
+        report.b_inner_iters.append(stats.get("b_inner_iters", 0))
+        report.b_residual.append(stats.get("b_residual", 0.0))
+        report.cg_iters.append(stats.get("cg_iters", 0))
+        report.gammas.append(gamma)
+        report.seconds.append(time.perf_counter() - t0)
+        if abs(obj - obj_prev) / max(1.0, abs(obj_prev)) < config.tol_objective:
+            report.converged = True
+            break
+        obj_prev = obj
+    return state, report
 
 
 def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
@@ -741,28 +786,20 @@ def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
             raise InputError("k-space problem needs (I1, I2, I3) dims")
 
     S_y = np.where(pattern.mask, Y, 0)
-    if problem == TVGS:
-        X = S_y.astype(np.result_type(S_y.dtype, model0.coeffs[0].dtype))
-        Z = None
-    else:
-        X = ifft2_frames(S_y, frame_dims[0], frame_dims[1])
-        Z = dft_temporal(X)
-    model = model0  # every iteration builds a new model; model0 is never written
-    report = SolveReport(problem=problem)
-    report.initial_objective = full_objective(problem, X, model, config, graph=graph, Z=Z)
-    gamma = config.gamma0
     lam_tik = config.lambda2 if problem == TVGS else config.lambda4
-    obj_prev = report.initial_objective
 
-    for n in range(config.outer_iters):
-        t0 = time.perf_counter()
-        _check_finite(X, "X", n + 1)
-        gamma = sca_step_schedule(gamma, config.zeta)
-
-        # half iterates, all conditioned on the current tuple
-        cg_iters = 0
+    def start():
         if problem == TVGS:
-            X_half, cg_iters = tvgs_update_X(
+            return IterateTuple(X=S_y.astype(np.result_type(S_y.dtype, model0.coeffs[0].dtype)),
+                                model=model0)
+        X = ifft2_frames(S_y, frame_dims[0], frame_dims[1])
+        return IterateTuple(X=X, model=model0, Z=dft_temporal(X))
+
+    def best_response(it):
+        X, model, Z = it.X, it.model, it.Z
+        stats = {}
+        if problem == TVGS:
+            X_half, stats["cg_iters"] = tvgs_update_X(
                 Y, pattern, model, X, graph, config.lambda_L, config.tau_X,
                 config.cg_tol, config.cg_max,
             )
@@ -776,55 +813,40 @@ def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
                     for q in range(model.dims.depth)]
         if model.mmf:
             coeffs = update_B_ridge(X, model, lam_tik, config.tau_B)
-            b_iters, b_res = 0, 0.0
         else:
             coeffs, b_stats = update_B(X, model, config.lambda1, config.tau_B,
                                        config.inner_tol, config.inner_max)
-            b_iters, b_res = b_stats["iterations"], b_stats["residual"]
+            b_iters = stats["b_inner_iters"] = b_stats["iterations"]
+            b_res = stats["b_residual"] = b_stats["residual"]
             if not b_stats["converged"]:
                 how = ("hit the cap of" if b_iters == config.inner_max
                        else "stalled in roundoff after")
-                report.warnings.append(
-                    f"iter {n + 1}: B inner solve {how} {b_iters} Newton steps "
-                    f"at residual {b_res:.3e}"
-                )
-
+                stats["warning"] = (f"B inner solve {how} {b_iters} Newton steps "
+                                    f"at residual {b_res:.3e}")
         half = FactorModel(model.dims, [list(row) for row in zip(*by_layer)],
                            model.kernels, coeffs, model.mmf)
-        nxt = sca_extrapolate(
-            IterateTuple(X=X, model=model, Z=Z),
-            IterateTuple(X=X_half, model=half, Z=Z_half),
-            gamma,
-        )
-        X, model, Z = nxt.X, nxt.model, nxt.Z
+        return IterateTuple(X=X_half, model=half, Z=Z_half), stats
+
+    def combine(it, half, gamma):
+        nxt = sca_extrapolate(it, half, gamma)
         if problem == TVGS:
             # the convex combination fixes observed entries in exact arithmetic;
             # re-pin them to keep the residual identically zero in floats
-            X = np.where(pattern.mask, S_y, X)
+            nxt.X = np.where(pattern.mask, S_y, nxt.X)
+        return nxt
 
-        obj = full_objective(problem, X, model, config, graph=graph, Z=Z)
-        _check_finite(obj, "objective", n + 1)
-        if problem == TVGS:
-            cons = float(np.max(np.abs(np.where(pattern.mask, X, 0) - S_y), initial=0.0))
-        else:
-            K = fft2_frames(X, frame_dims[0], frame_dims[1])
-            cons = float(np.max(np.abs(np.where(pattern.mask, K, 0) - S_y), initial=0.0))
+    def objective(it):
+        return full_objective(problem, it.X, it.model, config, graph=graph, Z=it.Z)
 
-        report.objective.append(obj)
-        report.consistency.append(cons)
-        report.affine_residual.append(affine_residual(model))
-        report.b_inner_iters.append(b_iters)
-        report.b_residual.append(b_res)
-        report.cg_iters.append(cg_iters)
-        report.gammas.append(gamma)
-        report.seconds.append(time.perf_counter() - t0)
+    def residuals(it):
+        K = it.X if problem == TVGS else fft2_frames(it.X, frame_dims[0], frame_dims[1])
+        return consistency_residual(K, pattern, S_y), affine_residual(it.model)
 
-        if abs(obj - obj_prev) / max(1.0, abs(obj_prev)) < config.tol_objective:
-            report.converged = True
-            break
-        obj_prev = obj
-
-    return X, model, report
+    # built in the call, so the loop's state is the only reference to the
+    # starting iterate; every iteration builds a new model, model0 is never written
+    it, report = sca_loop(problem, config, start(), best_response, combine, objective,
+                          residuals)
+    return it.X, it.model, report
 
 
 def solve(problem, Y, pattern: SamplingPattern, operators, landmarks: LandmarkSet,

@@ -121,6 +121,9 @@ def test_validate_wrongly_typed_value_is_one_json_line(tmp_path, capsys):
     ({"kernels": [{"kind": "polynomial"}]}, "degree"),
     ({"data": {"source": "synthetic", "seed": -1}}, "seed"),
     ({"sampling": {"band": 4}}, "navigator.upsilon"),
+    ({"problem": "dmri", "data": {"source": "phantom"},
+      "sampling": {"kind": "radial", "ratios": [4.0]}, "missing_only_metrics": True},
+     "missing_only_metrics"),
 ])
 def test_validate_and_run_reject_specs_that_fail_every_cell(tmp_path, capsys, fields, key):
     spec_path = tmp_path / "spec.json"

@@ -336,10 +336,21 @@ def test_load_tvgs_csv_non_finite_names_line(tmp_path, cell):
     ({"sampling": {"band": 2}}, "navigator.upsilon"),
     ({"problem": "dmri", "data": {"source": "phantom"},
       "sampling": {"kind": "radial", "ratios": [4.0], "band": 4}}, "navigator.upsilon"),
+    ({"problem": "dmri", "data": {"source": "phantom"},
+      "sampling": {"kind": "radial", "ratios": [4.0]}, "missing_only_metrics": True},
+     "missing_only_metrics"),
 ])
 def test_resolve_spec_rejects_fields_that_fail_every_cell(fields, match):
     with pytest.raises(InputError, match=match):
         resolve_spec({"problem": "tvgs", **fields})
+
+
+def test_resolve_spec_reads_missing_only_metrics_on_tvgs_alone():
+    # the k-space mask does not index image entries, so dmri takes only false
+    dmri = {"problem": "dmri", "data": {"source": "phantom"}, "methods": ["zero-fill"],
+            "sampling": {"kind": "radial", "ratios": [4.0]}}
+    assert resolve_spec({**dmri, "missing_only_metrics": False})["missing_only_metrics"] is False
+    assert resolve_spec({"problem": "tvgs", "missing_only_metrics": True})["missing_only_metrics"]
 
 
 SMALL_SYNTHETIC = {"source": "synthetic", "nodes": 12, "times": 16}

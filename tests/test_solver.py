@@ -1172,6 +1172,33 @@ def test_report_csv_schema(tmp_path):
     assert len(lines) == 1 + report.iterations
 
 
+@pytest.mark.parametrize("method", ["engine", "mmf", "nbp", "krg", "kgl"])
+def test_every_model_stops_at_the_first_small_objective_change(method):
+    # the shared outer loop owns the stop: every model ends at the first
+    # iteration whose relative objective change falls below tol_objective
+    from mkimpute.baselines import BaselineSpec, run_baseline
+    from mkimpute.kernels import gaussian_spec
+    Y, pattern, graph = _ring_problem(seed=0)
+    config = SolverConfig(lambda1=1e-3, lambda2=1e-2, lambda_L=0.05, outer_iters=40,
+                          tol_objective=0.05, seed=0)
+    if method == "engine":
+        _, _, report = solve(TVGS, Y, pattern, graph, _landmarks_from(Y, pattern, 6),
+                             [gaussian_spec(1.0)], ModelDims(12, 20, 6, 1, 2, (3,)), config)
+    else:
+        spec = BaselineSpec(kind=method, rank=2, kernel_row=gaussian_spec(2.0),
+                            kernel_col=gaussian_spec(2.0))
+        _, report = run_baseline(spec, Y, pattern, graph, config)
+    assert report.converged and 1 < report.iterations < config.outer_iters
+    columns = (report.objective, report.consistency, report.affine_residual,
+               report.b_inner_iters, report.b_residual, report.cg_iters, report.gammas,
+               report.seconds)
+    assert {len(column) for column in columns} == {report.iterations}
+    objs = [report.initial_objective, *report.objective]
+    holds = [abs(b - a) / max(1.0, abs(a)) < config.tol_objective
+             for a, b in zip(objs, objs[1:])]
+    assert holds[-1] and not any(holds[:-1])
+
+
 def test_x_update_cg_rejects_nan_residual():
     from mkimpute.errors import SolverError
     rng = np.random.default_rng(32)

@@ -42,3 +42,35 @@ def test_cg_step_masks_without_where():
         calls = [node for node in ast.walk(fn)
                  if isinstance(node, ast.Attribute) and node.attr == "where"]
         assert calls == [], f"{fn.name} calls np.where"
+
+
+def _named(func):
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _owned_nodes(node, owner):
+    """(innermost enclosing function, node) for every node below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = owner
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{owner}.{child.name}"
+        yield inner, child
+        yield from _owned_nodes(child, inner)
+
+
+def test_one_sca_outer_loop():
+    # the step schedule and the loop over the outer iterations live in
+    # solver.sca_loop alone; every model only supplies its best responses,
+    # its convex combination, its objective and its residuals
+    schedules, outer_loops = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        for owner, node in _owned_nodes(ast.parse(path.read_text()), path.stem):
+            if isinstance(node, ast.Call) and _named(node.func) == "sca_step_schedule":
+                schedules.append(owner)
+            if (isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+                    and _named(node.iter.func) == "range"
+                    and any(isinstance(sub, ast.Attribute) and sub.attr == "outer_iters"
+                            for sub in ast.walk(node.iter))):
+                outer_loops.append(owner)
+    assert schedules == ["solver.sca_loop"], f"sca_step_schedule called in {schedules}"
+    assert outer_loops == ["solver.sca_loop"], f"outer iterations looped in {outer_loops}"
