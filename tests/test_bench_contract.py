@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mkimpute.model import ModelDims, init_factors
-from mkimpute.solver import update_B
+from mkimpute.graphs import build_graph_operators
+from mkimpute.model import ModelDims, init_factors, predict
+from mkimpute.sampling import sample_p1
+from mkimpute.solver import tvgs_update_X, update_B
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -42,3 +44,19 @@ def test_traced_counters_read_update_b_stats():
     tracing._count_results(tracer, "solver.update_B", result)
     assert tracer.counters == {"solver.b_inner_iters": result[1]["iterations"],
                                "solver.b_cap_hits": 0}
+
+
+def test_traced_counters_read_the_x_update_cg_steps():
+    # the traced run counts CG steps from tvgs_update_X's second result, called
+    # as the engine calls it: with the model's prediction as its target
+    tracing = _tracing_module()
+    rng = np.random.default_rng(0)
+    model = init_factors(ModelDims(6, 5, 3, 1, 2, (2,)), 0, np.float64)
+    Y = rng.standard_normal((6, 5))
+    graph = build_graph_operators(rng.random((2, 6)), 2, 0.3, 1.0, 5)
+    result = tvgs_update_X(Y, sample_p1(6, 5, 0.4, seed=0), predict(model), np.zeros((6, 5)),
+                           graph, 0.5, 1.0)
+    tracer = tracing.Tracer()
+    tracing._count_results(tracer, "solver.update_X", result)
+    assert result[1] > 0
+    assert tracer.counters == {"solver.cg_iters": result[1]}

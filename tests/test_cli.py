@@ -124,6 +124,14 @@ def test_validate_wrongly_typed_value_is_one_json_line(tmp_path, capsys):
     ({"problem": "dmri", "data": {"source": "phantom"},
       "sampling": {"kind": "radial", "ratios": [4.0]}, "missing_only_metrics": True},
      "missing_only_metrics"),
+    ({"problem": "dmri", "data": {"source": "phantom", "i1": 16, "i2": 16, "i3": 8},
+      "sampling": {"kind": "radial", "ratios": [4.0]}, "landmarks": {"count": 4}},
+     "solver.lambda2"),
+    ({"solver": {"seed": 5}}, "base_seed"),
+    ({"graph": {"eps": 0.0}}, "graph.eps"),
+    ({"problem": "dmri", "data": {"source": "phantom", "i1": 16, "i2": 16, "i3": 8},
+      "sampling": {"kind": "cartesian", "ratios": [4.0]}, "navigator": {"upsilon": 6},
+      "landmarks": {"count": 4}, "solver": {"lambda2": 2.0}}, "navigator.upsilon"),
 ])
 def test_validate_and_run_reject_specs_that_fail_every_cell(tmp_path, capsys, fields, key):
     spec_path = tmp_path / "spec.json"

@@ -288,8 +288,8 @@ def test_resolve_spec_accepts_numbers_and_null_where_defaults_allow():
 
 
 def test_resolve_spec_accepts_every_solver_field():
-    resolved = resolve_spec({"problem": "tvgs", "solver": {"lambda1": 0.1, "seed": 2}})
-    assert resolved["solver"] == {"lambda1": 0.1, "seed": 2}
+    resolved = resolve_spec({"problem": "tvgs", "solver": {"lambda1": 0.1, "seed": 0}})
+    assert resolved["solver"] == {"lambda1": 0.1, "seed": 0}
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
@@ -339,6 +339,22 @@ def test_load_tvgs_csv_non_finite_names_line(tmp_path, cell):
     ({"problem": "dmri", "data": {"source": "phantom"},
       "sampling": {"kind": "radial", "ratios": [4.0]}, "missing_only_metrics": True},
      "missing_only_metrics"),
+    ({"problem": "dmri", "data": {"source": "phantom"}, "landmarks": {"count": 4},
+      "sampling": {"kind": "radial", "ratios": [4.0]}}, "solver.lambda2"),
+    ({"solver": {"seed": 5}}, "base_seed"),
+    ({"graph": {"k": 0}}, "graph.k"),
+    ({"data": {"source": "synthetic", "nodes": 12}, "graph": {"k": 12}}, "graph.k"),
+    ({"graph": {"eps": 0.0}}, "graph.eps"),
+    ({"graph": {"beta": -1.0}}, "graph.beta"),
+    ({"problem": "dmri", "data": {"source": "phantom", "i1": 16, "i2": 16, "i3": 8},
+      "sampling": {"kind": "cartesian", "ratios": [2.0, 4.0]}, "navigator": {"upsilon": 6},
+      "landmarks": {"count": 4}, "solver": {"lambda2": 2.0}}, "navigator.upsilon"),
+    ({"problem": "dmri", "data": {"source": "phantom", "i1": 16, "i2": 16, "i3": 8},
+      "sampling": {"kind": "radial", "ratios": [4.0]}, "navigator": {"upsilon": 17},
+      "methods": ["zero-fill"]}, "navigator.upsilon"),
+    ({"problem": "dmri", "data": {"source": "phantom"},
+      "sampling": {"kind": "radial", "ratios": [4.0]}, "navigator": {"upsilon": 0},
+      "landmarks": {"count": 4}, "solver": {"lambda2": 2.0}}, "navigator.upsilon"),
 ])
 def test_resolve_spec_rejects_fields_that_fail_every_cell(fields, match):
     with pytest.raises(InputError, match=match):
@@ -378,7 +394,7 @@ def test_resolve_spec_rejects_sizes_that_fail_at_run_time(fields, match):
     ({"navigator": {"mode": "nav3", "delta_t": 3}}, 12 * 10),
     ({"navigator": {"mode": "nav4", "delta_t": 3}}, 10),
     ({"problem": "dmri", "data": {"source": "phantom", "i3": 8},
-      "sampling": {"kind": "radial", "ratios": [4.0]}}, 8),
+      "sampling": {"kind": "radial", "ratios": [4.0]}, "solver": {"lambda2": 2.0}}, 8),
 ])
 def test_resolve_spec_bounds_landmarks_by_the_navigator_count(fields, n_nav):
     spec = {"problem": "tvgs", "data": SMALL_SYNTHETIC, **fields}
@@ -388,6 +404,20 @@ def test_resolve_spec_bounds_landmarks_by_the_navigator_count(fields, n_nav):
     # only the engine uses landmarks
     methods = ["zero-fill"] if spec["problem"] == "dmri" else ["mmf", "zero-fill"]
     assert resolve_spec({**spec, "methods": methods, "landmarks": {"count": n_nav + 1}})
+
+
+def test_resolve_spec_accepts_the_widest_band_and_the_densest_graph():
+    dmri = {"problem": "dmri", "data": {"source": "phantom", "i1": 16, "i2": 16, "i3": 8},
+            "landmarks": {"count": 4}, "solver": {"lambda2": 2.0}}
+    cartesian = {"kind": "cartesian", "ratios": [2.0, 4.0]}  # 4 rows a frame at a = 4
+    assert resolve_spec({**dmri, "sampling": cartesian, "navigator": {"upsilon": 4}})
+    radial = {"kind": "radial", "ratios": [4.0]}
+    assert resolve_spec({**dmri, "sampling": radial, "navigator": {"upsilon": 16}})
+    # without the engine neither the band nor lambda2 is needed
+    assert resolve_spec({**dmri, "sampling": radial, "navigator": {"upsilon": 0},
+                         "methods": ["zero-fill"], "solver": {}})
+    assert resolve_spec({"problem": "tvgs", "data": SMALL_SYNTHETIC, "landmarks": {"count": 4},
+                         "graph": {"k": 11}})
 
 
 def test_resolve_spec_bounds_the_nbp_rank_only_when_nbp_runs():

@@ -182,7 +182,7 @@ def test_mmf_objective_matches_reduced_engine_objective():
     coords = rng.random((2, 6))
     graph = build_graph_operators(coords, 2, 0.1, 1.0, 7)
     cfg = SolverConfig(lambda1=0.0, lambda2=0.3, lambda_L=0.2)
-    obj_mmf = full_objective(TVGS, X, reduced, cfg, graph=graph)
+    obj_mmf = full_objective(TVGS, X, reduced, predict(reduced), cfg, graph=graph)
     resid = X - predict(reduced)
     manual = 0.5 * np.sum(resid**2)
     manual += 0.5 * 0.3 * sum(np.sum(d**2) for d in reduced.factors[0])

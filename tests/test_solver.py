@@ -118,7 +118,7 @@ def test_x_update_no_smoothing_is_diagonal():
     pattern = sample_p1(5, 6, 0.4, seed=1)
     X_prev = rng.standard_normal((5, 6))
     graph = _graph(5, 6)
-    X, iters = tvgs_update_X(Y, pattern, model, X_prev, graph, 0.0, 0.5)
+    X, iters = tvgs_update_X(Y, pattern, predict(model), X_prev, graph, 0.0, 0.5)
     assert iters == 0
     target = predict(model)
     free = ~pattern.mask
@@ -133,7 +133,7 @@ def test_x_update_full_sampling_returns_data():
     Y = rng.standard_normal((4, 4))
     pattern = sample_p1(4, 4, 1.0, seed=0)
     graph = _graph(4, 4)
-    X, _ = tvgs_update_X(Y, pattern, model, np.zeros((4, 4)), graph, 0.7, 1.0)
+    X, _ = tvgs_update_X(Y, pattern, predict(model), np.zeros((4, 4)), graph, 0.7, 1.0)
     assert np.array_equal(X, Y)
 
 
@@ -146,7 +146,7 @@ def test_x_update_matches_dense_oracle():
         pattern = sample_p1(5, 4, 0.4, seed=seed)
         X_prev = rng.standard_normal((5, 4))
         graph = _graph(5, 4, seed=seed)
-        X, _ = tvgs_update_X(Y, pattern, model, X_prev, graph, 0.8, 0.6,
+        X, _ = tvgs_update_X(Y, pattern, predict(model), X_prev, graph, 0.8, 0.6,
                              cg_tol=1e-13, cg_max=5000)
         ref = dense_x_oracle(Y, pattern.mask, predict(model), X_prev,
                              graph.L_sobolev, graph.delta, 0.8, 0.6)
@@ -192,7 +192,7 @@ def test_x_update_observed_entries_pinned():
     Y = rng.standard_normal((6, 5))
     pattern = sample_p1(6, 5, 0.5, seed=2)
     graph = _graph(6, 5, seed=3)
-    X, _ = tvgs_update_X(Y, pattern, model, np.zeros((6, 5)), graph, 1.2, 0.4)
+    X, _ = tvgs_update_X(Y, pattern, predict(model), np.zeros((6, 5)), graph, 1.2, 0.4)
     assert np.array_equal(X[pattern.mask], Y[pattern.mask])
 
 
@@ -581,7 +581,8 @@ def test_soft_threshold_values():
 def test_z_update_identity_when_unregularized():
     rng = np.random.default_rng(11)
     X = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
-    Z = dmri_update_Z(X, np.zeros_like(X), lambda2=1.0, lambda3=0.0, tau_Z=0.0 + 1e-300)
+    Z = dmri_update_Z(dft_temporal(X), np.zeros_like(X), lambda2=1.0, lambda3=0.0,
+                      tau_Z=0.0 + 1e-300)
     assert np.allclose(Z, dft_temporal(X))
 
 
@@ -589,14 +590,14 @@ def test_z_update_rules_agree_when_tau_zero():
     rng = np.random.default_rng(12)
     X = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
     Zp = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-    a = dmri_update_Z(X, Zp, 2.0, 0.5, 1e-300, rule="ratio")
-    b = dmri_update_Z(X, Zp, 2.0, 0.5, 1e-300, rule="prox")
+    a = dmri_update_Z(dft_temporal(X), Zp, 2.0, 0.5, 1e-300, rule="ratio")
+    b = dmri_update_Z(dft_temporal(X), Zp, 2.0, 0.5, 1e-300, rule="prox")
     assert np.allclose(a, b, atol=1e-10)
 
 
 def test_z_update_requires_lambda2():
     with pytest.raises(InputError):
-        dmri_update_Z(np.zeros((2, 2)), np.zeros((2, 2)), 0.0, 1.0, 1.0)
+        dmri_update_Z(dft_temporal(np.zeros((2, 2))), np.zeros((2, 2)), 0.0, 1.0, 1.0)
 
 
 def test_z_update_prox_rule_is_exact_prox():
@@ -606,7 +607,7 @@ def test_z_update_prox_rule_is_exact_prox():
     X = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
     Zp = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
     lam2, lam3, tau = 1.5, 0.7, 0.9
-    Z = dmri_update_Z(X, Zp, lam2, lam3, tau, rule="prox")
+    Z = dmri_update_Z(dft_temporal(X), Zp, lam2, lam3, tau, rule="prox")
 
     def obj(Zc):
         return (0.5 * lam2 * np.linalg.norm(Zc - dft_temporal(X)) ** 2
@@ -629,7 +630,7 @@ def test_dmri_x_full_sampling():
     mask = np.ones((16, 3), dtype=bool)
     pattern = SamplingPattern(mask, "cartesian-1d", 1.0, 0)
     Z = dft_temporal(ifft2_frames(Y, i1, i2))
-    X = dmri_update_X(Y, pattern, model, np.zeros((16, 3), complex), Z, 0.5, 0.5,
+    X = dmri_update_X(Y, pattern, predict(model), np.zeros((16, 3), complex), Z, 0.5, 0.5,
                       (i1, i2, i3))
     assert np.allclose(X, ifft2_frames(Y, i1, i2), atol=1e-12)
 
@@ -643,7 +644,7 @@ def test_dmri_x_quarter_is_target_when_unweighted():
     Y = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
     mask = np.zeros((16, 3), dtype=bool)  # nothing observed: pure quarter step
     pattern = SamplingPattern(mask, "cartesian-1d", 1.0, 0)
-    X = dmri_update_X(Y, pattern, model, np.zeros((16, 3), complex),
+    X = dmri_update_X(Y, pattern, predict(model), np.zeros((16, 3), complex),
                       np.zeros((16, 3), complex), 0.0, 0.0, (i1, i2, i3))
     assert np.allclose(X, predict(model), atol=1e-10)
 
@@ -659,7 +660,7 @@ def test_dmri_x_matches_dense_oracle():
         pattern = SamplingPattern(rng.random((16, 3)) < 0.4, "cartesian-1d", 1.0, 0)
         X_prev = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
         Z_hat = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
-        X = dmri_update_X(Y, pattern, model, X_prev, Z_hat, 0.8, 0.6, (i1, i2, i3))
+        X = dmri_update_X(Y, pattern, predict(model), X_prev, Z_hat, 0.8, 0.6, (i1, i2, i3))
         ref = dense_dmri_x_oracle(Y, pattern.mask, predict(model), X_prev, Z_hat,
                                   0.8, 0.6, (i1, i2, i3))
         assert _rel(X, ref) < 1e-8
@@ -941,7 +942,7 @@ def test_solve_surrogate_optimality_half_iterates():
 
     from mkimpute.solver import update_B as ub, update_factor as uf
     # X sub-task
-    X_half, _ = tvgs_update_X(Y, pattern, model, X, graph, config.lambda_L,
+    X_half, _ = tvgs_update_X(Y, pattern, predict(model), X, graph, config.lambda_L,
                               config.tau_X, cg_tol=1e-12, cg_max=5000)
     ddt = graph.delta @ graph.delta.T
 
@@ -1023,7 +1024,7 @@ def test_x_update_cg_cap_raises_with_residual():
     pattern = sample_p1(8, 8, 0.3, seed=30)
     graph = _graph(8, 8, seed=30)
     with pytest.raises(SolverError) as err:
-        tvgs_update_X(Y, pattern, model, np.zeros((8, 8)), graph, 5.0, 0.5,
+        tvgs_update_X(Y, pattern, predict(model), np.zeros((8, 8)), graph, 5.0, 0.5,
                       cg_tol=1e-14, cg_max=1)
     assert err.value.residual is not None and err.value.residual > 1e-14
 
@@ -1197,6 +1198,61 @@ def test_every_model_stops_at_the_first_small_objective_change(method):
     holds = [abs(b - a) / max(1.0, abs(a)) < config.tol_objective
              for a, b in zip(objs, objs[1:])]
     assert holds[-1] and not any(holds[:-1])
+
+
+def _count_calls(monkeypatch, name):
+    """The calls made through the solver module's binding of ``name``."""
+    calls = []
+    fn = getattr(solver, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(solver, name, counting)
+    return calls
+
+
+def _small_dmri_problem():
+    from mkimpute.kernels import median_distance_gaussian
+    from mkimpute.mri import make_phantom
+    from mkimpute.navigators import form_navigators_dmri
+    from mkimpute.sampling import radial_mask, with_band
+
+    ds = make_phantom(16, 16, 8)
+    pattern = with_band(radial_mask(16, 16, 8, accel=4.0, seed=0), 16, 16, 2)
+    Yn = ds.kspace / np.abs(np.where(pattern.mask, ds.kspace, 0)).max()
+    lmk = select_landmarks(form_navigators_dmri(np.where(pattern.mask, Yn, 0), pattern,
+                                                16, 16, 2), 6, "maxmin", 0)
+    return Yn, pattern, (16, 16, 8), lmk, [median_distance_gaussian(lmk.points)]
+
+
+@pytest.mark.parametrize("method", ["tvgs", "dmri", "mmf"])
+def test_each_iterate_is_evaluated_once(monkeypatch, method):
+    # one predict per iterate, which the objective and the next X update
+    # share, plus, for solve, the one it scales the initial factors by; on
+    # k-space one temporal spectrum per iterate, shared by the objective and
+    # the next Z update, plus the starting Z
+    from mkimpute.baselines import mmf_solve
+    from mkimpute.kernels import gaussian_spec
+    config = SolverConfig(lambda1=1e-3, lambda2=2.0, lambda_L=0.05, tau_Z=0.05,
+                          outer_iters=4, tol_objective=0.0, seed=0)
+    predicts = _count_calls(monkeypatch, "predict")
+    spectra = _count_calls(monkeypatch, "dft_temporal")
+    if method == "dmri":
+        Y, pattern, frame_dims, lmk, specs = _small_dmri_problem()
+        _, _, report = solve(DMRI, Y, pattern, frame_dims, lmk, specs,
+                             ModelDims(256, 8, 6, 1, 2, (3,)), config)
+    else:
+        Y, pattern, graph = _ring_problem()
+        if method == "tvgs":
+            _, _, report = solve(TVGS, Y, pattern, graph, _landmarks_from(Y, pattern, 6),
+                                 [gaussian_spec(1.0)], ModelDims(12, 20, 6, 1, 2, (3,)), config)
+        else:
+            _, _, report = mmf_solve(Y, pattern, graph, 2, 2, config)
+    assert report.iterations == config.outer_iters
+    assert len(predicts) == config.outer_iters + (1 if method == "mmf" else 2)
+    assert len(spectra) <= config.outer_iters + 2
 
 
 def test_x_update_cg_rejects_nan_residual():
