@@ -6,7 +6,7 @@ from .graphs import GraphOperators, build_graph_operators
 from .kernels import KernelSpec, build_kernel_matrix
 from .model import FactorModel, ModelDims, SolverConfig, count_unknowns, init_factors, predict
 from .navigators import LandmarkSet, NavigatorSet, form_navigators_dmri, form_navigators_tvgs, select_landmarks
-from .sampling import SamplingPattern, apply_sampling, complement
+from .sampling import SamplingPattern, apply_sampling
 from .solver import DMRI, TVGS, SolveReport, solve, solve_from_model
 
 __all__ = [
@@ -15,7 +15,7 @@ __all__ = [
     "KernelSpec", "build_kernel_matrix",
     "FactorModel", "ModelDims", "SolverConfig", "count_unknowns", "init_factors", "predict",
     "LandmarkSet", "NavigatorSet", "form_navigators_dmri", "form_navigators_tvgs", "select_landmarks",
-    "SamplingPattern", "apply_sampling", "complement",
+    "SamplingPattern", "apply_sampling",
     "DMRI", "TVGS", "SolveReport", "solve", "solve_from_model",
 ]
 

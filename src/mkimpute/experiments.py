@@ -81,6 +81,8 @@ _SYNTH_DEFAULTS = {"source": "synthetic", "nodes": 50, "times": 80, "modes": 3,
                    "knn": 5, "seed": 7, "offset": 3.0}
 _PHANTOM_DEFAULTS = {"source": "phantom", "i1": 32, "i2": 32, "i3": 16,
                      "period": None, "noise_snr_db": None, "seed": 0}
+_DATA_KEYS = {"synthetic": _SYNTH_DEFAULTS, "phantom": _PHANTOM_DEFAULTS,
+              "csv": ("source", "data_path", "coords_path")}
 
 # A spec value must have its default's type, except in the fields below (per
 # block, "spec" for the top level), which take a value of the first entry's
@@ -182,6 +184,12 @@ def _kind_ok(value, example) -> bool:
     return isinstance(value, type(example))
 
 
+def _check_keys(block: dict, allowed, name: str) -> None:
+    unknown = [key for key in block if key not in allowed]
+    if unknown:
+        raise InputError(f"unknown key {unknown[0]!r} in the {name!r} block")
+
+
 def _check_kinds(block: dict, defaults: dict, name: str) -> None:
     """InputError naming block and key for a value its field does not take."""
     for key, value in block.items():
@@ -252,9 +260,7 @@ def resolve_spec(raw: dict) -> dict:
                 raise InputError(f"spec field {key!r} must be an object")
             if key != "data":  # data keys depend on the source, checked below
                 schema = _SOLVER_DEFAULTS if key == "solver" else spec[key]
-                unknown = [sub for sub in val if sub not in schema]
-                if unknown:
-                    raise InputError(f"unknown key {unknown[0]!r} in the {key!r} block")
+                _check_keys(val, schema, key)
                 _check_kinds(val, schema, key)
             spec[key].update(val)
         else:
@@ -298,6 +304,7 @@ def resolve_spec(raw: dict) -> dict:
         for a in spec["sampling"]["ratios"]:
             if not a >= 1.0:
                 raise InputError(f"acceleration {a} must be >= 1")
+    _check_keys(data, _DATA_KEYS[src], "data")
     if spec["metrics"] is None:
         # percentage error is meaningless against near-zero image magnitudes
         spec["metrics"] = (["mae", "rmse", "mape", "nrmse"] if problem == TVGS
@@ -346,7 +353,10 @@ def resolve_spec(raw: dict) -> dict:
         else:
             nodes, times = spec["data"]["nodes"], spec["data"]["times"]
             windows = times - 2 * nav["delta_t"]
-            n_nav = {"nav1": times, "nav2": nodes, "nav3": nodes * windows,
+            snapshots = times
+            if spec["sampling"]["kind"] == "p2":  # nav1 sees only the sampled snapshots
+                snapshots = math.ceil(times * min(spec["sampling"]["ratios"], default=1.0))
+            n_nav = {"nav1": snapshots, "nav2": nodes, "nav3": nodes * windows,
                      "nav4": windows}[nav["mode"]]
             if "nbp" in spec["methods"] and spec["baseline"]["rank"] > min(nodes, times):
                 raise InputError(f"baseline.rank must be at most min(data.nodes, data.times) "
@@ -427,13 +437,13 @@ def _warning_lines(method, ratio, repeat, report):
     return [f"method={method} ratio={ratio} repeat={repeat}: {w}" for w in report.warnings]
 
 
-def _error_line(ratio, repeat, exc):
-    """One line naming the failed cell, the exception type and, for a solver
-    that stalled, where it stopped."""
+def _error_message(exc):
+    """The exception type and message and, for a solver that stalled, where
+    it stopped."""
     message = f"{type(exc).__name__}: {exc}"
     if isinstance(exc, SolverError):
         message += f" (iteration={exc.iteration}, residual={exc.residual!r})"
-    return f"cell ratio={ratio} repeat={repeat}: " + message.replace("\n", " ")
+    return message.replace("\n", " ")
 
 
 def _solve_main(spec, problem, Y, pattern, operators, nav, seed):
@@ -449,37 +459,58 @@ def _solve_main(spec, problem, Y, pattern, operators, nav, seed):
     return solve(problem, Y, pattern, operators, lmk, kspecs, dims, config)
 
 
+def _run_methods(spec, ratio, repeat, seed, out_dir, trace_tag, solve_method, score):
+    """Run each method of one cell under its own try, so a failing method
+    leaves the other methods' rows, warnings and traces in place.
+
+    ``solve_method(method)`` returns (X, report or None) and is timed;
+    ``score(X)`` returns its MetricReport.  Returns the rows, the warning
+    lines and one "method=... Type: message" entry per failed method."""
+    rows, notes, failures = [], [], []
+    for method in spec["methods"]:
+        try:
+            t0 = time.perf_counter()
+            X, report = solve_method(method)
+            seconds = time.perf_counter() - t0
+            row = _metric_row(method, ratio, seed, score(X), seconds, spec["metrics"])
+        except Exception as exc:  # a failed method is recorded, the cell goes on
+            failures.append(f"method={method} {_error_message(exc)}")
+            continue
+        rows.append(row)
+        if report is not None:
+            notes += _warning_lines(method, ratio, repeat, report)
+            if report.iterations and out_dir is not None:
+                report.to_csv(out_dir / f"trace_{method}_{trace_tag}{ratio}_{repeat}.csv")
+    return rows, notes, failures
+
+
 def _run_cell_tvgs(spec, Y, graph, ratio, repeat, seed, out_dir):
     kind = spec["sampling"]["kind"]
     sampler = sample_p1 if kind == "p1" else sample_p2
     pattern = sampler(Y.shape[0], Y.shape[1], ratio, seed)
-    missing_only = spec["missing_only_metrics"]
     bconf = SolverConfig(**{**spec["solver"], "seed": seed})
     widths = {}
     if any(m in KERNEL_BASELINES for m in spec["methods"]):
         S_y = np.where(pattern.mask, Y, 0)
         widths = {"kernel_row": median_distance_gaussian(S_y.T),
                   "kernel_col": median_distance_gaussian(S_y)}
-    rows, notes = [], []
-    for method in spec["methods"]:
-        t0 = time.perf_counter()
+
+    def solve_method(method):
         if method == MAIN_METHOD:
             nav_cfg = spec["navigator"]
             nav = form_navigators_tvgs(Y, pattern, nav_cfg["mode"], graph,
                                        nav_cfg["delta_t"])
             X, _model, report = _solve_main(spec, TVGS, Y, pattern, graph, nav, seed)
-        else:
-            bspec = baselines.BaselineSpec(kind=method, rank=spec["baseline"]["rank"],
-                                           depth=spec["baseline"]["depth"], **widths)
-            X, report = baselines.run_baseline(bspec, Y, pattern, graph, bconf)
-        seconds = time.perf_counter() - t0
-        rep = compute_metrics(X, Y, observed_mask=pattern.mask,
-                              missing_only=missing_only)
-        rows.append(_metric_row(method, ratio, seed, rep, seconds, spec["metrics"]))
-        notes += _warning_lines(method, ratio, repeat, report)
-        if report.iterations and out_dir is not None:
-            report.to_csv(out_dir / f"trace_{method}_r{ratio}_{repeat}.csv")
-    return rows, notes
+            return X, report
+        bspec = baselines.BaselineSpec(kind=method, rank=spec["baseline"]["rank"],
+                                       depth=spec["baseline"]["depth"], **widths)
+        return baselines.run_baseline(bspec, Y, pattern, graph, bconf)
+
+    def score(X):
+        return compute_metrics(X, Y, observed_mask=pattern.mask,
+                               missing_only=spec["missing_only_metrics"])
+
+    return _run_methods(spec, ratio, repeat, seed, out_dir, "r", solve_method, score)
 
 
 def _run_cell_dmri(spec, dataset, ratio, repeat, seed, out_dir):
@@ -490,33 +521,24 @@ def _run_cell_dmri(spec, dataset, ratio, repeat, seed, out_dir):
         pattern = cartesian_mask(i1, i2, i3, ratio, band, seed)
     else:
         pattern = with_band(radial_mask(i1, i2, i3, ratio, seed), i1, i2, band)
-    truth = dataset.ground_truth_image
-    rows, notes = [], []
-    for method in spec["methods"]:
-        t0 = time.perf_counter()
-        report = None
-        if method == MAIN_METHOD:
-            # work at unit k-space scale so kernel widths and weights are portable
-            scale = float(np.abs(np.where(pattern.mask, dataset.kspace, 0)).max())
-            if scale == 0:
-                raise DataError("no observed k-space energy")
-            Yn = dataset.kspace / scale
-            nav = form_navigators_dmri(np.where(pattern.mask, Yn, 0), pattern, i1, i2,
-                                       spec["navigator"]["upsilon"])
-            Xn, _model, report = _solve_main(spec, DMRI, Yn, pattern, (i1, i2, i3),
-                                             nav, seed)
-            X = Xn * scale
-        else:
-            X = ifft2_frames(np.where(pattern.mask, dataset.kspace, 0), i1, i2)
-        seconds = time.perf_counter() - t0
-        rep = compute_metrics(X, truth, observed_mask=pattern.mask,
-                              image_dims=(i1, i2))
-        rows.append(_metric_row(method, ratio, seed, rep, seconds, spec["metrics"]))
-        if report is not None:
-            notes += _warning_lines(method, ratio, repeat, report)
-            if report.iterations and out_dir is not None:
-                report.to_csv(out_dir / f"trace_{method}_a{ratio}_{repeat}.csv")
-    return rows, notes
+
+    def solve_method(method):
+        if method != MAIN_METHOD:
+            return ifft2_frames(np.where(pattern.mask, dataset.kspace, 0), i1, i2), None
+        # work at unit k-space scale so kernel widths and weights are portable
+        scale = float(np.abs(np.where(pattern.mask, dataset.kspace, 0)).max())
+        if scale == 0:
+            raise DataError("no observed k-space energy")
+        Yn = dataset.kspace / scale
+        nav = form_navigators_dmri(np.where(pattern.mask, Yn, 0), pattern, i1, i2, band)
+        Xn, _model, report = _solve_main(spec, DMRI, Yn, pattern, (i1, i2, i3), nav, seed)
+        return Xn * scale, report
+
+    def score(X):
+        return compute_metrics(X, dataset.ground_truth_image, observed_mask=pattern.mask,
+                               image_dims=(i1, i2))
+
+    return _run_methods(spec, ratio, repeat, seed, out_dir, "a", solve_method, score)
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +625,11 @@ def run_experiment(raw_spec: dict, output_dir=None) -> list[dict]:
     def worker(idx):
         ratio, rep, seed = cells[idx]
         try:
-            results[idx], notes[idx] = run_one(ratio, rep, seed)
-        except Exception as exc:  # a failed cell is recorded, the sweep continues
-            errors[idx] = _error_line(ratio, rep, exc)
+            results[idx], notes[idx], failures = run_one(ratio, rep, seed)
+        except Exception as exc:  # the cell's set-up failed, the sweep continues
+            failures = [_error_message(exc)]
+        if failures:  # one line per cell, naming each failed method
+            errors[idx] = f"cell ratio={ratio} repeat={rep}: " + "; ".join(failures)
 
     with ThreadPoolExecutor(max_workers=spec["workers"]) as pool:
         list(pool.map(worker, range(len(cells))))

@@ -13,6 +13,10 @@ from scipy.signal import convolve2d
 
 from .errors import DataError, InputError
 
+SSIM_WINDOW = 8  # ssim's sliding window is SSIM_WINDOW x SSIM_WINDOW pixels
+SSIM_K1, SSIM_K2 = 0.01, 0.03  # ssim's stabilizers, relative to the dynamic range
+LOG_SIZE, LOG_SIGMA = 15, 1.5  # hfen's Laplacian-of-Gaussian stencil: side and width
+
 
 def _check_shapes(a, b):
     a, b = np.asarray(a), np.asarray(b)
@@ -54,42 +58,42 @@ def _box_means(A, w):
     return (s[w:, w:] - s[:-w, w:] - s[w:, :-w] + s[:-w, :-w]) / (w * w)
 
 
-def ssim(img, ref, window: int = 8, k1: float = 0.01, k2: float = 0.03) -> float:
-    """Mean structural similarity over all sliding window x window patches,
-    population moments, dynamic range = reference max - min."""
+def ssim(img, ref) -> float:
+    """Mean structural similarity over all sliding SSIM_WINDOW x SSIM_WINDOW
+    patches, population moments, dynamic range = reference max - min."""
     img, ref = _check_shapes(np.asarray(img, dtype=float), np.asarray(ref, dtype=float))
-    if img.ndim != 2 or min(img.shape) < window:
-        raise InputError(f"ssim needs a 2D image at least {window} pixels on each side")
+    if img.ndim != 2 or min(img.shape) < SSIM_WINDOW:
+        raise InputError(f"ssim needs a 2D image at least {SSIM_WINDOW} pixels on each side")
     span = float(ref.max() - ref.min())
     if span == 0.0:
         span = 1.0  # constant reference: contrast terms cancel, ssim(X, X) = 1
-    c1, c2 = (k1 * span) ** 2, (k2 * span) ** 2
-    mu_x = _box_means(img, window)
-    mu_y = _box_means(ref, window)
-    xx = _box_means(img * img, window) - mu_x**2
-    yy = _box_means(ref * ref, window) - mu_y**2
-    xy = _box_means(img * ref, window) - mu_x * mu_y
+    c1, c2 = (SSIM_K1 * span) ** 2, (SSIM_K2 * span) ** 2
+    mu_x = _box_means(img, SSIM_WINDOW)
+    mu_y = _box_means(ref, SSIM_WINDOW)
+    xx = _box_means(img * img, SSIM_WINDOW) - mu_x**2
+    yy = _box_means(ref * ref, SSIM_WINDOW) - mu_y**2
+    xy = _box_means(img * ref, SSIM_WINDOW) - mu_x * mu_y
     num = (2 * mu_x * mu_y + c1) * (2 * xy + c2)
     den = (mu_x**2 + mu_y**2 + c1) * (xx + yy + c2)
     return float(np.mean(num / den))
 
 
-def log_kernel(size: int = 15, sigma: float = 1.5) -> np.ndarray:
+def log_kernel() -> np.ndarray:
     """Mean-subtracted Laplacian-of-Gaussian stencil (annihilates constants)."""
-    half = (size - 1) / 2.0
-    y, x = np.meshgrid(np.arange(size) - half, np.arange(size) - half, indexing="ij")
+    half = (LOG_SIZE - 1) / 2.0
+    y, x = np.meshgrid(np.arange(LOG_SIZE) - half, np.arange(LOG_SIZE) - half, indexing="ij")
     r2 = x**2 + y**2
-    k = (r2 - 2.0 * sigma**2) / sigma**4 * np.exp(-r2 / (2.0 * sigma**2))
+    k = (r2 - 2.0 * LOG_SIGMA**2) / LOG_SIGMA**4 * np.exp(-r2 / (2.0 * LOG_SIGMA**2))
     return k - k.mean()
 
 
-def hfen(img, ref, size: int = 15, sigma: float = 1.5) -> float:
+def hfen(img, ref) -> float:
     """High-frequency error norm: relative Frobenius distance between
     Laplacian-of-Gaussian responses (full-overlap windows only)."""
     img, ref = _check_shapes(np.asarray(img, dtype=float), np.asarray(ref, dtype=float))
-    if img.ndim != 2 or min(img.shape) < size:
-        raise InputError(f"hfen needs a 2D image at least {size} pixels on each side")
-    k = log_kernel(size, sigma)
+    if img.ndim != 2 or min(img.shape) < LOG_SIZE:
+        raise InputError(f"hfen needs a 2D image at least {LOG_SIZE} pixels on each side")
+    k = log_kernel()
     d_img = convolve2d(img, k, mode="valid")
     d_ref = convolve2d(ref, k, mode="valid")
     num = float(np.linalg.norm(d_img - d_ref))
@@ -110,7 +114,6 @@ class MetricReport:
     nrmse: float | None = None
     ssim: float | None = None
     hfen: float | None = None
-    mode: str = "all"  # entries the entry-wise metrics were evaluated on
 
     def as_dict(self) -> dict:
         return {
@@ -135,7 +138,7 @@ def compute_metrics(X, ref, observed_mask=None, missing_only: bool = False,
         x_e, r_e = X[sel], ref[sel]
     else:
         x_e, r_e = X.ravel(), ref.ravel()
-    rep = MetricReport(mode="missing" if missing_only else "all")
+    rep = MetricReport()
     rep.mae = mae(x_e, r_e)
     rep.rmse = rmse(x_e, r_e)
     if not np.any(r_e == 0):

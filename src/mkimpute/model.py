@@ -10,7 +10,6 @@ M * (I0 + I_N) * N_l.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import reduce
 
@@ -186,46 +185,3 @@ def init_factors(
             raise InputError(f"expected {m_count} kernel matrices, got {len(kernels)}")
         kernels = [np.asarray(k) for k in kernels]
     return FactorModel(dims=dims, factors=factors, kernels=kernels, coeffs=coeffs)
-
-
-def save_model(model: FactorModel, path) -> None:
-    """Checkpoint format: one .npz with a JSON header entry ``meta`` plus one
-    array per block (``D_{m}_{q}``, ``K_{m}``, ``B_{m}``)."""
-    dims = model.dims
-    meta = {
-        "n_rows": dims.n_rows,
-        "n_cols": dims.n_cols,
-        "n_landmarks": dims.n_landmarks,
-        "n_kernels": dims.n_kernels,
-        "depth": dims.depth,
-        "inner": list(dims.inner),
-        "mmf": model.mmf,
-    }
-    arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
-    for m in range(dims.n_kernels):
-        for q, d in enumerate(model.factors[m], start=1):
-            arrays[f"D_{m}_{q}"] = d
-        arrays[f"K_{m}"] = model.kernels[m]
-        arrays[f"B_{m}"] = model.coeffs[m]
-    np.savez(path, **arrays)
-
-
-def load_model(path) -> FactorModel:
-    data = np.load(path)
-    meta = json.loads(bytes(data["meta"]).decode())
-    dims = ModelDims(
-        n_rows=meta["n_rows"],
-        n_cols=meta["n_cols"],
-        n_landmarks=meta["n_landmarks"],
-        n_kernels=meta["n_kernels"],
-        depth=meta["depth"],
-        inner=tuple(meta["inner"]),
-    )
-    factors = [
-        [data[f"D_{m}_{q}"] for q in range(1, dims.depth + 1)]
-        for m in range(dims.n_kernels)
-    ]
-    kernels = [data[f"K_{m}"] for m in range(dims.n_kernels)]
-    coeffs = [data[f"B_{m}"] for m in range(dims.n_kernels)]
-    return FactorModel(dims=dims, factors=factors, kernels=kernels, coeffs=coeffs,
-                       mmf=bool(meta["mmf"]))

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, InputError
-from .sampling import SamplingPattern
 
 
 def flatten_frames(tensor: np.ndarray) -> np.ndarray:
@@ -57,22 +56,25 @@ def idft_temporal(X: np.ndarray) -> np.ndarray:
 
 @dataclass
 class KtDataset:
-    """Flattened k-space frames with dims, mask and optional ground truth."""
+    """Flattened k-space frames with dims and optional ground truth."""
 
     kspace: np.ndarray  # (I1*I2) x I3
     dims: tuple[int, int, int]
-    pattern: SamplingPattern | None = None
     ground_truth_image: np.ndarray | None = None
+
+
+# phantom shape, lengths in units of the half grid; PULSE is the rim's
+# modulation amplitude relative to the disk level
+BACKGROUND = 0.6
+DISK = 1.0
+PULSE = 0.35
+DISK_RADIUS = 0.35
+EDGE_WIDTH = 0.06
 
 
 @dataclass
 class PhantomParams:
     period: int | None = None  # pulsation period in frames; defaults to I3
-    background: float = 0.6
-    disk: float = 1.0
-    pulse: float = 0.35  # rim modulation amplitude, relative to disk level
-    disk_radius: float = 0.35
-    edge_width: float = 0.06
     noise_snr_db: float | None = None
     seed: int = 0
 
@@ -102,15 +104,15 @@ def make_phantom(i1: int, i2: int, i3: int, params: PhantomParams | None = None)
     r = np.sqrt(u**2 + v**2)
 
     def smooth_step(x):  # ~1 for x >> 0, ~0 for x << 0
-        return 0.5 * (1.0 + np.tanh(x / p.edge_width))
+        return 0.5 * (1.0 + np.tanh(x / EDGE_WIDTH))
 
     ellipse = smooth_step(1.0 - np.sqrt((u / 0.92) ** 2 + (v / 0.78) ** 2))
-    disk = smooth_step(p.disk_radius - r)
-    rim = np.exp(-((r - p.disk_radius) ** 2) / (2.0 * p.edge_width**2))
+    disk = smooth_step(DISK_RADIUS - r)
+    rim = np.exp(-((r - DISK_RADIUS) ** 2) / (2.0 * EDGE_WIDTH**2))
     phase = np.exp(1j * (0.6 * u + 0.4 * v + 0.5 * u * v))
 
-    static = (p.background * ellipse + p.disk * disk) * phase
-    moving = (p.disk * p.pulse) * rim * phase
+    static = (BACKGROUND * ellipse + DISK * disk) * phase
+    moving = (DISK * PULSE) * rim * phase
 
     w = pulse_schedule(np.arange(i3), period)
     cube = static[:, :, None] + moving[:, :, None] * w[None, None, :]
@@ -169,13 +171,3 @@ def load_kt(path) -> KtDataset:
         truth = np.frombuffer(raw[n * 16 : 2 * n * 16], dtype=np.complex128).reshape(i1 * i2, i3)
     return KtDataset(kspace=kspace.copy(), dims=(i1, i2, i3),
                      ground_truth_image=None if truth is None else truth.copy())
-
-
-def kt_to_csv(ds: KtDataset, path) -> None:
-    """Human-readable export for small instances, entries as 're<+/-im>j'."""
-    if ds.kspace.size > 65536:
-        raise InputError("csv export is meant for small instances")
-    with open(path, "w") as fh:
-        fh.write(f"# dims={ds.dims}, column-major frames\n")
-        for row in ds.kspace:
-            fh.write(",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row) + "\n")

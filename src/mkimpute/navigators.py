@@ -21,7 +21,6 @@ NAV1 = "nav1"  # snapshots (columns)
 NAV2 = "nav2"  # node time profiles (rows)
 NAV3 = "nav3"  # neighborhood x time-window patches
 NAV4 = "nav4"  # full-node time windows
-DMRI_BAND = "dmri-band"
 TVGS_MODES = (NAV1, NAV2, NAV3, NAV4)
 
 MAXMIN = "maxmin"
@@ -29,12 +28,14 @@ KMEANS = "kmeans"
 FUZZY_CMEANS = "fuzzy-cmeans"
 STRATEGIES = (MAXMIN, KMEANS, FUZZY_CMEANS)
 
+MAX_SWEEPS = 100  # Lloyd / fuzzy c-means sweeps per landmark selection
+FCM_EXPONENT = 2.0  # fuzzy c-means membership exponent m
+FCM_TOL = 1e-6  # fuzzy c-means stops once the centers move less than this
+
 
 @dataclass
 class NavigatorSet:
     points: np.ndarray  # nu x N_nav, columns are navigator vectors
-    mode: str
-    provenance: dict
 
     @property
     def count(self) -> int:
@@ -44,8 +45,6 @@ class NavigatorSet:
 @dataclass
 class LandmarkSet:
     points: np.ndarray  # nu x N_l
-    strategy: str
-    source_indices: np.ndarray | None = None
 
     @property
     def count(self) -> int:
@@ -77,34 +76,25 @@ def form_navigators_tvgs(
     Z = apply_sampling(pattern, Y)
     n_rows, n_cols = Z.shape
     if mode == NAV1:
-        pts = _drop_zero_columns(Z.copy(), mode)
-        return NavigatorSet(pts, mode, {})
+        return NavigatorSet(_drop_zero_columns(Z.copy(), mode))
     if mode == NAV2:
-        pts = _drop_zero_columns(Z.T.copy(), mode)
-        return NavigatorSet(pts, mode, {})
+        return NavigatorSet(_drop_zero_columns(Z.T.copy(), mode))
     if mode not in (NAV3, NAV4):
         raise InputError(f"unknown navigator mode {mode!r}")
     if not 0 < delta_t < n_cols / 2:
         raise InputError(f"need 0 < delta_t < I_N/2 = {n_cols / 2}, got {delta_t}")
-    width = 2 * delta_t + 1
     centers = range(delta_t, n_cols - delta_t)
     if mode == NAV4:
         cols = [Z[:, t - delta_t : t + delta_t + 1].ravel(order="F") for t in centers]
-        pts = np.stack(cols, axis=1)
-        prov = {"delta_t": delta_t}
     else:
         if graph is None:
             raise InputError("nav3 requires graph neighborhoods")
-        k = len(graph.neighbors[0])
         cols = []
         for i in range(n_rows):
             Zi = Z[graph.neighbors[i], :]
             for t in centers:
                 cols.append(Zi[:, t - delta_t : t + delta_t + 1].ravel(order="F"))
-        pts = np.stack(cols, axis=1)
-        prov = {"delta_t": delta_t, "k": k}
-        assert pts.shape[0] == k * width
-    return NavigatorSet(_drop_zero_columns(pts, mode), mode, prov)
+    return NavigatorSet(_drop_zero_columns(np.stack(cols, axis=1), mode))
 
 
 def form_navigators_dmri(
@@ -126,8 +116,7 @@ def form_navigators_dmri(
     flat = (rows[:, None] + i1 * np.arange(i2)[None, :]).ravel(order="F")
     if not np.all(pattern.mask[flat, :]):
         raise DataError("navigator band is not fully sampled in every frame")
-    pts = kspace[flat, :].copy()
-    return NavigatorSet(pts, DMRI_BAND, {"upsilon": upsilon})
+    return NavigatorSet(kspace[flat, :].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +165,9 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return np.stack(centers, axis=1)
 
 
-def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator,
-            max_iter: int = 100) -> np.ndarray:
+def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     centers = _kmeanspp_init(X, k, rng)
-    for _ in range(max_iter):
+    for _ in range(MAX_SWEEPS):
         d2 = (
             np.sum(X**2, axis=0)[None, :]
             - 2.0 * centers.T @ X
@@ -201,11 +189,10 @@ def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator,
     return centers
 
 
-def _fuzzy_cmeans(X: np.ndarray, k: int, rng: np.random.Generator,
-                  m: float = 2.0, max_iter: int = 100, tol: float = 1e-6) -> np.ndarray:
+def _fuzzy_cmeans(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     centers = _kmeanspp_init(X, k, rng)
-    expo = 1.0 / (m - 1.0)
-    for _ in range(max_iter):
+    expo = 1.0 / (FCM_EXPONENT - 1.0)
+    for _ in range(MAX_SWEEPS):
         d2 = (
             np.sum(X**2, axis=0)[None, :]
             - 2.0 * centers.T @ X
@@ -216,21 +203,20 @@ def _fuzzy_cmeans(X: np.ndarray, k: int, rng: np.random.Generator,
         inv = np.where(zero, 0.0, 1.0 / np.maximum(d2, 1e-300) ** expo)
         col_zero = zero.any(axis=0)
         u = np.where(col_zero[None, :], zero.astype(float), inv / inv.sum(axis=0))
-        w = u**m
+        w = u**FCM_EXPONENT
         new = (X @ w.T) / w.sum(axis=1)[None, :]
         moved = np.linalg.norm(new - centers)
         centers = new
-        if moved < tol:
+        if moved < FCM_TOL:
             break
     return centers
 
 
-def select_landmarks(nav: NavigatorSet, count: int, strategy: str, seed: int,
-                     max_iter: int = 100) -> LandmarkSet:
+def select_landmarks(nav: NavigatorSet, count: int, strategy: str, seed: int) -> LandmarkSet:
     """Pick ``count`` landmark points from a navigator set.
 
     maxmin returns actual navigator columns; kmeans and fuzzy-cmeans return
-    centroids (kmeans++ seeding, ``max_iter`` Lloyd/FCM sweeps, one restart).
+    centroids (kmeans++ seeding, at most MAX_SWEEPS Lloyd/FCM sweeps, one restart).
     Output is deterministic in (nav, count, strategy, seed).
     """
     n_nav = nav.count
@@ -238,13 +224,13 @@ def select_landmarks(nav: NavigatorSet, count: int, strategy: str, seed: int,
         raise InputError(f"need 1 <= N_l <= {n_nav}, got {count}")
     if strategy == MAXMIN:
         idx = _maxmin_indices(_embed_real(nav.points), count)
-        return LandmarkSet(nav.points[:, idx].copy(), strategy, idx)
+        return LandmarkSet(nav.points[:, idx].copy())
     rng = np.random.default_rng(seed)
     X = _embed_real(nav.points)
     if strategy == KMEANS:
-        centers = _kmeans(X, count, rng, max_iter=max_iter)
+        centers = _kmeans(X, count, rng)
     elif strategy == FUZZY_CMEANS:
-        centers = _fuzzy_cmeans(X, count, rng, max_iter=max_iter)
+        centers = _fuzzy_cmeans(X, count, rng)
     else:
         raise InputError(f"unknown landmark strategy {strategy!r}")
-    return LandmarkSet(_unembed(centers, np.iscomplexobj(nav.points)), strategy, None)
+    return LandmarkSet(_unembed(centers, np.iscomplexobj(nav.points)))

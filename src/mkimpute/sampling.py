@@ -151,10 +151,6 @@ def apply_sampling(pattern: SamplingPattern, Y: np.ndarray) -> np.ndarray:
     return np.where(pattern.mask, Y, 0)
 
 
-def complement(pattern: SamplingPattern) -> SamplingPattern:
-    return SamplingPattern(~pattern.mask, pattern.kind, pattern.ratio_or_accel, pattern.seed)
-
-
 def save_mask_csv(pattern: SamplingPattern, path) -> None:
     np.savetxt(path, pattern.mask.astype(int), fmt="%d", delimiter=",")
 

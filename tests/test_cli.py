@@ -132,6 +132,8 @@ def test_validate_wrongly_typed_value_is_one_json_line(tmp_path, capsys):
     ({"problem": "dmri", "data": {"source": "phantom", "i1": 16, "i2": 16, "i3": 8},
       "sampling": {"kind": "cartesian", "ratios": [4.0]}, "navigator": {"upsilon": 6},
       "landmarks": {"count": 4}, "solver": {"lambda2": 2.0}}, "navigator.upsilon"),
+    ({"sampling": {"kind": "p2", "ratios": [0.1]}, "landmarks": {"count": 20},
+      "methods": ["mlkr", "zero-fill"]}, "landmarks.count"),
 ])
 def test_validate_and_run_reject_specs_that_fail_every_cell(tmp_path, capsys, fields, key):
     spec_path = tmp_path / "spec.json"
@@ -198,7 +200,7 @@ def test_run_with_failed_cells_exits_nonzero_and_names_the_log(tmp_path, capsys)
     out = tmp_path / "out"
     assert main(["run", _csv_spec(tmp_path, 10_000), "--output", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.out.strip() == "completed 0 runs"
+    assert captured.out.strip() == "completed 1 runs"  # zero-fill's; mlkr failed
     err = captured.err.strip().splitlines()
     assert len(err) == 1
     payload = json.loads(err[0])

@@ -228,18 +228,36 @@ def test_failed_cell_recorded_not_fatal(tmp_path):
     np.savetxt(tmp_path / "c.csv", coords.T, delimiter=",")
     spec["data"] = {"source": "csv", "data_path": str(tmp_path / "y.csv"),
                     "coords_path": str(tmp_path / "c.csv")}
-    spec["landmarks"]["count"] = 10_000  # exceeds N_nav: cell fails
+    spec["landmarks"]["count"] = 10_000  # exceeds N_nav: mlkr fails, zero-fill runs
     rows = run_experiment(spec, output_dir=tmp_path)
-    assert rows == []
-    assert (tmp_path / "errors.log").read_text().startswith("cell ratio=0.4 repeat=0: InputError: ")
+    assert [row["method"] for row in rows] == ["zero-fill"]
+    assert (tmp_path / "errors.log").read_text().startswith(
+        "cell ratio=0.4 repeat=0: method=mlkr InputError: ")
+
+
+def test_a_failing_method_keeps_the_other_methods_of_its_cell(tmp_path):
+    # csv data: resolve_spec cannot bound nbp's rank before reading it
+    Y, coords = make_tvgs_synthetic(12, 16, 2, 4, seed=7)
+    np.savetxt(tmp_path / "y.csv", Y, delimiter=",")
+    np.savetxt(tmp_path / "c.csv", coords.T, delimiter=",")
+    spec = {"problem": "tvgs",
+            "data": {"source": "csv", "data_path": str(tmp_path / "y.csv"),
+                     "coords_path": str(tmp_path / "c.csv")},
+            "sampling": {"kind": "p1", "ratios": [0.3]},
+            "methods": ["zero-fill", "mean-fill", "nbp"], "baseline": {"rank": 40}}
+    rows = run_experiment(spec, output_dir=tmp_path)
+    assert [row["method"] for row in rows] == ["zero-fill", "mean-fill"]
+    assert (tmp_path / "errors.log").read_text().splitlines() == [
+        "cell ratio=0.3 repeat=0: method=nbp InputError: rank 40 exceeds min(I0, I_N) = 12"]
 
 
 def test_errors_log_says_where_a_solver_stopped(tmp_path):
     spec = json.loads(json.dumps(TVGS_SPEC))
     spec["solver"]["cg_max"] = 1  # the X-update CG cannot converge in one step
-    assert run_experiment(spec, output_dir=tmp_path) == []
+    rows = run_experiment(spec, output_dir=tmp_path)
+    assert [row["method"] for row in rows] == ["zero-fill"]
     (line,) = (tmp_path / "errors.log").read_text().splitlines()
-    assert line.startswith("cell ratio=0.4 repeat=0: SolverError: X-update CG stalled")
+    assert line.startswith("cell ratio=0.4 repeat=0: method=mlkr SolverError: X-update CG stalled")
     assert re.search(r"\(iteration=1, residual=[0-9.e+-]+\)$", line)
 
 
@@ -261,6 +279,19 @@ def test_solver_warnings_reach_warnings_log(tmp_path):
 def test_resolve_spec_rejects_unknown_block_keys(block):
     with pytest.raises(InputError, match=f"'typo' in the '{block}' block"):
         resolve_spec({"problem": "tvgs", block: {"typo": 1}})
+
+
+@pytest.mark.parametrize("fields, key", [
+    ({"data": {"source": "synthetic", "nodez": 10}}, "nodez"),
+    ({"problem": "dmri", "data": {"source": "phantom", "i4": 8},
+      "sampling": {"kind": "radial", "ratios": [4.0]}}, "i4"),
+    ({"data": {"source": "csv", "data_path": "y.csv", "coords_path": "c.csv", "extra": 1}},
+     "extra"),
+])
+def test_resolve_spec_rejects_unknown_data_keys(fields, key):
+    # the keys a data block takes depend on its source
+    with pytest.raises(InputError, match=f"^unknown key '{key}' in the 'data' block$"):
+        resolve_spec({"problem": "tvgs", **fields})
 
 
 @pytest.mark.parametrize("fields, key", [
@@ -355,6 +386,11 @@ def test_load_tvgs_csv_non_finite_names_line(tmp_path, cell):
     ({"problem": "dmri", "data": {"source": "phantom"},
       "sampling": {"kind": "radial", "ratios": [4.0]}, "navigator": {"upsilon": 0},
       "landmarks": {"count": 4}, "solver": {"lambda2": 2.0}}, "navigator.upsilon"),
+    # p2 observes ceil(80 * 0.1) = 8 whole snapshots, the most nav1 navigators
+    ({"sampling": {"kind": "p2", "ratios": [0.1]}, "landmarks": {"count": 20},
+      "methods": ["mlkr", "zero-fill"]}, "landmarks.count"),
+    ({"sampling": {"kind": "p2", "ratios": [0.5, 0.1]}, "landmarks": {"count": 9}},
+     "landmarks.count"),
 ])
 def test_resolve_spec_rejects_fields_that_fail_every_cell(fields, match):
     with pytest.raises(InputError, match=match):
@@ -395,6 +431,7 @@ def test_resolve_spec_rejects_sizes_that_fail_at_run_time(fields, match):
     ({"navigator": {"mode": "nav4", "delta_t": 3}}, 10),
     ({"problem": "dmri", "data": {"source": "phantom", "i3": 8},
       "sampling": {"kind": "radial", "ratios": [4.0]}, "solver": {"lambda2": 2.0}}, 8),
+    ({"sampling": {"kind": "p2", "ratios": [0.5, 0.2]}}, 4),  # ceil(16 * 0.2) snapshots
 ])
 def test_resolve_spec_bounds_landmarks_by_the_navigator_count(fields, n_nav):
     spec = {"problem": "tvgs", "data": SMALL_SYNTHETIC, **fields}

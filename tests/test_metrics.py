@@ -131,7 +131,6 @@ def test_compute_metrics_all_entries():
     assert rep.mae == pytest.approx(0.1)
     assert rep.mape is not None
     assert rep.ssim is None  # no image dims given
-    assert rep.mode == "all"
 
 
 def test_compute_metrics_missing_only():
@@ -144,7 +143,6 @@ def test_compute_metrics_missing_only():
     rep_miss = compute_metrics(X, ref, observed_mask=mask, missing_only=True)
     assert rep_miss.mae == pytest.approx(1.0)
     assert rep_all.mae < rep_miss.mae
-    assert rep_miss.mode == "missing"
 
 
 def test_compute_metrics_omits_mape_on_zero_reference():

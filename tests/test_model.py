@@ -8,9 +8,7 @@ from mkimpute.model import (
     SolverConfig,
     count_unknowns,
     init_factors,
-    load_model,
     predict,
-    save_model,
 )
 from oracles import random_model, reduce_to_mmf
 
@@ -210,21 +208,6 @@ def test_solver_config_validation():
         SolverConfig(lambda1=-1.0)
     with pytest.raises(InputError):
         SolverConfig(z_rule="other")
-
-
-def test_checkpoint_round_trip(tmp_path):
-    dims = ModelDims(5, 6, 3, 2, 2, (2,))
-    model = init_factors(dims, 11)
-    path = tmp_path / "model.npz"
-    save_model(model, path)
-    back = load_model(path)
-    assert back.dims == dims
-    for m in range(2):
-        for q in range(2):
-            assert np.array_equal(back.factors[m][q], model.factors[m][q])
-        assert np.array_equal(back.kernels[m], model.kernels[m])
-        assert np.array_equal(back.coeffs[m], model.coeffs[m])
-    assert np.allclose(predict(back), predict(model))
 
 
 @pytest.mark.parametrize("field,value", [

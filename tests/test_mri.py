@@ -5,14 +5,12 @@ from hypothesis import strategies as st
 
 from mkimpute.errors import DataError, InputError
 from mkimpute.mri import (
-    KtDataset,
     PhantomParams,
     dft_temporal,
     fft2_frames,
     flatten_frames,
     idft_temporal,
     ifft2_frames,
-    kt_to_csv,
     load_kt,
     make_phantom,
     pulse_schedule,
@@ -165,14 +163,6 @@ def test_kt_binary_round_trip(tmp_path):
     assert back.dims == (8, 8, 8)
     assert np.array_equal(back.kspace, ds.kspace)
     assert np.array_equal(back.ground_truth_image, ds.ground_truth_image)
-
-
-def test_kt_csv_export(tmp_path):
-    ds = KtDataset(kspace=np.array([[1 + 2j, 3 - 4j]]), dims=(1, 1, 2))
-    path = tmp_path / "small.csv"
-    kt_to_csv(ds, path)
-    text = path.read_text()
-    assert "1+2j" in text and "3-4j" in text
 
 
 def test_kt_truncated_file_is_data_error(tmp_path):

@@ -141,14 +141,19 @@ def test_dmri_unsampled_band_rejected():
 # ---------------------------------------------------------------------------
 
 def _nav_from(points):
-    return NavigatorSet(np.asarray(points, dtype=float), "nav1", {})
+    return NavigatorSet(np.asarray(points, dtype=float))
+
+
+def _columns_of(points, chosen):
+    """Index of the navigator column each chosen landmark equals."""
+    return [int(np.flatnonzero((points == c[:, None]).all(axis=0))[0]) for c in chosen.T]
 
 
 def test_maxmin_exhaustive_selection():
     rng = np.random.default_rng(9)
     pts = rng.standard_normal((3, 5))
     lmk = select_landmarks(_nav_from(pts), 5, MAXMIN, seed=0)
-    assert sorted(lmk.source_indices) == [0, 1, 2, 3, 4]
+    assert sorted(_columns_of(pts, lmk.points)) == [0, 1, 2, 3, 4]
     assert np.allclose(np.sort(lmk.points, axis=1), np.sort(pts, axis=1))
 
 
@@ -160,7 +165,7 @@ def test_maxmin_line_oracle():
         key=lambda pair: abs(pts[0, pair[0]] - pts[0, pair[1]]),
     )
     lmk = select_landmarks(_nav_from(pts), 2, MAXMIN, seed=0)
-    assert set(lmk.source_indices) == set(best) == {0, 2}
+    assert set(_columns_of(pts, lmk.points)) == set(best) == {0, 2}
 
 
 def test_maxmin_min_distance_monotone():
@@ -206,7 +211,7 @@ def test_fuzzy_cmeans_two_clusters():
 def test_selection_deterministic(strategy):
     rng = np.random.default_rng(13)
     pts = rng.standard_normal((4, 25)) + 1j * rng.standard_normal((4, 25))
-    nav = NavigatorSet(pts, "nav1", {})
+    nav = NavigatorSet(pts)
     a = select_landmarks(nav, 6, strategy, seed=5)
     b = select_landmarks(nav, 6, strategy, seed=5)
     assert np.array_equal(a.points, b.points)
@@ -215,7 +220,7 @@ def test_selection_deterministic(strategy):
 def test_complex_centroids_round_trip():
     rng = np.random.default_rng(14)
     pts = rng.standard_normal((3, 20)) + 1j * rng.standard_normal((3, 20))
-    nav = NavigatorSet(pts, "nav1", {})
+    nav = NavigatorSet(pts)
     lmk = select_landmarks(nav, 4, KMEANS, seed=3)
     assert np.iscomplexobj(lmk.points)
     assert lmk.points.shape == (3, 4)

@@ -795,7 +795,7 @@ def _ring_problem(n_nodes=12, n_times=20, seed=0):
 
 
 def _landmarks_from(Y, pattern, count, seed=0):
-    nav = NavigatorSet(np.where(pattern.mask, Y, 0), "nav1", {})
+    nav = NavigatorSet(np.where(pattern.mask, Y, 0))
     return select_landmarks(nav, count, "maxmin", seed)
 
 

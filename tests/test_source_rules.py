@@ -61,7 +61,7 @@ def _owned_nodes(node, owner):
 def test_one_sca_outer_loop():
     # the step schedule and the loop over the outer iterations live in
     # solver.sca_loop alone; every model only supplies its best responses,
-    # its convex combination, its objective and its residuals
+    # its convex combination and one evaluate of each iterate
     schedules, outer_loops = [], []
     for path in sorted(SRC.rglob("*.py")):
         for owner, node in _owned_nodes(ast.parse(path.read_text()), path.stem):
@@ -74,3 +74,39 @@ def test_one_sca_outer_loop():
                 outer_loops.append(owner)
     assert schedules == ["solver.sca_loop"], f"sca_step_schedule called in {schedules}"
     assert outer_loops == ["solver.sca_loop"], f"outer iterations looped in {outer_loops}"
+
+
+# Library names with no caller in the library or the benchmark, kept for a reason.
+KEPT_WITHOUT_CALLER = {
+    "load_kt": "reads the k-space files `mkimpute phantom` writes, next to save_kt",
+    "load_mask_csv": "reads the masks `mkimpute mask` writes, next to save_mask_csv",
+    "count_unknowns": "the parameter count of acceptance criterion 1",
+}
+
+
+def _references(tree):
+    """Every name a module refers to: by name, attribute, import or string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value  # the benchmark's tracer names the layers it wraps
+
+
+def test_every_library_function_and_class_has_a_caller():
+    # a caller is library code outside __init__.py, which only re-exports, or
+    # the benchmark; tests alone do not keep a function alive
+    library = sorted((SRC / "mkimpute").glob("*.py"))
+    bench = sorted((SRC.parent / "bench").rglob("*.py"))
+    defined = {node.name for path in library for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    used = {name for path in library + bench if path.name != "__init__.py"
+            for name in _references(ast.parse(path.read_text()))}
+    uncalled = sorted(defined - used - set(KEPT_WITHOUT_CALLER))
+    assert uncalled == [], f"no caller in the library or the benchmark: {uncalled}"
+    stale = sorted(set(KEPT_WITHOUT_CALLER) - (defined - used))
+    assert stale == [], f"kept without a caller, yet gone or called: {stale}"
