@@ -46,8 +46,8 @@ def _cmd_validate(args) -> int:
 
 def _parse_dims(text: str) -> tuple[int, int, int]:
     parts = text.lower().split("x")
-    if len(parts) != 3:
-        raise InputError(f"dims must look like 32x32x16, got {text!r}")
+    if len(parts) != 3 or not all(p.isdecimal() and int(p) >= 1 for p in parts):
+        raise InputError(f"dims must be three positive integers like 32x32x16, got {text!r}")
     return tuple(int(p) for p in parts)
 
 

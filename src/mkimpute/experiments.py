@@ -28,7 +28,7 @@ from .kernels import (
     landmark_mean,
     median_distance_gaussian,
 )
-from .metrics import compute_metrics
+from .metrics import METRICS, compute_metrics
 from .model import ModelDims, SolverConfig
 from .mri import PhantomParams, ifft2_frames, make_phantom
 from .navigators import (
@@ -49,12 +49,10 @@ from .solver import DMRI, TVGS, solve
 
 MAIN_METHOD = "mlkr"  # multilinear kernel regression, the engine itself
 
-TVGS_METHODS = (MAIN_METHOD, "mmf", "nbp", "krg", "kgl", "zero-fill", "mean-fill")
-KERNEL_BASELINES = (baselines.NBP, baselines.KRG, baselines.KGL)  # need kernel widths
-DMRI_METHODS = (MAIN_METHOD, "zero-fill")
+TVGS_METHODS = (MAIN_METHOD, *baselines.METHODS)
+DMRI_METHODS = (MAIN_METHOD, baselines.ZERO_FILL)
 
-RESULT_COLUMNS = ("method", "ratio", "seed", "mae", "rmse", "mape", "nrmse",
-                  "ssim", "hfen", "seconds")
+RESULT_COLUMNS = ("method", "ratio", "seed", *METRICS, "seconds")
 
 _DEFAULTS = {
     "problem": None,
@@ -309,9 +307,8 @@ def resolve_spec(raw: dict) -> dict:
         # percentage error is meaningless against near-zero image magnitudes
         spec["metrics"] = (["mae", "rmse", "mape", "nrmse"] if problem == TVGS
                            else ["mae", "rmse", "nrmse", "ssim", "hfen"])
-    known = {"mae", "rmse", "mape", "nrmse", "ssim", "hfen"}
     for name in spec["metrics"]:
-        if name not in known:
+        if name not in METRICS:
             raise InputError(f"unknown metric {name!r}")
     if spec["repeats"] < 1:
         raise InputError("repeats must be at least 1")
@@ -354,11 +351,14 @@ def resolve_spec(raw: dict) -> dict:
             nodes, times = spec["data"]["nodes"], spec["data"]["times"]
             windows = times - 2 * nav["delta_t"]
             snapshots = times
-            if spec["sampling"]["kind"] == "p2":  # nav1 sees only the sampled snapshots
+            if spec["sampling"]["kind"] == "p2":
+                # nav1 sees only the sampled snapshots, and nav3/nav4 only the
+                # windows holding one; a snapshot lies in 2 delta_t + 1 windows
                 snapshots = math.ceil(times * min(spec["sampling"]["ratios"], default=1.0))
+                windows = min(windows, snapshots * (2 * nav["delta_t"] + 1))
             n_nav = {"nav1": snapshots, "nav2": nodes, "nav3": nodes * windows,
                      "nav4": windows}[nav["mode"]]
-            if "nbp" in spec["methods"] and spec["baseline"]["rank"] > min(nodes, times):
+            if baselines.NBP in spec["methods"] and spec["baseline"]["rank"] > min(nodes, times):
                 raise InputError(f"baseline.rank must be at most min(data.nodes, data.times) "
                                  f"= {min(nodes, times)} for nbp, got {spec['baseline']['rank']}")
         if MAIN_METHOD in spec["methods"] and spec["landmarks"]["count"] > n_nav:
@@ -429,7 +429,7 @@ def _kernel_specs_from_config(cfg, landmark_points) -> list[KernelSpec]:
 
 def _metric_row(method, ratio, seed, rep, seconds, wanted):
     row = {"method": method, "ratio": ratio, "seed": seed, "seconds": seconds}
-    row.update({k: (v if k in wanted else None) for k, v in rep.as_dict().items()})
+    row.update({k: (v if k in wanted else None) for k, v in dataclasses.asdict(rep).items()})
     return row
 
 
@@ -489,11 +489,6 @@ def _run_cell_tvgs(spec, Y, graph, ratio, repeat, seed, out_dir):
     sampler = sample_p1 if kind == "p1" else sample_p2
     pattern = sampler(Y.shape[0], Y.shape[1], ratio, seed)
     bconf = SolverConfig(**{**spec["solver"], "seed": seed})
-    widths = {}
-    if any(m in KERNEL_BASELINES for m in spec["methods"]):
-        S_y = np.where(pattern.mask, Y, 0)
-        widths = {"kernel_row": median_distance_gaussian(S_y.T),
-                  "kernel_col": median_distance_gaussian(S_y)}
 
     def solve_method(method):
         if method == MAIN_METHOD:
@@ -502,8 +497,7 @@ def _run_cell_tvgs(spec, Y, graph, ratio, repeat, seed, out_dir):
                                        nav_cfg["delta_t"])
             X, _model, report = _solve_main(spec, TVGS, Y, pattern, graph, nav, seed)
             return X, report
-        bspec = baselines.BaselineSpec(kind=method, rank=spec["baseline"]["rank"],
-                                       depth=spec["baseline"]["depth"], **widths)
+        bspec = baselines.BaselineSpec(method, **spec["baseline"])  # rank and depth
         return baselines.run_baseline(bspec, Y, pattern, graph, bconf)
 
     def score(X):
@@ -569,7 +563,7 @@ def aggregate_rows(rows: list[dict], methods, ratios) -> list[dict]:
             if not group:
                 continue
             agg = {"method": method, "ratio": ratio, "seed": "mean"}
-            for col in ("mae", "rmse", "mape", "nrmse", "ssim", "hfen", "seconds"):
+            for col in (*METRICS, "seconds"):
                 vals = [r0[col] for r0 in group if r0.get(col) is not None]
                 agg[col] = float(np.mean(vals)) if len(vals) == len(group) else None
             out.append(agg)

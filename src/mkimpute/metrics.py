@@ -6,7 +6,7 @@ magnitudes); the structural metrics operate on real magnitude images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.signal import convolve2d
@@ -115,11 +115,8 @@ class MetricReport:
     ssim: float | None = None
     hfen: float | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "mae": self.mae, "rmse": self.rmse, "mape": self.mape,
-            "nrmse": self.nrmse, "ssim": self.ssim, "hfen": self.hfen,
-        }
+
+METRICS = tuple(f.name for f in fields(MetricReport))  # every metric's name, in column order
 
 
 def compute_metrics(X, ref, observed_mask=None, missing_only: bool = False,

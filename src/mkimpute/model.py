@@ -109,10 +109,7 @@ class FactorModel:
 
     def block_basis(self, m: int) -> np.ndarray:
         """A_m = D_m^(1) ... D_m^(Q) K_m, the I0 x N_l regression basis."""
-        out = self.factors[m][0]
-        for d in self.factors[m][1:]:
-            out = out @ d
-        return out @ self.kernels[m]
+        return reduce(np.matmul, [*self.factors[m], self.kernels[m]])
 
 
 def predict(model: FactorModel) -> np.ndarray:

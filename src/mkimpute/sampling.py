@@ -35,8 +35,15 @@ class SamplingPattern:
         return int(self.mask.sum())
 
 
+def _check_sizes(**sizes) -> None:
+    for name, size in sizes.items():
+        if size < 1:
+            raise InputError(f"{name} must be at least 1, got {size}")
+
+
 def sample_p1(n_rows: int, n_cols: int, r: float, seed: int) -> SamplingPattern:
     """Observe ceil(I0 * r) uniformly chosen rows in every column."""
+    _check_sizes(n_rows=n_rows, n_cols=n_cols)
     if not 0.0 < r <= 1.0:
         raise InputError(f"sampling ratio must lie in (0, 1], got {r}")
     per_col = math.ceil(n_rows * r)
@@ -49,6 +56,7 @@ def sample_p1(n_rows: int, n_cols: int, r: float, seed: int) -> SamplingPattern:
 
 def sample_p2(n_rows: int, n_cols: int, r: float, seed: int) -> SamplingPattern:
     """Observe all rows of ceil(I_N * r) uniformly chosen columns."""
+    _check_sizes(n_rows=n_rows, n_cols=n_cols)
     if not 0.0 < r <= 1.0:
         raise InputError(f"sampling ratio must lie in (0, 1], got {r}")
     n_snap = math.ceil(n_cols * r)
@@ -78,6 +86,7 @@ def cartesian_mask(
 ) -> SamplingPattern:
     """Per frame: the central ``band`` rows plus uniformly chosen extra full
     rows so that ceil(I1 / accel) rows are sampled in total."""
+    _check_sizes(i1=i1, i2=i2, i3=i3)
     if not accel >= 1.0:
         raise InputError(f"acceleration must be >= 1, got {accel}")
     budget = math.ceil(i1 / accel)
@@ -122,6 +131,7 @@ def radial_mask(i1: int, i2: int, i3: int, accel: float, seed: int) -> SamplingP
     The angle schedule is fully deterministic (first line at angle 0); the
     seed is recorded for provenance only.
     """
+    _check_sizes(i1=i1, i2=i2, i3=i3)
     lines = radial_lines_per_frame(i1, accel)
     step = math.radians(GOLDEN_ANGLE_DEG)
     mask = np.zeros((i1 * i2, i3), dtype=bool)

@@ -21,6 +21,7 @@ import csv
 import math
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -40,11 +41,8 @@ DMRI = "dmri"
 # ---------------------------------------------------------------------------
 
 def sca_step_schedule(gamma: float, zeta: float) -> float:
-    """gamma_{n+1} = gamma_n (1 - zeta * gamma_n); strictly decreasing, positive."""
-    if not 0.0 < gamma <= 1.0:
-        raise InputError(f"gamma must lie in (0, 1], got {gamma}")
-    if not 0.0 < zeta < 1.0:
-        raise InputError(f"zeta must lie in (0, 1), got {zeta}")
+    """gamma_{n+1} = gamma_n (1 - zeta * gamma_n); strictly decreasing and
+    positive for the gamma0 in (0, 1] and zeta in (0, 1) SolverConfig admits."""
     return gamma * (1.0 - zeta * gamma)
 
 
@@ -233,22 +231,15 @@ tvgs_update_X = consistent_smooth_solve
 # factor (D) sub-task
 # ---------------------------------------------------------------------------
 
-def _chain(mats):
-    out = mats[0]
-    for a in mats[1:]:
-        out = out @ a
-    return out
-
-
 def factor_wings(model: FactorModel, q_index: int):
     """Per-block left products L_m (None = identity for the first factor) and
     right products R_m = D^(q+1)...D^(Q) K_m B_m."""
     lefts, rights = [], []
     for m in range(model.dims.n_kernels):
         row = model.factors[m]
-        lefts.append(_chain(row[:q_index]) if q_index > 0 else None)
+        lefts.append(reduce(np.matmul, row[:q_index]) if q_index > 0 else None)
         tail = list(row[q_index + 1 :]) + [model.kernels[m], model.coeffs[m]]
-        rights.append(_chain(tail))
+        rights.append(reduce(np.matmul, tail))
     return lefts, rights
 
 
@@ -476,8 +467,8 @@ def update_B(X_hat, model: FactorModel, lambda1: float, tau_B: float,
     U, R = np.linalg.qr(np.concatenate([model.factors[m][0] for m in range(M)], axis=1))
     d_1 = R.shape[1] // M
     # D_m^(1) = U R_m, so A_m = U P_m with P_m = R_m D_m^(2)...D_m^(Q) K_m
-    P = np.concatenate([_chain([R[:, m * d_1 : (m + 1) * d_1], *model.factors[m][1:],
-                                model.kernels[m]]) for m in range(M)], axis=1)
+    P = np.concatenate([reduce(np.matmul, [R[:, m * d_1 : (m + 1) * d_1], *model.factors[m][1:],
+                                           model.kernels[m]]) for m in range(M)], axis=1)
     B_hat = np.concatenate(model.coeffs, axis=0)
     dtype = np.result_type(P, X_hat, B_hat)
     P, B_hat = P.astype(dtype, copy=False), B_hat.astype(dtype, copy=False)

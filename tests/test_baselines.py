@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mkimpute import baselines
 from mkimpute.baselines import (
     BaselineSpec,
     _mmf_init,
@@ -98,8 +99,7 @@ def test_mmf_special_case_check_false_with_kernels():
 
 def test_nbp_runs_and_respects_consistency():
     Y, pattern, graph = _toy_problem(seed=5)
-    spec = BaselineSpec(kind="nbp", rank=2, kernel_row=gaussian_spec(2.0),
-                        kernel_col=gaussian_spec(2.0))
+    spec = BaselineSpec(kind="nbp", rank=2)
     config = SolverConfig(lambda2=1e-2, lambda_L=0.01, outer_iters=30,
                           tol_objective=0.0, seed=5)
     X, theta, report = nbp_solve(Y, pattern, graph, spec, config)
@@ -107,9 +107,10 @@ def test_nbp_runs_and_respects_consistency():
     assert report.objective[-1] < report.initial_objective
 
 
-def test_nbp_size_cap():
+def test_nbp_size_cap(monkeypatch):
     Y, pattern, graph = _toy_problem(seed=6)
-    spec = BaselineSpec(kind="nbp", rank=2, size_cap=8)
+    monkeypatch.setattr(baselines, "NBP_SIZE_CAP", 8)
+    spec = BaselineSpec(kind="nbp", rank=2)
     config = SolverConfig(seed=6)
     with pytest.raises(InputError, match="cap"):
         nbp_solve(Y, pattern, graph, spec, config)
@@ -139,12 +140,10 @@ def test_baseline_sub_task_surrogate_descent():
     Y, pattern, graph = _toy_problem(seed=9)
     config = SolverConfig(lambda2=0.05, lambda_L=0.0, outer_iters=1,
                           tol_objective=0.0, seed=9)
-    spec = BaselineSpec(kind="nbp", rank=2, kernel_row=gaussian_spec(2.0),
-                        kernel_col=gaussian_spec(2.0))
     from mkimpute.kernels import build_kernel_matrix
     S_y = np.where(pattern.mask, Y, 0)
-    K_Z = build_kernel_matrix(S_y.T, spec.kernel_row)
-    K_Y = build_kernel_matrix(S_y, spec.kernel_col)
+    K_Z = build_kernel_matrix(S_y.T, gaussian_spec(2.0))
+    K_Y = build_kernel_matrix(S_y, gaussian_spec(2.0))
     rng = np.random.default_rng(9)
     B = rng.standard_normal((Y.shape[0], 2))
     C = rng.standard_normal((2, Y.shape[1]))
@@ -179,8 +178,7 @@ def test_run_baseline_dispatch():
 def test_baselines_reject_non_finite_data(kind):
     Y, pattern, graph = _toy_problem(seed=12)
     Y[np.argwhere(pattern.mask)[0][0], np.argwhere(pattern.mask)[0][1]] = np.nan
-    spec = BaselineSpec(kind=kind, rank=2, kernel_row=gaussian_spec(2.0),
-                        kernel_col=gaussian_spec(2.0))
+    spec = BaselineSpec(kind=kind, rank=2)
     config = SolverConfig(lambda2=1e-2, lambda_L=0.01, outer_iters=5, seed=12)
     with pytest.raises(SolverError, match="iteration 1"):
         run_baseline(spec, Y, pattern, graph, config)

@@ -65,9 +65,22 @@ def test_phantom_subcommand(tmp_path, capsys):
 
 
 def test_phantom_bad_dims(tmp_path, capsys):
-    assert main(["phantom", "16x16", str(tmp_path / "p.kt")]) == 1
-    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert payload["error"] == "InputError"
+    for dims in ("16x16", "32x32x8.5", "16x0x4", "16x-2x4", "16x16x"):
+        assert main(["phantom", dims, str(tmp_path / "p.kt")]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
+
+
+@pytest.mark.parametrize("args", [
+    ["mask", "p1", "OUT", "--rows", "-1"],
+    ["mask", "p2", "OUT", "--cols", "0"],
+    ["mask", "cartesian", "OUT", "--i2", "0"],
+    ["mask", "radial", "OUT", "--frames", "-2"],
+])
+def test_mask_rejects_sizes_below_one(tmp_path, capsys, args):
+    assert main([str(tmp_path / "m.csv") if a == "OUT" else a for a in args]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
 
 
 @pytest.mark.parametrize("args,rows,cols", [

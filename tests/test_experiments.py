@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from mkimpute.baselines import BaselineSpec, run_baseline
 from mkimpute.errors import DataError, InputError
 from mkimpute.experiments import (
     aggregate_rows,
@@ -14,6 +15,10 @@ from mkimpute.experiments import (
     resolve_spec,
     run_experiment,
 )
+from mkimpute.graphs import build_graph_operators
+from mkimpute.metrics import mae
+from mkimpute.model import SolverConfig
+from mkimpute.sampling import sample_p1
 
 TVGS_SPEC = {
     "problem": "tvgs",
@@ -168,6 +173,26 @@ def test_run_experiment_worker_pool_matches_serial(tmp_path):
     for a, b in zip(serial, pooled):
         for col in ("method", "ratio", "seed", "mae", "rmse"):
             assert a[col] == b[col]
+
+
+def test_direct_kernel_baseline_call_matches_the_sweep(tmp_path):
+    # the kernel baselines choose their own kernels, so a library call with
+    # the cell's pattern, seed and config runs the sweep's baseline
+    spec = {**json.loads(json.dumps(TVGS_SPEC)), "methods": ["nbp", "krg", "kgl"],
+            "baseline": {"rank": 3}}
+    rows = run_experiment(spec, output_dir=tmp_path)
+    resolved = resolve_spec(spec)
+    data, g = resolved["data"], resolved["graph"]
+    Y, coords = make_tvgs_synthetic(data["nodes"], data["times"], data["modes"], data["knn"],
+                                    data["seed"], data["offset"])
+    graph = build_graph_operators(coords, g["k"], g["eps"], g["beta"], Y.shape[1])
+    seed = resolved["base_seed"]
+    pattern = sample_p1(*Y.shape, resolved["sampling"]["ratios"][0], seed)
+    config = SolverConfig(**{**resolved["solver"], "seed": seed})
+    assert [row["method"] for row in rows] == spec["methods"]
+    for row in rows:
+        X, _ = run_baseline(BaselineSpec(row["method"], rank=3), Y, pattern, graph, config)
+        assert mae(X, Y) == row["mae"]
 
 
 def test_run_experiment_dmri(tmp_path):
@@ -391,6 +416,15 @@ def test_load_tvgs_csv_non_finite_names_line(tmp_path, cell):
       "methods": ["mlkr", "zero-fill"]}, "landmarks.count"),
     ({"sampling": {"kind": "p2", "ratios": [0.5, 0.1]}, "landmarks": {"count": 9}},
      "landmarks.count"),
+    # at 12x16 p2 observes ceil(16 * 0.1) = 2 snapshots, each in at most 3 windows
+    # of delta_t 1: at most 6 nav4 navigators and 12 * 6 nav3 ones
+    ({"data": {"source": "synthetic", "nodes": 12, "times": 16},
+      "sampling": {"kind": "p2", "ratios": [0.1]}, "navigator": {"mode": "nav4", "delta_t": 1},
+      "landmarks": {"count": 7}}, "at most the 6 navigators"),
+    ({"data": {"source": "synthetic", "nodes": 12, "times": 16},
+      "sampling": {"kind": "p2", "ratios": [0.5, 0.1]},
+      "navigator": {"mode": "nav3", "delta_t": 1}, "landmarks": {"count": 73}},
+     "at most the 72 navigators"),
 ])
 def test_resolve_spec_rejects_fields_that_fail_every_cell(fields, match):
     with pytest.raises(InputError, match=match):

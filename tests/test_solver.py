@@ -72,13 +72,6 @@ def test_schedule_strictly_decreasing_1000_steps():
         g = nxt
 
 
-def test_schedule_validation():
-    with pytest.raises(InputError):
-        sca_step_schedule(0.0, 0.5)
-    with pytest.raises(InputError):
-        sca_step_schedule(0.5, 1.0)
-
-
 def test_extrapolate_endpoints():
     dims = ModelDims(4, 5, 3, 1, 2, (2,))
     cur = IterateTuple(X=np.zeros((4, 5)), model=init_factors(dims, 0, np.float64))
@@ -1186,8 +1179,7 @@ def test_every_model_stops_at_the_first_small_objective_change(method):
         _, _, report = solve(TVGS, Y, pattern, graph, _landmarks_from(Y, pattern, 6),
                              [gaussian_spec(1.0)], ModelDims(12, 20, 6, 1, 2, (3,)), config)
     else:
-        spec = BaselineSpec(kind=method, rank=2, kernel_row=gaussian_spec(2.0),
-                            kernel_col=gaussian_spec(2.0))
+        spec = BaselineSpec(kind=method, rank=2)
         _, report = run_baseline(spec, Y, pattern, graph, config)
     assert report.converged and 1 < report.iterations < config.outer_iters
     columns = (report.objective, report.consistency, report.affine_residual,
