@@ -20,11 +20,12 @@ from .errors import InputError
 from .graphs import GraphOperators
 from .kernels import build_kernel_matrix, median_distance_gaussian
 from .model import FactorModel, ModelDims, SolverConfig, gaussian_draw
-from .sampling import SamplingPattern
+from .sampling import SamplingPattern, apply_sampling
 from .solver import (
     TVGS,
     SolveReport,
     chain_link_solve,
+    chain_wings,
     consistency_residual,
     consistent_smooth_solve,
     sca_loop,
@@ -50,16 +51,11 @@ class BaselineSpec:
     depth: int = 2  # factor layers for the multi-layer baseline
 
 
-def zero_fill(Y, pattern: SamplingPattern):
-    return np.where(pattern.mask, Y, 0)
-
-
 def mean_fill(Y, pattern: SamplingPattern):
-    obs = pattern.mask
+    S_y, obs = apply_sampling(pattern, Y), pattern.mask
     if not np.any(obs):
         raise InputError("mean fill needs at least one observed entry")
-    fill = np.asarray(Y)[obs].mean()
-    return np.where(obs, Y, fill)
+    return np.where(obs, S_y, S_y[obs].mean())
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +91,13 @@ def _kernel_chain_solve(Y, pattern, graph, config: SolverConfig, free, *, row_ke
     free links, given as (rows, cols, tau), are drawn in order with entries
     N(0, 1/cols); each has proximal weight tau and Tikhonov weight
     config.lambda2, and is solved from the current iterate with the engine's
-    chain-link solve.  Returns (X, free links, report)."""
-    n_rows, n_cols = Y.shape
+    chain-link solve.  The links are sized from the mask, whose shape
+    apply_sampling requires of Y.  Returns (X, free links, report)."""
+    S_y = apply_sampling(pattern, Y)
+    n_rows, n_cols = S_y.shape
     if max(n_rows, n_cols) > NBP_SIZE_CAP:
         raise InputError(f"kernel baseline needs {n_rows}x{n_rows} and {n_cols}x{n_cols} "
                          f"kernel matrices; dimension exceeds the cap of {NBP_SIZE_CAP}")
-    S_y = np.where(pattern.mask, Y, 0)
 
     def kernel(points):  # points as columns
         return build_kernel_matrix(points, median_distance_gaussian(points))
@@ -121,9 +118,7 @@ def _kernel_chain_solve(Y, pattern, graph, config: SolverConfig, free, *, row_ke
         )
         half = list(mats)
         for i, tau in taus.items():
-            left = reduce(np.matmul, mats[:i]) if i > 0 else None
-            right = reduce(np.matmul, mats[i + 1 :]) if i < len(mats) - 1 else None
-            half[i] = chain_link_solve(left, right, X, mats[i], config.lambda2 + tau, tau)
+            half[i] = chain_link_solve(*chain_wings(mats, i), X, mats[i], config.lambda2 + tau, tau)
         return (X_half, half), {"cg_iters": cg_iters}
 
     def combine(state, half, gamma):
@@ -149,22 +144,22 @@ def _kernel_chain_solve(Y, pattern, graph, config: SolverConfig, free, *, row_ke
 def nbp_solve(Y, pattern, graph, spec: BaselineSpec, config: SolverConfig):
     """Bilinear two-sided kernel expansion X ~ K_Z B C K_Y with Tikhonov
     regularization on both coefficient factors."""
-    d = spec.rank
-    if d > min(Y.shape):
-        raise InputError(f"rank {d} exceeds min(I0, I_N) = {min(Y.shape)}")
-    free = [(Y.shape[0], d, config.tau_D), (d, Y.shape[1], config.tau_B)]
+    d, (n_rows, n_cols) = spec.rank, pattern.mask.shape
+    if d > min(n_rows, n_cols):
+        raise InputError(f"rank {d} exceeds min(I0, I_N) = {min(n_rows, n_cols)}")
+    free = [(n_rows, d, config.tau_D), (d, n_cols, config.tau_B)]
     return _kernel_chain_solve(Y, pattern, graph, config, free, row_kernel=True)
 
 
 def krg_solve(Y, pattern, graph, spec: BaselineSpec, config: SolverConfig):
     """One-sided kernel regression X ~ H K_Y."""
-    free = [(*Y.shape, config.tau_D)]
+    free = [(*pattern.mask.shape, config.tau_D)]
     return _kernel_chain_solve(Y, pattern, graph, config, free, row_kernel=False)
 
 
 def kgl_solve(Y, pattern, graph, spec: BaselineSpec, config: SolverConfig):
     """Two-sided kernel expansion X ~ K_Z G K_Y without a low-rank split."""
-    free = [(*Y.shape, config.tau_D)]
+    free = [(*pattern.mask.shape, config.tau_D)]
     return _kernel_chain_solve(Y, pattern, graph, config, free, row_kernel=True)
 
 
@@ -172,7 +167,7 @@ def run_baseline(spec: BaselineSpec, Y, pattern: SamplingPattern,
                  graph: GraphOperators | None, config: SolverConfig):
     """Dispatch one comparison method; returns (X, report)."""
     if spec.kind == ZERO_FILL:
-        return zero_fill(Y, pattern), SolveReport()
+        return apply_sampling(pattern, Y), SolveReport()
     if spec.kind == MEAN_FILL:
         return mean_fill(Y, pattern), SolveReport()
     if graph is None:

@@ -72,7 +72,7 @@ def _cmd_mask(args) -> int:
     else:
         raise InputError(f"unknown mask kind {kind!r}")
     save_mask_csv(pattern, args.out)
-    print(f"wrote {kind} mask ({pattern.observed_count} observed entries) to {args.out}")
+    print(f"wrote {kind} mask ({int(pattern.mask.sum())} observed entries) to {args.out}")
     return 0
 
 

@@ -39,6 +39,7 @@ from .navigators import (
     select_landmarks,
 )
 from .sampling import (
+    apply_sampling,
     cartesian_mask,
     radial_mask,
     sample_p1,
@@ -208,13 +209,15 @@ def _finite_number(value) -> bool:
             and math.isfinite(value))
 
 
-def _check_kernels(entries) -> None:
-    """InputError naming entry index and key for a kernel entry that cannot
-    be built: an unknown kind or key, a gaussian without exactly one finite
-    positive width (``sigma``, which may be "median", or ``gamma``), or a
-    polynomial without an integer degree >= 1 or with a non-finite intercept."""
+def _kernel_specs_from_config(entries, landmark_points) -> list[KernelSpec]:
+    """The kernels the spec's entries describe over the given landmarks;
+    InputError naming entry index and key for an entry that cannot be built:
+    an unknown kind or key, a gaussian without exactly one finite positive
+    width (``sigma``, which may be "median", or ``gamma``), or a polynomial
+    without an integer degree >= 1 or with a non-finite intercept."""
     if entries == "default7":
-        return
+        return default_kernel_dictionary(landmark_points)
+    specs = []
     for i, item in enumerate(entries):
         def fail(key, want):
             got = repr(item[key]) if key in item else "nothing"
@@ -234,17 +237,33 @@ def _check_kernels(entries) -> None:
                 )
             key = "sigma" if "sigma" in item else "gamma"
             value = item[key]
-            if not (_finite_number(value) and value > 0
-                    or key == "sigma" and value == "median"):
-                want = "a finite number > 0" + (' or "median"' if key == "sigma" else "")
-                raise fail(key, want)
+            if key == "sigma" and value == "median":
+                specs.append(median_distance_gaussian(landmark_points))
+                continue
+            if not (_finite_number(value) and value > 0):
+                raise fail(key, "a finite number > 0" + (' or "median"' if key == "sigma" else ""))
+            specs.append(gaussian_spec(value) if key == "sigma"
+                         else KernelSpec("gaussian", gamma=value))
         elif kind == "polynomial":
             degree = item.get("degree")
             if not (type(degree) is int and degree >= 1):
                 raise fail("degree", "an integer >= 1")
             intercept = item.get("intercept")
-            if not (intercept is None or _finite_number(intercept)):
+            if intercept is None:
+                intercept = landmark_mean(landmark_points)
+            elif not _finite_number(intercept):
                 raise fail("intercept", "a finite number or null")
+            specs.append(KernelSpec("polynomial", degree=degree, intercept=intercept))
+        else:
+            specs.append(KernelSpec("linear"))
+    return specs
+
+
+def _cells(spec) -> list[tuple]:
+    """(ratio, repeat, seed) of every sweep cell, in run order."""
+    repeats = spec["repeats"]
+    return [(ratio, rep, spec["base_seed"] + i * repeats + rep)
+            for i, ratio in enumerate(spec["sampling"]["ratios"]) for rep in range(repeats)]
 
 
 def resolve_spec(raw: dict) -> dict:
@@ -349,14 +368,16 @@ def resolve_spec(raw: dict) -> dict:
             n_nav = spec["data"]["i3"]
         else:
             nodes, times = spec["data"]["nodes"], spec["data"]["times"]
-            windows = times - 2 * nav["delta_t"]
-            snapshots = times
-            if spec["sampling"]["kind"] == "p2":
-                # nav1 sees only the sampled snapshots, and nav3/nav4 only the
-                # windows holding one; a snapshot lies in 2 delta_t + 1 windows
-                snapshots = math.ceil(times * min(spec["sampling"]["ratios"], default=1.0))
-                windows = min(windows, snapshots * (2 * nav["delta_t"] + 1))
-            n_nav = {"nav1": snapshots, "nav2": nodes, "nav3": nodes * windows,
+            # the snapshots a cell observes: every one under p1, its drawn ones under p2
+            observed = [np.ones(times, dtype=bool)]
+            if spec["sampling"]["kind"] == "p2" and spec["sampling"]["ratios"]:
+                observed = [sample_p2(nodes, times, ratio, seed).mask[0]
+                            for ratio, _, seed in _cells(spec)]
+            # a window (a single snapshot for nav1) yields navigators only if it
+            # holds an observed snapshot: one for nav1/nav4, one per node for nav3
+            width = np.ones(2 * nav["delta_t"] + 1 if nav["mode"] in ("nav3", "nav4") else 1)
+            windows = min(np.count_nonzero(np.convolve(cols, width, "valid")) for cols in observed)
+            n_nav = {"nav1": windows, "nav2": nodes, "nav3": nodes * windows,
                      "nav4": windows}[nav["mode"]]
             if baselines.NBP in spec["methods"] and spec["baseline"]["rank"] > min(nodes, times):
                 raise InputError(f"baseline.rank must be at most min(data.nodes, data.times) "
@@ -364,13 +385,8 @@ def resolve_spec(raw: dict) -> dict:
         if MAIN_METHOD in spec["methods"] and spec["landmarks"]["count"] > n_nav:
             raise InputError(f"landmarks.count must be at most the {n_nav} navigators "
                              f"the data produces, got {spec['landmarks']['count']}")
-    _check_kernels(spec["kernels"])
-    depth = spec["dims"]["depth"]
-    inner = list(spec["dims"]["inner"])
-    if len(inner) != depth - 1:
-        raise InputError(f"depth {depth} needs {depth - 1} inner dims, got {inner}")
-    if any(d < 1 for d in inner):
-        raise InputError(f"inner dims must be at least 1, got {inner}")
+    _kernel_specs_from_config(spec["kernels"], np.ones((1, 1)))  # stand-in landmarks
+    ModelDims(1, 1, 1, 1, spec["dims"]["depth"], tuple(spec["dims"]["inner"]))
     if problem == TVGS:
         g = spec["graph"]
         k_max = spec["data"]["nodes"] - 1 if src == "synthetic" else math.inf
@@ -397,30 +413,6 @@ def resolve_spec(raw: dict) -> dict:
         raise InputError("solver.seed is not read: each cell's seed is base_seed plus the "
                          f"cell's index, got seed {config.seed}")
     return spec
-
-
-def _kernel_specs_from_config(cfg, landmark_points) -> list[KernelSpec]:
-    if cfg == "default7":
-        return default_kernel_dictionary(landmark_points)
-    specs = []
-    for item in cfg:  # entries checked by _check_kernels
-        kind = item["kind"]
-        if kind == "gaussian":
-            if item.get("sigma") == "median":
-                specs.append(median_distance_gaussian(landmark_points))
-            elif "sigma" in item:
-                specs.append(gaussian_spec(item["sigma"]))
-            else:
-                specs.append(KernelSpec("gaussian", gamma=item["gamma"]))
-        elif kind == "linear":
-            specs.append(KernelSpec("linear"))
-        else:
-            intercept = item.get("intercept")
-            if intercept is None:
-                intercept = landmark_mean(landmark_points)
-            specs.append(KernelSpec("polynomial", degree=item["degree"],
-                                    intercept=intercept))
-    return specs
 
 
 # ---------------------------------------------------------------------------
@@ -516,15 +508,17 @@ def _run_cell_dmri(spec, dataset, ratio, repeat, seed, out_dir):
     else:
         pattern = with_band(radial_mask(i1, i2, i3, ratio, seed), i1, i2, band)
 
+    observed = apply_sampling(pattern, dataset.kspace)
+
     def solve_method(method):
         if method != MAIN_METHOD:
-            return ifft2_frames(np.where(pattern.mask, dataset.kspace, 0), i1, i2), None
+            return ifft2_frames(observed, i1, i2), None
         # work at unit k-space scale so kernel widths and weights are portable
-        scale = float(np.abs(np.where(pattern.mask, dataset.kspace, 0)).max())
+        scale = float(np.abs(observed).max())
         if scale == 0:
             raise DataError("no observed k-space energy")
         Yn = dataset.kspace / scale
-        nav = form_navigators_dmri(np.where(pattern.mask, Yn, 0), pattern, i1, i2, band)
+        nav = form_navigators_dmri(observed / scale, pattern, i1, i2, band)
         Xn, _model, report = _solve_main(spec, DMRI, Yn, pattern, (i1, i2, i3), nav, seed)
         return Xn * scale, report
 
@@ -585,7 +579,6 @@ def run_experiment(raw_spec: dict, output_dir=None) -> list[dict]:
 
     problem = spec["problem"]
     ratios = list(spec["sampling"]["ratios"])
-    repeats = spec["repeats"]
     if problem == TVGS:
         data = spec["data"]
         if data["source"] == "synthetic":
@@ -607,10 +600,7 @@ def run_experiment(raw_spec: dict, output_dir=None) -> list[dict]:
         run_one = lambda ratio, rep, seed: _run_cell_dmri(  # noqa: E731
             spec, dataset, ratio, rep, seed, out_dir)
 
-    cells = []
-    for i, ratio in enumerate(ratios):
-        for rep in range(repeats):
-            cells.append((ratio, rep, spec["base_seed"] + i * repeats + rep))
+    cells = _cells(spec)
 
     results: dict[int, list[dict]] = {}
     notes: dict[int, list[str]] = {}

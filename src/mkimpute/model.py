@@ -107,10 +107,6 @@ class FactorModel:
     coeffs: list[np.ndarray]  # B_m
     mmf: bool = False
 
-    def block_basis(self, m: int) -> np.ndarray:
-        """A_m = D_m^(1) ... D_m^(Q) K_m, the I0 x N_l regression basis."""
-        return reduce(np.matmul, [*self.factors[m], self.kernels[m]])
-
 
 def predict(model: FactorModel) -> np.ndarray:
     """Evaluate the factorization: sum over m of D_m^(1)...D_m^(Q) K_m B_m.

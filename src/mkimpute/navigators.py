@@ -165,14 +165,16 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return np.stack(centers, axis=1)
 
 
+def _sq_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances from each center (rows) to each point (columns)."""
+    return (np.sum(X**2, axis=0)[None, :] - 2.0 * centers.T @ X
+            + np.sum(centers**2, axis=0)[:, None])
+
+
 def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     centers = _kmeanspp_init(X, k, rng)
     for _ in range(MAX_SWEEPS):
-        d2 = (
-            np.sum(X**2, axis=0)[None, :]
-            - 2.0 * centers.T @ X
-            + np.sum(centers**2, axis=0)[:, None]
-        )
+        d2 = _sq_distances(X, centers)
         assign = np.argmin(d2, axis=0)
         new = np.empty_like(centers)
         for j in range(k):
@@ -193,11 +195,7 @@ def _fuzzy_cmeans(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
     centers = _kmeanspp_init(X, k, rng)
     expo = 1.0 / (FCM_EXPONENT - 1.0)
     for _ in range(MAX_SWEEPS):
-        d2 = (
-            np.sum(X**2, axis=0)[None, :]
-            - 2.0 * centers.T @ X
-            + np.sum(centers**2, axis=0)[:, None]
-        )
+        d2 = _sq_distances(X, centers)
         d2 = np.maximum(d2, 0.0)
         zero = d2 < 1e-30
         inv = np.where(zero, 0.0, 1.0 / np.maximum(d2, 1e-300) ** expo)

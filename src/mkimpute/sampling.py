@@ -15,24 +15,12 @@ import numpy as np
 
 from .errors import DataError, InputError
 
-P1_RANDOM = "p1-random"
-P2_SNAPSHOTS = "p2-snapshots"
-CARTESIAN_1D = "cartesian-1d"
-RADIAL = "radial"
-
 GOLDEN_ANGLE_DEG = 111.246
 
 
 @dataclass
 class SamplingPattern:
-    mask: np.ndarray
-    kind: str
-    ratio_or_accel: float
-    seed: int
-
-    @property
-    def observed_count(self) -> int:
-        return int(self.mask.sum())
+    mask: np.ndarray  # True = observed
 
 
 def _check_sizes(**sizes) -> None:
@@ -51,7 +39,7 @@ def sample_p1(n_rows: int, n_cols: int, r: float, seed: int) -> SamplingPattern:
     mask = np.zeros((n_rows, n_cols), dtype=bool)
     for t in range(n_cols):
         mask[rng.choice(n_rows, size=per_col, replace=False), t] = True
-    return SamplingPattern(mask, P1_RANDOM, r, seed)
+    return SamplingPattern(mask)
 
 
 def sample_p2(n_rows: int, n_cols: int, r: float, seed: int) -> SamplingPattern:
@@ -63,7 +51,7 @@ def sample_p2(n_rows: int, n_cols: int, r: float, seed: int) -> SamplingPattern:
     rng = np.random.default_rng(seed)
     mask = np.zeros((n_rows, n_cols), dtype=bool)
     mask[:, rng.choice(n_cols, size=n_snap, replace=False)] = True
-    return SamplingPattern(mask, P2_SNAPSHOTS, r, seed)
+    return SamplingPattern(mask)
 
 
 def band_rows(n_pe: int, upsilon: int) -> np.ndarray:
@@ -100,7 +88,7 @@ def cartesian_mask(
         extra = rng.choice(rest, size=budget - band, replace=False)
         rows = np.concatenate([center, extra])
         mask[:, t] = _frame_row_mask(rows, i1, i2)
-    return SamplingPattern(mask, CARTESIAN_1D, accel, seed)
+    return SamplingPattern(mask)
 
 
 def rasterize_line(i1: int, i2: int, angle: float) -> np.ndarray:
@@ -129,7 +117,8 @@ def radial_mask(i1: int, i2: int, i3: int, accel: float, seed: int) -> SamplingP
     increments, continuing across frames so coverage varies with time.
 
     The angle schedule is fully deterministic (first line at angle 0); the
-    seed is recorded for provenance only.
+    seed is not read; it is taken because callers pass every mask generator
+    one (`mkimpute mask radial --seed`).
     """
     _check_sizes(i1=i1, i2=i2, i3=i3)
     lines = radial_lines_per_frame(i1, accel)
@@ -142,19 +131,20 @@ def radial_mask(i1: int, i2: int, i3: int, accel: float, seed: int) -> SamplingP
             frame |= rasterize_line(i1, i2, idx * step)
             idx += 1
         mask[:, t] = frame.ravel(order="F")
-    return SamplingPattern(mask, RADIAL, accel, seed)
+    return SamplingPattern(mask)
 
 
 def with_band(pattern: SamplingPattern, i1: int, i2: int, upsilon: int) -> SamplingPattern:
     """Union a k-space pattern with the fully sampled central navigator band
     (pilot rows are always acquired)."""
     extra = _frame_row_mask(band_rows(i1, upsilon), i1, i2)
-    mask = pattern.mask | extra[:, None]
-    return SamplingPattern(mask, pattern.kind, pattern.ratio_or_accel, pattern.seed)
+    return SamplingPattern(pattern.mask | extra[:, None])
 
 
 def apply_sampling(pattern: SamplingPattern, Y: np.ndarray) -> np.ndarray:
-    """Zero-fill outside the observed index set; flagged entries are never read."""
+    """Zero-fill outside the observed index set; flagged entries are never read.
+    The one place the library forms the zero-filled observation, and so the one
+    check that the data's shape matches the mask."""
     Y = np.asarray(Y)
     if Y.shape != pattern.mask.shape:
         raise InputError(f"data shape {Y.shape} does not match mask {pattern.mask.shape}")
@@ -165,12 +155,11 @@ def save_mask_csv(pattern: SamplingPattern, path) -> None:
     np.savetxt(path, pattern.mask.astype(int), fmt="%d", delimiter=",")
 
 
-def load_mask_csv(path, kind: str = "imported", ratio_or_accel: float = 0.0,
-                  seed: int = 0) -> SamplingPattern:
+def load_mask_csv(path) -> SamplingPattern:
     try:
         values = np.loadtxt(path, delimiter=",")
     except ValueError as exc:
         raise DataError(f"{path}: unreadable mask ({exc})") from None
     if not np.isin(values, (0, 1)).all():
         raise DataError(f"{path}: mask values must be 0 or 1")
-    return SamplingPattern(np.atleast_2d(values.astype(bool)), kind, ratio_or_accel, seed)
+    return SamplingPattern(np.atleast_2d(values.astype(bool)))

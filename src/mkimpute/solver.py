@@ -31,7 +31,7 @@ from .kernels import KernelSpec, build_kernel_matrix
 from .model import FactorModel, ModelDims, SolverConfig, init_factors, predict
 from .mri import dft_temporal, fft2_frames, idft_temporal, ifft2_frames
 from .navigators import LandmarkSet
-from .sampling import SamplingPattern
+from .sampling import SamplingPattern, apply_sampling
 
 TVGS = "tvgs"
 DMRI = "dmri"
@@ -187,10 +187,10 @@ def consistent_smooth_solve(Y, pattern, target, X_prev, graph: GraphOperators, l
     residual in that preconditioner's norm.  Returns (X, cg_iterations).
     """
     obs = pattern.mask
-    S_y = np.where(obs, Y, 0)
+    S_y = apply_sampling(pattern, Y)
     rhs_mat = target + tau_X * X_prev
     if lambda_L == 0.0:
-        return np.where(obs, Y, rhs_mat / (1.0 + tau_X)), 0
+        return np.where(obs, S_y, rhs_mat / (1.0 + tau_X)), 0
     L_sob, (s, U), ddt, (d, Q) = graph.smoothness()
     lS = lambda_L * L_sob
     keep = (~obs).astype(float)  # 1 on the free entries, 0 on the observed ones
@@ -231,16 +231,19 @@ tvgs_update_X = consistent_smooth_solve
 # factor (D) sub-task
 # ---------------------------------------------------------------------------
 
+def chain_wings(links, i):
+    """The products of a chain's links left and right of link i; None for an empty side."""
+    left = reduce(np.matmul, links[:i]) if i > 0 else None
+    right = reduce(np.matmul, links[i + 1 :]) if i < len(links) - 1 else None
+    return left, right
+
+
 def factor_wings(model: FactorModel, q_index: int):
     """Per-block left products L_m (None = identity for the first factor) and
     right products R_m = D^(q+1)...D^(Q) K_m B_m."""
-    lefts, rights = [], []
-    for m in range(model.dims.n_kernels):
-        row = model.factors[m]
-        lefts.append(reduce(np.matmul, row[:q_index]) if q_index > 0 else None)
-        tail = list(row[q_index + 1 :]) + [model.kernels[m], model.coeffs[m]]
-        rights.append(reduce(np.matmul, tail))
-    return lefts, rights
+    lefts, rights = zip(*(chain_wings([*row, K, B], q_index)
+                          for row, K, B in zip(model.factors, model.kernels, model.coeffs)))
+    return list(lefts), list(rights)
 
 
 def chain_link_solve(left, right, X_hat, D_hat, c, tau):
@@ -610,7 +613,9 @@ def update_B_ridge(X_hat, model: FactorModel, lam: float, tau_B: float):
     """Closed-form coefficient update without the affine/l1 machinery
     (plain multi-layer factorization mode): Tikhonov on B."""
     dims = model.dims
-    A = np.concatenate([model.block_basis(m) for m in range(dims.n_kernels)], axis=1)
+    # block m's basis D_m^(1) ... D_m^(Q) K_m is the left wing of its B_m
+    A = np.concatenate([chain_wings([*row, K, B], dims.depth + 1)[0] for row, K, B
+                        in zip(model.factors, model.kernels, model.coeffs)], axis=1)
     sol = chain_link_solve(A, None, X_hat, np.concatenate(model.coeffs, axis=0),
                            lam + tau_B, tau_B)
     n_l = dims.n_landmarks
@@ -709,7 +714,7 @@ def affine_residual(model: FactorModel) -> float:
 
 def consistency_residual(A, pattern, S_y) -> float:
     """Worst deviation of A from the observations S_y on the mask."""
-    return float(np.max(np.abs(np.where(pattern.mask, A, 0) - S_y), initial=0.0))
+    return float(np.max(np.abs(apply_sampling(pattern, A) - S_y), initial=0.0))
 
 
 def sca_loop(config: SolverConfig, state, best_response, combine, evaluate):
@@ -757,23 +762,24 @@ def sca_loop(config: SolverConfig, state, best_response, combine, evaluate):
     return state, report
 
 
+def _problem_operators(problem, operators):
+    """(graph, frame dims), one of them None; InputError for the wrong operators."""
+    if problem == TVGS:
+        if not isinstance(operators, GraphOperators):
+            raise InputError("graph-signal problem needs GraphOperators")
+        return operators, None
+    if problem != DMRI:
+        raise InputError(f"unknown problem {problem!r}")
+    if not (isinstance(operators, (tuple, list)) and len(operators) == 3):
+        raise InputError("k-space problem needs (I1, I2, I3) dims")
+    return None, tuple(operators)
+
+
 def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
                      config: SolverConfig):
     """Run the outer loop from a prepared model; returns (X, model, report)."""
-    if problem not in (TVGS, DMRI):
-        raise InputError(f"unknown problem {problem!r}")
-    graph = None
-    frame_dims = None
-    if problem == TVGS:
-        graph = operators
-        if not isinstance(graph, GraphOperators):
-            raise InputError("graph-signal problem needs GraphOperators")
-    else:
-        frame_dims = tuple(operators)
-        if len(frame_dims) != 3:
-            raise InputError("k-space problem needs (I1, I2, I3) dims")
-
-    S_y = np.where(pattern.mask, Y, 0)
+    graph, frame_dims = _problem_operators(problem, operators)
+    S_y = apply_sampling(pattern, Y)
     lam_tik = config.lambda2 if problem == TVGS else config.lambda4
 
     def start():
@@ -846,6 +852,8 @@ def solve(problem, Y, pattern: SamplingPattern, operators, landmarks: LandmarkSe
           kernel_specs: list[KernelSpec], dims: ModelDims, config: SolverConfig):
     """Assemble kernel matrices from the landmarks, draw the initial factors
     and run the outer loop.  Returns (X, model, report)."""
+    _, frame_dims = _problem_operators(problem, operators)
+    S_y = apply_sampling(pattern, Y)
     if len(kernel_specs) != dims.n_kernels:
         raise InputError(
             f"{dims.n_kernels} kernels declared but {len(kernel_specs)} specs given"
@@ -861,8 +869,7 @@ def solve(problem, Y, pattern: SamplingPattern, operators, landmarks: LandmarkSe
     model0 = init_factors(dims, config.seed, dtype, kernels)
     # match the initial prediction's energy to the zero-filled iterate so the
     # first half-steps are not dominated by the random draw's scale
-    S_y = np.where(pattern.mask, Y, 0)
-    X0 = S_y if problem == TVGS else ifft2_frames(S_y, operators[0], operators[1])
+    X0 = S_y if problem == TVGS else ifft2_frames(S_y, frame_dims[0], frame_dims[1])
     pred_norm = float(np.linalg.norm(predict(model0)))
     if pred_norm > 0:
         ratio = float(np.linalg.norm(X0)) / pred_norm

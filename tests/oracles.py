@@ -35,6 +35,11 @@ def _chain(mats):
     return out
 
 
+def block_basis(model: FactorModel, m: int) -> np.ndarray:
+    """A_m = D_m^(1) ... D_m^(Q) K_m, the I0 x N_l regression basis."""
+    return _chain([*model.factors[m], model.kernels[m]])
+
+
 def dense_x_oracle(Y, mask, target, X_prev, L_sob, delta, lam_l, tau):
     """Solve the consistency-constrained smooth X sub-task by building the
     restricted Kronecker system explicitly (column-major vectorization)."""
@@ -254,7 +259,7 @@ def d_subtask_gradient(D_blocks, q_index, X_hat, model: FactorModel, lam, tau):
 
 def b_subtask_smooth_gradient(B, X_hat, model: FactorModel, tau_B):
     """Gradient of the smooth part of the coefficient sub-task (l1 excluded)."""
-    A = np.concatenate([model.block_basis(m) for m in range(model.dims.n_kernels)], axis=1)
+    A = np.concatenate([block_basis(model, m) for m in range(model.dims.n_kernels)], axis=1)
     B_hat = np.concatenate(model.coeffs, axis=0)
     return A.conj().T @ (A @ B - X_hat) + tau_B * (B - B_hat)
 

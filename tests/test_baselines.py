@@ -13,7 +13,6 @@ from mkimpute.baselines import (
     mmf_solve,
     nbp_solve,
     run_baseline,
-    zero_fill,
 )
 from mkimpute.errors import InputError, SolverError
 from mkimpute.graphs import build_graph_operators
@@ -47,8 +46,19 @@ def _conditioned_low_rank(seed=3, n=20, t=24):
 
 def test_zero_fill():
     Y, pattern, _ = _toy_problem()
-    X = zero_fill(Y, pattern)
+    X, _ = run_baseline(BaselineSpec(baselines.ZERO_FILL), Y, pattern, None, SolverConfig())
     assert np.array_equal(X, np.where(pattern.mask, Y, 0))
+
+
+@pytest.mark.parametrize("method", baselines.METHODS)
+@pytest.mark.parametrize("rows, cols", [(1, None), (None, 1)])
+def test_baselines_reject_data_of_another_shape(method, rows, cols):
+    # a one-row or one-column Y broadcast against the mask (a full-size
+    # result or a traceback); the data must have the mask's shape
+    Y, pattern, graph = _toy_problem()
+    with pytest.raises(InputError, match="does not match mask"):
+        run_baseline(BaselineSpec(method), Y[:rows, :cols], pattern, graph,
+                     SolverConfig(outer_iters=1))
 
 
 def test_mean_fill():

@@ -97,7 +97,7 @@ def test_mask_subcommand(tmp_path, args, rows, cols):
     assert main(argv) == 0
     pattern = load_mask_csv(out)
     assert pattern.mask.shape == (rows, cols)
-    assert pattern.observed_count > 0
+    assert pattern.mask.sum() > 0
 
 
 def test_p1_mask_counts_via_cli(tmp_path):

@@ -416,15 +416,20 @@ def test_load_tvgs_csv_non_finite_names_line(tmp_path, cell):
       "methods": ["mlkr", "zero-fill"]}, "landmarks.count"),
     ({"sampling": {"kind": "p2", "ratios": [0.5, 0.1]}, "landmarks": {"count": 9}},
      "landmarks.count"),
-    # at 12x16 p2 observes ceil(16 * 0.1) = 2 snapshots, each in at most 3 windows
-    # of delta_t 1: at most 6 nav4 navigators and 12 * 6 nav3 ones
+    # at 12x16 p2 observes ceil(16 * 0.1) = 2 snapshots; the cell's mask puts
+    # them in 5 of the 14 windows of delta_t 1: 5 nav4 navigators, 12 * 5 nav3
+    # ones (6 and 72 passed when each snapshot was counted in 3 windows)
     ({"data": {"source": "synthetic", "nodes": 12, "times": 16},
       "sampling": {"kind": "p2", "ratios": [0.1]}, "navigator": {"mode": "nav4", "delta_t": 1},
-      "landmarks": {"count": 7}}, "at most the 6 navigators"),
+      "landmarks": {"count": 6}}, "at most the 5 navigators"),
+    # the bound is the fewest of any cell: the ratio-0.1 cell (seed 1) gives 12 * 4
     ({"data": {"source": "synthetic", "nodes": 12, "times": 16},
       "sampling": {"kind": "p2", "ratios": [0.5, 0.1]},
-      "navigator": {"mode": "nav3", "delta_t": 1}, "landmarks": {"count": 73}},
-     "at most the 72 navigators"),
+      "navigator": {"mode": "nav3", "delta_t": 1}, "landmarks": {"count": 49}},
+     "at most the 48 navigators"),
+    ({"data": {"source": "synthetic", "nodes": 12, "times": 16},
+      "sampling": {"kind": "p2", "ratios": [0.1]}, "navigator": {"mode": "nav3", "delta_t": 1},
+      "landmarks": {"count": 72}}, "at most the 60 navigators"),
 ])
 def test_resolve_spec_rejects_fields_that_fail_every_cell(fields, match):
     with pytest.raises(InputError, match=match):

@@ -90,7 +90,7 @@ def test_dmri_band_shape_408_by_360():
     i1, i2, i3 = 8, 408, 360
     rng = np.random.default_rng(6)
     ks = rng.standard_normal((i1 * i2, i3)) + 1j * rng.standard_normal((i1 * i2, i3))
-    full = SamplingPattern(np.ones((i1 * i2, i3), dtype=bool), "cartesian-1d", 1.0, 0)
+    full = SamplingPattern(np.ones((i1 * i2, i3), dtype=bool))
     nav = form_navigators_dmri(ks, full, i1, i2, upsilon=4)
     assert nav.points.shape == (1632, 360)
 
@@ -98,7 +98,7 @@ def test_dmri_band_shape_408_by_360():
 def test_dmri_band_tiny():
     i1, i2, i3 = 8, 2, 3
     ks = np.arange(i1 * i2 * i3, dtype=complex).reshape(i1 * i2, i3)
-    full = SamplingPattern(np.ones((i1 * i2, i3), dtype=bool), "cartesian-1d", 1.0, 0)
+    full = SamplingPattern(np.ones((i1 * i2, i3), dtype=bool))
     nav = form_navigators_dmri(ks, full, i1, i2, upsilon=1)
     assert nav.points.shape == (2, 3)
 
@@ -107,7 +107,7 @@ def test_dmri_band_values_match_frames():
     i1, i2, i3 = 16, 8, 16  # synthetic-phantom style geometry: 16x16 output
     rng = np.random.default_rng(7)
     ks = rng.standard_normal((i1 * i2, i3)) + 1j * rng.standard_normal((i1 * i2, i3))
-    full = SamplingPattern(np.ones((i1 * i2, i3), dtype=bool), "cartesian-1d", 1.0, 0)
+    full = SamplingPattern(np.ones((i1 * i2, i3), dtype=bool))
     nav = form_navigators_dmri(ks, full, i1, i2, upsilon=2)
     assert nav.points.shape == (16, 16)
     frame0 = ks[:, 0].reshape(i1, i2, order="F")
@@ -117,7 +117,7 @@ def test_dmri_band_values_match_frames():
 def test_dmri_band_width_bounds():
     i1, i2, i3 = 8, 4, 2
     ks = np.ones((i1 * i2, i3), dtype=complex)
-    full = SamplingPattern(np.ones((i1 * i2, i3), dtype=bool), "cartesian-1d", 1.0, 0)
+    full = SamplingPattern(np.ones((i1 * i2, i3), dtype=bool))
     with pytest.raises(InputError):
         form_navigators_dmri(ks, full, i1, i2, upsilon=9)
     with pytest.raises(InputError):
@@ -131,7 +131,7 @@ def test_dmri_unsampled_band_rejected():
     p = radial_mask(i1, i2, i3, accel=16.0, seed=0)  # band not guaranteed
     banded = with_band(p, i1, i2, 2)
     form_navigators_dmri(ks, banded, i1, i2, upsilon=2)  # fine with the band
-    bad = SamplingPattern(p.mask & ~banded.mask, p.kind, p.ratio_or_accel, p.seed)
+    bad = SamplingPattern(p.mask & ~banded.mask)
     with pytest.raises(DataError):
         form_navigators_dmri(ks, bad, i1, i2, upsilon=2)
 

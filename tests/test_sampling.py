@@ -156,7 +156,7 @@ def test_apply_never_reads_missing_entries():
     Y = np.array([[1.0, np.nan], [np.inf, 2.0]])
     mask = np.array([[True, False], [False, True]])
     from mkimpute.sampling import SamplingPattern
-    p = SamplingPattern(mask, "p1-random", 0.5, 0)
+    p = SamplingPattern(mask)
     out = apply_sampling(p, Y)
     assert np.array_equal(out, [[1.0, 0.0], [0.0, 2.0]])
 

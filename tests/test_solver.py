@@ -25,6 +25,7 @@ from mkimpute.solver import (
     sca_step_schedule,
     soft_threshold,
     solve,
+    solve_from_model,
     tvgs_update_X,
     update_B,
     update_B_ridge,
@@ -33,6 +34,7 @@ from mkimpute.solver import (
 from oracles import (
     _prox_mu_real,
     b_subtask_smooth_gradient,
+    block_basis,
     d_subtask_gradient,
     dense_b_oracle,
     dense_d_oracle,
@@ -168,7 +170,7 @@ def test_x_update_matches_dense_oracle_on_random_masks(n, t, complex_, p_obs, ro
         mask[rng.integers(n), :] = row_fill
     if col_fill is not None:
         mask[:, rng.integers(t)] = col_fill
-    pattern = SamplingPattern(mask, "random", p_obs, seed)
+    pattern = SamplingPattern(mask)
     graph = _graph(n, t, seed=seed)
     lam = 0.0 if log_lam is None else 10.0 ** log_lam
     X, _ = consistent_smooth_solve(Y, pattern, target, X_prev, graph, lam, tau,
@@ -553,7 +555,7 @@ def test_b_ridge_closed_form():
     X_hat = rng.standard_normal((6, 5))
     blocks = update_B_ridge(X_hat, model, 0.4, 0.9)
     # stationarity: A^H(A B - X) + (lam + tau) B - tau B_hat - lam*0 = 0
-    A = np.concatenate([model.block_basis(m) for m in range(1)], axis=1)
+    A = np.concatenate([block_basis(model, m) for m in range(1)], axis=1)
     B = np.concatenate(blocks, axis=0)
     grad = A.T @ (A @ B - X_hat) + 0.4 * B + 0.9 * (B - model.coeffs[0])
     assert np.linalg.norm(grad) < 1e-8
@@ -621,7 +623,7 @@ def test_dmri_x_full_sampling():
     model = random_model(dims, 99, np.complex128)
     Y = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
     mask = np.ones((16, 3), dtype=bool)
-    pattern = SamplingPattern(mask, "cartesian-1d", 1.0, 0)
+    pattern = SamplingPattern(mask)
     Z = dft_temporal(ifft2_frames(Y, i1, i2))
     X = dmri_update_X(Y, pattern, predict(model), np.zeros((16, 3), complex), Z, 0.5, 0.5,
                       (i1, i2, i3))
@@ -636,7 +638,7 @@ def test_dmri_x_quarter_is_target_when_unweighted():
     model = random_model(dims, 15, np.complex128)
     Y = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
     mask = np.zeros((16, 3), dtype=bool)  # nothing observed: pure quarter step
-    pattern = SamplingPattern(mask, "cartesian-1d", 1.0, 0)
+    pattern = SamplingPattern(mask)
     X = dmri_update_X(Y, pattern, predict(model), np.zeros((16, 3), complex),
                       np.zeros((16, 3), complex), 0.0, 0.0, (i1, i2, i3))
     assert np.allclose(X, predict(model), atol=1e-10)
@@ -650,7 +652,7 @@ def test_dmri_x_matches_dense_oracle():
         dims = ModelDims(16, 3, 2, 1, 2, (2,))
         model = random_model(dims, seed + 30, np.complex128)
         Y = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
-        pattern = SamplingPattern(rng.random((16, 3)) < 0.4, "cartesian-1d", 1.0, 0)
+        pattern = SamplingPattern(rng.random((16, 3)) < 0.4)
         X_prev = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
         Z_hat = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
         X = dmri_update_X(Y, pattern, predict(model), X_prev, Z_hat, 0.8, 0.6, (i1, i2, i3))
@@ -738,7 +740,7 @@ def test_b_smooth_gradient_matches_fd():
     X_hat = rng.standard_normal((5, 4))
     B = rng.standard_normal((3, 4))
     tau = 0.8
-    A = model.block_basis(0)
+    A = block_basis(model, 0)
 
     def f(Bc):
         return (0.5 * np.linalg.norm(X_hat - A @ Bc) ** 2
@@ -1008,6 +1010,48 @@ def test_solve_rejects_mismatched_dims():
         solve(TVGS, Y, pattern, graph, lmk, [gaussian_spec(1.0)], dims, SolverConfig())
 
 
+def _engine_inputs(problem):
+    """(Y, pattern, operators, landmarks, kernel specs, dims) of a small solve."""
+    from mkimpute.kernels import gaussian_spec
+    if problem == TVGS:
+        Y, pattern, graph = _ring_problem()
+        lmk = _landmarks_from(Y, pattern, 6)
+        return Y, pattern, graph, lmk, [gaussian_spec(1.0)], ModelDims(12, 20, 6, 1, 2, (3,))
+    return (*_small_dmri_problem(), ModelDims(256, 8, 6, 1, 2, (3,)))
+
+
+@pytest.mark.parametrize("problem", [TVGS, DMRI])
+@pytest.mark.parametrize("rows, cols", [(1, None), (None, 1)])
+def test_solve_rejects_data_of_another_shape(problem, rows, cols):
+    # a one-row or one-column Y broadcast against the mask and gave a
+    # full-size result; the data must have the mask's shape
+    Y, pattern, operators, lmk, specs, dims = _engine_inputs(problem)
+    Y = Y[:rows, :cols]
+    config = SolverConfig(lambda2=2.0, outer_iters=1)
+    with pytest.raises(InputError, match="does not match mask"):
+        solve(problem, Y, pattern, operators, lmk, specs, dims, config)
+    with pytest.raises(InputError, match="does not match mask"):
+        solve_from_model(problem, Y, pattern, operators,
+                         init_factors(dims, 0, np.complex128), config)
+
+
+@pytest.mark.parametrize("run, problem, match", [
+    ("solve", "bogus", "unknown problem"),
+    ("solve", DMRI, "needs \\(I1, I2, I3\\) dims"),
+    ("solve_from_model", DMRI, "needs \\(I1, I2, I3\\) dims"),
+])
+def test_solve_checks_the_problem_and_its_operators_first(run, problem, match):
+    # the graph is the other problem's operators for dmri
+    Y, pattern, graph, lmk, specs, dims = _engine_inputs(TVGS)
+    config = SolverConfig(outer_iters=1)
+    with pytest.raises(InputError, match=match):
+        if run == "solve":
+            solve(problem, Y, pattern, graph, lmk, specs, dims, config)
+        else:
+            solve_from_model(problem, Y, pattern, graph, init_factors(dims, 0, np.float64),
+                             config)
+
+
 def test_x_update_cg_cap_raises_with_residual():
     from mkimpute.errors import SolverError
     rng = np.random.default_rng(30)
@@ -1067,7 +1111,7 @@ def test_b_update_cap_reports_non_convergence():
 
 
 def _b_objective(X_hat, model, blocks, lambda1, tau):
-    A = np.concatenate([model.block_basis(m) for m in range(model.dims.n_kernels)], axis=1)
+    A = np.concatenate([block_basis(model, m) for m in range(model.dims.n_kernels)], axis=1)
     B, B_hat = np.concatenate(blocks, axis=0), np.concatenate(model.coeffs, axis=0)
     return (0.5 * np.linalg.norm(X_hat - A @ B) ** 2 + lambda1 * np.abs(B).sum()
             + 0.5 * tau * np.linalg.norm(B - B_hat) ** 2)

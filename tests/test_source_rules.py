@@ -76,6 +76,20 @@ def test_one_sca_outer_loop():
     assert outer_loops == ["solver.sca_loop"], f"outer iterations looped in {outer_loops}"
 
 
+def test_only_apply_sampling_zero_fills():
+    # the zero-filled observation has one owner, sampling.apply_sampling, which
+    # also checks the data's shape against the mask
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        for owner, node in _owned_nodes(ast.parse(path.read_text()), path.stem):
+            if (isinstance(node, ast.Call) and _named(node.func) == "where"
+                    and len(node.args) == 3 and isinstance(node.args[2], ast.Constant)
+                    and type(node.args[2].value) is int and node.args[2].value == 0
+                    and owner != "sampling.apply_sampling"):
+                sites.append(f"{owner}:{node.lineno}")
+    assert sites == [], f"where(..., ..., 0) outside sampling.apply_sampling at {sites}"
+
+
 # Library names with no caller in the library or the benchmark, kept for a reason.
 KEPT_WITHOUT_CALLER = {
     "load_kt": "reads the k-space files `mkimpute phantom` writes, next to save_kt",
