@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .errors import DataError, InputError, SolverError
-from .experiments import resolve_spec, run_experiment
+from .experiments import resolve_spec, run_experiment, set_up
 from .mri import make_phantom, save_kt
 from .sampling import cartesian_mask, radial_mask, sample_p1, sample_p2, save_mask_csv
 
@@ -39,6 +39,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     resolved = resolve_spec(_load_spec(args.spec))
+    set_up(resolved)  # builds each cell's inputs, which checks every size the spec sets
     json.dump(resolved, sys.stdout, indent=2, sort_keys=True)
     print()
     return 0

@@ -14,6 +14,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -34,11 +35,13 @@ from .mri import PhantomParams, ifft2_frames, make_phantom
 from .navigators import (
     STRATEGIES,
     TVGS_MODES,
+    LandmarkSet,
     form_navigators_dmri,
     form_navigators_tvgs,
     select_landmarks,
 )
 from .sampling import (
+    SamplingPattern,
     apply_sampling,
     cartesian_mask,
     radial_mask,
@@ -152,6 +155,8 @@ def load_tvgs_csv(data_path, coords_path) -> tuple[np.ndarray, np.ndarray]:
 def make_tvgs_synthetic(n_nodes=50, n_times=80, modes=3, knn=5, seed=7, offset=3.0):
     """Smooth synthetic graph signal: low graph-frequency modes with slow
     temporal sinusoids on top of a constant offset."""
+    if not modes < n_nodes:  # mode j is eigenvector j + 1 of the graph
+        raise InputError(f"modes must be below n_nodes = {n_nodes}, got {modes}")
     rng = np.random.default_rng(seed)
     coords = rng.random((2, n_nodes))
     W, _ = knn_graph(coords, knn)
@@ -267,7 +272,13 @@ def _cells(spec) -> list[tuple]:
 
 
 def resolve_spec(raw: dict) -> dict:
-    """Materialize every default and validate; raises InputError on bad fields."""
+    """Materialize every default and check the spec's schema: its keys and
+    value kinds, the problem, methods, data source, sampling kind, metrics,
+    navigator mode and landmark strategy, the seeds, the solver settings (with
+    lambda2 > 0 for the dmri engine) and nbp's rank on synthetic data; raises
+    InputError.  It builds nothing: the sizes a cell's inputs must fit (ratios
+    and accelerations, data.modes, graph.k/eps/beta, navigator.delta_t and
+    upsilon, landmarks.count, kernels, dims) are checked by ``set_up``."""
     spec = copy.deepcopy(_DEFAULTS)
     for key, val in raw.items():
         if key not in spec:
@@ -296,10 +307,6 @@ def resolve_spec(raw: dict) -> dict:
         if src == "synthetic":
             _check_kinds(data, _SYNTH_DEFAULTS, "data")
             spec["data"] = {**_SYNTH_DEFAULTS, **data}
-            nodes = spec["data"]["nodes"]
-            if spec["data"]["modes"] >= nodes:  # mode j is eigenvector j + 1 of the graph
-                raise InputError(f"data.modes must be below data.nodes = {nodes}, "
-                                 f"got {spec['data']['modes']}")
         elif src == "csv":
             for k in ("data_path", "coords_path"):
                 if k not in data:
@@ -308,9 +315,6 @@ def resolve_spec(raw: dict) -> dict:
             raise InputError(f"unknown tvgs data source {src!r}")
         if spec["sampling"]["kind"] not in ("p1", "p2"):
             raise InputError("tvgs sampling kind must be 'p1' or 'p2'")
-        for r in spec["sampling"]["ratios"]:
-            if not 0.0 < r <= 1.0:
-                raise InputError(f"sampling ratio {r} outside (0, 1]")
     else:
         if src != "phantom":
             raise InputError(f"unknown dmri data source {src!r}")
@@ -318,9 +322,6 @@ def resolve_spec(raw: dict) -> dict:
         spec["data"] = {**_PHANTOM_DEFAULTS, **data}
         if spec["sampling"]["kind"] not in ("cartesian", "radial"):
             raise InputError("dmri sampling kind must be 'cartesian' or 'radial'")
-        for a in spec["sampling"]["ratios"]:
-            if not a >= 1.0:
-                raise InputError(f"acceleration {a} must be >= 1")
     _check_keys(data, _DATA_KEYS[src], "data")
     if spec["metrics"] is None:
         # percentage error is meaningless against near-zero image magnitudes
@@ -345,66 +346,19 @@ def resolve_spec(raw: dict) -> dict:
     if problem == TVGS and spec["navigator"]["mode"] not in TVGS_MODES:
         raise InputError(f"navigator mode must be one of {TVGS_MODES}, "
                          f"got {spec['navigator']['mode']!r}")
-    nav = spec["navigator"]
-    if problem == TVGS and nav["mode"] in ("nav3", "nav4"):
-        # the windows need 0 < delta_t < I_N/2; I_N is known here for synthetic data
-        times = spec["data"]["times"] if src == "synthetic" else math.inf
-        if not 0 < nav["delta_t"] < times / 2:
-            raise InputError(f"navigator.delta_t must lie in (0, {times / 2}) for "
-                             f"{nav['mode']}, got {nav['delta_t']}")
     for key in ("rank", "depth"):
         if spec["baseline"][key] < 1:
             raise InputError(f"baseline.{key} must be at least 1, "
                              f"got {spec['baseline'][key]}")
+    if baselines.NBP in spec["methods"] and src == "synthetic":
+        # a method's bound: no set-up stage builds nbp's links
+        nodes, times = spec["data"]["nodes"], spec["data"]["times"]
+        if spec["baseline"]["rank"] > min(nodes, times):
+            raise InputError(f"baseline.rank must be at most min(data.nodes, data.times) "
+                             f"= {min(nodes, times)} for nbp, got {spec['baseline']['rank']}")
     if spec["landmarks"]["strategy"] not in STRATEGIES:
         raise InputError(f"landmark strategy must be one of {STRATEGIES}, "
                          f"got {spec['landmarks']['strategy']!r}")
-    if spec["landmarks"]["count"] < 1:
-        raise InputError("landmark count must be at least 1")
-    if problem == DMRI or src == "synthetic":
-        # sizes the spec fixes: the most navigators the mode can produce, which
-        # bounds the engine's landmarks, and nbp's rank bound
-        if problem == DMRI:
-            n_nav = spec["data"]["i3"]
-        else:
-            nodes, times = spec["data"]["nodes"], spec["data"]["times"]
-            # the snapshots a cell observes: every one under p1, its drawn ones under p2
-            observed = [np.ones(times, dtype=bool)]
-            if spec["sampling"]["kind"] == "p2" and spec["sampling"]["ratios"]:
-                observed = [sample_p2(nodes, times, ratio, seed).mask[0]
-                            for ratio, _, seed in _cells(spec)]
-            # a window (a single snapshot for nav1) yields navigators only if it
-            # holds an observed snapshot: one for nav1/nav4, one per node for nav3
-            width = np.ones(2 * nav["delta_t"] + 1 if nav["mode"] in ("nav3", "nav4") else 1)
-            windows = min(np.count_nonzero(np.convolve(cols, width, "valid")) for cols in observed)
-            n_nav = {"nav1": windows, "nav2": nodes, "nav3": nodes * windows,
-                     "nav4": windows}[nav["mode"]]
-            if baselines.NBP in spec["methods"] and spec["baseline"]["rank"] > min(nodes, times):
-                raise InputError(f"baseline.rank must be at most min(data.nodes, data.times) "
-                                 f"= {min(nodes, times)} for nbp, got {spec['baseline']['rank']}")
-        if MAIN_METHOD in spec["methods"] and spec["landmarks"]["count"] > n_nav:
-            raise InputError(f"landmarks.count must be at most the {n_nav} navigators "
-                             f"the data produces, got {spec['landmarks']['count']}")
-    _kernel_specs_from_config(spec["kernels"], np.ones((1, 1)))  # stand-in landmarks
-    ModelDims(1, 1, 1, 1, spec["dims"]["depth"], tuple(spec["dims"]["inner"]))
-    if problem == TVGS:
-        g = spec["graph"]
-        k_max = spec["data"]["nodes"] - 1 if src == "synthetic" else math.inf
-        if not 1 <= g["k"] <= k_max:
-            raise InputError(f"graph.k must lie in [1, {k_max}], got {g['k']}")
-        for key in ("eps", "beta"):
-            if not g[key] > 0:
-                raise InputError(f"graph.{key} must be positive, got {g[key]}")
-    else:
-        # the navigator band is fully sampled, inside every frame's row budget
-        # for Cartesian sampling; the engine's navigators need at least one row
-        i1, upsilon = spec["data"]["i1"], nav["upsilon"]
-        rows = i1
-        if spec["sampling"]["kind"] == "cartesian":
-            rows = min((math.ceil(i1 / a) for a in spec["sampling"]["ratios"]), default=i1)
-        lo = 1 if MAIN_METHOD in spec["methods"] else 0
-        if not lo <= upsilon <= rows:
-            raise InputError(f"navigator.upsilon must lie in [{lo}, {rows}], got {upsilon}")
     config = SolverConfig(**spec["solver"])  # validates weights, schedule and seed
     if problem == DMRI and MAIN_METHOD in spec["methods"] and not config.lambda2 > 0:
         raise InputError("solver.lambda2 must be positive for the dmri engine's Z update, "
@@ -413,6 +367,101 @@ def resolve_spec(raw: dict) -> dict:
         raise InputError("solver.seed is not read: each cell's seed is base_seed plus the "
                          f"cell's index, got seed {config.seed}")
     return spec
+
+
+# ---------------------------------------------------------------------------
+# set-up: every input a run needs, built before any cell runs
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass
+class Cell:
+    """One sweep cell's inputs: its mask and solver settings, the zero-filled
+    k-space (dmri) and, when mlkr runs, its landmarks, kernels and dims."""
+
+    ratio: float
+    repeat: int
+    seed: int
+    pattern: SamplingPattern
+    config: SolverConfig
+    observed: np.ndarray | None = None
+    scale: float = 1.0  # dmri: mlkr works at unit k-space scale
+    landmarks: LandmarkSet | None = None
+    kernels: list[KernelSpec] | None = None
+    dims: ModelDims | None = None
+
+
+@contextmanager
+def _stage(blocks: str):
+    """Re-raise a set-up stage's InputError or DataError with the spec blocks
+    the stage reads in front of its message."""
+    try:
+        yield
+    except (InputError, DataError) as exc:
+        raise type(exc)(f"{blocks}: {exc}") from exc
+
+
+def _set_up_cell(spec, data, graph, ratio, repeat, seed) -> Cell:
+    kind, nav_cfg = spec["sampling"]["kind"], spec["navigator"]
+    observed = None
+    if spec["problem"] == TVGS:
+        with _stage("sampling"):
+            sampler = sample_p1 if kind == "p1" else sample_p2
+            pattern = sampler(data.shape[0], data.shape[1], ratio, seed)
+    else:
+        (i1, i2, i3), band = data.dims, nav_cfg["upsilon"]
+        with _stage("sampling, navigator.upsilon"):
+            if kind == "cartesian":
+                pattern = cartesian_mask(i1, i2, i3, ratio, band, seed)
+            else:
+                pattern = with_band(radial_mask(i1, i2, i3, ratio, seed), i1, i2, band)
+        observed = apply_sampling(pattern, data.kspace)
+    cell = Cell(ratio, repeat, seed, pattern, SolverConfig(**{**spec["solver"], "seed": seed}),
+                observed)
+    if MAIN_METHOD not in spec["methods"]:
+        return cell
+    if spec["problem"] == TVGS:
+        with _stage("navigator"):
+            nav = form_navigators_tvgs(data, pattern, nav_cfg["mode"], graph, nav_cfg["delta_t"])
+    else:
+        # work at unit k-space scale so kernel widths and weights are portable
+        cell.scale = float(np.abs(observed).max())
+        if cell.scale == 0:
+            raise DataError("sampling: no observed k-space energy")
+        with _stage("navigator.upsilon"):
+            nav = form_navigators_dmri(observed / cell.scale, pattern, i1, i2, band)
+    lmk_cfg = spec["landmarks"]
+    with _stage("landmarks"):
+        cell.landmarks = select_landmarks(nav, lmk_cfg["count"], lmk_cfg["strategy"], seed)
+    with _stage("kernels"):
+        cell.kernels = _kernel_specs_from_config(spec["kernels"], cell.landmarks.points)
+    with _stage("dims"):
+        cell.dims = ModelDims(*pattern.mask.shape, cell.landmarks.count, len(cell.kernels),
+                              spec["dims"]["depth"], tuple(spec["dims"]["inner"]))
+    return cell
+
+
+def set_up(spec) -> tuple:
+    """Build a resolved spec's inputs: the data and its graph (tvgs) or the
+    phantom (dmri), then every cell's.  The build is the check of every size
+    the spec sets: a stage's InputError or DataError is re-raised with the
+    spec blocks it reads in front.  Returns (Y or the phantom, the graph or
+    None, the cells in run order)."""
+    d, graph = spec["data"], None
+    with _stage("data"):
+        if spec["problem"] == DMRI:
+            params = PhantomParams(period=d["period"], noise_snr_db=d["noise_snr_db"],
+                                   seed=d["seed"])
+            data = make_phantom(d["i1"], d["i2"], d["i3"], params)
+        elif d["source"] == "synthetic":
+            data, coords = make_tvgs_synthetic(d["nodes"], d["times"], d["modes"], d["knn"],
+                                               d["seed"], d["offset"])
+        else:
+            data, coords = load_tvgs_csv(d["data_path"], d["coords_path"])
+    if spec["problem"] == TVGS:
+        g = spec["graph"]
+        with _stage("graph"):
+            graph = build_graph_operators(coords, g["k"], g["eps"], g["beta"], data.shape[1])
+    return data, graph, [_set_up_cell(spec, data, graph, *cell) for cell in _cells(spec)]
 
 
 # ---------------------------------------------------------------------------
@@ -438,20 +487,7 @@ def _error_message(exc):
     return message.replace("\n", " ")
 
 
-def _solve_main(spec, problem, Y, pattern, operators, nav, seed):
-    lmk_cfg = spec["landmarks"]
-    lmk = select_landmarks(nav, lmk_cfg["count"], lmk_cfg["strategy"], seed)
-    kspecs = _kernel_specs_from_config(spec["kernels"], lmk.points)
-    dims = ModelDims(
-        n_rows=Y.shape[0], n_cols=Y.shape[1], n_landmarks=lmk.count,
-        n_kernels=len(kspecs), depth=spec["dims"]["depth"],
-        inner=tuple(spec["dims"]["inner"]),
-    )
-    config = SolverConfig(**{**spec["solver"], "seed": seed})
-    return solve(problem, Y, pattern, operators, lmk, kspecs, dims, config)
-
-
-def _run_methods(spec, ratio, repeat, seed, out_dir, trace_tag, solve_method, score):
+def _run_methods(spec, cell, out_dir, trace_tag, solve_method, score):
     """Run each method of one cell under its own try, so a failing method
     leaves the other methods' rows, warnings and traces in place.
 
@@ -464,69 +500,50 @@ def _run_methods(spec, ratio, repeat, seed, out_dir, trace_tag, solve_method, sc
             t0 = time.perf_counter()
             X, report = solve_method(method)
             seconds = time.perf_counter() - t0
-            row = _metric_row(method, ratio, seed, score(X), seconds, spec["metrics"])
+            row = _metric_row(method, cell.ratio, cell.seed, score(X), seconds, spec["metrics"])
         except Exception as exc:  # a failed method is recorded, the cell goes on
             failures.append(f"method={method} {_error_message(exc)}")
             continue
         rows.append(row)
         if report is not None:
-            notes += _warning_lines(method, ratio, repeat, report)
+            notes += _warning_lines(method, cell.ratio, cell.repeat, report)
             if report.iterations and out_dir is not None:
-                report.to_csv(out_dir / f"trace_{method}_{trace_tag}{ratio}_{repeat}.csv")
+                name = f"trace_{method}_{trace_tag}{cell.ratio}_{cell.repeat}.csv"
+                report.to_csv(out_dir / name)
     return rows, notes, failures
 
 
-def _run_cell_tvgs(spec, Y, graph, ratio, repeat, seed, out_dir):
-    kind = spec["sampling"]["kind"]
-    sampler = sample_p1 if kind == "p1" else sample_p2
-    pattern = sampler(Y.shape[0], Y.shape[1], ratio, seed)
-    bconf = SolverConfig(**{**spec["solver"], "seed": seed})
-
+def _run_cell_tvgs(spec, Y, graph, cell, out_dir):
     def solve_method(method):
         if method == MAIN_METHOD:
-            nav_cfg = spec["navigator"]
-            nav = form_navigators_tvgs(Y, pattern, nav_cfg["mode"], graph,
-                                       nav_cfg["delta_t"])
-            X, _model, report = _solve_main(spec, TVGS, Y, pattern, graph, nav, seed)
+            X, _model, report = solve(TVGS, Y, cell.pattern, graph, cell.landmarks,
+                                      cell.kernels, cell.dims, cell.config)
             return X, report
         bspec = baselines.BaselineSpec(method, **spec["baseline"])  # rank and depth
-        return baselines.run_baseline(bspec, Y, pattern, graph, bconf)
+        return baselines.run_baseline(bspec, Y, cell.pattern, graph, cell.config)
 
     def score(X):
-        return compute_metrics(X, Y, observed_mask=pattern.mask,
+        return compute_metrics(X, Y, observed_mask=cell.pattern.mask,
                                missing_only=spec["missing_only_metrics"])
 
-    return _run_methods(spec, ratio, repeat, seed, out_dir, "r", solve_method, score)
+    return _run_methods(spec, cell, out_dir, "r", solve_method, score)
 
 
-def _run_cell_dmri(spec, dataset, ratio, repeat, seed, out_dir):
-    i1, i2, i3 = dataset.dims
-    kind = spec["sampling"]["kind"]
-    band = spec["navigator"]["upsilon"]
-    if kind == "cartesian":
-        pattern = cartesian_mask(i1, i2, i3, ratio, band, seed)
-    else:
-        pattern = with_band(radial_mask(i1, i2, i3, ratio, seed), i1, i2, band)
-
-    observed = apply_sampling(pattern, dataset.kspace)
+def _run_cell_dmri(spec, dataset, cell, out_dir):
+    i1, i2, _ = dataset.dims
 
     def solve_method(method):
         if method != MAIN_METHOD:
-            return ifft2_frames(observed, i1, i2), None
-        # work at unit k-space scale so kernel widths and weights are portable
-        scale = float(np.abs(observed).max())
-        if scale == 0:
-            raise DataError("no observed k-space energy")
-        Yn = dataset.kspace / scale
-        nav = form_navigators_dmri(observed / scale, pattern, i1, i2, band)
-        Xn, _model, report = _solve_main(spec, DMRI, Yn, pattern, (i1, i2, i3), nav, seed)
-        return Xn * scale, report
+            return ifft2_frames(cell.observed, i1, i2), None
+        Xn, _model, report = solve(DMRI, dataset.kspace / cell.scale, cell.pattern, dataset.dims,
+                                   cell.landmarks, cell.kernels, cell.dims, cell.config)
+        return Xn * cell.scale, report
 
     def score(X):
-        return compute_metrics(X, dataset.ground_truth_image, observed_mask=pattern.mask,
+        return compute_metrics(X, dataset.ground_truth_image, observed_mask=cell.pattern.mask,
                                image_dims=(i1, i2))
 
-    return _run_methods(spec, ratio, repeat, seed, out_dir, "a", solve_method, score)
+    return _run_methods(spec, cell, out_dir, "a", solve_method, score)
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +586,7 @@ def run_experiment(raw_spec: dict, output_dir=None) -> list[dict]:
     resolved spec echo, errors.log for failed cells and warnings.log for
     solver warnings.  Returns the run rows (aggregates excluded)."""
     spec = resolve_spec(raw_spec)
+    data, graph, cells = set_up(spec)
     out_dir = Path(output_dir if output_dir is not None else spec["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     for log in ("errors.log", "warnings.log"):  # they describe this run only
@@ -577,49 +595,26 @@ def run_experiment(raw_spec: dict, output_dir=None) -> list[dict]:
     with open(out_dir / "spec.resolved.json", "w") as fh:
         json.dump(spec, fh, indent=2, sort_keys=True)
 
-    problem = spec["problem"]
-    ratios = list(spec["sampling"]["ratios"])
-    if problem == TVGS:
-        data = spec["data"]
-        if data["source"] == "synthetic":
-            Y, coords = make_tvgs_synthetic(
-                data["nodes"], data["times"], data["modes"], data["knn"],
-                data["seed"], data["offset"],
-            )
-        else:
-            Y, coords = load_tvgs_csv(data["data_path"], data["coords_path"])
-        g = spec["graph"]
-        graph = build_graph_operators(coords, g["k"], g["eps"], g["beta"], Y.shape[1])
-        run_one = lambda ratio, rep, seed: _run_cell_tvgs(  # noqa: E731
-            spec, Y, graph, ratio, rep, seed, out_dir)
+    if spec["problem"] == TVGS:
+        run_one = lambda cell: _run_cell_tvgs(spec, data, graph, cell, out_dir)  # noqa: E731
     else:
-        d = spec["data"]
-        params = PhantomParams(period=d["period"], noise_snr_db=d["noise_snr_db"],
-                               seed=d["seed"])
-        dataset = make_phantom(d["i1"], d["i2"], d["i3"], params)
-        run_one = lambda ratio, rep, seed: _run_cell_dmri(  # noqa: E731
-            spec, dataset, ratio, rep, seed, out_dir)
-
-    cells = _cells(spec)
+        run_one = lambda cell: _run_cell_dmri(spec, data, cell, out_dir)  # noqa: E731
 
     results: dict[int, list[dict]] = {}
     notes: dict[int, list[str]] = {}
     errors: dict[int, str] = {}
 
     def worker(idx):
-        ratio, rep, seed = cells[idx]
-        try:
-            results[idx], notes[idx], failures = run_one(ratio, rep, seed)
-        except Exception as exc:  # the cell's set-up failed, the sweep continues
-            failures = [_error_message(exc)]
+        cell = cells[idx]
+        results[idx], notes[idx], failures = run_one(cell)
         if failures:  # one line per cell, naming each failed method
-            errors[idx] = f"cell ratio={ratio} repeat={rep}: " + "; ".join(failures)
+            errors[idx] = f"cell ratio={cell.ratio} repeat={cell.repeat}: " + "; ".join(failures)
 
     with ThreadPoolExecutor(max_workers=spec["workers"]) as pool:
         list(pool.map(worker, range(len(cells))))
 
     rows = [row for idx in sorted(results) for row in results[idx]]
-    all_rows = rows + aggregate_rows(rows, spec["methods"], ratios)
+    all_rows = rows + aggregate_rows(rows, spec["methods"], spec["sampling"]["ratios"])
     emit_results(all_rows, out_dir / "results.csv")
     if errors:
         with open(out_dir / "errors.log", "w") as fh:

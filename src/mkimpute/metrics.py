@@ -124,7 +124,8 @@ def compute_metrics(X, ref, observed_mask=None, missing_only: bool = False,
     """Entry-wise metrics over all entries (default) or the unobserved ones;
     structural metrics are computed per frame on magnitude images when
     ``image_dims`` is given (frames averaged).  mape is omitted, not
-    NaN-propagated, when the reference contains zeros."""
+    NaN-propagated, when the reference contains zeros, and hfen when a frame
+    is smaller than its LOG_SIZE stencil."""
     X, ref = _check_shapes(X, ref)
     if missing_only:
         if observed_mask is None:
@@ -146,10 +147,9 @@ def compute_metrics(X, ref, observed_mask=None, missing_only: bool = False,
         i1, i2 = image_dims
         frames = X.reshape(i1, i2, -1, order="F")
         truth = ref.reshape(i1, i2, -1, order="F")
-        s_vals, h_vals = [], []
-        for t in range(frames.shape[2]):
-            s_vals.append(ssim(np.abs(frames[:, :, t]), np.abs(truth[:, :, t])))
-            h_vals.append(hfen(np.abs(frames[:, :, t]), np.abs(truth[:, :, t])))
-        rep.ssim = float(np.mean(s_vals))
-        rep.hfen = float(np.mean(h_vals))
+        pairs = [(np.abs(frames[:, :, t]), np.abs(truth[:, :, t]))
+                 for t in range(frames.shape[2])]
+        rep.ssim = float(np.mean([ssim(*pair) for pair in pairs]))
+        if min(i1, i2) >= LOG_SIZE:
+            rep.hfen = float(np.mean([hfen(*pair) for pair in pairs]))
     return rep

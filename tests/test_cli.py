@@ -22,6 +22,18 @@ TVGS_SPEC = {
 }
 
 
+CSV = {"source": "csv"}  # replaced by the block _csv_data writes
+
+
+def _csv_data(tmp_path):
+    """A csv data block over 14x16 synthetic data written to tmp_path."""
+    Y, coords = make_tvgs_synthetic(14, 16, 2, 3, seed=2)
+    np.savetxt(tmp_path / "y.csv", Y, delimiter=",")
+    np.savetxt(tmp_path / "c.csv", coords.T, delimiter=",")
+    return {"source": "csv", "data_path": str(tmp_path / "y.csv"),
+            "coords_path": str(tmp_path / "c.csv")}
+
+
 def test_run_subcommand(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(TVGS_SPEC))
@@ -141,14 +153,26 @@ def test_validate_wrongly_typed_value_is_one_json_line(tmp_path, capsys):
       "sampling": {"kind": "radial", "ratios": [4.0]}, "landmarks": {"count": 4}},
      "solver.lambda2"),
     ({"solver": {"seed": 5}}, "base_seed"),
-    ({"graph": {"eps": 0.0}}, "graph.eps"),
+    # an explicit id keeps a case's name stable where its match is a set-up
+    # message, "spec block: constructor message"
+    pytest.param({"graph": {"eps": 0.0}}, "graph: eps must be positive, got 0.0",
+                 id="fields6-graph.eps"),
     ({"problem": "dmri", "data": {"source": "phantom", "i1": 16, "i2": 16, "i3": 8},
       "sampling": {"kind": "cartesian", "ratios": [4.0]}, "navigator": {"upsilon": 6},
       "landmarks": {"count": 4}, "solver": {"lambda2": 2.0}}, "navigator.upsilon"),
-    ({"sampling": {"kind": "p2", "ratios": [0.1]}, "landmarks": {"count": 20},
-      "methods": ["mlkr", "zero-fill"]}, "landmarks.count"),
+    pytest.param({"sampling": {"kind": "p2", "ratios": [0.1]}, "landmarks": {"count": 20},
+                  "methods": ["mlkr", "zero-fill"]}, "landmarks: need 1 <= N_l <= 8, got 20",
+                 id="fields8-landmarks.count"),
+    # under p1 a nav3 patch whose neighbours are all unobserved in its window
+    # is dropped: 325 of the 30 * 14 patches remain
+    ({"data": {"source": "synthetic", "nodes": 30, "times": 16},
+      "sampling": {"kind": "p1", "ratios": [0.1]}, "navigator": {"mode": "nav3", "delta_t": 1},
+      "landmarks": {"count": 400}}, "landmarks: need 1 <= N_l <= 325, got 400"),
+    ({"data": CSV, "landmarks": {"count": 10_000}}, "landmarks: need 1 <= N_l <= 16, got 10000"),
 ])
 def test_validate_and_run_reject_specs_that_fail_every_cell(tmp_path, capsys, fields, key):
+    if fields.get("data") is CSV:
+        fields = {**fields, "data": _csv_data(tmp_path)}
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"problem": "tvgs", **fields}))
     for argv in (["validate", str(spec_path)],
@@ -162,26 +186,34 @@ def test_validate_and_run_reject_specs_that_fail_every_cell(tmp_path, capsys, fi
 
 
 @pytest.mark.parametrize("fields, key", [
-    ({"data": {"source": "synthetic", "nodes": 12, "times": 16, "modes": 12}}, "data.modes"),
+    # ids given as in the table above
+    pytest.param({"data": {"source": "synthetic", "nodes": 12, "times": 16, "modes": 12}},
+                 "data: modes must be below n_nodes = 12, got 12", id="fields0-data.modes"),
     ({"data": {"source": "synthetic", "nodes": 12, "times": 16},
       "methods": ["mlkr", "mmf"], "baseline": {"rank": 0}}, "baseline.rank"),
-    ({"data": {"source": "synthetic", "nodes": 12, "times": 16},
-      "navigator": {"mode": "nav3", "delta_t": 8}}, "navigator.delta_t"),
-    ({"data": {"source": "synthetic", "nodes": 12, "times": 16},
-      "landmarks": {"count": 40}}, "landmarks.count"),
+    pytest.param({"data": {"source": "synthetic", "nodes": 12, "times": 16},
+                  "navigator": {"mode": "nav3", "delta_t": 8}},
+                 "navigator: need 0 < delta_t < I_N/2 = 8.0, got 8",
+                 id="fields2-navigator.delta_t"),
+    pytest.param({"data": {"source": "synthetic", "nodes": 12, "times": 16},
+                  "landmarks": {"count": 40}}, "landmarks: need 1 <= N_l <= 16, got 40",
+                 id="fields3-landmarks.count"),
     ({"data": {"source": "synthetic", "nodes": 12, "times": 16},
       "methods": ["mlkr", "nbp"], "baseline": {"rank": 20}}, "baseline.rank"),
-    ({"data": {"source": "synthetic", "nodes": 12, "times": 16},
-      "navigator": {"mode": "nav2"}, "landmarks": {"count": 13}}, "landmarks.count"),
-    ({"data": {"source": "synthetic", "nodes": 12, "times": 16},
-      "navigator": {"mode": "nav3", "delta_t": 3}, "landmarks": {"count": 121}},
-     "landmarks.count"),
-    ({"data": {"source": "synthetic", "nodes": 12, "times": 16},
-      "navigator": {"mode": "nav4", "delta_t": 3}, "landmarks": {"count": 11}},
-     "landmarks.count"),
-    ({"problem": "dmri", "data": {"source": "phantom", "i1": 16, "i2": 16, "i3": 8},
-      "sampling": {"kind": "radial", "ratios": [4.0]}, "landmarks": {"count": 9}},
-     "landmarks.count"),
+    pytest.param({"data": {"source": "synthetic", "nodes": 12, "times": 16},
+                  "navigator": {"mode": "nav2"}, "landmarks": {"count": 13}},
+                 "landmarks: need 1 <= N_l <= 12, got 13", id="fields5-landmarks.count"),
+    pytest.param({"data": {"source": "synthetic", "nodes": 12, "times": 16},
+                  "navigator": {"mode": "nav3", "delta_t": 3}, "landmarks": {"count": 121}},
+                 "landmarks: need 1 <= N_l <= 120, got 121", id="fields6-landmarks.count"),
+    pytest.param({"data": {"source": "synthetic", "nodes": 12, "times": 16},
+                  "navigator": {"mode": "nav4", "delta_t": 3}, "landmarks": {"count": 11}},
+                 "landmarks: need 1 <= N_l <= 10, got 11", id="fields7-landmarks.count"),
+    # lambda2 > 0, or resolve_spec rejects the dmri engine before its set-up is built
+    pytest.param({"problem": "dmri", "data": {"source": "phantom", "i1": 16, "i2": 16, "i3": 8},
+                  "sampling": {"kind": "radial", "ratios": [4.0]}, "landmarks": {"count": 9},
+                  "solver": {"lambda2": 2.0}}, "landmarks: need 1 <= N_l <= 8, got 9",
+                 id="fields8-landmarks.count"),
 ])
 def test_validate_and_run_reject_sizes_that_fail_at_run_time(tmp_path, capsys, fields, key):
     spec_path = tmp_path / "spec.json"
@@ -196,22 +228,11 @@ def test_validate_and_run_reject_sizes_that_fail_at_run_time(tmp_path, capsys, f
         assert key in payload["message"]
 
 
-def _csv_spec(tmp_path, landmarks):
-    # csv data: resolve_spec cannot know the navigator count before reading it
-    Y, coords = make_tvgs_synthetic(14, 16, 2, 3, seed=2)
-    np.savetxt(tmp_path / "y.csv", Y, delimiter=",")
-    np.savetxt(tmp_path / "c.csv", coords.T, delimiter=",")
-    spec = {**TVGS_SPEC, "data": {"source": "csv", "data_path": str(tmp_path / "y.csv"),
-                                  "coords_path": str(tmp_path / "c.csv")},
-            "landmarks": {"strategy": "maxmin", "count": landmarks}}
-    spec_path = tmp_path / f"spec{landmarks}.json"
-    spec_path.write_text(json.dumps(spec))
-    return str(spec_path)
-
-
 def test_run_with_failed_cells_exits_nonzero_and_names_the_log(tmp_path, capsys):
     out = tmp_path / "out"
-    assert main(["run", _csv_spec(tmp_path, 10_000), "--output", str(out)]) == 1
+    stalls = tmp_path / "stalls.json"  # the set-up builds, then mlkr's X-update CG stalls
+    stalls.write_text(json.dumps({**TVGS_SPEC, "solver": {**TVGS_SPEC["solver"], "cg_max": 1}}))
+    assert main(["run", str(stalls), "--output", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out.strip() == "completed 1 runs"  # zero-fill's; mlkr failed
     err = captured.err.strip().splitlines()
@@ -219,7 +240,9 @@ def test_run_with_failed_cells_exits_nonzero_and_names_the_log(tmp_path, capsys)
     payload = json.loads(err[0])
     assert payload["failed_cells"] == 1
     assert payload["errors_log"] == str(out / "errors.log")
-    assert "10000" in (out / "errors.log").read_text()
+    assert "method=mlkr SolverError" in (out / "errors.log").read_text()
     # a clean run into the same directory drops the stale log and exits 0
-    assert main(["run", _csv_spec(tmp_path, 5), "--output", str(out)]) == 0
+    clean = tmp_path / "clean.json"
+    clean.write_text(json.dumps(TVGS_SPEC))
+    assert main(["run", str(clean), "--output", str(out)]) == 0
     assert not (out / "errors.log").exists()

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mkimpute.baselines import BaselineSpec, run_baseline
 from mkimpute.errors import DataError, InputError
@@ -14,6 +16,7 @@ from mkimpute.experiments import (
     make_tvgs_synthetic,
     resolve_spec,
     run_experiment,
+    set_up,
 )
 from mkimpute.graphs import build_graph_operators
 from mkimpute.metrics import mae
@@ -89,6 +92,13 @@ def test_synthetic_generator_deterministic():
     assert np.array_equal(a, b)
     assert np.array_equal(ca, cb)
     assert a.shape == (12, 14)
+
+
+@pytest.mark.parametrize("modes", [12, 20])
+def test_synthetic_generator_rejects_modes_beyond_the_graph(modes):
+    # mode j is eigenvector j + 1 of the 12-node graph's Laplacian
+    with pytest.raises(InputError, match=f"modes must be below n_nodes = 12, got {modes}"):
+        make_tvgs_synthetic(12, 16, modes=modes)
 
 
 def test_resolve_spec_materializes_defaults():
@@ -247,17 +257,11 @@ def test_metric_selection_filters_columns(tmp_path):
 
 def test_failed_cell_recorded_not_fatal(tmp_path):
     spec = json.loads(json.dumps(TVGS_SPEC))
-    # csv data: N_nav is known only once the data is read, so the spec resolves
-    Y, coords = make_tvgs_synthetic(16, 18, 2, 4, seed=7)
-    np.savetxt(tmp_path / "y.csv", Y, delimiter=",")
-    np.savetxt(tmp_path / "c.csv", coords.T, delimiter=",")
-    spec["data"] = {"source": "csv", "data_path": str(tmp_path / "y.csv"),
-                    "coords_path": str(tmp_path / "c.csv")}
-    spec["landmarks"]["count"] = 10_000  # exceeds N_nav: mlkr fails, zero-fill runs
+    spec["solver"]["cg_max"] = 1  # the set-up builds, then mlkr's X-update CG stalls
     rows = run_experiment(spec, output_dir=tmp_path)
     assert [row["method"] for row in rows] == ["zero-fill"]
     assert (tmp_path / "errors.log").read_text().startswith(
-        "cell ratio=0.4 repeat=0: method=mlkr InputError: ")
+        "cell ratio=0.4 repeat=0: method=mlkr SolverError: ")
 
 
 def test_a_failing_method_keeps_the_other_methods_of_its_cell(tmp_path):
@@ -398,10 +402,16 @@ def test_load_tvgs_csv_non_finite_names_line(tmp_path, cell):
     ({"problem": "dmri", "data": {"source": "phantom"}, "landmarks": {"count": 4},
       "sampling": {"kind": "radial", "ratios": [4.0]}}, "solver.lambda2"),
     ({"solver": {"seed": 5}}, "base_seed"),
-    ({"graph": {"k": 0}}, "graph.k"),
-    ({"data": {"source": "synthetic", "nodes": 12}, "graph": {"k": 12}}, "graph.k"),
-    ({"graph": {"eps": 0.0}}, "graph.eps"),
-    ({"graph": {"beta": -1.0}}, "graph.beta"),
+    # an explicit id keeps a case's name stable where its match is a set-up
+    # message, "spec block: constructor message"
+    pytest.param({"graph": {"k": 0}}, "graph: need 1 <= k < 50, got k=0",
+                 id="fields30-graph.k"),
+    pytest.param({"data": {"source": "synthetic", "nodes": 12}, "graph": {"k": 12}},
+                 "graph: need 1 <= k < 12, got k=12", id="fields31-graph.k"),
+    pytest.param({"graph": {"eps": 0.0}}, "graph: eps must be positive, got 0.0",
+                 id="fields32-graph.eps"),
+    pytest.param({"graph": {"beta": -1.0}}, "graph: beta must be positive, got -1.0",
+                 id="fields33-graph.beta"),
     ({"problem": "dmri", "data": {"source": "phantom", "i1": 16, "i2": 16, "i3": 8},
       "sampling": {"kind": "cartesian", "ratios": [2.0, 4.0]}, "navigator": {"upsilon": 6},
       "landmarks": {"count": 4}, "solver": {"lambda2": 2.0}}, "navigator.upsilon"),
@@ -412,28 +422,33 @@ def test_load_tvgs_csv_non_finite_names_line(tmp_path, cell):
       "sampling": {"kind": "radial", "ratios": [4.0]}, "navigator": {"upsilon": 0},
       "landmarks": {"count": 4}, "solver": {"lambda2": 2.0}}, "navigator.upsilon"),
     # p2 observes ceil(80 * 0.1) = 8 whole snapshots, the most nav1 navigators
-    ({"sampling": {"kind": "p2", "ratios": [0.1]}, "landmarks": {"count": 20},
-      "methods": ["mlkr", "zero-fill"]}, "landmarks.count"),
-    ({"sampling": {"kind": "p2", "ratios": [0.5, 0.1]}, "landmarks": {"count": 9}},
-     "landmarks.count"),
+    pytest.param({"sampling": {"kind": "p2", "ratios": [0.1]}, "landmarks": {"count": 20},
+                  "methods": ["mlkr", "zero-fill"]}, "landmarks: need 1 <= N_l <= 8, got 20",
+                 id="fields37-landmarks.count"),
+    pytest.param({"sampling": {"kind": "p2", "ratios": [0.5, 0.1]}, "landmarks": {"count": 9}},
+                 "landmarks: need 1 <= N_l <= 8, got 9", id="fields38-landmarks.count"),
     # at 12x16 p2 observes ceil(16 * 0.1) = 2 snapshots; the cell's mask puts
-    # them in 5 of the 14 windows of delta_t 1: 5 nav4 navigators, 12 * 5 nav3
-    # ones (6 and 72 passed when each snapshot was counted in 3 windows)
-    ({"data": {"source": "synthetic", "nodes": 12, "times": 16},
-      "sampling": {"kind": "p2", "ratios": [0.1]}, "navigator": {"mode": "nav4", "delta_t": 1},
-      "landmarks": {"count": 6}}, "at most the 5 navigators"),
+    # them in 5 of the 14 windows of delta_t 1: 5 nav4 navigators, 12 * 5 nav3 ones
+    pytest.param({"data": {"source": "synthetic", "nodes": 12, "times": 16},
+                  "sampling": {"kind": "p2", "ratios": [0.1]},
+                  "navigator": {"mode": "nav4", "delta_t": 1}, "landmarks": {"count": 6}},
+                 "landmarks: need 1 <= N_l <= 5, got 6", id="fields39-at most the 5 navigators"),
     # the bound is the fewest of any cell: the ratio-0.1 cell (seed 1) gives 12 * 4
-    ({"data": {"source": "synthetic", "nodes": 12, "times": 16},
-      "sampling": {"kind": "p2", "ratios": [0.5, 0.1]},
-      "navigator": {"mode": "nav3", "delta_t": 1}, "landmarks": {"count": 49}},
-     "at most the 48 navigators"),
-    ({"data": {"source": "synthetic", "nodes": 12, "times": 16},
-      "sampling": {"kind": "p2", "ratios": [0.1]}, "navigator": {"mode": "nav3", "delta_t": 1},
-      "landmarks": {"count": 72}}, "at most the 60 navigators"),
+    pytest.param({"data": {"source": "synthetic", "nodes": 12, "times": 16},
+                  "sampling": {"kind": "p2", "ratios": [0.5, 0.1]},
+                  "navigator": {"mode": "nav3", "delta_t": 1}, "landmarks": {"count": 49}},
+                 "landmarks: need 1 <= N_l <= 48, got 49",
+                 id="fields40-at most the 48 navigators"),
+    pytest.param({"data": {"source": "synthetic", "nodes": 12, "times": 16},
+                  "sampling": {"kind": "p2", "ratios": [0.1]},
+                  "navigator": {"mode": "nav3", "delta_t": 1}, "landmarks": {"count": 72}},
+                 "landmarks: need 1 <= N_l <= 60, got 72",
+                 id="fields41-at most the 60 navigators"),
 ])
 def test_resolve_spec_rejects_fields_that_fail_every_cell(fields, match):
+    # a size is checked by building the cell's inputs, the rest by resolve_spec
     with pytest.raises(InputError, match=match):
-        resolve_spec({"problem": "tvgs", **fields})
+        set_up(resolve_spec({"problem": "tvgs", **fields}))
 
 
 def test_resolve_spec_reads_missing_only_metrics_on_tvgs_alone():
@@ -445,22 +460,40 @@ def test_resolve_spec_reads_missing_only_metrics_on_tvgs_alone():
 
 
 SMALL_SYNTHETIC = {"source": "synthetic", "nodes": 12, "times": 16}
+CSV = {"source": "csv"}  # replaced by the block _csv_data writes
+
+
+def _csv_data(tmp_path):
+    """A csv data block over 12x16 synthetic data written to tmp_path."""
+    Y, coords = make_tvgs_synthetic(12, 16, 2, 4, seed=7)
+    np.savetxt(tmp_path / "y.csv", Y, delimiter=",")
+    np.savetxt(tmp_path / "c.csv", coords.T, delimiter=",")
+    return {"source": "csv", "data_path": str(tmp_path / "y.csv"),
+            "coords_path": str(tmp_path / "c.csv")}
 
 
 @pytest.mark.parametrize("fields, match", [
-    ({"data": {**SMALL_SYNTHETIC, "modes": 12}}, "data.modes"),
-    ({"data": {**SMALL_SYNTHETIC, "modes": 20}}, "data.modes"),
+    pytest.param({"data": {**SMALL_SYNTHETIC, "modes": 12}},
+                 "data: modes must be below n_nodes = 12, got 12", id="fields0-data.modes"),
+    pytest.param({"data": {**SMALL_SYNTHETIC, "modes": 20}},
+                 "data: modes must be below n_nodes = 12, got 20", id="fields1-data.modes"),
     ({"baseline": {"rank": 0}}, "baseline.rank"),
     ({"baseline": {"depth": 0}}, "baseline.depth"),
-    ({"navigator": {"mode": "nav3", "delta_t": 0}}, "navigator.delta_t"),
-    ({"data": SMALL_SYNTHETIC, "navigator": {"mode": "nav4", "delta_t": 8}},
-     "navigator.delta_t"),
-    ({"data": {"source": "csv", "data_path": "y.csv", "coords_path": "c.csv"},
-      "navigator": {"mode": "nav3", "delta_t": -1}}, "navigator.delta_t"),
+    pytest.param({"navigator": {"mode": "nav3", "delta_t": 0}},
+                 "navigator: need 0 < delta_t < I_N/2 = 40.0, got 0",
+                 id="fields4-navigator.delta_t"),
+    pytest.param({"data": SMALL_SYNTHETIC, "navigator": {"mode": "nav4", "delta_t": 8}},
+                 "navigator: need 0 < delta_t < I_N/2 = 8.0, got 8",
+                 id="fields5-navigator.delta_t"),
+    pytest.param({"data": CSV, "navigator": {"mode": "nav3", "delta_t": -1}},
+                 "navigator: need 0 < delta_t < I_N/2 = 8.0, got -1",
+                 id="fields6-navigator.delta_t"),
 ])
-def test_resolve_spec_rejects_sizes_that_fail_at_run_time(fields, match):
+def test_resolve_spec_rejects_sizes_that_fail_at_run_time(tmp_path, fields, match):
+    if fields.get("data") is CSV:
+        fields = {**fields, "data": _csv_data(tmp_path)}
     with pytest.raises(InputError, match=match):
-        resolve_spec({"problem": "tvgs", **fields})
+        set_up(resolve_spec({"problem": "tvgs", **fields}))
 
 
 @pytest.mark.parametrize("fields, n_nav", [
@@ -474,26 +507,27 @@ def test_resolve_spec_rejects_sizes_that_fail_at_run_time(fields, match):
 ])
 def test_resolve_spec_bounds_landmarks_by_the_navigator_count(fields, n_nav):
     spec = {"problem": "tvgs", "data": SMALL_SYNTHETIC, **fields}
-    assert resolve_spec({**spec, "landmarks": {"count": n_nav}})["landmarks"]["count"] == n_nav
-    with pytest.raises(InputError, match="landmarks.count"):
-        resolve_spec({**spec, "landmarks": {"count": n_nav + 1}})
+    _, _, cells = set_up(resolve_spec({**spec, "landmarks": {"count": n_nav}}))
+    assert cells[0].landmarks.count == n_nav
+    with pytest.raises(InputError, match=f"landmarks: need 1 <= N_l <= {n_nav}, got {n_nav + 1}"):
+        set_up(resolve_spec({**spec, "landmarks": {"count": n_nav + 1}}))
     # only the engine uses landmarks
     methods = ["zero-fill"] if spec["problem"] == "dmri" else ["mmf", "zero-fill"]
-    assert resolve_spec({**spec, "methods": methods, "landmarks": {"count": n_nav + 1}})
+    assert set_up(resolve_spec({**spec, "methods": methods, "landmarks": {"count": n_nav + 1}}))
 
 
 def test_resolve_spec_accepts_the_widest_band_and_the_densest_graph():
     dmri = {"problem": "dmri", "data": {"source": "phantom", "i1": 16, "i2": 16, "i3": 8},
             "landmarks": {"count": 4}, "solver": {"lambda2": 2.0}}
     cartesian = {"kind": "cartesian", "ratios": [2.0, 4.0]}  # 4 rows a frame at a = 4
-    assert resolve_spec({**dmri, "sampling": cartesian, "navigator": {"upsilon": 4}})
+    assert set_up(resolve_spec({**dmri, "sampling": cartesian, "navigator": {"upsilon": 4}}))
     radial = {"kind": "radial", "ratios": [4.0]}
-    assert resolve_spec({**dmri, "sampling": radial, "navigator": {"upsilon": 16}})
+    assert set_up(resolve_spec({**dmri, "sampling": radial, "navigator": {"upsilon": 16}}))
     # without the engine neither the band nor lambda2 is needed
-    assert resolve_spec({**dmri, "sampling": radial, "navigator": {"upsilon": 0},
-                         "methods": ["zero-fill"], "solver": {}})
-    assert resolve_spec({"problem": "tvgs", "data": SMALL_SYNTHETIC, "landmarks": {"count": 4},
-                         "graph": {"k": 11}})
+    assert set_up(resolve_spec({**dmri, "sampling": radial, "navigator": {"upsilon": 0},
+                                "methods": ["zero-fill"], "solver": {}}))
+    assert set_up(resolve_spec({"problem": "tvgs", "data": SMALL_SYNTHETIC,
+                                "landmarks": {"count": 4}, "graph": {"k": 11}}))
 
 
 def test_resolve_spec_bounds_the_nbp_rank_only_when_nbp_runs():
@@ -510,4 +544,54 @@ def test_resolve_spec_accepts_the_largest_valid_sizes():
                          "navigator": {"mode": "nav4", "delta_t": 7},
                          "landmarks": {"count": 2},  # the two windows nav4 forms
                          "baseline": {"rank": 1, "depth": 1}})
+    assert set_up(spec)
     assert spec["data"]["modes"] == 11 and spec["navigator"]["delta_t"] == 7
+
+
+@st.composite
+def _small_specs(draw):
+    """Small specs of both problems whose sizes may or may not fit together."""
+    spec = {"methods": draw(st.sampled_from([["mlkr"], ["zero-fill"], ["mlkr", "zero-fill"]])),
+            "landmarks": {"strategy": draw(st.sampled_from(["maxmin", "kmeans", "fuzzy-cmeans"])),
+                          "count": draw(st.integers(0, 12))},
+            "kernels": draw(st.sampled_from([[{"kind": "gaussian", "sigma": "median"}],
+                                             [{"kind": "polynomial", "degree": 2}], "default7"])),
+            "dims": {"depth": 2, "inner": [draw(st.integers(1, 3))]},
+            "solver": {"lambda1": 1e-3, "lambda2": 1.0, "lambda_L": 0.05, "outer_iters": 1},
+            "base_seed": draw(st.integers(0, 5)),
+            "repeats": draw(st.integers(1, 2))}
+    if draw(st.booleans()):
+        nodes = draw(st.integers(4, 12))
+        ratios = st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]), min_size=1, max_size=2)
+        spec.update(problem="tvgs",
+                    data={"source": "synthetic", "nodes": nodes, "times": draw(st.integers(2, 12)),
+                          "modes": draw(st.integers(1, 3)), "knn": draw(st.integers(1, 4))},
+                    sampling={"kind": draw(st.sampled_from(["p1", "p2"])), "ratios": draw(ratios)},
+                    navigator={"mode": draw(st.sampled_from(["nav1", "nav2", "nav3", "nav4"])),
+                               "delta_t": draw(st.integers(-1, 5))},
+                    graph={"k": draw(st.integers(1, nodes))})
+    else:
+        accels = st.lists(st.sampled_from([1.0, 2.0, 4.0, 8.0]), min_size=1, max_size=2)
+        spec.update(problem="dmri",
+                    data={"source": "phantom", "i1": draw(st.integers(8, 16)),
+                          "i2": draw(st.integers(8, 16)), "i3": draw(st.integers(8, 10))},
+                    sampling={"kind": draw(st.sampled_from(["cartesian", "radial"])),
+                              "ratios": draw(accels)},
+                    navigator={"upsilon": draw(st.integers(-1, 8))})
+    return spec
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(spec=_small_specs())
+def test_a_validated_spec_fails_in_no_cell_set_up(tmp_path_factory, spec):
+    # validation is the set-up's build: it accepts, or it raises InputError or
+    # DataError; an accepted spec's cells can then fail only in a method, and
+    # none does here
+    try:
+        set_up(resolve_spec(spec))
+    except (InputError, DataError):
+        return
+    out = tmp_path_factory.mktemp("drawn")
+    rows = run_experiment(spec, output_dir=out)
+    assert not (out / "errors.log").exists(), (out / "errors.log").read_text()
+    assert len(rows) == len(spec["sampling"]["ratios"]) * spec["repeats"] * len(spec["methods"])

@@ -159,3 +159,12 @@ def test_compute_metrics_with_images():
                           image_dims=(16, 16))
     assert rep.ssim == pytest.approx(1.0, abs=1e-12)
     assert rep.hfen == pytest.approx(0.0, abs=1e-12)
+
+
+def test_compute_metrics_omits_hfen_on_frames_below_its_stencil():
+    # an 8x14 frame takes ssim's 8x8 window but not hfen's 15x15 stencil
+    from mkimpute.mri import make_phantom
+    truth = make_phantom(8, 14, 8).ground_truth_image
+    rep = compute_metrics(truth + 0.1, truth, image_dims=(8, 14))
+    assert rep.hfen is None
+    assert rep.ssim is not None and rep.mae == pytest.approx(0.1)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mkimpute.experiments import _kernel_specs_from_config, resolve_spec
+from mkimpute.experiments import _kernel_specs_from_config, resolve_spec, set_up
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,6 +30,7 @@ def test_readme_spec_example_resolves():
     for block in blocks:
         spec = resolve_spec(json.loads(block))
         assert spec["problem"] in ("tvgs", "dmri")
+        assert set_up(spec)  # as `mkimpute validate` does
 
 
 @pytest.mark.parametrize("kernels", DOCUMENTED_KERNELS)

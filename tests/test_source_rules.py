@@ -8,7 +8,7 @@ import re
 import textwrap
 from pathlib import Path
 
-from mkimpute import solver
+from mkimpute import experiments, solver
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -88,6 +88,19 @@ def test_only_apply_sampling_zero_fills():
                     and owner != "sampling.apply_sampling"):
                 sites.append(f"{owner}:{node.lineno}")
     assert sites == [], f"where(..., ..., 0) outside sampling.apply_sampling at {sites}"
+
+
+def test_resolve_spec_builds_nothing():
+    # resolve_spec checks the schema alone: data, graph, masks, navigators,
+    # landmarks, kernels and dims are built, and their sizes checked, by
+    # experiments.set_up, so the set-up's cost has one place
+    builders = re.compile(r"make_\w+|load_tvgs_csv|build_graph_operators|sample_\w+|\w+_mask"
+                          r"|with_band|form_navigators_\w+|select_landmarks"
+                          r"|_kernel_specs_from_config|ModelDims")
+    tree = ast.parse(textwrap.dedent(inspect.getsource(experiments.resolve_spec)))
+    calls = sorted({_named(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)})
+    built = [name for name in calls if name and builders.fullmatch(name)]
+    assert built == [], f"resolve_spec calls {built}"
 
 
 # Library names with no caller in the library or the benchmark, kept for a reason.
