@@ -92,7 +92,8 @@ def _kernel_chain_solve(Y, pattern, graph, config: SolverConfig, free, *, row_ke
     N(0, 1/cols); each has proximal weight tau and Tikhonov weight
     config.lambda2, and is solved from the current iterate with the engine's
     chain-link solve.  The links are sized from the mask, whose shape
-    apply_sampling requires of Y.  Returns (X, free links, report)."""
+    apply_sampling requires of Y.  The loop's iterate is (X, free links): the
+    fixed kernels are never mixed.  Returns (X, free links, report)."""
     S_y = apply_sampling(pattern, Y)
     n_rows, n_cols = S_y.shape
     if max(n_rows, n_cols) > NBP_SIZE_CAP:
@@ -103,42 +104,35 @@ def _kernel_chain_solve(Y, pattern, graph, config: SolverConfig, free, *, row_ke
         return build_kernel_matrix(points, median_distance_gaussian(points))
 
     rng = np.random.default_rng(config.seed)
-    mats = [kernel(S_y.T)] if row_kernel else []
-    taus = {}  # free link index -> tau
-    for rows, cols, tau in free:
-        taus[len(mats)] = tau
-        mats.append(rng.standard_normal((rows, cols)) / np.sqrt(cols))
-    mats.append(kernel(S_y))
+    head = [kernel(S_y.T)] if row_kernel else []
+    links = [rng.standard_normal((rows, cols)) / np.sqrt(cols) for rows, cols, _ in free]
+    tail = [kernel(S_y)]
 
     def best_response(state, product):
-        X, mats = state
+        X, links = state
         X_half, cg_iters = consistent_smooth_solve(
             Y, pattern, product, X, graph, config.lambda_L, config.tau_X,
             config.cg_tol, config.cg_max,
         )
-        half = list(mats)
-        for i, tau in taus.items():
-            half[i] = chain_link_solve(*chain_wings(mats, i), X, mats[i], config.lambda2 + tau, tau)
+        mats = head + links + tail
+        half = [chain_link_solve(*chain_wings(mats, len(head) + i), X, link,
+                                 config.lambda2 + tau, tau)
+                for i, (link, (_, _, tau)) in enumerate(zip(links, free))]
         return (X_half, half), {"cg_iters": cg_iters}
 
-    def combine(state, half, gamma):
-        (X, mats), (X_half, mats_half) = state, half
-        X = np.where(pattern.mask, S_y, gamma * X_half + (1.0 - gamma) * X)
-        return X, [gamma * mats_half[i] + (1.0 - gamma) * m if i in taus else m
-                   for i, m in enumerate(mats)]
-
     def evaluate(state):  # the chain product is also the next X target
-        X, mats = state
-        product = reduce(np.matmul, mats)
+        X, links = state
+        product = reduce(np.matmul, head + links + tail)
         resid = X - product
         val = 0.5 * float(np.vdot(resid, resid).real)
-        val += 0.5 * config.lambda2 * sum(float(np.vdot(mats[i], mats[i]).real) for i in taus)
+        val += 0.5 * config.lambda2 * sum(float(np.vdot(link, link).real) for link in links)
         if config.lambda_L > 0:
             val += 0.5 * config.lambda_L * smoothness_penalty(X, graph.L_sobolev, graph.delta)
         return val, consistency_residual(X, pattern, S_y), 0.0, product
 
-    (X, mats), report = sca_loop(config, (S_y, mats), best_response, combine, evaluate)
-    return X, [mats[i] for i in taus], report
+    (X, links), _, report = sca_loop(config, pattern, S_y, (S_y, links), best_response,
+                                     evaluate)
+    return X, links, report
 
 
 def nbp_solve(Y, pattern, graph, spec: BaselineSpec, config: SolverConfig):

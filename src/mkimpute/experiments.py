@@ -157,6 +157,8 @@ def make_tvgs_synthetic(n_nodes=50, n_times=80, modes=3, knn=5, seed=7, offset=3
     temporal sinusoids on top of a constant offset."""
     if not modes < n_nodes:  # mode j is eigenvector j + 1 of the graph
         raise InputError(f"modes must be below n_nodes = {n_nodes}, got {modes}")
+    if not 1 <= knn < n_nodes:
+        raise InputError(f"need 1 <= knn < n_nodes = {n_nodes}, got knn={knn}")
     rng = np.random.default_rng(seed)
     coords = rng.random((2, n_nodes))
     W, _ = knn_graph(coords, knn)
@@ -407,6 +409,9 @@ def _set_up_cell(spec, data, graph, ratio, repeat, seed) -> Cell:
         with _stage("sampling"):
             sampler = sample_p1 if kind == "p1" else sample_p2
             pattern = sampler(data.shape[0], data.shape[1], ratio, seed)
+        if spec["missing_only_metrics"] and pattern.mask.all():
+            raise InputError(f"sampling, missing_only_metrics: ratio {ratio} observes every "
+                             "entry, which leaves no missing entry to score")
     else:
         (i1, i2, i3), band = data.dims, nav_cfg["upsilon"]
         with _stage("sampling, navigator.upsilon"):

@@ -6,13 +6,12 @@ with a diminishing step gamma_{n+1} = gamma_n (1 - zeta * gamma_n):
 
     O^(n+1) = gamma_{n+1} O^(n+1/2) + (1 - gamma_{n+1}) O^(n)
 
-One loop, sca_loop, runs every model: the engine on both problems and the
-kernel-chain baselines supply their best responses, convex combination and
-one evaluation of each iterate, whose prediction the next best response
-reuses.  Two problem flavors share the machinery: the graph-signal problem
-keeps observed matrix entries fixed and penalizes spatio-temporal roughness;
-the k-space problem keeps observed k-space entries fixed and penalizes the
-temporal spectrum of the image sequence.
+One loop, sca_loop, runs every model and forms every combination: the
+engine on both problems and the kernel-chain baselines supply their best
+responses and one evaluation of each iterate, whose prediction the next best
+response reuses.  The graph-signal problem keeps observed matrix entries
+fixed and penalizes spatio-temporal roughness; the k-space problem keeps
+observed k-space entries fixed and penalizes the images' temporal spectrum.
 """
 
 from __future__ import annotations
@@ -46,27 +45,19 @@ def sca_step_schedule(gamma: float, zeta: float) -> float:
     return gamma * (1.0 - zeta * gamma)
 
 
-@dataclass
-class IterateTuple:
-    """One point of the solver trajectory."""
+def sca_extrapolate(current, half, gamma: float):
+    """gamma * half + (1 - gamma) * current for every array of an iterate (a
+    tuple of arrays, nested lists or None), formed in place in the half's
+    arrays, which the loop owns; returns the half."""
+    def mix(c, h):
+        if isinstance(h, (tuple, list)):
+            return type(h)(map(mix, c, h))
+        if h is not None:
+            h *= gamma
+            h += (1.0 - gamma) * c
+        return h
 
-    X: np.ndarray
-    model: FactorModel
-    Z: np.ndarray | None = None
-
-
-def sca_extrapolate(current: IterateTuple, half: IterateTuple, gamma: float) -> IterateTuple:
-    """Componentwise convex combination of every variable in the tuple.  The
-    kernels are fixed, so the new model shares the current one's arrays."""
-    def mix(h, c):
-        return gamma * h + (1.0 - gamma) * c
-
-    cur = current.model
-    factors = [list(map(mix, h, c)) for h, c in zip(half.model.factors, cur.factors)]
-    model = FactorModel(cur.dims, factors, list(cur.kernels),
-                        list(map(mix, half.model.coeffs, cur.coeffs)), cur.mmf)
-    Z = None if current.Z is None else mix(half.Z, current.Z)
-    return IterateTuple(X=mix(half.X, current.X), model=model, Z=Z)
+    return mix(current, half)
 
 
 @dataclass
@@ -633,16 +624,18 @@ def soft_threshold(A, thr):
     return _soft_complex(np.asarray(A), thr)
 
 
-def dmri_update_X(Y_kspace, pattern, prediction, X_prev, Z_hat,
+def dmri_update_X(Y_kspace, pattern, prediction, K_prev, Z_hat,
                   lambda2: float, tau_X: float, frame_dims):
-    """Exact minimizer of the k-space X sub-task given the model's prediction:
-    unconstrained closed form, then re-assignment of observed k-space entries."""
+    """The k-space F2(X) of the exact minimizer of the k-space X sub-task, given
+    the model's prediction and K_prev = F2(X_prev) (F2 is linear): closed
+    form, then re-assignment of observed k-space entries."""
     i1, i2, i3 = frame_dims
     c_x = 1.0 / (1.0 + lambda2 * i3 + tau_X)
-    quarter = c_x * (prediction + lambda2 * i3 * idft_temporal(Z_hat) + tau_X * X_prev)
-    K = fft2_frames(quarter, i1, i2)
-    K = np.where(pattern.mask, Y_kspace, K)
-    return ifft2_frames(K, i1, i2)
+    K = fft2_frames(prediction + lambda2 * i3 * idft_temporal(Z_hat), i1, i2)
+    K += tau_X * K_prev
+    K *= c_x
+    np.copyto(K, Y_kspace, where=pattern.mask)
+    return K
 
 
 def dmri_update_Z(W, Z_prev, lambda2: float, lambda3: float, tau_Z: float,
@@ -717,19 +710,21 @@ def consistency_residual(A, pattern, S_y) -> float:
     return float(np.max(np.abs(apply_sampling(pattern, A) - S_y), initial=0.0))
 
 
-def sca_loop(config: SolverConfig, state, best_response, combine, evaluate):
-    """The SCA outer loop every model runs.  Each iterate is evaluated once,
-    ``evaluate(state) -> (objective, consistency, affine residual, seen)``;
-    ``seen`` holds what the evaluation computed that the best responses
-    reuse, such as the model's prediction.  Iteration n takes the best
-    responses ``best_response(state, seen) -> (half, stats)``, all conditioned
-    on the current point, and moves to ``combine(state, half, gamma_n)``,
-    gamma_n from sca_step_schedule.  It records the evaluation of the new
-    point and the stats: ``cg_iters``, ``b_inner_iters`` and ``b_residual``
-    (0 if absent) and a ``warning``.  The loop stops after config.outer_iters
-    iterations or once the relative objective change is below
-    config.tol_objective.  A non-finite objective raises SolverError, at
-    iteration 1 for the starting point.  Returns (state, report)."""
+def sca_loop(config: SolverConfig, pattern, S_y, state, best_response, evaluate):
+    """The SCA outer loop every model runs, on iterates that are tuples whose
+    first element is the estimate in the data's domain.  Each iterate is
+    evaluated once, ``evaluate(state) -> (objective, consistency, affine
+    residual, seen)``; ``seen`` holds what the evaluation computed that the
+    best responses reuse, such as the model's prediction.  Iteration n takes
+    the best responses ``best_response(state, seen) -> (half, stats)``, all
+    conditioned on the current point, mixes them in place into
+    sca_extrapolate(state, half, gamma_n), gamma_n from sca_step_schedule,
+    and re-pins the first element to S_y on the mask.  It records the
+    evaluation of the new point and the stats: ``cg_iters``, ``b_inner_iters``
+    and ``b_residual`` (0 if absent) and a ``warning``.  The loop stops after
+    config.outer_iters iterations or once the relative objective change is
+    below config.tol_objective.  A non-finite objective raises SolverError,
+    at iteration 1 for the starting point.  Returns (state, seen, report)."""
     def finite(evaluation, n):
         if not math.isfinite(evaluation[0]):
             raise SolverError(f"objective became non-finite at outer iteration {n}",
@@ -745,7 +740,8 @@ def sca_loop(config: SolverConfig, state, best_response, combine, evaluate):
         half, stats = best_response(state, seen)
         if "warning" in stats:
             report.warnings.append(f"iter {n}: {stats['warning']}")
-        state = combine(state, half, gamma)
+        state = sca_extrapolate(state, half, gamma)
+        np.copyto(state[0], S_y, where=pattern.mask)
         obj, cons, affine, seen = finite(evaluate(state), n)
         report.objective.append(obj)
         report.consistency.append(cons)
@@ -759,7 +755,7 @@ def sca_loop(config: SolverConfig, state, best_response, combine, evaluate):
             report.converged = True
             break
         obj_prev = obj
-    return state, report
+    return state, seen, report
 
 
 def _problem_operators(problem, operators):
@@ -777,40 +773,39 @@ def _problem_operators(problem, operators):
 
 def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
                      config: SolverConfig):
-    """Run the outer loop from a prepared model; returns (X, model, report)."""
+    """Run the outer loop from a prepared model on iterates (K, factors,
+    coeffs, Z), K = X or, on k-space, F2(X); returns (X, model, report)."""
     graph, frame_dims = _problem_operators(problem, operators)
     S_y = apply_sampling(pattern, Y)
     lam_tik = config.lambda2 if problem == TVGS else config.lambda4
+    dims, kernels, mmf = model0.dims, model0.kernels, model0.mmf
 
-    def start():
-        if problem == TVGS:
-            return IterateTuple(X=S_y.astype(np.result_type(S_y.dtype, model0.coeffs[0].dtype)),
-                                model=model0)
-        X = ifft2_frames(S_y, frame_dims[0], frame_dims[1])
-        return IterateTuple(X=X, model=model0, Z=dft_temporal(X))
+    def model(factors, coeffs):
+        return FactorModel(dims, factors, kernels, coeffs, mmf)
 
-    def best_response(it, seen):
-        X, model, Z = it.X, it.model, it.Z
-        prediction, spectrum = seen
+    def best_response(state, seen):
+        K, factors, coeffs, Z = state
+        X, prediction, spectrum = seen
+        current = model(factors, coeffs)
         stats = {}
         if problem == TVGS:
-            X_half, stats["cg_iters"] = tvgs_update_X(
+            K_half, stats["cg_iters"] = tvgs_update_X(
                 Y, pattern, prediction, X, graph, config.lambda_L, config.tau_X,
                 config.cg_tol, config.cg_max,
             )
             Z_half = None
         else:
-            X_half = dmri_update_X(Y, pattern, prediction, X, Z, config.lambda2,
+            K_half = dmri_update_X(Y, pattern, prediction, K, Z, config.lambda2,
                                    config.tau_X, frame_dims)
             Z_half = dmri_update_Z(spectrum, Z, config.lambda2, config.lambda3,
                                    config.tau_Z, config.z_rule)
-        by_layer = [update_factor(q, X, model, lam_tik, config.tau_D)
-                    for q in range(model.dims.depth)]
-        if model.mmf:
-            coeffs = update_B_ridge(X, model, lam_tik, config.tau_B)
+        by_layer = [update_factor(q, X, current, lam_tik, config.tau_D)
+                    for q in range(dims.depth)]
+        if mmf:
+            coeffs_half = update_B_ridge(X, current, lam_tik, config.tau_B)
         else:
-            coeffs, b_stats = update_B(X, model, config.lambda1, config.tau_B,
-                                       config.inner_tol, config.inner_max)
+            coeffs_half, b_stats = update_B(X, current, config.lambda1, config.tau_B,
+                                            config.inner_tol, config.inner_max)
             b_iters = stats["b_inner_iters"] = b_stats["iterations"]
             b_res = stats["b_residual"] = b_stats["residual"]
             if not b_stats["converged"]:
@@ -818,34 +813,30 @@ def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
                        else "stalled in roundoff after")
                 stats["warning"] = (f"B inner solve {how} {b_iters} Newton steps "
                                     f"at residual {b_res:.3e}")
-        half = FactorModel(model.dims, [list(row) for row in zip(*by_layer)],
-                           model.kernels, coeffs, model.mmf)
-        return IterateTuple(X=X_half, model=half, Z=Z_half), stats
+        return (K_half, [list(row) for row in zip(*by_layer)], coeffs_half, Z_half), stats
 
-    def combine(it, half, gamma):
-        nxt = sca_extrapolate(it, half, gamma)
-        if problem == TVGS:
-            # the convex combination fixes observed entries in exact arithmetic;
-            # re-pin them to keep the residual identically zero in floats
-            nxt.X = np.where(pattern.mask, S_y, nxt.X)
-        return nxt
-
-    def evaluate(it):
-        K = it.X if problem == TVGS else fft2_frames(it.X, frame_dims[0], frame_dims[1])
+    def evaluate(state):
+        K, factors, coeffs, Z = state
+        # first, so its temporaries are freed before the carried arrays are
+        # made: dmri-radial then takes 37k page faults a solve, not 50k
         cons = consistency_residual(K, pattern, S_y)
-        # the k-space copy goes before the carried prediction and spectrum are
-        # made: dmri-radial then takes 31k page faults a solve, not 42k
-        del K
-        prediction = predict(it.model)
-        spectrum = None if problem == TVGS else dft_temporal(it.X)
-        obj = full_objective(problem, it.X, it.model, prediction, config, graph=graph, Z=it.Z,
+        current = model(factors, coeffs)
+        X = K if problem == TVGS else ifft2_frames(K, *frame_dims[:2])
+        prediction = predict(current)
+        spectrum = None if problem == TVGS else dft_temporal(X)
+        obj = full_objective(problem, X, current, prediction, config, graph=graph, Z=Z,
                              spectrum=spectrum)
-        return obj, cons, affine_residual(it.model), (prediction, spectrum)
+        return obj, cons, affine_residual(current), (X, prediction, spectrum)
 
-    # built in the call, so the loop's state is the only reference to the
-    # starting iterate; every iteration builds a new model, model0 is never written
-    it, report = sca_loop(config, start(), best_response, combine, evaluate)
-    return it.X, it.model, report
+    # the loop mixes into the best responses' arrays only: model0 is never written
+    K0 = S_y.astype(np.result_type(S_y.dtype, model0.coeffs[0].dtype), copy=False)
+    Z0 = None if problem == TVGS else dft_temporal(ifft2_frames(K0, *frame_dims[:2]))
+    (_, factors, coeffs, _), (X, _, _), report = sca_loop(
+        config, pattern, S_y, (K0, model0.factors, model0.coeffs, Z0), best_response, evaluate)
+    if problem == DMRI:  # K is pinned exactly; the last row records the returned X's residual
+        report.consistency[-1] = consistency_residual(fft2_frames(X, *frame_dims[:2]),
+                                                      pattern, S_y)
+    return X, model(factors, coeffs), report
 
 
 def solve(problem, Y, pattern: SamplingPattern, operators, landmarks: LandmarkSet,

@@ -17,7 +17,7 @@ from mkimpute.graphs import build_graph_operators
 from mkimpute.kernels import median_distance_gaussian
 from mkimpute.metrics import hfen, mae, mape, nrmse, rmse, ssim
 from mkimpute.model import ModelDims, SolverConfig, count_unknowns, predict
-from mkimpute.mri import ifft2_frames, make_phantom
+from mkimpute.mri import fft2_frames, ifft2_frames, make_phantom
 from mkimpute.navigators import form_navigators_dmri, form_navigators_tvgs, select_landmarks
 from mkimpute.sampling import SamplingPattern, apply_sampling, radial_mask, sample_p1, with_band
 from mkimpute.solver import (
@@ -99,8 +99,8 @@ def dmri_run():
 
     first, second = run(), run()
     zf = ifft2_frames(observed, 32, 32)
-    return {"truth": ds.ground_truth_image, "zero_fill": zf,
-            "first": first, "second": second}
+    return {"truth": ds.ground_truth_image, "zero_fill": zf, "pattern": pattern,
+            "observed": observed, "scale": scale, "first": first, "second": second}
 
 
 def test_criterion_01_parameter_counts():
@@ -157,7 +157,8 @@ def test_criterion_02_subtask_oracle_equivalence():
         kpat = SamplingPattern(kmask)
         Xp = rng.standard_normal((i1 * i2, i3)) + 1j * rng.standard_normal((i1 * i2, i3))
         Zh = rng.standard_normal((i1 * i2, i3)) + 1j * rng.standard_normal((i1 * i2, i3))
-        K_got = dmri_update_X(Yk, kpat, predict(kmodel), Xp, Zh, 0.9, 0.7, (i1, i2, i3))
+        K_got = ifft2_frames(dmri_update_X(Yk, kpat, predict(kmodel), fft2_frames(Xp, i1, i2),
+                                           Zh, 0.9, 0.7, (i1, i2, i3)), i1, i2)
         K_ref = dense_dmri_x_oracle(Yk, kmask, predict(kmodel), Xp, Zh, 0.9, 0.7,
                                     (i1, i2, i3))
         worst["kx"] = max(worst["kx"], _rel(K_got, K_ref))
@@ -175,9 +176,15 @@ def test_criterion_03_hard_consistency(tvgs_run, dmri_run):
     assert km.iterations == 50
     assert max(tv.consistency) == 0.0
     assert max(km.consistency) <= 1e-10
+    # the returned image itself, on the normalized data the solve saw
+    mask = dmri_run["pattern"].mask
+    K = fft2_frames(dmri_run["first"]["X"], 32, 32)
+    returned = float(np.abs(K[mask] - dmri_run["observed"][mask]).max()) / dmri_run["scale"]
+    assert returned <= 1e-10
     print(
         "criterion 3 PASS: sampled-entry residual 0 across 100 graph iterations, "
-        f"max {max(km.consistency):.2e} across 50 k-space iterations"
+        f"max {max(km.consistency):.2e} across 50 k-space iterations, "
+        f"{returned:.2e} at the returned image"
     )
 
 

@@ -214,6 +214,15 @@ def test_validate_and_run_reject_specs_that_fail_every_cell(tmp_path, capsys, fi
                   "sampling": {"kind": "radial", "ratios": [4.0]}, "landmarks": {"count": 9},
                   "solver": {"lambda2": 2.0}}, "landmarks: need 1 <= N_l <= 8, got 9",
                  id="fields8-landmarks.count"),
+    pytest.param({"data": {"source": "synthetic", "nodes": 4, "times": 16, "modes": 2,
+                           "knn": 5}},
+                 "data: need 1 <= knn < n_nodes = 4, got knn=5", id="fields9-data.knn"),
+    # p1 at ratio 1 observes every node at every time: no entry is left to score
+    pytest.param({"data": {"source": "synthetic", "nodes": 12, "times": 16},
+                  "sampling": {"kind": "p1", "ratios": [0.3, 1.0]}, "landmarks": {"count": 5},
+                  "missing_only_metrics": True},
+                 "sampling, missing_only_metrics: ratio 1.0 observes every entry",
+                 id="fields10-missing_only_metrics"),
 ])
 def test_validate_and_run_reject_sizes_that_fail_at_run_time(tmp_path, capsys, fields, key):
     spec_path = tmp_path / "spec.json"

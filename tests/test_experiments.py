@@ -488,6 +488,14 @@ def _csv_data(tmp_path):
     pytest.param({"data": CSV, "navigator": {"mode": "nav3", "delta_t": -1}},
                  "navigator: need 0 < delta_t < I_N/2 = 8.0, got -1",
                  id="fields6-navigator.delta_t"),
+    pytest.param({"data": {"source": "synthetic", "nodes": 4, "times": 16, "modes": 2,
+                           "knn": 5}},
+                 "data: need 1 <= knn < n_nodes = 4, got knn=5", id="fields7-data.knn"),
+    # p1 at ratio 1 observes every node at every time: no entry is left to score
+    pytest.param({"data": SMALL_SYNTHETIC, "sampling": {"kind": "p1", "ratios": [0.3, 1.0]},
+                  "landmarks": {"count": 5}, "missing_only_metrics": True},
+                 "sampling, missing_only_metrics: ratio 1.0 observes every entry",
+                 id="fields8-missing_only_metrics"),
 ])
 def test_resolve_spec_rejects_sizes_that_fail_at_run_time(tmp_path, fields, match):
     if fields.get("data") is CSV:
@@ -563,7 +571,7 @@ def _small_specs(draw):
     if draw(st.booleans()):
         nodes = draw(st.integers(4, 12))
         ratios = st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]), min_size=1, max_size=2)
-        spec.update(problem="tvgs",
+        spec.update(problem="tvgs", missing_only_metrics=draw(st.booleans()),
                     data={"source": "synthetic", "nodes": nodes, "times": draw(st.integers(2, 12)),
                           "modes": draw(st.integers(1, 3)), "knn": draw(st.integers(1, 4))},
                     sampling={"kind": draw(st.sampled_from(["p1", "p2"])), "ratios": draw(ratios)},

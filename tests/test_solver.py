@@ -16,7 +16,6 @@ from mkimpute.sampling import SamplingPattern, sample_p1
 from mkimpute.solver import (
     DMRI,
     TVGS,
-    IterateTuple,
     chain_link_solve,
     consistent_smooth_solve,
     dmri_update_X,
@@ -74,15 +73,20 @@ def test_schedule_strictly_decreasing_1000_steps():
         g = nxt
 
 
+def _iterate(X, model):
+    return X, model.factors, model.coeffs
+
+
 def test_extrapolate_endpoints():
     dims = ModelDims(4, 5, 3, 1, 2, (2,))
-    cur = IterateTuple(X=np.zeros((4, 5)), model=init_factors(dims, 0, np.float64))
-    half = IterateTuple(X=np.ones((4, 5)), model=init_factors(dims, 1, np.float64))
+    cur = _iterate(np.zeros((4, 5)), init_factors(dims, 0, np.float64))
+    half = _iterate(np.ones((4, 5)), init_factors(dims, 1, np.float64))
     hi = sca_extrapolate(cur, half, 1.0)
-    assert np.array_equal(hi.X, half.X)
-    assert np.array_equal(hi.model.factors[0][0], half.model.factors[0][0])
+    assert np.array_equal(hi[0], np.ones((4, 5)))
+    assert np.array_equal(hi[1][0][0], init_factors(dims, 1, np.float64).factors[0][0])
+    half = _iterate(np.ones((4, 5)), init_factors(dims, 1, np.float64))
     lo = sca_extrapolate(cur, half, 1e-12)
-    assert np.allclose(lo.X, cur.X, atol=1e-11)
+    assert np.allclose(lo[0], cur[0], atol=1e-11)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -94,9 +98,9 @@ def test_extrapolate_preserves_affine_constraint(complex_, m_count, n_l, cols, g
     dims = ModelDims(4, cols, n_l, m_count, 2, (2,))
     a = init_factors(dims, seed, dtype)
     b = init_factors(dims, seed + 1, dtype)
-    mid = sca_extrapolate(IterateTuple(X=np.zeros((4, cols)), model=a),
-                          IterateTuple(X=np.ones((4, cols)), model=b), gamma)
-    for blk in mid.model.coeffs:
+    mid = sca_extrapolate(_iterate(np.zeros((4, cols)), a),
+                          _iterate(np.ones((4, cols)), b), gamma)
+    for blk in mid[2]:
         assert blk.dtype == dtype
         assert np.max(np.abs(blk.sum(axis=0) - 1.0)) < 1e-12
 
@@ -625,9 +629,9 @@ def test_dmri_x_full_sampling():
     mask = np.ones((16, 3), dtype=bool)
     pattern = SamplingPattern(mask)
     Z = dft_temporal(ifft2_frames(Y, i1, i2))
-    X = dmri_update_X(Y, pattern, predict(model), np.zeros((16, 3), complex), Z, 0.5, 0.5,
-                      (i1, i2, i3))
-    assert np.allclose(X, ifft2_frames(Y, i1, i2), atol=1e-12)
+    K = dmri_update_X(Y, pattern, predict(model), fft2_frames(np.zeros((16, 3), complex), i1, i2),
+                      Z, 0.5, 0.5, (i1, i2, i3))
+    assert np.allclose(ifft2_frames(K, i1, i2), ifft2_frames(Y, i1, i2), atol=1e-12)
 
 
 def test_dmri_x_quarter_is_target_when_unweighted():
@@ -639,9 +643,9 @@ def test_dmri_x_quarter_is_target_when_unweighted():
     Y = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
     mask = np.zeros((16, 3), dtype=bool)  # nothing observed: pure quarter step
     pattern = SamplingPattern(mask)
-    X = dmri_update_X(Y, pattern, predict(model), np.zeros((16, 3), complex),
+    K = dmri_update_X(Y, pattern, predict(model), fft2_frames(np.zeros((16, 3), complex), i1, i2),
                       np.zeros((16, 3), complex), 0.0, 0.0, (i1, i2, i3))
-    assert np.allclose(X, predict(model), atol=1e-10)
+    assert np.allclose(ifft2_frames(K, i1, i2), predict(model), atol=1e-10)
 
 
 def test_dmri_x_matches_dense_oracle():
@@ -655,7 +659,9 @@ def test_dmri_x_matches_dense_oracle():
         pattern = SamplingPattern(rng.random((16, 3)) < 0.4)
         X_prev = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
         Z_hat = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
-        X = dmri_update_X(Y, pattern, predict(model), X_prev, Z_hat, 0.8, 0.6, (i1, i2, i3))
+        K = dmri_update_X(Y, pattern, predict(model), fft2_frames(X_prev, i1, i2), Z_hat,
+                          0.8, 0.6, (i1, i2, i3))
+        X = ifft2_frames(K, i1, i2)
         ref = dense_dmri_x_oracle(Y, pattern.mask, predict(model), X_prev, Z_hat,
                                   0.8, 0.6, (i1, i2, i3))
         assert _rel(X, ref) < 1e-8
@@ -1268,13 +1274,18 @@ def test_each_iterate_is_evaluated_once(monkeypatch, method):
     # one predict per iterate, which the objective and the next X update
     # share, plus, for solve, the one it scales the initial factors by; on
     # k-space one temporal spectrum per iterate, shared by the objective and
-    # the next Z update, plus the starting Z
+    # the next Z update, plus the starting Z; and at most two spatial
+    # transforms per iterate, the X update's F2 and the evaluation's inverse,
+    # plus four: the initial scaling's, the starting Z's, the starting
+    # iterate's and the returned X's residual
     from mkimpute.baselines import mmf_solve
     from mkimpute.kernels import gaussian_spec
     config = SolverConfig(lambda1=1e-3, lambda2=2.0, lambda_L=0.05, tau_Z=0.05,
                           outer_iters=4, tol_objective=0.0, seed=0)
     predicts = _count_calls(monkeypatch, "predict")
     spectra = _count_calls(monkeypatch, "dft_temporal")
+    forward = _count_calls(monkeypatch, "fft2_frames")
+    inverse = _count_calls(monkeypatch, "ifft2_frames")
     if method == "dmri":
         Y, pattern, frame_dims, lmk, specs = _small_dmri_problem()
         _, _, report = solve(DMRI, Y, pattern, frame_dims, lmk, specs,
@@ -1289,6 +1300,7 @@ def test_each_iterate_is_evaluated_once(monkeypatch, method):
     assert report.iterations == config.outer_iters
     assert len(predicts) == config.outer_iters + (1 if method == "mmf" else 2)
     assert len(spectra) <= config.outer_iters + 2
+    assert len(forward) + len(inverse) <= 2 * config.outer_iters + 4
 
 
 def test_x_update_cg_rejects_nan_residual():
