@@ -28,6 +28,7 @@ from .solver import (
     chain_wings,
     consistency_residual,
     consistent_smooth_solve,
+    observed_capacitance,
     sca_loop,
     smoothness_penalty,
     solve_from_model,
@@ -107,12 +108,13 @@ def _kernel_chain_solve(Y, pattern, graph, config: SolverConfig, free, *, row_ke
     head = [kernel(S_y.T)] if row_kernel else []
     links = [rng.standard_normal((rows, cols)) / np.sqrt(cols) for rows, cols, _ in free]
     tail = [kernel(S_y)]
+    capacitance = observed_capacitance(pattern, graph, config.lambda_L, config.tau_X)
 
     def best_response(state, product):
         X, links = state
         X_half, cg_iters = consistent_smooth_solve(
             Y, pattern, product, X, graph, config.lambda_L, config.tau_X,
-            config.cg_tol, config.cg_max,
+            config.cg_tol, config.cg_max, capacitance,
         )
         mats = head + links + tail
         half = [chain_link_solve(*chain_wings(mats, len(head) + i), X, link,

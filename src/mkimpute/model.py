@@ -60,10 +60,12 @@ class SolverConfig:
     zeta: float = 0.5  # in (0, 1)
     outer_iters: int = 300
     tol_objective: float = 1e-6
-    cg_tol: float = 1e-9  # X update: bound on the CG relative residual, measured in
-    #                       the fast-diagonalization preconditioner's norm
-    cg_max: int | None = None  # defaults to the CG bound from a conditioning estimate,
-    #                            at least 10 * sqrt(free-entry count) + 10
+    cg_tol: float = 1e-9  # X update on CG only (the direct path on small observed sets
+    #                       has no tolerance): bound on the CG relative residual,
+    #                       measured in the fast-diagonalization preconditioner's norm
+    cg_max: int | None = None  # X update on CG only: defaults to the CG bound from a
+    #                            conditioning estimate, at least 10 * sqrt(free-entry
+    #                            count) + 10
     inner_tol: float = 1e-8  # B update: bound on its proximal-gradient residual
     inner_max: int = 500  # B update: cap on its Newton steps
     z_rule: str = "ratio"  # "ratio": Soft[F_t(X) + (tau_Z/l2) Z, l3/l2]

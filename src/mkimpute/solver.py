@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InputError, SolverError
 from .graphs import GraphOperators
@@ -164,18 +165,73 @@ def _cg_cap(top, tau_X, tol, n_free):
     return max(floor, math.ceil(0.5 * root_kappa * math.log(2.0 * root_kappa / tol)))
 
 
+CAPACITANCE_SIZE_CAP = 1024  # observed entries; the capacitance matrix then takes 8 MiB
+
+
+@dataclass(frozen=True, eq=False)
+class ObservedCapacitance:
+    """Cholesky factor of C = P A^-1 P^T for one mask, graph and weight pair,
+    P the observed entries, listed by time step: ``nodes[k], times[k]``."""
+
+    pattern: SamplingPattern
+    graph: GraphOperators
+    lambda_L: float
+    tau_X: float
+    nodes: np.ndarray
+    times: np.ndarray
+    factor: tuple
+
+
+def observed_capacitance(pattern, graph: GraphOperators, lambda_L, tau_X):
+    """The capacitance factor of the X update's operator
+    A = (1 + tau_X) I + lambda_L (S (x) DD^T) on the observed entries, or None
+    (the X update then runs PCG) for lambda_L = 0, an empty mask, or more than
+    CAPACITANCE_SIZE_CAP observed entries.
+
+    From the graph's eigenpairs S = U diag(s) U^T and DD^T = Q diag(d) Q^T,
+    A^-1 has entries sum_a U[i, a] U[j, a] M_t[a, t'], M_t = (W o q_t) Q^T,
+    W = 1/(lambda_L s d^T + 1 + tau_X) and q_t row t of Q.  So the rows of C
+    at time step t are U[I_t] (U_obs o M_t[:, t_obs]^T)^T, I_t the nodes
+    observed at t; only the block upper triangle, which the factorization
+    reads, is formed.  A LinAlgError of the factorization, from a non-finite
+    or indefinite operator, raises SolverError."""
+    obs = pattern.mask
+    n_obs = int(np.count_nonzero(obs))
+    if lambda_L == 0.0 or n_obs == 0 or n_obs > CAPACITANCE_SIZE_CAP:
+        return None
+    _, (s, U), _, (d, Q) = graph.smoothness()
+    W = 1.0 / (lambda_L * s[:, None] * d[None, :] + (1.0 + tau_X))
+    times, nodes = np.nonzero(obs.T)  # by time step, so each step's rows are contiguous
+    steps, starts, where = np.unique(times, return_index=True, return_inverse=True)
+    U_obs = U[nodes]
+    C = np.zeros((n_obs, n_obs))
+    for t, lo, hi in zip(steps, starts, [*starts[1:], n_obs]):
+        M_t = (W * Q[t]) @ Q[steps].T  # M_t[:, steps]
+        C[lo:hi, lo:] = U_obs[lo:hi] @ (U_obs[lo:] * M_t.T[where[lo:]]).T
+    try:  # C.T is Fortran-ordered, so LAPACK factors it in place
+        factor = cho_factor(C.T, lower=True, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"X-update capacitance factorization failed: {exc}") from exc
+    return ObservedCapacitance(pattern, graph, lambda_L, tau_X, nodes, times, factor)
+
+
 def consistent_smooth_solve(Y, pattern, target, X_prev, graph: GraphOperators, lambda_L,
-                            tau_X, cg_tol=1e-9, cg_max=None):
+                            tau_X, cg_tol=1e-9, cg_max=None, capacitance=None):
     """Minimize 1/2||X - target||^2 + lambda_L/2 tr(X^T S X DD^T) +
     tau_X/2||X - X_prev||^2 subject to exact agreement with Y on the mask.
 
-    Observed entries are assigned from Y; the complement solves a restricted
-    SPD system, applied matrix-free (never materializing the Kronecker form).
-    CG is preconditioned by the exact inverse of the unrestricted operator
-    (1 + tau_X) I + lambda_L (S (x) DD^T), which is diagonal in the
-    eigenbases of S and DD^T (fast diagonalization, from the eigenpairs the
-    graph stores), restricted to the free entries; cg_tol bounds the relative
-    residual in that preconditioner's norm.  Returns (X, cg_iterations).
+    Observed entries are assigned from Y.  Given ``capacitance``, the
+    observed_capacitance factor of this mask, graph and weights, the solve is
+    direct: with A the unrestricted operator, b = target + tau_X X_prev and
+    z = A^-1 b, X = z + A^-1 P^T mu for C mu = y_o - z_o (Buzbee, Dorr,
+    George & Golub, SIAM J. Numer. Anal. 8(4), 1971).  Otherwise the
+    complement solves a restricted SPD system, applied matrix-free (never
+    materializing the Kronecker form).  CG is preconditioned by the exact
+    inverse of the unrestricted operator (1 + tau_X) I + lambda_L (S (x)
+    DD^T), which is diagonal in the eigenbases of S and DD^T (fast
+    diagonalization, from the eigenpairs the graph stores), restricted to the
+    free entries; cg_tol bounds the relative residual in that
+    preconditioner's norm.  Returns (X, cg_iterations), 0 on the direct path.
     """
     obs = pattern.mask
     S_y = apply_sampling(pattern, Y)
@@ -183,6 +239,13 @@ def consistent_smooth_solve(Y, pattern, target, X_prev, graph: GraphOperators, l
     if lambda_L == 0.0:
         return np.where(obs, S_y, rhs_mat / (1.0 + tau_X)), 0
     L_sob, (s, U), ddt, (d, Q) = graph.smoothness()
+    solve = _sylvester_pd((lambda_L * s, U), (d, Q), 1.0 + tau_X)
+    if capacitance is not None:
+        if (capacitance.pattern is not pattern or capacitance.graph is not graph
+                or (capacitance.lambda_L, capacitance.tau_X) != (lambda_L, tau_X)):
+            raise InputError("the capacitance factor was built for another mask, graph or "
+                             "weights")
+        return _capacitance_solve(capacitance, S_y, rhs_mat, solve), 0
     lS = lambda_L * L_sob
     keep = (~obs).astype(float)  # 1 on the free entries, 0 on the observed ones
     b = rhs_mat - lS @ S_y @ ddt
@@ -193,8 +256,6 @@ def consistent_smooth_solve(Y, pattern, target, X_prev, graph: GraphOperators, l
         out += (1.0 + tau_X) * V
         out *= keep
         return out
-
-    solve = _sylvester_pd((lambda_L * s, U), (d, Q), 1.0 + tau_X)
 
     def precond(R):
         out = solve(R)
@@ -212,6 +273,27 @@ def consistent_smooth_solve(Y, pattern, target, X_prev, graph: GraphOperators, l
         )
     V += S_y  # V is zero on the observed entries
     return V, iters
+
+
+def _capacitance_solve(capacitance: ObservedCapacitance, S_y, b, solve):
+    """z + A^-1 P^T mu for z = A^-1 b and C mu = y_o - z_o, re-pinned to S_y
+    on the mask; ``solve`` applies A^-1.  SolverError on a non-finite result."""
+    nodes, times = capacitance.nodes, capacitance.times
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite input raises below
+        z = solve(b)
+        resid = S_y[nodes, times] - z[nodes, times]
+        # C is real: a complex residual is solved as its real and imaginary columns
+        mu = cho_solve(capacitance.factor, resid.view(np.float64).reshape(len(nodes), -1),
+                       check_finite=False)
+        F = np.zeros(z.shape, resid.dtype)
+        F[nodes, times] = np.ascontiguousarray(mu).view(resid.dtype).ravel()
+        X = solve(F)
+        X += z
+    if not np.isfinite(X).all():
+        raise SolverError("X-update direct solve produced a non-finite entry",
+                          residual=math.nan)
+    np.copyto(X, S_y, where=capacitance.pattern.mask)
+    return X
 
 
 # the engine's X sub-task, its target the model's prediction
@@ -791,7 +873,7 @@ def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
         if problem == TVGS:
             K_half, stats["cg_iters"] = tvgs_update_X(
                 Y, pattern, prediction, X, graph, config.lambda_L, config.tau_X,
-                config.cg_tol, config.cg_max,
+                config.cg_tol, config.cg_max, capacitance,
             )
             Z_half = None
         else:
@@ -828,6 +910,9 @@ def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
                              spectrum=spectrum)
         return obj, cons, affine_residual(current), (X, prediction, spectrum)
 
+    # factored once per solve: every X update shares the mask, graph and weights
+    capacitance = (observed_capacitance(pattern, graph, config.lambda_L, config.tau_X)
+                   if problem == TVGS else None)
     # the loop mixes into the best responses' arrays only: model0 is never written
     K0 = S_y.astype(np.result_type(S_y.dtype, model0.coeffs[0].dtype), copy=False)
     Z0 = None if problem == TVGS else dft_temporal(ifft2_frames(K0, *frame_dims[:2]))

@@ -24,6 +24,7 @@ from mkimpute.solver import (
     DMRI,
     TVGS,
     dmri_update_X,
+    observed_capacitance,
     sca_step_schedule,
     solve,
     tvgs_update_X,
@@ -119,7 +120,7 @@ def test_criterion_01_parameter_counts():
 def test_criterion_02_subtask_oracle_equivalence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
-    worst = {"x": 0.0, "d": 0.0, "b": 0.0, "kx": 0.0}
+    worst = {"x": 0.0, "x_direct": 0.0, "d": 0.0, "b": 0.0, "kx": 0.0}
     shapes = [
         (5, 4, 2, 1, 1, ()), (6, 5, 3, 1, 2, (2,)), (7, 6, 4, 2, 2, (3,)),
         (8, 8, 3, 2, 3, (2, 2)), (6, 7, 4, 1, 3, (3, 2)),
@@ -138,6 +139,11 @@ def test_criterion_02_subtask_oracle_equivalence():
         X_ref = dense_x_oracle(Y, pattern.mask, predict(model), X_prev,
                                graph.L_sobolev, graph.delta, 0.7, 0.6)
         worst["x"] = max(worst["x"], _rel(X_got, X_ref))
+        capacitance = observed_capacitance(pattern, graph, 0.7, 0.6)
+        X_got, _ = tvgs_update_X(Y, pattern, predict(model), X_prev, graph, 0.7, 0.6,
+                                 capacitance=capacitance)
+        assert np.array_equal(X_got[pattern.mask], Y[pattern.mask])
+        worst["x_direct"] = max(worst["x_direct"], _rel(X_got, X_ref))
 
         for layer in range(1, q + 1):
             D_got = tvgs_update_D(layer, Y, model, 0.4, 0.8)

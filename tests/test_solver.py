@@ -182,6 +182,104 @@ def test_x_update_matches_dense_oracle_on_random_masks(n, t, complex_, p_obs, ro
     ref = dense_x_oracle(Y, mask, target, X_prev, graph.L_sobolev, graph.delta, lam, tau)
     assert np.array_equal(X[mask], Y[mask])
     assert _rel(X, ref) <= 1e-8
+    # the direct path, wherever it applies: smoothing on and some entry observed
+    capacitance = solver.observed_capacitance(pattern, graph, lam, tau)
+    assert (capacitance is None) == (lam == 0.0 or not mask.any())
+    if capacitance is not None:
+        X, steps = consistent_smooth_solve(Y, pattern, target, X_prev, graph, lam, tau,
+                                           capacitance=capacitance)
+        assert steps == 0 and np.array_equal(X[mask], Y[mask])
+        assert _rel(X, ref) <= 1e-10
+
+
+def test_capacitance_size_rule(monkeypatch):
+    # the direct path needs smoothing, an observed entry and at most
+    # CAPACITANCE_SIZE_CAP observed entries
+    graph = _graph(6, 5, seed=5)
+    pattern = sample_p1(6, 5, 0.5, seed=5)
+    n_obs = int(pattern.mask.sum())
+    assert solver.observed_capacitance(pattern, graph, 0.0, 1.0) is None
+    empty = SamplingPattern(np.zeros((6, 5), dtype=bool))
+    assert solver.observed_capacitance(empty, graph, 0.8, 1.0) is None
+    monkeypatch.setattr(solver, "CAPACITANCE_SIZE_CAP", n_obs - 1)
+    assert solver.observed_capacitance(pattern, graph, 0.8, 1.0) is None
+    monkeypatch.setattr(solver, "CAPACITANCE_SIZE_CAP", n_obs)
+    capacitance = solver.observed_capacitance(pattern, graph, 0.8, 1.0)
+    assert capacitance.factor[0].shape == (n_obs, n_obs)
+
+
+def test_x_update_direct_rejects_a_factor_of_other_inputs():
+    rng = np.random.default_rng(6)
+    graph = _graph(6, 5, seed=6)
+    pattern = sample_p1(6, 5, 0.5, seed=6)
+    Y, zeros = rng.standard_normal((6, 5)), np.zeros((6, 5))
+    capacitance = solver.observed_capacitance(pattern, graph, 0.8, 1.0)
+    others = [(SamplingPattern(pattern.mask.copy()), graph, 0.8, 1.0),
+              (pattern, _graph(6, 5, seed=6), 0.8, 1.0),
+              (pattern, graph, 0.7, 1.0), (pattern, graph, 0.8, 0.5)]
+    for other, g, lam, tau in others:
+        with pytest.raises(InputError, match="another mask, graph or weights"):
+            consistent_smooth_solve(Y, other, zeros, zeros, g, lam, tau,
+                                    capacitance=capacitance)
+
+
+@pytest.mark.parametrize("where", ["observed", "target", "X_prev"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_x_update_direct_rejects_non_finite_input(where, value):
+    # as on the CG path (test_x_update_cg_rejects_nan_residual): a SolverError,
+    # never a silently non-finite estimate
+    rng = np.random.default_rng(33)
+    graph = _graph(8, 8, seed=33)
+    pattern = sample_p1(8, 8, 0.5, seed=33)
+    inputs = {"Y": rng.standard_normal((8, 8)), "target": rng.standard_normal((8, 8)),
+              "X_prev": rng.standard_normal((8, 8))}
+    rows, cols = pattern.mask.nonzero()
+    if where == "observed":
+        inputs["Y"][rows[0], cols[0]] = value
+    else:
+        inputs[where][3, 4] = value
+    capacitance = solver.observed_capacitance(pattern, graph, 0.1, 1.0)
+    with pytest.raises(SolverError, match="non-finite") as err:
+        consistent_smooth_solve(inputs["Y"], pattern, inputs["target"], inputs["X_prev"],
+                                graph, 0.1, 1.0, capacitance=capacitance)
+    assert np.isnan(err.value.residual)
+
+
+def test_capacitance_factorization_failure_raises_solver_error():
+    # tau_X = -3 makes A, and so C, negative definite: LAPACK's LinAlgError
+    # reaches the caller as a SolverError
+    graph = _graph(6, 5, seed=7)
+    pattern = sample_p1(6, 5, 0.5, seed=7)
+    with pytest.raises(SolverError, match="capacitance factorization failed"):
+        solver.observed_capacitance(pattern, graph, 1e-6, -3.0)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_solve_direct_and_cg_x_updates_agree(monkeypatch, complex_):
+    # the engine and a kernel-chain baseline end where they end on CG, up to
+    # CG's tolerance; the direct path takes no CG step
+    from mkimpute.baselines import krg_solve, BaselineSpec
+    from mkimpute.kernels import gaussian_spec
+    Y, pattern, graph = _ring_problem(seed=2)
+    if complex_:
+        Y = Y + 0.5j * Y[::-1]
+    lmk = _landmarks_from(Y, pattern, 5, seed=2)
+    config = SolverConfig(lambda1=1e-3, lambda2=1e-3, lambda_L=0.05, outer_iters=4,
+                          tol_objective=0.0, cg_tol=1e-13, seed=2)
+    dims = ModelDims(12, 20, 5, 1, 2, (3,))
+    cap = solver.CAPACITANCE_SIZE_CAP
+
+    def run(size_cap):
+        monkeypatch.setattr(solver, "CAPACITANCE_SIZE_CAP", size_cap)
+        X, _, report = solve(TVGS, Y, pattern, graph, lmk, [gaussian_spec(1.0)], dims, config)
+        X_krg, _, report_krg = krg_solve(Y, pattern, graph, BaselineSpec("krg"), config)
+        return X, X_krg, report.cg_iters + report_krg.cg_iters
+
+    X_cg, X_krg_cg, steps_cg = run(0)
+    X, X_krg, steps = run(cap)
+    assert min(steps_cg) > 0 and steps == [0] * 8
+    assert _rel(X, X_cg) <= 1e-10 and _rel(X_krg, X_krg_cg) <= 1e-10
+    assert np.array_equal(X[pattern.mask], Y[pattern.mask])
 
 
 def test_x_update_observed_entries_pinned():
@@ -832,15 +930,19 @@ def test_graph_factorizations_run_once_per_graph(monkeypatch, tmp_path):
     # S = (L + eps I)^beta and DD^T do not change during a solve: each is
     # factorized once per graph, on first use, and not once per X update.
     # I0 = 12 and I_N = 20 differ from every factor-solve size here (3 to 6).
+    # A capacitance size cap of 0 keeps the X updates on CG; the direct path
+    # is checked last.
     from mkimpute.experiments import run_experiment
     from mkimpute.kernels import gaussian_spec
+    cap = solver.CAPACITANCE_SIZE_CAP
+    monkeypatch.setattr(solver, "CAPACITANCE_SIZE_CAP", 0)
     Y, pattern, graph = _ring_problem()
     lmk = _landmarks_from(Y, pattern, 6)
     config = SolverConfig(lambda1=1e-3, lambda2=1e-3, lambda_L=0.05,
                           outer_iters=4, tol_objective=0.0, seed=0)
+    dims = ModelDims(12, 20, 6, 1, 2, (3,))
     shapes = _record_eigh_shapes(monkeypatch)
-    _, _, report = solve(TVGS, Y, pattern, graph, lmk, [gaussian_spec(1.0)],
-                         ModelDims(12, 20, 6, 1, 2, (3,)), config)
+    _, _, report = solve(TVGS, Y, pattern, graph, lmk, [gaussian_spec(1.0)], dims, config)
     assert report.iterations == 4 and min(report.cg_iters) > 0
     assert (shapes.count((12, 12)), shapes.count((20, 20))) == (1, 1)
     # a sweep builds one graph that both cells' worker threads share; csv
@@ -863,6 +965,29 @@ def test_graph_factorizations_run_once_per_graph(monkeypatch, tmp_path):
     rows = run_experiment(spec, tmp_path / "out")
     assert len(rows) == 6 and not (tmp_path / "out" / "errors.log").exists()
     assert (shapes.count((12, 12)), shapes.count((20, 20))) == (1, 1)
+    # on the direct path the observed-entry capacitance matrix is factored
+    # once per solve, before the loop, not once per X update
+    monkeypatch.setattr(solver, "CAPACITANCE_SIZE_CAP", cap)
+    factored = []
+    cho_factor = solver.cho_factor
+
+    def recording(a, *args, **kwargs):
+        factored.append(np.shape(a))
+        return cho_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "cho_factor", recording)
+    Y, pattern, graph = _ring_problem()
+    shapes.clear()
+    _, _, report = solve(TVGS, Y, pattern, graph, lmk, [gaussian_spec(1.0)], dims, config)
+    n_obs = int(pattern.mask.sum())
+    assert report.iterations == 4 and report.cg_iters == [0] * 4
+    assert factored == [(n_obs, n_obs)]
+    assert (shapes.count((12, 12)), shapes.count((20, 20))) == (1, 1)
+    # the sweep solves 3 methods in each of 2 cells, 3 X updates each
+    factored.clear()
+    rows = run_experiment(spec, tmp_path / "direct")
+    assert len(rows) == 6 and not (tmp_path / "direct" / "errors.log").exists()
+    assert len(factored) == 6
 
 
 def test_graph_factorization_runs_once_under_concurrent_first_use(monkeypatch):
@@ -1396,6 +1521,13 @@ def test_x_update_leaves_data_and_graph_untouched(complex_):
                                        inputs["X_prev"], graph, 0.7, 0.5)
     _assert_untouched(inputs, copies)
     assert iters > 0 and np.array_equal(X[pattern.mask], copies["Y"][pattern.mask])
+    # the direct path's capacitance build and solve only read them too
+    capacitance = solver.observed_capacitance(pattern, graph, 0.7, 0.5)
+    X, iters = consistent_smooth_solve(inputs["Y"], pattern, inputs["target"],
+                                       inputs["X_prev"], graph, 0.7, 0.5,
+                                       capacitance=capacitance)
+    _assert_untouched(inputs, copies)
+    assert iters == 0 and np.array_equal(X[pattern.mask], copies["Y"][pattern.mask])
 
 
 @pytest.mark.parametrize("complex_", [False, True])
