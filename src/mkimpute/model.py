@@ -60,9 +60,10 @@ class SolverConfig:
     zeta: float = 0.5  # in (0, 1)
     outer_iters: int = 300
     tol_objective: float = 1e-6
-    cg_tol: float = 1e-9  # X update on CG only (the direct path on small observed sets
-    #                       has no tolerance): bound on the CG relative residual,
-    #                       measured in the fast-diagonalization preconditioner's norm
+    cg_tol: float = 1e-9  # X update on CG only, which runs where the free-entry band
+    #                       exceeds solver.BAND_BYTE_CAP (the band path has no
+    #                       tolerance): bound on the CG relative residual, measured
+    #                       in the fast-diagonalization preconditioner's norm
     cg_max: int | None = None  # X update on CG only: defaults to the CG bound from a
     #                            conditioning estimate, at least 10 * sqrt(free-entry
     #                            count) + 10

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import InputError, SolverError
 from .graphs import GraphOperators
@@ -165,13 +166,14 @@ def _cg_cap(top, tau_X, tol, n_free):
     return max(floor, math.ceil(0.5 * root_kappa * math.log(2.0 * root_kappa / tol)))
 
 
-CAPACITANCE_SIZE_CAP = 1024  # observed entries; the capacitance matrix then takes 8 MiB
+BAND_BYTE_CAP = 16 << 20  # bytes of the X update's band factor; PCG beyond it
 
 
 @dataclass(frozen=True, eq=False)
-class ObservedCapacitance:
-    """Cholesky factor of C = P A^-1 P^T for one mask, graph and weight pair,
-    P the observed entries, listed by time step: ``nodes[k], times[k]``."""
+class FreeBandFactor:
+    """Banded Cholesky factor of the X update's operator on the free entries
+    of one mask, graph and weight pair, listed by time step: ``nodes[k],
+    times[k]``; ``band`` in LAPACK's lower band storage."""
 
     pattern: SamplingPattern
     graph: GraphOperators
@@ -179,93 +181,104 @@ class ObservedCapacitance:
     tau_X: float
     nodes: np.ndarray
     times: np.ndarray
-    factor: tuple
+    band: np.ndarray
 
 
-def observed_capacitance(pattern, graph: GraphOperators, lambda_L, tau_X):
-    """The capacitance factor of the X update's operator
-    A = (1 + tau_X) I + lambda_L (S (x) DD^T) on the observed entries, or None
-    (the X update then runs PCG) for lambda_L = 0, an empty mask, or more than
-    CAPACITANCE_SIZE_CAP observed entries.
+def free_band_factor(pattern, graph: GraphOperators, lambda_L, tau_X):
+    """The banded Cholesky factor of the X update's operator
+    A = (1 + tau_X) I + lambda_L (S (x) DD^T) on the free entries, or None
+    (the X update then runs PCG) for lambda_L = 0, no free entry, or a band
+    of more than BAND_BYTE_CAP bytes.
 
-    From the graph's eigenpairs S = U diag(s) U^T and DD^T = Q diag(d) Q^T,
-    A^-1 has entries sum_a U[i, a] U[j, a] M_t[a, t'], M_t = (W o q_t) Q^T,
-    W = 1/(lambda_L s d^T + 1 + tau_X) and q_t row t of Q.  So the rows of C
-    at time step t are U[I_t] (U_obs o M_t[:, t_obs]^T)^T, I_t the nodes
-    observed at t; only the block upper triangle, which the factorization
-    reads, is formed.  A LinAlgError of the factorization, from a non-finite
-    or indefinite operator, raises SolverError."""
-    obs = pattern.mask
-    n_obs = int(np.count_nonzero(obs))
-    if lambda_L == 0.0 or n_obs == 0 or n_obs > CAPACITANCE_SIZE_CAP:
+    DD^T is tridiagonal, so with the free entries listed by time step A_ff is
+    block tridiagonal, block (t', t) = lambda_L DD^T[t', t] S[f_t', f_t] for
+    f_t the nodes free at step t, plus (1 + tau_X) I: an SPD band matrix of
+    width = max_t (|f_t| + |f_t+1|) <= 2 I0 rows, factored by dpbtrf in
+    O(n_free width^2) (Golub & Van Loan, Matrix Computations, 4th ed., 4.3).
+    Row k of band column c is A_ff[c + k, c]; each step's columns are
+    formed from S and DD^T, which are only read, and the band is factored in
+    place.  A failed factorization, of an indefinite or non-finite
+    operator, raises SolverError."""
+    times, nodes = np.nonzero(~pattern.mask.T)  # by time step
+    n_free = len(nodes)
+    if lambda_L == 0.0 or n_free == 0:
         return None
-    _, (s, U), _, (d, Q) = graph.smoothness()
-    W = 1.0 / (lambda_L * s[:, None] * d[None, :] + (1.0 + tau_X))
-    times, nodes = np.nonzero(obs.T)  # by time step, so each step's rows are contiguous
-    steps, starts, where = np.unique(times, return_index=True, return_inverse=True)
-    U_obs = U[nodes]
-    C = np.zeros((n_obs, n_obs))
-    for t, lo, hi in zip(steps, starts, [*starts[1:], n_obs]):
-        M_t = (W * Q[t]) @ Q[steps].T  # M_t[:, steps]
-        C[lo:hi, lo:] = U_obs[lo:hi] @ (U_obs[lo:] * M_t.T[where[lo:]]).T
-    try:  # C.T is Fortran-ordered, so LAPACK factors it in place
-        factor = cho_factor(C.T, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"X-update capacitance factorization failed: {exc}") from exc
-    return ObservedCapacitance(pattern, graph, lambda_L, tau_X, nodes, times, factor)
+    counts = np.bincount(times, minlength=pattern.mask.shape[1])
+    width = int((counts + np.append(counts[1:], 0)).max())
+    if 8 * width * n_free > BAND_BYTE_CAP:
+        return None
+    S, _, ddt, _ = graph.smoothness()
+    band = np.empty((width, n_free), order="F")  # the layout dpbtrf factors in place
+    ends = np.cumsum(counts)
+    for t in np.flatnonzero(counts):
+        lo, hi = ends[t] - counts[t], ends[t]
+        below = ends[min(t + 1, len(counts) - 1)]  # the entries of steps t and t+1
+        # A_ff[lo:below, lo:hi], zero-padded so that every column has width
+        # rows from its diagonal down; a sheared view reads band row k of
+        # column c at panel[c + k, c]
+        panel = np.zeros((hi - lo + width, hi - lo))
+        panel[: below - lo] = (S[np.ix_(nodes[lo:below], nodes[lo:hi])]
+                               * (lambda_L * ddt[times[lo:below], t])[:, None])
+        step = panel.strides[0]
+        band[:, lo:hi] = as_strided(panel, (width, hi - lo), (step, step + panel.strides[1]),
+                                    writeable=False)
+    band[0] += 1.0 + tau_X
+    band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise SolverError(f"X-update band factorization failed: dpbtrf info {info}")
+    return FreeBandFactor(pattern, graph, lambda_L, tau_X, nodes, times, band)
 
 
 def consistent_smooth_solve(Y, pattern, target, X_prev, graph: GraphOperators, lambda_L,
-                            tau_X, cg_tol=1e-9, cg_max=None, capacitance=None):
+                            tau_X, cg_tol=1e-9, cg_max=None, band=None):
     """Minimize 1/2||X - target||^2 + lambda_L/2 tr(X^T S X DD^T) +
     tau_X/2||X - X_prev||^2 subject to exact agreement with Y on the mask.
 
-    Observed entries are assigned from Y.  Given ``capacitance``, the
-    observed_capacitance factor of this mask, graph and weights, the solve is
-    direct: with A the unrestricted operator, b = target + tau_X X_prev and
-    z = A^-1 b, X = z + A^-1 P^T mu for C mu = y_o - z_o (Buzbee, Dorr,
-    George & Golub, SIAM J. Numer. Anal. 8(4), 1971).  Otherwise the
-    complement solves a restricted SPD system, applied matrix-free (never
-    materializing the Kronecker form).  CG is preconditioned by the exact
-    inverse of the unrestricted operator (1 + tau_X) I + lambda_L (S (x)
-    DD^T), which is diagonal in the eigenbases of S and DD^T (fast
-    diagonalization, from the eigenpairs the graph stores), restricted to the
-    free entries; cg_tol bounds the relative residual in that
-    preconditioner's norm.  Returns (X, cg_iterations), 0 on the direct path.
+    Observed entries are assigned from Y; the free ones solve a restricted
+    SPD system A_ff x = b_f, b = target + tau_X X_prev - lambda_L S S_y DD^T.
+    Given ``band``, the free_band_factor of this mask, graph and weights, the
+    solve is direct: two banded triangular solves.  Otherwise CG solves it,
+    applied matrix-free (never materializing the Kronecker form) and
+    preconditioned by the exact inverse of the unrestricted operator
+    (1 + tau_X) I + lambda_L (S (x) DD^T), which is diagonal in the
+    eigenbases of S and DD^T (fast diagonalization, from the eigenpairs the
+    graph stores), restricted to the free entries; cg_tol bounds the relative
+    residual in that preconditioner's norm.  A non-finite result raises
+    SolverError.  Returns (X, cg_iterations), 0 on the direct path.
     """
     obs = pattern.mask
     S_y = apply_sampling(pattern, Y)
     rhs_mat = target + tau_X * X_prev
     if lambda_L == 0.0:
         return np.where(obs, S_y, rhs_mat / (1.0 + tau_X)), 0
+    if band is not None and (band.pattern is not pattern or band.graph is not graph
+                             or (band.lambda_L, band.tau_X) != (lambda_L, tau_X)):
+        raise InputError("the band factor was built for another mask, graph or weights")
     L_sob, (s, U), ddt, (d, Q) = graph.smoothness()
-    solve = _sylvester_pd((lambda_L * s, U), (d, Q), 1.0 + tau_X)
-    if capacitance is not None:
-        if (capacitance.pattern is not pattern or capacitance.graph is not graph
-                or (capacitance.lambda_L, capacitance.tau_X) != (lambda_L, tau_X)):
-            raise InputError("the capacitance factor was built for another mask, graph or "
-                             "weights")
-        return _capacitance_solve(capacitance, S_y, rhs_mat, solve), 0
     lS = lambda_L * L_sob
-    keep = (~obs).astype(float)  # 1 on the free entries, 0 on the observed ones
-    b = rhs_mat - lS @ S_y @ ddt
-    b *= keep
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite input raises below
+        b = rhs_mat - lS @ S_y @ ddt
+        if band is not None:
+            return _band_solve(band, S_y, b), 0
+        solve = _sylvester_pd((lambda_L * s, U), (d, Q), 1.0 + tau_X)
+        keep = (~obs).astype(float)  # 1 on the free entries, 0 on the observed ones
+        b *= keep
 
-    def apply_op(V):
-        out = lS @ V @ ddt
-        out += (1.0 + tau_X) * V
-        out *= keep
-        return out
+        def apply_op(V):
+            out = lS @ V @ ddt
+            out += (1.0 + tau_X) * V
+            out *= keep
+            return out
 
-    def precond(R):
-        out = solve(R)
-        out *= keep
-        return out
+        def precond(R):
+            out = solve(R)
+            out *= keep
+            return out
 
-    if cg_max is None:
-        cg_max = _cg_cap(lambda_L * s[-1] * d[-1], tau_X, cg_tol, int(keep.sum()))
-    x0 = (keep * X_prev).astype(b.dtype, copy=False)
-    V, res, iters = _pcg(apply_op, b, x0, cg_tol, cg_max, precond)
+        if cg_max is None:
+            cg_max = _cg_cap(lambda_L * s[-1] * d[-1], tau_X, cg_tol, int(keep.sum()))
+        x0 = (keep * X_prev).astype(b.dtype, copy=False)
+        V, res, iters = _pcg(apply_op, b, x0, cg_tol, cg_max, precond)
     if not res <= cg_tol:  # also catches a NaN residual
         raise SolverError(
             f"X-update CG stalled at relative residual {res:.3e} after {iters} iterations",
@@ -275,24 +288,18 @@ def consistent_smooth_solve(Y, pattern, target, X_prev, graph: GraphOperators, l
     return V, iters
 
 
-def _capacitance_solve(capacitance: ObservedCapacitance, S_y, b, solve):
-    """z + A^-1 P^T mu for z = A^-1 b and C mu = y_o - z_o, re-pinned to S_y
-    on the mask; ``solve`` applies A^-1.  SolverError on a non-finite result."""
-    nodes, times = capacitance.nodes, capacitance.times
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite input raises below
-        z = solve(b)
-        resid = S_y[nodes, times] - z[nodes, times]
-        # C is real: a complex residual is solved as its real and imaginary columns
-        mu = cho_solve(capacitance.factor, resid.view(np.float64).reshape(len(nodes), -1),
-                       check_finite=False)
-        F = np.zeros(z.shape, resid.dtype)
-        F[nodes, times] = np.ascontiguousarray(mu).view(resid.dtype).ravel()
-        X = solve(F)
-        X += z
+def _band_solve(factor: FreeBandFactor, S_y, b):
+    """S_y with its free entries set to A_ff^-1 b_f by the band factor.
+    SolverError on a non-finite result."""
+    nodes, times = factor.nodes, factor.times
+    b_f = b[nodes, times]
+    # A is real: a complex right-hand side is solved as its real and imaginary columns
+    x, _ = dpbtrs(factor.band, b_f.view(np.float64).reshape(len(nodes), -1), lower=1)
+    X = S_y.astype(b.dtype)
+    X[nodes, times] = np.ascontiguousarray(x).view(b.dtype).ravel()
     if not np.isfinite(X).all():
         raise SolverError("X-update direct solve produced a non-finite entry",
                           residual=math.nan)
-    np.copyto(X, S_y, where=capacitance.pattern.mask)
     return X
 
 
@@ -789,7 +796,8 @@ def affine_residual(model: FactorModel) -> float:
 
 def consistency_residual(A, pattern, S_y) -> float:
     """Worst deviation of A from the observations S_y on the mask."""
-    return float(np.max(np.abs(apply_sampling(pattern, A) - S_y), initial=0.0))
+    mask = pattern.mask
+    return float(np.max(np.abs(A[mask] - S_y[mask]), initial=0.0))
 
 
 def sca_loop(config: SolverConfig, pattern, S_y, state, best_response, evaluate):
@@ -873,7 +881,7 @@ def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
         if problem == TVGS:
             K_half, stats["cg_iters"] = tvgs_update_X(
                 Y, pattern, prediction, X, graph, config.lambda_L, config.tau_X,
-                config.cg_tol, config.cg_max, capacitance,
+                config.cg_tol, config.cg_max, band,
             )
             Z_half = None
         else:
@@ -911,8 +919,8 @@ def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
         return obj, cons, affine_residual(current), (X, prediction, spectrum)
 
     # factored once per solve: every X update shares the mask, graph and weights
-    capacitance = (observed_capacitance(pattern, graph, config.lambda_L, config.tau_X)
-                   if problem == TVGS else None)
+    band = (free_band_factor(pattern, graph, config.lambda_L, config.tau_X)
+            if problem == TVGS else None)
     # the loop mixes into the best responses' arrays only: model0 is never written
     K0 = S_y.astype(np.result_type(S_y.dtype, model0.coeffs[0].dtype), copy=False)
     Z0 = None if problem == TVGS else dft_temporal(ifft2_frames(K0, *frame_dims[:2]))

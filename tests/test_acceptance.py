@@ -24,7 +24,7 @@ from mkimpute.solver import (
     DMRI,
     TVGS,
     dmri_update_X,
-    observed_capacitance,
+    free_band_factor,
     sca_step_schedule,
     solve,
     tvgs_update_X,
@@ -139,9 +139,8 @@ def test_criterion_02_subtask_oracle_equivalence():
         X_ref = dense_x_oracle(Y, pattern.mask, predict(model), X_prev,
                                graph.L_sobolev, graph.delta, 0.7, 0.6)
         worst["x"] = max(worst["x"], _rel(X_got, X_ref))
-        capacitance = observed_capacitance(pattern, graph, 0.7, 0.6)
-        X_got, _ = tvgs_update_X(Y, pattern, predict(model), X_prev, graph, 0.7, 0.6,
-                                 capacitance=capacitance)
+        band = free_band_factor(pattern, graph, 0.7, 0.6)
+        X_got, _ = tvgs_update_X(Y, pattern, predict(model), X_prev, graph, 0.7, 0.6, band=band)
         assert np.array_equal(X_got[pattern.mask], Y[pattern.mask])
         worst["x_direct"] = max(worst["x_direct"], _rel(X_got, X_ref))
 

@@ -239,8 +239,8 @@ def test_validate_and_run_reject_sizes_that_fail_at_run_time(tmp_path, capsys, f
 
 
 def test_run_with_failed_cells_exits_nonzero_and_names_the_log(tmp_path, capsys, monkeypatch):
-    # a cap of 0 observed entries keeps the X update on CG, where cg_max applies
-    monkeypatch.setattr(solver, "CAPACITANCE_SIZE_CAP", 0)
+    # a band cap of 0 bytes keeps the X update on CG, where cg_max applies
+    monkeypatch.setattr(solver, "BAND_BYTE_CAP", 0)
     out = tmp_path / "out"
     stalls = tmp_path / "stalls.json"  # the set-up builds, then mlkr's X-update CG stalls
     stalls.write_text(json.dumps({**TVGS_SPEC, "solver": {**TVGS_SPEC["solver"], "cg_max": 1}}))

@@ -257,8 +257,8 @@ def test_metric_selection_filters_columns(tmp_path):
 
 
 def test_failed_cell_recorded_not_fatal(tmp_path, monkeypatch):
-    # a cap of 0 observed entries keeps the X update on CG, where cg_max applies
-    monkeypatch.setattr(solver, "CAPACITANCE_SIZE_CAP", 0)
+    # a band cap of 0 bytes keeps the X update on CG, where cg_max applies
+    monkeypatch.setattr(solver, "BAND_BYTE_CAP", 0)
     spec = json.loads(json.dumps(TVGS_SPEC))
     spec["solver"]["cg_max"] = 1  # the set-up builds, then mlkr's X-update CG stalls
     rows = run_experiment(spec, output_dir=tmp_path)
@@ -284,7 +284,7 @@ def test_a_failing_method_keeps_the_other_methods_of_its_cell(tmp_path):
 
 
 def test_errors_log_says_where_a_solver_stopped(tmp_path, monkeypatch):
-    monkeypatch.setattr(solver, "CAPACITANCE_SIZE_CAP", 0)  # CG, as above
+    monkeypatch.setattr(solver, "BAND_BYTE_CAP", 0)  # CG, as above
     spec = json.loads(json.dumps(TVGS_SPEC))
     spec["solver"]["cg_max"] = 1  # the X-update CG cannot converge in one step
     rows = run_experiment(spec, output_dir=tmp_path)

@@ -182,30 +182,65 @@ def test_x_update_matches_dense_oracle_on_random_masks(n, t, complex_, p_obs, ro
     ref = dense_x_oracle(Y, mask, target, X_prev, graph.L_sobolev, graph.delta, lam, tau)
     assert np.array_equal(X[mask], Y[mask])
     assert _rel(X, ref) <= 1e-8
-    # the direct path, wherever it applies: smoothing on and some entry observed
-    capacitance = solver.observed_capacitance(pattern, graph, lam, tau)
-    assert (capacitance is None) == (lam == 0.0 or not mask.any())
-    if capacitance is not None:
+    # the direct path, wherever it applies: smoothing on and some entry free
+    band = solver.free_band_factor(pattern, graph, lam, tau)
+    assert (band is None) == (lam == 0.0 or mask.all())
+    if band is not None:
         X, steps = consistent_smooth_solve(Y, pattern, target, X_prev, graph, lam, tau,
-                                           capacitance=capacitance)
+                                           band=band)
         assert steps == 0 and np.array_equal(X[mask], Y[mask])
         assert _rel(X, ref) <= 1e-10
 
 
-def test_capacitance_size_rule(monkeypatch):
-    # the direct path needs smoothing, an observed entry and at most
-    # CAPACITANCE_SIZE_CAP observed entries
+def _edge_mask(kind, n, t, rng):
+    """p2: whole snapshots observed, the others fully free; one step: free
+    entries at a single time step; ends: the first and last steps fully free."""
+    if kind == "p2":
+        snapshots = rng.random(t) < 0.5
+        snapshots[rng.integers(t)] = False
+        return np.broadcast_to(snapshots, (n, t)).copy()
+    mask = np.ones((n, t), dtype=bool)
+    if kind == "one step":
+        mask[rng.permutation(n)[: rng.integers(1, n + 1)], rng.integers(t)] = False
+    else:
+        mask[:, [0, -1]] = False
+    return mask
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("kind", ["p2", "one step", "ends"])
+def test_band_x_update_matches_dense_oracle_on_edge_masks(kind, complex_):
+    # masks whose time steps hold all or none of the band's entries
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n, t = 7, 6
+        Y, target, X_prev = (_draw(rng, (n, t), complex_) for _ in range(3))
+        mask = _edge_mask(kind, n, t, rng)
+        pattern, graph = SamplingPattern(mask), _graph(n, t, seed=seed)
+        band = solver.free_band_factor(pattern, graph, 0.6, 0.4)
+        X, steps = consistent_smooth_solve(Y, pattern, target, X_prev, graph, 0.6, 0.4,
+                                           band=band)
+        ref = dense_x_oracle(Y, mask, target, X_prev, graph.L_sobolev, graph.delta, 0.6, 0.4)
+        assert steps == 0 and np.array_equal(X[mask], Y[mask])
+        assert _rel(X, ref) <= 1e-10
+
+
+def test_band_size_rule(monkeypatch):
+    # the direct path needs smoothing, a free entry and a band of at most
+    # BAND_BYTE_CAP bytes: width = max_t (f_t + f_t+1) rows of n_free columns
     graph = _graph(6, 5, seed=5)
     pattern = sample_p1(6, 5, 0.5, seed=5)
-    n_obs = int(pattern.mask.sum())
-    assert solver.observed_capacitance(pattern, graph, 0.0, 1.0) is None
-    empty = SamplingPattern(np.zeros((6, 5), dtype=bool))
-    assert solver.observed_capacitance(empty, graph, 0.8, 1.0) is None
-    monkeypatch.setattr(solver, "CAPACITANCE_SIZE_CAP", n_obs - 1)
-    assert solver.observed_capacitance(pattern, graph, 0.8, 1.0) is None
-    monkeypatch.setattr(solver, "CAPACITANCE_SIZE_CAP", n_obs)
-    capacitance = solver.observed_capacitance(pattern, graph, 0.8, 1.0)
-    assert capacitance.factor[0].shape == (n_obs, n_obs)
+    free = ~pattern.mask
+    n_free = int(free.sum())
+    width = int(max(free[:, i].sum() + free[:, i + 1].sum() for i in range(4)))
+    assert solver.free_band_factor(pattern, graph, 0.0, 1.0) is None
+    full = SamplingPattern(np.ones((6, 5), dtype=bool))
+    assert solver.free_band_factor(full, graph, 0.8, 1.0) is None
+    monkeypatch.setattr(solver, "BAND_BYTE_CAP", 8 * width * n_free - 1)
+    assert solver.free_band_factor(pattern, graph, 0.8, 1.0) is None
+    monkeypatch.setattr(solver, "BAND_BYTE_CAP", 8 * width * n_free)
+    band = solver.free_band_factor(pattern, graph, 0.8, 1.0)
+    assert band.band.shape == (width, n_free)
 
 
 def test_x_update_direct_rejects_a_factor_of_other_inputs():
@@ -213,14 +248,13 @@ def test_x_update_direct_rejects_a_factor_of_other_inputs():
     graph = _graph(6, 5, seed=6)
     pattern = sample_p1(6, 5, 0.5, seed=6)
     Y, zeros = rng.standard_normal((6, 5)), np.zeros((6, 5))
-    capacitance = solver.observed_capacitance(pattern, graph, 0.8, 1.0)
+    band = solver.free_band_factor(pattern, graph, 0.8, 1.0)
     others = [(SamplingPattern(pattern.mask.copy()), graph, 0.8, 1.0),
               (pattern, _graph(6, 5, seed=6), 0.8, 1.0),
               (pattern, graph, 0.7, 1.0), (pattern, graph, 0.8, 0.5)]
     for other, g, lam, tau in others:
         with pytest.raises(InputError, match="another mask, graph or weights"):
-            consistent_smooth_solve(Y, other, zeros, zeros, g, lam, tau,
-                                    capacitance=capacitance)
+            consistent_smooth_solve(Y, other, zeros, zeros, g, lam, tau, band=band)
 
 
 @pytest.mark.parametrize("where", ["observed", "target", "X_prev"])
@@ -238,20 +272,39 @@ def test_x_update_direct_rejects_non_finite_input(where, value):
         inputs["Y"][rows[0], cols[0]] = value
     else:
         inputs[where][3, 4] = value
-    capacitance = solver.observed_capacitance(pattern, graph, 0.1, 1.0)
+    band = solver.free_band_factor(pattern, graph, 0.1, 1.0)
     with pytest.raises(SolverError, match="non-finite") as err:
         consistent_smooth_solve(inputs["Y"], pattern, inputs["target"], inputs["X_prev"],
-                                graph, 0.1, 1.0, capacitance=capacitance)
+                                graph, 0.1, 1.0, band=band)
     assert np.isnan(err.value.residual)
 
 
-def test_capacitance_factorization_failure_raises_solver_error():
-    # tau_X = -3 makes A, and so C, negative definite: LAPACK's LinAlgError
-    # reaches the caller as a SolverError
+@pytest.mark.parametrize("where", ["target", "X_prev"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_x_update_cg_rejects_non_finite_input_without_warning(monkeypatch, where, value):
+    # a band cap of 0 bytes leaves the CG path, which raises SolverError alone:
+    # under the suite's filterwarnings = error a numpy warning would escape first
+    monkeypatch.setattr(solver, "BAND_BYTE_CAP", 0)
+    rng = np.random.default_rng(34)
+    graph = _graph(8, 8, seed=34)
+    pattern = sample_p1(8, 8, 0.5, seed=34)
+    inputs = {"target": rng.standard_normal((8, 8)), "X_prev": rng.standard_normal((8, 8))}
+    rows, cols = np.nonzero(~pattern.mask)
+    inputs[where][rows[0], cols[0]] = value
+    band = solver.free_band_factor(pattern, graph, 0.1, 1.0)
+    assert band is None
+    with pytest.raises(SolverError, match="CG stalled"):
+        consistent_smooth_solve(rng.standard_normal((8, 8)), pattern, inputs["target"],
+                                inputs["X_prev"], graph, 0.1, 1.0, band=band)
+
+
+def test_band_factorization_failure_raises_solver_error():
+    # tau_X = -3 makes A_ff negative definite: dpbtrf's nonzero info reaches
+    # the caller as a SolverError
     graph = _graph(6, 5, seed=7)
     pattern = sample_p1(6, 5, 0.5, seed=7)
-    with pytest.raises(SolverError, match="capacitance factorization failed"):
-        solver.observed_capacitance(pattern, graph, 1e-6, -3.0)
+    with pytest.raises(SolverError, match="band factorization failed"):
+        solver.free_band_factor(pattern, graph, 1e-6, -3.0)
 
 
 @pytest.mark.parametrize("complex_", [False, True])
@@ -267,10 +320,10 @@ def test_solve_direct_and_cg_x_updates_agree(monkeypatch, complex_):
     config = SolverConfig(lambda1=1e-3, lambda2=1e-3, lambda_L=0.05, outer_iters=4,
                           tol_objective=0.0, cg_tol=1e-13, seed=2)
     dims = ModelDims(12, 20, 5, 1, 2, (3,))
-    cap = solver.CAPACITANCE_SIZE_CAP
+    cap = solver.BAND_BYTE_CAP
 
     def run(size_cap):
-        monkeypatch.setattr(solver, "CAPACITANCE_SIZE_CAP", size_cap)
+        monkeypatch.setattr(solver, "BAND_BYTE_CAP", size_cap)
         X, _, report = solve(TVGS, Y, pattern, graph, lmk, [gaussian_spec(1.0)], dims, config)
         X_krg, _, report_krg = krg_solve(Y, pattern, graph, BaselineSpec("krg"), config)
         return X, X_krg, report.cg_iters + report_krg.cg_iters
@@ -930,12 +983,12 @@ def test_graph_factorizations_run_once_per_graph(monkeypatch, tmp_path):
     # S = (L + eps I)^beta and DD^T do not change during a solve: each is
     # factorized once per graph, on first use, and not once per X update.
     # I0 = 12 and I_N = 20 differ from every factor-solve size here (3 to 6).
-    # A capacitance size cap of 0 keeps the X updates on CG; the direct path
-    # is checked last.
+    # A band cap of 0 bytes keeps the X updates on CG; the direct path is
+    # checked last.
     from mkimpute.experiments import run_experiment
     from mkimpute.kernels import gaussian_spec
-    cap = solver.CAPACITANCE_SIZE_CAP
-    monkeypatch.setattr(solver, "CAPACITANCE_SIZE_CAP", 0)
+    cap = solver.BAND_BYTE_CAP
+    monkeypatch.setattr(solver, "BAND_BYTE_CAP", 0)
     Y, pattern, graph = _ring_problem()
     lmk = _landmarks_from(Y, pattern, 6)
     config = SolverConfig(lambda1=1e-3, lambda2=1e-3, lambda_L=0.05,
@@ -965,23 +1018,23 @@ def test_graph_factorizations_run_once_per_graph(monkeypatch, tmp_path):
     rows = run_experiment(spec, tmp_path / "out")
     assert len(rows) == 6 and not (tmp_path / "out" / "errors.log").exists()
     assert (shapes.count((12, 12)), shapes.count((20, 20))) == (1, 1)
-    # on the direct path the observed-entry capacitance matrix is factored
-    # once per solve, before the loop, not once per X update
-    monkeypatch.setattr(solver, "CAPACITANCE_SIZE_CAP", cap)
+    # on the direct path the free-entry band is factored once per solve,
+    # before the loop, not once per X update
+    monkeypatch.setattr(solver, "BAND_BYTE_CAP", cap)
     factored = []
-    cho_factor = solver.cho_factor
+    dpbtrf = solver.dpbtrf
 
     def recording(a, *args, **kwargs):
         factored.append(np.shape(a))
-        return cho_factor(a, *args, **kwargs)
+        return dpbtrf(a, *args, **kwargs)
 
-    monkeypatch.setattr(solver, "cho_factor", recording)
+    monkeypatch.setattr(solver, "dpbtrf", recording)
     Y, pattern, graph = _ring_problem()
     shapes.clear()
     _, _, report = solve(TVGS, Y, pattern, graph, lmk, [gaussian_spec(1.0)], dims, config)
-    n_obs = int(pattern.mask.sum())
+    n_free = int((~pattern.mask).sum())
     assert report.iterations == 4 and report.cg_iters == [0] * 4
-    assert factored == [(n_obs, n_obs)]
+    assert len(factored) == 1 and factored[0][1] == n_free
     assert (shapes.count((12, 12)), shapes.count((20, 20))) == (1, 1)
     # the sweep solves 3 methods in each of 2 cells, 3 X updates each
     factored.clear()
@@ -1521,11 +1574,10 @@ def test_x_update_leaves_data_and_graph_untouched(complex_):
                                        inputs["X_prev"], graph, 0.7, 0.5)
     _assert_untouched(inputs, copies)
     assert iters > 0 and np.array_equal(X[pattern.mask], copies["Y"][pattern.mask])
-    # the direct path's capacitance build and solve only read them too
-    capacitance = solver.observed_capacitance(pattern, graph, 0.7, 0.5)
+    # the direct path's band build and solve only read them too
+    band = solver.free_band_factor(pattern, graph, 0.7, 0.5)
     X, iters = consistent_smooth_solve(inputs["Y"], pattern, inputs["target"],
-                                       inputs["X_prev"], graph, 0.7, 0.5,
-                                       capacitance=capacitance)
+                                       inputs["X_prev"], graph, 0.7, 0.5, band=band)
     _assert_untouched(inputs, copies)
     assert iters == 0 and np.array_equal(X[pattern.mask], copies["Y"][pattern.mask])
 

@@ -23,9 +23,9 @@ def test_library_builds_no_kronecker_product():
 
 def test_x_update_factorizes_nothing():
     # S, DD^T and their eigenpairs are fixed for a graph and belong to it; the
-    # X update, its step cap and its capacitance factor only read them
-    for fn in (solver.consistent_smooth_solve, solver._cg_cap, solver.observed_capacitance,
-               solver._capacitance_solve):
+    # X update, its step cap and its band factor only read them
+    for fn in (solver.consistent_smooth_solve, solver._cg_cap, solver.free_band_factor,
+               solver._band_solve):
         body = inspect.getsource(fn)
         for pattern in (r"\beigh\b", r"delta\s*@\s*\w*delta", r"abs\(.*\)\.sum\("):
             assert not re.search(pattern, body), f"{fn.__name__} matches {pattern!r}"
