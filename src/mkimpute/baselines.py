@@ -29,6 +29,7 @@ from .solver import (
     consistency_residual,
     consistent_smooth_solve,
     free_band_factor,
+    observed_entries,
     sca_loop,
     smoothness_penalty,
     solve_from_model,
@@ -130,10 +131,10 @@ def _kernel_chain_solve(Y, pattern, graph, config: SolverConfig, free, *, row_ke
         val += 0.5 * config.lambda2 * sum(float(np.vdot(link, link).real) for link in links)
         if config.lambda_L > 0:
             val += 0.5 * config.lambda_L * smoothness_penalty(X, graph.L_sobolev, graph.delta)
-        return val, consistency_residual(X, pattern, S_y), 0.0, product
+        return val, consistency_residual(X, observed), 0.0, product
 
-    (X, links), _, report = sca_loop(config, pattern, S_y, (S_y, links), best_response,
-                                     evaluate)
+    observed = observed_entries(pattern, S_y)
+    (X, links), _, report = sca_loop(config, observed, (S_y, links), best_response, evaluate)
     return X, links, report
 
 

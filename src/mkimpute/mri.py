@@ -31,18 +31,72 @@ def unflatten_frames(X: np.ndarray, i1: int, i2: int) -> np.ndarray:
     return X.reshape(i1, i2, -1, order="F")
 
 
+def _roll_columns_into(out: np.ndarray, src: np.ndarray, s: int) -> None:
+    """out = src rolled by s along axis 1, by two block copies."""
+    n = src.shape[1]
+    out[:, :s] = src[:, n - s :]
+    out[:, s:] = src[:, : n - s]
+
+
+def _roll_frames(out: np.ndarray, cube: np.ndarray, s1: int, s2: int) -> None:
+    """out = cube rolled by s1 rows and s2 columns in every frame (np.roll's
+    result), by block copies.  out may be cube itself for s1 <= I1 / 2: the
+    rows that land below row s1 are then set aside first, as the rows that
+    land above it overwrite some of them."""
+    n1 = cube.shape[0]
+    head = cube[: n1 - s1]
+    if out is cube:
+        head = head.copy()
+    _roll_columns_into(out[:s1], cube[n1 - s1 :], s2)
+    _roll_columns_into(out[s1:], head, s2)
+
+
+def _fftshift_in_place(frames: np.ndarray) -> None:
+    """np.fft.fftshift over the first two axes, in place.  On even sides each
+    diagonal pair of quadrants trades places through one quadrant-sized
+    buffer; an odd side makes the shift no swap, and the general roll sets
+    about half the array aside."""
+    n1, n2, n3 = frames.shape
+    h1, h2 = n1 // 2, n2 // 2
+    if n1 % 2 or n2 % 2:
+        _roll_frames(frames, frames, h1, h2)
+        return
+    buf = np.empty((h1, h2, n3), dtype=frames.dtype)
+    for a, b in (((slice(0, h1), slice(0, h2)), (slice(h1, n1), slice(h2, n2))),
+                 ((slice(0, h1), slice(h2, n2)), (slice(h1, n1), slice(0, h2)))):
+        np.copyto(buf, frames[a])
+        frames[a] = frames[b]
+        frames[b] = buf
+
+
+def _frames_like(cube: np.ndarray, i1: int, i2: int) -> tuple[np.ndarray, np.ndarray]:
+    """A fresh complex (I1*I2, I3) array and its (I1, I2, I3) frame view."""
+    out = np.empty((i1 * i2, cube.shape[2]), dtype=complex)
+    return out, unflatten_frames(out, i1, i2)
+
+
 def fft2_frames(X: np.ndarray, i1: int, i2: int) -> np.ndarray:
-    """Per-frame unnormalized 2D DFT, DC-centered, on the flattened layout."""
+    """Per-frame unnormalized 2D DFT, DC-centered, on the flattened layout.
+    The transform runs in the result, which is then shifted in place: no
+    full-size array but the result.  (Without ``out``, numpy's fftn
+    allocates an array per axis.)"""
     cube = unflatten_frames(np.asarray(X, dtype=complex), i1, i2)
-    spec = np.fft.fftshift(np.fft.fft2(cube, axes=(0, 1), norm="backward"), axes=(0, 1))
-    return flatten_frames(spec)
+    out, frames = _frames_like(cube, i1, i2)
+    np.fft.fftn(cube, axes=(0, 1), norm="backward", out=frames)
+    _fftshift_in_place(frames)
+    return out
 
 
 def ifft2_frames(X: np.ndarray, i1: int, i2: int) -> np.ndarray:
-    """Inverse of fft2_frames; carries the 1/(I1*I2) factor."""
+    """Inverse of fft2_frames; carries the 1/(I1*I2) factor.  The input is
+    shifted straight into the result, which is transformed in place: one
+    copy, and no array but the result."""
     cube = unflatten_frames(np.asarray(X, dtype=complex), i1, i2)
-    spec = np.fft.ifftshift(cube, axes=(0, 1))
-    return flatten_frames(np.fft.ifft2(spec, axes=(0, 1), norm="backward"))
+    out, frames = _frames_like(cube, i1, i2)
+    _roll_frames(frames, cube, i1 - i1 // 2, i2 - i2 // 2)  # ifftshift
+    # ifftn, not ifft2: numpy's ifft2 does not pass ``out`` on
+    np.fft.ifftn(frames, axes=(0, 1), norm="backward", out=frames)
+    return out
 
 
 def dft_temporal(X: np.ndarray) -> np.ndarray:

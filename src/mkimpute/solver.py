@@ -47,16 +47,22 @@ def sca_step_schedule(gamma: float, zeta: float) -> float:
     return gamma * (1.0 - zeta * gamma)
 
 
-def sca_extrapolate(current, half, gamma: float):
+def sca_extrapolate(current, half, gamma: float, spent: bool = False):
     """gamma * half + (1 - gamma) * current for every array of an iterate (a
     tuple of arrays, nested lists or None), formed in place in the half's
-    arrays, which the loop owns; returns the half."""
+    arrays, which the loop owns; returns the half.  ``spent`` says that the
+    loop owns the current arrays too and drops them after the mix, so
+    (1 - gamma) * current is formed in them, not in a temporary."""
     def mix(c, h):
         if isinstance(h, (tuple, list)):
             return type(h)(map(mix, c, h))
         if h is not None:
             h *= gamma
-            h += (1.0 - gamma) * c
+            if spent:
+                c *= 1.0 - gamma
+            else:
+                c = (1.0 - gamma) * c
+            h += c
         return h
 
     return mix(current, half)
@@ -262,7 +268,12 @@ def consistent_smooth_solve(Y, pattern, target, X_prev, graph: GraphOperators, l
             return _band_solve(band, S_y, b), 0
         solve = _sylvester_pd((lambda_L * s, U), (d, Q), 1.0 + tau_X)
         keep = (~obs).astype(float)  # 1 on the free entries, 0 on the observed ones
-        b *= keep
+        # zeroed by assignment: multiplying by keep would turn a non-finite
+        # entry there into nan, which the direct path, reading only the free
+        # entries, never sees
+        b[obs] = 0.0
+        x0 = X_prev.astype(b.dtype)
+        x0[obs] = 0.0
 
         def apply_op(V):
             out = lS @ V @ ddt
@@ -277,7 +288,6 @@ def consistent_smooth_solve(Y, pattern, target, X_prev, graph: GraphOperators, l
 
         if cg_max is None:
             cg_max = _cg_cap(lambda_L * s[-1] * d[-1], tau_X, cg_tol, int(keep.sum()))
-        x0 = (keep * X_prev).astype(b.dtype, copy=False)
         V, res, iters = _pcg(apply_op, b, x0, cg_tol, cg_max, precond)
     if not res <= cg_tol:  # also catches a NaN residual
         raise SolverError(
@@ -402,11 +412,24 @@ def update_factor(q_index: int, X_hat, model: FactorModel, lam: float, tau: floa
 # coefficient (B) sub-task
 # ---------------------------------------------------------------------------
 
-def _soft_complex(A, thr):
-    mag = np.abs(A)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(mag <= thr, 0.0, 1.0 - thr / np.where(mag > 0, mag, 1.0))
-    return A * scale
+def soft_threshold(A, thr, out=None, scale=None):
+    """Entrywise magnitude shrinkage a * (1 - thr / max(thr, |a|)), written to
+    ``out`` (a new array by default; A itself may be given).  ``scale``, a
+    real array of A's shape, holds the shrink factors if given."""
+    if thr < 0:
+        raise InputError(f"threshold must be non-negative, got {thr}")
+    A = np.asarray(A)
+    A = A.astype(np.result_type(A, 1.0), copy=False)
+    mag = np.abs(A, out=scale)
+    if not 0.0 < thr < math.inf:  # no division by max(thr, |a|): 0 where |a| <= thr
+        with np.errstate(invalid="ignore", divide="ignore"):
+            factors = np.where(mag <= thr, 0.0, 1.0 - thr / np.where(mag > 0, mag, 1.0))
+        return np.multiply(A, factors, out=out)
+    # in place, as max(thr, |a|) >= thr > 0: an entry with |a| <= thr gets 1 - 1 = 0
+    np.maximum(mag, thr, out=mag)
+    np.divide(thr, mag, out=mag)
+    np.subtract(1.0, mag, out=mag)
+    return np.multiply(A, mag, out=out)
 
 
 _PROX_MAX_ITER = 100  # Newton steps of the multiplier solve
@@ -508,7 +531,7 @@ def _prox_affine_l1(V, alpha, n_l):
     V stacks M blocks of n_l rows; the affine equality is handled by one
     scalar multiplier per (column, block).  The result is snapped to exact
     feasibility."""
-    return _snap_affine(_soft_complex(_affine_l1_shift(V, alpha, n_l), alpha), n_l)
+    return _snap_affine(soft_threshold(_affine_l1_shift(V, alpha, n_l), alpha), n_l)
 
 
 def _components(x):
@@ -572,7 +595,7 @@ def update_B(X_hat, model: FactorModel, lambda1: float, tau_B: float,
 
     def state(Z, j=slice(None)):  # b(z), its shifted point, grad phi and phi per column
         W = _affine_l1_shift(B_hat[:, j] - (P.conj().T @ Z) / tau_B, alpha, n_l)
-        B = _snap_affine(_soft_complex(W, alpha), n_l)
+        B = _snap_affine(soft_threshold(W, alpha), n_l)
         G = P @ B - y[:, j] - Z
         phi = (0.5 * tau_B * _col_sq(B - B_hat[:, j]) + lambda1 * np.abs(B).sum(axis=0)
                + np.real(np.conj(Z) * G).sum(axis=0) + 0.5 * _col_sq(Z))
@@ -706,46 +729,50 @@ def update_B_ridge(X_hat, model: FactorModel, lam: float, tau_B: float):
 # k-space sub-tasks
 # ---------------------------------------------------------------------------
 
-def soft_threshold(A, thr):
-    """Entrywise magnitude shrinkage a * (1 - thr / max(thr, |a|))."""
-    if thr < 0:
-        raise InputError(f"threshold must be non-negative, got {thr}")
-    return _soft_complex(np.asarray(A), thr)
-
-
 def dmri_update_X(Y_kspace, pattern, prediction, K_prev, Z_hat,
-                  lambda2: float, tau_X: float, frame_dims):
+                  lambda2: float, tau_X: float, frame_dims, scratch=None):
     """The k-space F2(X) of the exact minimizer of the k-space X sub-task, given
     the model's prediction and K_prev = F2(X_prev) (F2 is linear): closed
-    form, then re-assignment of observed k-space entries."""
+    form, then re-assignment of observed k-space entries.  ``scratch``, a
+    complex array of K_prev's shape, holds tau_X K_prev if given."""
     i1, i2, i3 = frame_dims
     c_x = 1.0 / (1.0 + lambda2 * i3 + tau_X)
-    K = fft2_frames(prediction + lambda2 * i3 * idft_temporal(Z_hat), i1, i2)
-    K += tau_X * K_prev
+    T = idft_temporal(Z_hat)
+    T *= lambda2 * i3
+    T += prediction
+    K = fft2_frames(T, i1, i2)
+    K += np.multiply(tau_X, K_prev, out=scratch)
     K *= c_x
     np.copyto(K, Y_kspace, where=pattern.mask)
     return K
 
 
 def dmri_update_Z(W, Z_prev, lambda2: float, lambda3: float, tau_Z: float,
-                  rule: str = "ratio"):
+                  rule: str = "ratio", scratch=None):
     """Soft-thresholding update of the temporal spectrum, given the spectrum
     W = Ft(X) of the current image sequence.
 
     rule="ratio":  Soft[Ft(X) + (tau_Z/lambda2) Z, lambda3/lambda2]
     rule="prox":   Soft[(lambda2 Ft(X) + tau_Z Z)/(lambda2+tau_Z),
                         lambda3/(lambda2+tau_Z)]  (exact proximal solution)
-    """
+
+    The argument is formed, and shrunk, in the array returned; ``scratch``, a
+    real array of W's shape, holds the shrink factors if given."""
     if lambda2 <= 0:
         raise InputError("lambda2 must be positive for the Z update")
+    field = np.result_type(W, Z_prev)
     if rule == "ratio":
-        return soft_threshold(W + (tau_Z / lambda2) * Z_prev, lambda3 / lambda2)
-    if rule == "prox":
-        return soft_threshold(
-            (lambda2 * W + tau_Z * Z_prev) / (lambda2 + tau_Z),
-            lambda3 / (lambda2 + tau_Z),
-        )
-    raise InputError(f"unknown z rule {rule!r}")
+        A = np.multiply(Z_prev, tau_Z / lambda2, dtype=field)
+        A += W
+        thr = lambda3 / lambda2
+    elif rule == "prox":
+        A = np.multiply(W, lambda2, dtype=field)
+        A += tau_Z * Z_prev
+        A /= lambda2 + tau_Z
+        thr = lambda3 / (lambda2 + tau_Z)
+    else:
+        raise InputError(f"unknown z rule {rule!r}")
+    return soft_threshold(A, thr, out=A, scale=scratch)
 
 
 # ---------------------------------------------------------------------------
@@ -757,10 +784,14 @@ def smoothness_penalty(X, L_sob, delta):
     return float(np.real(np.sum(np.conj(XD) * (L_sob @ XD))))
 
 
-def full_objective(problem, X, model, prediction, config, graph=None, Z=None, spectrum=None):
+def full_objective(problem, X, model, prediction, config, graph=None, Z=None, spectrum=None,
+                   scratch=None):
     """Value of the full (loss + regularizer) objective at the iterate, given
-    the model's prediction and, on k-space, the spectrum Ft(X)."""
-    resid = X - prediction
+    the model's prediction and, on k-space, the spectrum Ft(X).  ``scratch``,
+    a (complex, real) pair of arrays of X's shape, holds the residuals and
+    |Z| if given."""
+    work, mags = (None, None) if scratch is None else scratch
+    resid = np.subtract(X, prediction, out=work)
     val = 0.5 * float(np.vdot(resid, resid).real)
     lam_tik = config.lambda2 if problem == TVGS else config.lambda4
     tik = sum(float(np.vdot(d, d).real) for row in model.factors for d in row)
@@ -773,9 +804,9 @@ def full_objective(problem, X, model, prediction, config, graph=None, Z=None, sp
     if problem == TVGS:
         val += 0.5 * config.lambda_L * smoothness_penalty(X, graph.L_sobolev, graph.delta)
     else:
-        spec_resid = Z - spectrum
+        spec_resid = np.subtract(Z, spectrum, out=work)
         val += 0.5 * config.lambda2 * float(np.vdot(spec_resid, spec_resid).real)
-        val += config.lambda3 * float(np.abs(Z).sum())
+        val += config.lambda3 * float(np.abs(Z, out=mags).sum())
     return val
 
 
@@ -794,13 +825,20 @@ def affine_residual(model: FactorModel) -> float:
     return worst
 
 
-def consistency_residual(A, pattern, S_y) -> float:
-    """Worst deviation of A from the observations S_y on the mask."""
-    mask = pattern.mask
-    return float(np.max(np.abs(A[mask] - S_y[mask]), initial=0.0))
+def observed_entries(pattern, S_y):
+    """The observed entries' flat indices and the observations S_y there."""
+    obs = np.flatnonzero(pattern.mask)
+    return obs, np.take(S_y, obs)
 
 
-def sca_loop(config: SolverConfig, pattern, S_y, state, best_response, evaluate):
+def consistency_residual(A, observed) -> float:
+    """Worst deviation of A from the observations, ``observed`` from
+    observed_entries."""
+    obs, values = observed
+    return float(np.max(np.abs(np.take(A, obs) - values), initial=0.0))
+
+
+def sca_loop(config: SolverConfig, observed, state, best_response, evaluate):
     """The SCA outer loop every model runs, on iterates that are tuples whose
     first element is the estimate in the data's domain.  Each iterate is
     evaluated once, ``evaluate(state) -> (objective, consistency, affine
@@ -809,7 +847,9 @@ def sca_loop(config: SolverConfig, pattern, S_y, state, best_response, evaluate)
     the best responses ``best_response(state, seen) -> (half, stats)``, all
     conditioned on the current point, mixes them in place into
     sca_extrapolate(state, half, gamma_n), gamma_n from sca_step_schedule,
-    and re-pins the first element to S_y on the mask.  It records the
+    and re-pins the first element to the observations, ``observed`` from
+    observed_entries.  From the second iteration on the current point is the
+    loop's own, and the mix is formed in its arrays too.  It records the
     evaluation of the new point and the stats: ``cg_iters``, ``b_inner_iters``
     and ``b_residual`` (0 if absent) and a ``warning``.  The loop stops after
     config.outer_iters iterations or once the relative objective change is
@@ -830,8 +870,9 @@ def sca_loop(config: SolverConfig, pattern, S_y, state, best_response, evaluate)
         half, stats = best_response(state, seen)
         if "warning" in stats:
             report.warnings.append(f"iter {n}: {stats['warning']}")
-        state = sca_extrapolate(state, half, gamma)
-        np.copyto(state[0], S_y, where=pattern.mask)
+        # the first point, the caller's, is never written
+        state = sca_extrapolate(state, half, gamma, spent=n > 1)
+        np.put(state[0], *observed)
         obj, cons, affine, seen = finite(evaluate(state), n)
         report.objective.append(obj)
         report.consistency.append(cons)
@@ -864,9 +905,14 @@ def _problem_operators(problem, operators):
 def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
                      config: SolverConfig):
     """Run the outer loop from a prepared model on iterates (K, factors,
-    coeffs, Z), K = X or, on k-space, F2(X); returns (X, model, report)."""
+    coeffs, Z), K = X or, on k-space, F2(X); returns (X, model, report).  On
+    k-space the solve owns one complex and one real array of the data's
+    shape, which the sub-tasks work in."""
     graph, frame_dims = _problem_operators(problem, operators)
     S_y = apply_sampling(pattern, Y)
+    observed = observed_entries(pattern, S_y)
+    scratch = (None if problem == TVGS
+               else (np.empty(S_y.shape, complex), np.empty(S_y.shape)))
     lam_tik = config.lambda2 if problem == TVGS else config.lambda4
     dims, kernels, mmf = model0.dims, model0.kernels, model0.mmf
 
@@ -886,9 +932,9 @@ def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
             Z_half = None
         else:
             K_half = dmri_update_X(Y, pattern, prediction, K, Z, config.lambda2,
-                                   config.tau_X, frame_dims)
+                                   config.tau_X, frame_dims, scratch[0])
             Z_half = dmri_update_Z(spectrum, Z, config.lambda2, config.lambda3,
-                                   config.tau_Z, config.z_rule)
+                                   config.tau_Z, config.z_rule, scratch[1])
         by_layer = [update_factor(q, X, current, lam_tik, config.tau_D)
                     for q in range(dims.depth)]
         if mmf:
@@ -907,15 +953,13 @@ def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
 
     def evaluate(state):
         K, factors, coeffs, Z = state
-        # first, so its temporaries are freed before the carried arrays are
-        # made: dmri-radial then takes 37k page faults a solve, not 50k
-        cons = consistency_residual(K, pattern, S_y)
+        cons = consistency_residual(K, observed)
         current = model(factors, coeffs)
         X = K if problem == TVGS else ifft2_frames(K, *frame_dims[:2])
         prediction = predict(current)
         spectrum = None if problem == TVGS else dft_temporal(X)
         obj = full_objective(problem, X, current, prediction, config, graph=graph, Z=Z,
-                             spectrum=spectrum)
+                             spectrum=spectrum, scratch=scratch)
         return obj, cons, affine_residual(current), (X, prediction, spectrum)
 
     # factored once per solve: every X update shares the mask, graph and weights
@@ -925,10 +969,9 @@ def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
     K0 = S_y.astype(np.result_type(S_y.dtype, model0.coeffs[0].dtype), copy=False)
     Z0 = None if problem == TVGS else dft_temporal(ifft2_frames(K0, *frame_dims[:2]))
     (_, factors, coeffs, _), (X, _, _), report = sca_loop(
-        config, pattern, S_y, (K0, model0.factors, model0.coeffs, Z0), best_response, evaluate)
+        config, observed, (K0, model0.factors, model0.coeffs, Z0), best_response, evaluate)
     if problem == DMRI:  # K is pinned exactly; the last row records the returned X's residual
-        report.consistency[-1] = consistency_residual(fft2_frames(X, *frame_dims[:2]),
-                                                      pattern, S_y)
+        report.consistency[-1] = consistency_residual(fft2_frames(X, *frame_dims[:2]), observed)
     return X, model(factors, coeffs), report
 
 

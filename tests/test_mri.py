@@ -81,6 +81,31 @@ def test_fft2_adjoint(i1, i2, i3, complex_, seed):
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-10)
 
 
+@property_test
+@given(**SIZES)
+def test_spatial_transforms_are_numpys_shifted_fft2_bit_for_bit(i1, i2, i3, complex_, seed):
+    # the shift is done by block copies and the transform runs in place, so
+    # the rounding must be exactly that of numpy's shifted fft2 and ifft2
+    X = _rand_kt(i1, i2, i3, complex_, seed)
+    cube = unflatten_frames(X, i1, i2)
+    forward = flatten_frames(np.fft.fftshift(np.fft.fft2(cube, axes=(0, 1)), axes=(0, 1)))
+    inverse = flatten_frames(np.fft.ifft2(np.fft.ifftshift(cube, axes=(0, 1)), axes=(0, 1)))
+    for got, want in ((fft2_frames(X, i1, i2), forward), (ifft2_frames(X, i1, i2), inverse)):
+        assert got.dtype == np.complex128 and got.shape == X.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("i1, i2", [(8, 6), (5, 7), (6, 5), (1, 1)])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_spatial_transforms_leave_their_input_untouched(i1, i2, complex_):
+    X = _rand_kt(i1, i2, 3, complex_, seed=5)
+    before = X.copy()
+    for transform in (fft2_frames, ifft2_frames):
+        out = transform(X, i1, i2)
+        assert not np.shares_memory(out, X)
+        assert X.dtype == before.dtype and X.tobytes() == before.tobytes()
+
+
 def test_temporal_constant_row():
     X = np.ones((1, 4), dtype=complex)
     assert np.allclose(dft_temporal(X), [[4.0, 0.0, 0.0, 0.0]])

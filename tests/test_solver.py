@@ -89,6 +89,33 @@ def test_extrapolate_endpoints():
     assert np.allclose(lo[0], cur[0], atol=1e-11)
 
 
+@pytest.mark.parametrize("complex_", [False, True])
+def test_extrapolate_in_the_spent_current_arrays_rounds_as_with_a_temporary(complex_):
+    # (1 - gamma) * current formed in the current arrays is the same product:
+    # the mix is bit-identical, and without ``spent`` the current is not written
+    dtype = np.complex128 if complex_ else np.float64
+    dims = ModelDims(6, 5, 3, 2, 2, (2,))
+    rng = np.random.default_rng(8)
+
+    def draw(seed):
+        return _iterate(_draw(rng, (6, 5), complex_), init_factors(dims, seed, dtype))
+
+    cur, half = draw(0), draw(1)
+    copy = [a.copy() for a in (cur[0], *cur[1][0], *cur[1][1], *cur[2])]
+    kept = sca_extrapolate(cur, _copy_iterate(half), 0.3)
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(copy, (cur[0], *cur[1][0], *cur[1][1], *cur[2])))
+    spent = sca_extrapolate(cur, _copy_iterate(half), 0.3, spent=True)
+    flat = [(kept[0], spent[0])] + list(zip(kept[2], spent[2])) + \
+        [(a, b) for rk, rs in zip(kept[1], spent[1]) for a, b in zip(rk, rs)]
+    assert all(a.tobytes() == b.tobytes() for a, b in flat)
+
+
+def _copy_iterate(it):
+    X, factors, coeffs = it
+    return X.copy(), [[a.copy() for a in row] for row in factors], [b.copy() for b in coeffs]
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(complex_=st.booleans(), m_count=st.integers(1, 3), n_l=st.integers(1, 6),
        cols=st.integers(1, 5), gamma=st.floats(0.0, 1.0, exclude_min=True),
@@ -296,6 +323,51 @@ def test_x_update_cg_rejects_non_finite_input_without_warning(monkeypatch, where
     with pytest.raises(SolverError, match="CG stalled"):
         consistent_smooth_solve(rng.standard_normal((8, 8)), pattern, inputs["target"],
                                 inputs["X_prev"], graph, 0.1, 1.0, band=band)
+
+
+def _non_finite_x_inputs(where, value, entry):
+    """The seed-33 X update of test_x_update_direct_rejects_non_finite_input,
+    its ``where`` input set to ``value`` at the first observed or free entry."""
+    rng = np.random.default_rng(33)
+    graph = _graph(8, 8, seed=33)
+    pattern = sample_p1(8, 8, 0.5, seed=33)
+    inputs = {"Y": rng.standard_normal((8, 8)), "target": rng.standard_normal((8, 8)),
+              "X_prev": rng.standard_normal((8, 8))}
+    rows, cols = np.nonzero(pattern.mask if entry == "observed" else ~pattern.mask)
+    inputs[where][rows[0], cols[0]] = value
+    return inputs, pattern, graph
+
+
+def _x_update_on(path, monkeypatch, inputs, pattern, graph):
+    """The X update on the direct (band) path or on CG (a band cap of 0 bytes)."""
+    if path == "cg":
+        monkeypatch.setattr(solver, "BAND_BYTE_CAP", 0)
+    band = solver.free_band_factor(pattern, graph, 0.1, 1.0)
+    assert (band is None) == (path == "cg")
+    return consistent_smooth_solve(inputs["Y"], pattern, inputs["target"], inputs["X_prev"],
+                                   graph, 0.1, 1.0, cg_tol=1e-13, band=band)
+
+
+@pytest.mark.parametrize("where", ["target", "X_prev"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_x_update_paths_agree_on_a_non_finite_observed_entry(monkeypatch, where, value):
+    # the data overrides an observed entry's target and previous value: both
+    # paths return the same finite X (CG multiplied the entry by 0, giving nan)
+    inputs, pattern, graph = _non_finite_x_inputs(where, value, "observed")
+    X_direct, _ = _x_update_on("direct", monkeypatch, inputs, pattern, graph)
+    X_cg, iters = _x_update_on("cg", monkeypatch, inputs, pattern, graph)
+    assert iters > 0 and np.isfinite(X_direct).all() and np.isfinite(X_cg).all()
+    assert np.max(np.abs(X_cg - X_direct)) <= 1e-10
+    assert np.array_equal(X_cg[pattern.mask], inputs["Y"][pattern.mask])
+
+
+@pytest.mark.parametrize("path", ["direct", "cg"])
+@pytest.mark.parametrize("where", ["target", "X_prev"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_x_update_paths_reject_a_non_finite_free_entry(monkeypatch, path, where, value):
+    inputs, pattern, graph = _non_finite_x_inputs(where, value, "free")
+    with pytest.raises(SolverError):
+        _x_update_on(path, monkeypatch, inputs, pattern, graph)
 
 
 def test_band_factorization_failure_raises_solver_error():
@@ -728,6 +800,32 @@ def test_soft_threshold_values():
     assert np.angle(z) == pytest.approx(0.7)
 
 
+@pytest.mark.parametrize("rule", ["ratio", "prox"])
+@pytest.mark.parametrize("lambda3", [0.0, 0.5, np.inf])
+def test_z_update_in_place_rounds_as_the_shrink_formula(rule, lambda3):
+    # the argument is formed, and shrunk, in the returned array by the same
+    # operations as the textbook form, so with or without a scratch array
+    # the result is the same to the bit: zeros, entries under the threshold
+    # and an infinite threshold included
+    rng = np.random.default_rng(9)
+    W = dft_temporal(rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5)))
+    Zp = 0.1 * (rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5)))
+    W[0, 0], Zp[0, 0] = 0.0, 0.0
+    lam2, tau = 2.0, 0.3
+    if rule == "ratio":
+        arg, thr = W + (tau / lam2) * Zp, lambda3 / lam2
+    else:
+        arg, thr = (lam2 * W + tau * Zp) / (lam2 + tau), lambda3 / (lam2 + tau)
+    mag = np.abs(arg)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        want = arg * np.where(mag <= thr, 0.0, 1.0 - thr / np.where(mag > 0, mag, 1.0))
+    if lambda3 == 0.5:
+        assert 0 < np.sum(want == 0) < want.size - 1
+    for scratch in (None, np.empty(W.shape)):
+        got = dmri_update_Z(W, Zp, lam2, lambda3, tau, rule=rule, scratch=scratch)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_z_update_identity_when_unregularized():
     rng = np.random.default_rng(11)
     X = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
@@ -1082,17 +1180,27 @@ def test_solve_tvgs_full_observation_single_step():
 
 
 def test_solve_leaves_the_initial_model_untouched():
+    # the loop mixes in the first iterate's arrays only from the second
+    # iteration on, once they are its own: the data, the mask and model0 are
+    # never written, on either problem
     Y, pattern, graph = _ring_problem(seed=4)
-    dims = ModelDims(12, 20, 5, 2, 3, (3, 2))
-    model0 = random_model(dims, 4)
-    before = [a.copy() for row in model0.factors for a in row] + \
-        [a.copy() for a in model0.kernels + model0.coeffs]
-    config = SolverConfig(lambda1=1e-3, lambda2=1e-3, lambda_L=0.02,
-                          outer_iters=3, tol_objective=0.0)
-    _, model, _ = solver.solve_from_model(TVGS, Y, pattern, graph, model0, config)
-    after = [a for row in model0.factors for a in row] + model0.kernels + model0.coeffs
-    assert all(np.array_equal(a, b) for a, b in zip(before, after))
-    assert model is not model0
+    graph_run = (TVGS, Y, pattern, graph, random_model(ModelDims(12, 20, 5, 2, 3, (3, 2)), 4),
+                 SolverConfig(lambda1=1e-3, lambda2=1e-3, lambda_L=0.02, outer_iters=3,
+                              tol_objective=0.0))
+    Yk, pattern_k, frame_dims, _, _ = _small_dmri_problem()
+    kspace_run = (DMRI, Yk, pattern_k, frame_dims,
+                  random_model(ModelDims(256, 8, 6, 2, 2, (3,)), 4, np.complex128),
+                  SolverConfig(lambda1=1e-4, lambda2=2.0, lambda3=0.005, lambda4=1e-3,
+                               tau_Z=0.05, outer_iters=3, tol_objective=0.0))
+    for problem, Y, pattern, operators, model0, config in (graph_run, kspace_run):
+        arrays = [Y, pattern.mask, *(a for row in model0.factors for a in row),
+                  *model0.kernels, *model0.coeffs]
+        before = [a.copy() for a in arrays]
+        _, model, report = solver.solve_from_model(problem, Y, pattern, operators, model0,
+                                                   config)
+        assert report.iterations == 3
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, arrays)), problem
+        assert model is not model0
 
 
 def test_solve_deterministic_reports():
@@ -1491,6 +1599,45 @@ def test_x_update_cg_rejects_nan_residual():
     with pytest.raises(SolverError, match="nan"):
         consistent_smooth_solve(Y, pattern, np.zeros((8, 8)), np.zeros((8, 8)), graph,
                                 0.1, 1.0)
+
+
+def test_concurrent_dmri_solves_match_sequential_runs():
+    # each solve owns its scratch arrays: four k-space solves on four threads,
+    # switching every microsecond, return what they return one at a time.  A
+    # scratch shared by the solves failed this in 8 of 8 runs
+    Y, pattern, frame_dims, lmk, specs = _small_dmri_problem()
+    dims = ModelDims(256, 8, 6, 1, 2, (3,))
+
+    def run(seed):
+        config = SolverConfig(lambda1=1e-4, lambda2=2.0, lambda3=0.005, lambda4=1e-3,
+                              tau_Z=0.05, outer_iters=12, tol_objective=0.0, seed=seed)
+        X, _, report = solve(DMRI, Y, pattern, frame_dims, lmk, specs, dims, config)
+        report.seconds = []  # wall time is the one field that may differ
+        return X, report
+
+    seeds = range(4)
+    sequential = [run(seed) for seed in seeds]
+    concurrent = [None] * len(seeds)
+    barrier = threading.Barrier(len(seeds))
+
+    def worker(i):
+        barrier.wait(timeout=10)
+        concurrent[i] = run(i)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for (X, report), (X_seq, report_seq) in zip(concurrent, sequential):
+        assert X.tobytes() == X_seq.tobytes()
+        assert report == report_seq
 
 
 def test_solve_real_signal_with_default7_stays_real():
