@@ -12,7 +12,7 @@ solve, extrapolate, repeat.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -70,23 +70,24 @@ def _mmf_init(n_rows, n_cols, rank, depth, seed, dtype):
     return [gaussian_draw(rng, shape, 1.0 / np.sqrt(shape[1]), dtype) for shape in shapes]
 
 
-def mmf_solve(Y, pattern, graph, rank, depth, config: SolverConfig):
+def mmf_solve(Y, pattern, graph, rank, depth, config: SolverConfig, band=None):
     """Plain multi-layer factorization X ~ U_1 ... U_Q V with Tikhonov factors,
     smoothness and hard consistency: the engine's mmf reduction (one block,
-    N_l = rank, identity kernel, no affine or l1 terms).  Returns
-    (X, model, report)."""
+    N_l = rank, identity kernel, no affine or l1 terms), given the X update's
+    ``band`` as the engine is.  Returns (X, model, report)."""
     dtype = np.complex128 if np.iscomplexobj(Y) else np.float64
     *U, V = _mmf_init(Y.shape[0], Y.shape[1], rank, depth, config.seed, dtype)
     dims = ModelDims(Y.shape[0], Y.shape[1], rank, 1, depth, (rank,) * (depth - 1))
     model = FactorModel(dims, [U], [np.eye(rank, dtype=dtype)], [V], mmf=True)
-    return solve_from_model(TVGS, Y, pattern, graph, model, config)
+    return solve_from_model(TVGS, Y, pattern, graph, model, config, band)
 
 
 # ---------------------------------------------------------------------------
 # kernel-based baselines
 # ---------------------------------------------------------------------------
 
-def _kernel_chain_solve(Y, pattern, graph, config: SolverConfig, free, *, row_kernel):
+def _kernel_chain_solve(Y, pattern, graph, config: SolverConfig, free, *, row_kernel,
+                        band=None):
     """Chain X ~ [K_row] F_1 ... F_k K_col on the shared SCA loop.  The fixed
     kernels are Gaussians of median-distance width over the zero-filled
     data's rows (K_row, present if ``row_kernel``) and columns (K_col).  The
@@ -95,7 +96,9 @@ def _kernel_chain_solve(Y, pattern, graph, config: SolverConfig, free, *, row_ke
     config.lambda2, and is solved from the current iterate with the engine's
     chain-link solve.  The links are sized from the mask, whose shape
     apply_sampling requires of Y.  The loop's iterate is (X, free links): the
-    fixed kernels are never mixed.  Returns (X, free links, report)."""
+    fixed kernels are never mixed.  The X update uses ``band``, the
+    free_band_factor of this mask, graph and config's weights, built here if
+    None.  Returns (X, free links, report)."""
     S_y = apply_sampling(pattern, Y)
     n_rows, n_cols = S_y.shape
     if max(n_rows, n_cols) > NBP_SIZE_CAP:
@@ -109,7 +112,19 @@ def _kernel_chain_solve(Y, pattern, graph, config: SolverConfig, free, *, row_ke
     head = [kernel(S_y.T)] if row_kernel else []
     links = [rng.standard_normal((rows, cols)) / np.sqrt(cols) for rows, cols, _ in free]
     tail = [kernel(S_y)]
-    band = free_band_factor(pattern, graph, config.lambda_L, config.tau_X)
+    if band is None:
+        band = free_band_factor(pattern, graph, config.lambda_L, config.tau_X)
+
+    @cache  # first formed in the loop: non-finite data fails its start check, not eigh
+    def fixed_eigs(i):
+        # the Gram eigenpairs of link i's wings made of fixed kernels alone,
+        # which no iteration changes: K_row's left of the first link and
+        # K_col's right of the last (krg's one link has no left wing: a ridge
+        # solve, no eigh)
+        left = np.linalg.eigh(head[0].conj().T @ head[0]) if i == 0 and head else None
+        right = (np.linalg.eigh(tail[0] @ tail[0].conj().T)
+                 if i == len(free) - 1 and (head or i > 0) else None)
+        return left, right
 
     def best_response(state, product):
         X, links = state
@@ -119,7 +134,7 @@ def _kernel_chain_solve(Y, pattern, graph, config: SolverConfig, free, *, row_ke
         )
         mats = head + links + tail
         half = [chain_link_solve(*chain_wings(mats, len(head) + i), X, link,
-                                 config.lambda2 + tau, tau)
+                                 config.lambda2 + tau, tau, *fixed_eigs(i))
                 for i, (link, (_, _, tau)) in enumerate(zip(links, free))]
         return (X_half, half), {"cg_iters": cg_iters}
 
@@ -138,31 +153,33 @@ def _kernel_chain_solve(Y, pattern, graph, config: SolverConfig, free, *, row_ke
     return X, links, report
 
 
-def nbp_solve(Y, pattern, graph, spec: BaselineSpec, config: SolverConfig):
+def nbp_solve(Y, pattern, graph, spec: BaselineSpec, config: SolverConfig, band=None):
     """Bilinear two-sided kernel expansion X ~ K_Z B C K_Y with Tikhonov
     regularization on both coefficient factors."""
     d, (n_rows, n_cols) = spec.rank, pattern.mask.shape
     if d > min(n_rows, n_cols):
         raise InputError(f"rank {d} exceeds min(I0, I_N) = {min(n_rows, n_cols)}")
     free = [(n_rows, d, config.tau_D), (d, n_cols, config.tau_B)]
-    return _kernel_chain_solve(Y, pattern, graph, config, free, row_kernel=True)
+    return _kernel_chain_solve(Y, pattern, graph, config, free, row_kernel=True, band=band)
 
 
-def krg_solve(Y, pattern, graph, spec: BaselineSpec, config: SolverConfig):
+def krg_solve(Y, pattern, graph, spec: BaselineSpec, config: SolverConfig, band=None):
     """One-sided kernel regression X ~ H K_Y."""
     free = [(*pattern.mask.shape, config.tau_D)]
-    return _kernel_chain_solve(Y, pattern, graph, config, free, row_kernel=False)
+    return _kernel_chain_solve(Y, pattern, graph, config, free, row_kernel=False, band=band)
 
 
-def kgl_solve(Y, pattern, graph, spec: BaselineSpec, config: SolverConfig):
+def kgl_solve(Y, pattern, graph, spec: BaselineSpec, config: SolverConfig, band=None):
     """Two-sided kernel expansion X ~ K_Z G K_Y without a low-rank split."""
     free = [(*pattern.mask.shape, config.tau_D)]
-    return _kernel_chain_solve(Y, pattern, graph, config, free, row_kernel=True)
+    return _kernel_chain_solve(Y, pattern, graph, config, free, row_kernel=True, band=band)
 
 
 def run_baseline(spec: BaselineSpec, Y, pattern: SamplingPattern,
-                 graph: GraphOperators | None, config: SolverConfig):
-    """Dispatch one comparison method; returns (X, report)."""
+                 graph: GraphOperators | None, config: SolverConfig, band=None):
+    """Dispatch one comparison method, handing the graph methods ``band``,
+    the X update's free_band_factor (built by each if None); returns
+    (X, report)."""
     if spec.kind == ZERO_FILL:
         return apply_sampling(pattern, Y), SolveReport()
     if spec.kind == MEAN_FILL:
@@ -170,11 +187,11 @@ def run_baseline(spec: BaselineSpec, Y, pattern: SamplingPattern,
     if graph is None:
         raise InputError(f"baseline {spec.kind!r} needs graph operators")
     if spec.kind == MMF:
-        X, _, report = mmf_solve(Y, pattern, graph, spec.rank, spec.depth, config)
+        X, _, report = mmf_solve(Y, pattern, graph, spec.rank, spec.depth, config, band)
         return X, report
     # built per call, so the solvers are read from the module when the call is made
     chains = {NBP: nbp_solve, KRG: krg_solve, KGL: kgl_solve}
     if spec.kind not in chains:
         raise InputError(f"unknown baseline {spec.kind!r}")
-    X, _, report = chains[spec.kind](Y, pattern, graph, spec, config)
+    X, _, report = chains[spec.kind](Y, pattern, graph, spec, config, band)
     return X, report

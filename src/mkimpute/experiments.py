@@ -15,6 +15,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,7 @@ from .sampling import (
     sample_p2,
     with_band,
 )
-from .solver import DMRI, TVGS, solve
+from .solver import DMRI, TVGS, free_band_factor, solve
 
 MAIN_METHOD = "mlkr"  # multilinear kernel regression, the engine itself
 
@@ -519,13 +520,23 @@ def _run_methods(spec, cell, out_dir, trace_tag, solve_method, score):
 
 
 def _run_cell_tvgs(spec, Y, graph, cell, out_dir):
+    # every graph method of the cell shares the mask, graph and weights, so
+    # one X-update band factor serves them all: built when the first needs it
+    # (in its timed solve), tried again by the next if it raised, and dropped
+    # with the cell
+    @cache
+    def band():
+        return free_band_factor(cell.pattern, graph, cell.config.lambda_L, cell.config.tau_X)
+
     def solve_method(method):
         if method == MAIN_METHOD:
             X, _model, report = solve(TVGS, Y, cell.pattern, graph, cell.landmarks,
-                                      cell.kernels, cell.dims, cell.config)
+                                      cell.kernels, cell.dims, cell.config, band())
             return X, report
         bspec = baselines.BaselineSpec(method, **spec["baseline"])  # rank and depth
-        return baselines.run_baseline(bspec, Y, cell.pattern, graph, cell.config)
+        fill = method in (baselines.ZERO_FILL, baselines.MEAN_FILL)
+        return baselines.run_baseline(bspec, Y, cell.pattern, graph, cell.config,
+                                      None if fill else band())
 
     def score(X):
         return compute_metrics(X, Y, observed_mask=cell.pattern.mask,

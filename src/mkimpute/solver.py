@@ -336,25 +336,30 @@ def factor_wings(model: FactorModel, q_index: int):
     return list(lefts), list(rights)
 
 
-def chain_link_solve(left, right, X_hat, D_hat, c, tau):
+def chain_link_solve(left, right, X_hat, D_hat, c, tau, left_eig=None, right_eig=None):
     """Minimizer over F of one link of a chain product X ~ L F R:
 
         1/2||X_hat - L F R||^2 + (c - tau)/2||F||^2 + tau/2||F - D_hat||^2
 
     A missing wing (None) is the identity: a right ridge solve without L, a
-    left ridge solve without R, the Sylvester solve with both."""
+    left ridge solve without R, the Sylvester solve with both.  The Sylvester
+    solve takes the eigenpairs of L^H L and R R^H from ``left_eig`` and
+    ``right_eig`` if given, so a fixed wing's are not recomputed."""
     if left is None:
         H = right @ right.conj().T
         rhs = X_hat @ right.conj().T + tau * D_hat
         A = H + c * np.eye(H.shape[0], dtype=H.dtype)
         return np.linalg.solve(A.T, rhs.T).T
-    G = left.conj().T @ left
     if right is None:
+        G = left.conj().T @ left
         rhs = left.conj().T @ X_hat + tau * D_hat
         return np.linalg.solve(G + c * np.eye(G.shape[0], dtype=G.dtype), rhs)
-    H = right @ right.conj().T
+    if left_eig is None:
+        left_eig = np.linalg.eigh(left.conj().T @ left)
+    if right_eig is None:
+        right_eig = np.linalg.eigh(right @ right.conj().T)
     C = left.conj().T @ X_hat @ right.conj().T + tau * D_hat
-    return _sylvester_pd(np.linalg.eigh(G), np.linalg.eigh(H), c)(C)
+    return _sylvester_pd(left_eig, right_eig, c)(C)
 
 
 _D_CG_TOL = 1e-12  # relative residual of the coupled factor solve
@@ -415,11 +420,17 @@ def update_factor(q_index: int, X_hat, model: FactorModel, lam: float, tau: floa
 def soft_threshold(A, thr, out=None, scale=None):
     """Entrywise magnitude shrinkage a * (1 - thr / max(thr, |a|)), written to
     ``out`` (a new array by default; A itself may be given).  ``scale``, a
-    real array of A's shape, holds the shrink factors if given."""
+    real array of A's shape, holds the shrink factors if given.  A zero
+    threshold is the identity: A is copied, and no magnitude is formed."""
     if thr < 0:
         raise InputError(f"threshold must be non-negative, got {thr}")
     A = np.asarray(A)
     A = A.astype(np.result_type(A, 1.0), copy=False)
+    if thr == 0:
+        if out is None:
+            return A.copy()
+        np.copyto(out, A)
+        return out
     mag = np.abs(A, out=scale)
     if not 0.0 < thr < math.inf:  # no division by max(thr, |a|): 0 where |a| <= thr
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -511,11 +522,10 @@ def _affine_l1_shift(V, alpha, n_l):
     """V minus the multiplier mu of each (column, block) of the blockwise prox
     of alpha||.||_1 + {per-block column sums = 1}: the prox is soft(W, alpha)
     and its active entries are |W| > alpha."""
-    W = np.empty_like(V)
-    for mb in range(V.shape[0] // n_l):
-        Vm = V[mb * n_l : (mb + 1) * n_l]
-        W[mb * n_l : (mb + 1) * n_l] = Vm - _affine_l1_multiplier(Vm, alpha)
-    return W
+    blocks = V.reshape(-1, n_l, V.shape[1])  # (M, n_l, cols)
+    # every block's columns side by side: one multiplier solve for them all
+    mu = _affine_l1_multiplier(blocks.transpose(1, 0, 2).reshape(n_l, -1), alpha)
+    return (blocks - mu.reshape(len(blocks), 1, -1)).reshape(V.shape)
 
 
 def _snap_affine(Z, n_l):
@@ -903,11 +913,13 @@ def _problem_operators(problem, operators):
 
 
 def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
-                     config: SolverConfig):
+                     config: SolverConfig, band=None):
     """Run the outer loop from a prepared model on iterates (K, factors,
     coeffs, Z), K = X or, on k-space, F2(X); returns (X, model, report).  On
-    k-space the solve owns one complex and one real array of the data's
-    shape, which the sub-tasks work in."""
+    graph signals every X update uses ``band``, the free_band_factor of this
+    mask, graph and config's weights, built here if None.  On k-space the
+    solve owns one complex and one real array of the data's shape, which the
+    sub-tasks work in."""
     graph, frame_dims = _problem_operators(problem, operators)
     S_y = apply_sampling(pattern, Y)
     observed = observed_entries(pattern, S_y)
@@ -962,9 +974,8 @@ def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
                              spectrum=spectrum, scratch=scratch)
         return obj, cons, affine_residual(current), (X, prediction, spectrum)
 
-    # factored once per solve: every X update shares the mask, graph and weights
-    band = (free_band_factor(pattern, graph, config.lambda_L, config.tau_X)
-            if problem == TVGS else None)
+    if problem == TVGS and band is None:  # every X update shares the mask, graph and weights
+        band = free_band_factor(pattern, graph, config.lambda_L, config.tau_X)
     # the loop mixes into the best responses' arrays only: model0 is never written
     K0 = S_y.astype(np.result_type(S_y.dtype, model0.coeffs[0].dtype), copy=False)
     Z0 = None if problem == TVGS else dft_temporal(ifft2_frames(K0, *frame_dims[:2]))
@@ -976,9 +987,11 @@ def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
 
 
 def solve(problem, Y, pattern: SamplingPattern, operators, landmarks: LandmarkSet,
-          kernel_specs: list[KernelSpec], dims: ModelDims, config: SolverConfig):
+          kernel_specs: list[KernelSpec], dims: ModelDims, config: SolverConfig,
+          band=None):
     """Assemble kernel matrices from the landmarks, draw the initial factors
-    and run the outer loop.  Returns (X, model, report)."""
+    and run the outer loop (solve_from_model, which takes ``band``).
+    Returns (X, model, report)."""
     _, frame_dims = _problem_operators(problem, operators)
     S_y = apply_sampling(pattern, Y)
     if len(kernel_specs) != dims.n_kernels:
@@ -1002,4 +1015,4 @@ def solve(problem, Y, pattern: SamplingPattern, operators, landmarks: LandmarkSe
         ratio = float(np.linalg.norm(X0)) / pred_norm
         for m in range(dims.n_kernels):
             model0.factors[m][0] = model0.factors[m][0] * ratio
-    return solve_from_model(problem, Y, pattern, operators, model0, config)
+    return solve_from_model(problem, Y, pattern, operators, model0, config, band)

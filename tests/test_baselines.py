@@ -19,6 +19,7 @@ from mkimpute.graphs import build_graph_operators
 from mkimpute.kernels import gaussian_spec
 from mkimpute.model import ModelDims, SolverConfig
 from mkimpute.sampling import sample_p1
+from mkimpute.solver import chain_link_solve
 
 from oracles import _mmf_reference_trajectory, mmf_as_special_case_check
 
@@ -192,6 +193,51 @@ def test_baselines_reject_non_finite_data(kind):
     config = SolverConfig(lambda2=1e-2, lambda_L=0.01, outer_iters=5, seed=12)
     with pytest.raises(SolverError, match="iteration 1"):
         run_baseline(spec, Y, pattern, graph, config)
+
+
+@pytest.mark.parametrize("kind,fixed,per_iteration", [("kgl", 2, 0), ("nbp", 2, 2),
+                                                      ("krg", 0, 0)])
+def test_kernel_chains_eigendecompose_their_fixed_wings_once(monkeypatch, kind, fixed,
+                                                             per_iteration):
+    # the Grams of the wings made of fixed kernels alone (K_row left of the
+    # first link, K_col right of the last) do not change: one eigh each per
+    # solve.  nbp's other wing holds a free link, one eigh per link and
+    # iteration; krg's one link has no left wing, a ridge solve.
+    Y, pattern, graph = _toy_problem(seed=5)
+    graph.smoothness()  # the graph's own eigendecompositions, once per graph
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    for iters in (3, 6):
+        shapes.clear()
+        config = SolverConfig(lambda2=1e-2, lambda_L=0.05, outer_iters=iters,
+                              tol_objective=0.0, seed=5)
+        _, report = run_baseline(BaselineSpec(kind, rank=2), Y, pattern, graph, config)
+        assert report.iterations == iters
+        assert len(shapes) == fixed + per_iteration * iters
+        assert shapes.count((10, 10)) == shapes.count((12, 12)) == fixed // 2
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_chain_link_solve_given_its_wings_eigenpairs_is_bit_identical(complex_):
+    rng = np.random.default_rng(6)
+
+    def draw(shape):
+        out = rng.standard_normal(shape)
+        return out + 1j * rng.standard_normal(shape) if complex_ else out
+
+    left, right, X_hat, D_hat = draw((7, 3)), draw((4, 6)), draw((7, 6)), draw((3, 4))
+    own = chain_link_solve(left, right, X_hat, D_hat, 0.8, 0.3)
+    left_eig = np.linalg.eigh(left.conj().T @ left)
+    right_eig = np.linalg.eigh(right @ right.conj().T)
+    for eigs in ((left_eig, None), (None, right_eig), (left_eig, right_eig)):
+        assert chain_link_solve(left, right, X_hat, D_hat, 0.8, 0.3, *eigs).tobytes() \
+            == own.tobytes()
 
 
 @pytest.mark.parametrize("lambda_L", [0.0, 0.05])

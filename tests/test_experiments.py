@@ -283,6 +283,28 @@ def test_a_failing_method_keeps_the_other_methods_of_its_cell(tmp_path):
         "cell ratio=0.3 repeat=0: method=nbp InputError: rank 40 exceeds min(I0, I_N) = 12"]
 
 
+def test_a_failed_band_factorization_fails_each_graph_method_of_its_cell(tmp_path,
+                                                                        monkeypatch):
+    # the cell's graph methods share one band factor; when building it
+    # raises, each of them records the error and the fills keep their rows
+    tried = []
+
+    def failing(band, *args, **kwargs):
+        tried.append(band.shape)
+        return band, 1
+
+    monkeypatch.setattr(solver, "dpbtrf", failing)
+    spec = {**json.loads(json.dumps(TVGS_SPEC)),
+            "methods": ["mlkr", "zero-fill", "mmf", "krg", "mean-fill"]}
+    rows = run_experiment(spec, output_dir=tmp_path)
+    assert [row["method"] for row in rows] == ["zero-fill", "mean-fill"]
+    assert len(tried) == 3  # each graph method builds it again
+    (line,) = (tmp_path / "errors.log").read_text().splitlines()
+    assert line.startswith("cell ratio=0.4 repeat=0: method=mlkr SolverError: "
+                           "X-update band factorization failed: dpbtrf info 1")
+    assert [part.split()[0] for part in line.split("; ")[1:]] == ["method=mmf", "method=krg"]
+
+
 def test_errors_log_says_where_a_solver_stopped(tmp_path, monkeypatch):
     monkeypatch.setattr(solver, "BAND_BYTE_CAP", 0)  # CG, as above
     spec = json.loads(json.dumps(TVGS_SPEC))

@@ -792,6 +792,55 @@ def test_b_ridge_closed_form():
 # k-space updates
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("complex_", [False, True])
+def test_soft_threshold_at_zero_copies_without_magnitudes(monkeypatch, complex_):
+    # thr = 0 is the identity, reached by every B update with lambda1 = 0
+    A = _draw(np.random.default_rng(44), (5, 4), complex_)
+    A[0, 0], A[1, 1] = 0.0, -0.0
+    A[2, 2] = np.nan
+    copy = A.copy()
+
+    def no_magnitudes(*args, **kwargs):
+        raise AssertionError("soft_threshold formed magnitudes at thr = 0")
+
+    monkeypatch.setattr(np, "abs", no_magnitudes)
+    fresh = soft_threshold(A, 0.0)
+    buf = np.empty_like(A)
+    filled = soft_threshold(A, 0.0, out=buf, scale=np.empty(A.shape))
+    in_place = soft_threshold(A, 0.0, out=A)
+    monkeypatch.undo()
+    assert not np.shares_memory(fresh, A) and filled is buf and in_place is A
+    for result in (fresh, filled, in_place):
+        assert result.dtype == copy.dtype and result.tobytes() == copy.tobytes()
+    ints = soft_threshold(np.array([3, -2, 0]), 0)
+    assert ints.dtype == np.float64 and ints.tolist() == [3.0, -2.0, 0.0]
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_affine_l1_shift_solves_every_block_in_one_multiplier_call(monkeypatch, complex_):
+    rng = np.random.default_rng(45)
+    n_l, M, cols, alpha = 5, 3, 7, 0.3
+    V = _draw(rng, (M * n_l, cols), complex_)
+    copy = V.copy()
+    per_block = np.concatenate([Vm - solver._affine_l1_multiplier(Vm, alpha)
+                                for Vm in np.split(V, M)])
+    shapes = []
+    multiplier = solver._affine_l1_multiplier
+
+    def recording(W, a):
+        shapes.append(W.shape)
+        return multiplier(W, a)
+
+    monkeypatch.setattr(solver, "_affine_l1_multiplier", recording)
+    W = solver._affine_l1_shift(V, alpha, n_l)
+    assert shapes == [(n_l, M * cols)]
+    assert np.array_equal(V, copy)
+    assert np.array_equal(W, per_block)  # every column's rounding is its own
+    # each block's columns now sum, after the shrink, to 1
+    Z = soft_threshold(W, alpha).reshape(M, n_l, cols)
+    np.testing.assert_allclose(Z.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
 def test_soft_threshold_values():
     assert soft_threshold(np.array([3.0]), 1.0)[0] == pytest.approx(2.0)
     assert soft_threshold(np.array([0.5]), 1.0)[0] == 0.0
@@ -1134,11 +1183,49 @@ def test_graph_factorizations_run_once_per_graph(monkeypatch, tmp_path):
     assert report.iterations == 4 and report.cg_iters == [0] * 4
     assert len(factored) == 1 and factored[0][1] == n_free
     assert (shapes.count((12, 12)), shapes.count((20, 20))) == (1, 1)
-    # the sweep solves 3 methods in each of 2 cells, 3 X updates each
+    # the sweep solves 3 methods in each of 2 cells, 3 X updates each: the
+    # cell's methods share its mask, graph and weights, and so one band
     factored.clear()
     rows = run_experiment(spec, tmp_path / "direct")
     assert len(rows) == 6 and not (tmp_path / "direct" / "errors.log").exists()
-    assert len(factored) == 6
+    assert len(factored) == 2
+
+
+@pytest.mark.parametrize("method", ["mlkr", "mmf", "nbp", "krg", "kgl"])
+def test_a_solve_given_its_cells_band_matches_one_that_builds_its_own(monkeypatch, method):
+    # a sweep cell factors the band once and hands it to each of its graph
+    # methods; a solve given it factors nothing and returns the same X
+    from mkimpute.baselines import BaselineSpec, run_baseline
+    from mkimpute.kernels import gaussian_spec
+    Y, pattern, graph = _ring_problem()
+    lmk = _landmarks_from(Y, pattern, 6)
+    config = SolverConfig(lambda1=1e-3, lambda2=1e-3, lambda_L=0.05,
+                          outer_iters=4, tol_objective=0.0, seed=0)
+    band = solver.free_band_factor(pattern, graph, config.lambda_L, config.tau_X)
+    assert band is not None
+    factored = []
+    dpbtrf = solver.dpbtrf
+
+    def recording(a, *args, **kwargs):
+        factored.append(np.shape(a))
+        return dpbtrf(a, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "dpbtrf", recording)
+
+    def run(band):
+        if method == "mlkr":
+            X, _, report = solve(TVGS, Y, pattern, graph, lmk, [gaussian_spec(1.0)],
+                                 ModelDims(12, 20, 6, 1, 2, (3,)), config, band)
+            return X, report
+        return run_baseline(BaselineSpec(method, rank=3), Y, pattern, graph, config, band)
+
+    X_own, report_own = run(None)
+    assert len(factored) == 1
+    X_given, report_given = run(band)
+    assert len(factored) == 1
+    assert np.array_equal(X_given, X_own)
+    assert report_given.objective == report_own.objective
+    assert report_given.cg_iters == [0] * 4
 
 
 def test_graph_factorization_runs_once_under_concurrent_first_use(monkeypatch):
