@@ -149,7 +149,8 @@ def _kernel_chain_solve(Y, pattern, graph, config: SolverConfig, free, *, row_ke
         return val, consistency_residual(X, observed), 0.0, product
 
     observed = observed_entries(pattern, S_y)
-    (X, links), _, report = sca_loop(config, observed, (S_y, links), best_response, evaluate)
+    X0 = S_y.astype(np.result_type(S_y, 1.0), copy=False)  # the loop mixes in place in it
+    (X, links), _, report = sca_loop(config, observed, (X0, links), best_response, evaluate)
     return X, links, report
 
 

@@ -10,7 +10,8 @@ M * (I0 + I_N) * N_l.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from functools import reduce
 
 import numpy as np
@@ -74,6 +75,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):  # the sign checks below let NaN and inf through
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InputError(f"{f.name} must be finite, got {value}")
         if not 0.0 < self.gamma0 <= 1.0:
             raise InputError(f"gamma0 must lie in (0, 1], got {self.gamma0}")
         if not 0.0 < self.zeta < 1.0:

@@ -47,21 +47,16 @@ def sca_step_schedule(gamma: float, zeta: float) -> float:
     return gamma * (1.0 - zeta * gamma)
 
 
-def sca_extrapolate(current, half, gamma: float, spent: bool = False):
+def sca_extrapolate(current, half, gamma: float):
     """gamma * half + (1 - gamma) * current for every array of an iterate (a
     tuple of arrays, nested lists or None), formed in place in the half's
-    arrays, which the loop owns; returns the half.  ``spent`` says that the
-    loop owns the current arrays too and drops them after the mix, so
-    (1 - gamma) * current is formed in them, not in a temporary."""
+    arrays and the current's, both of which the loop owns; returns the half."""
     def mix(c, h):
         if isinstance(h, (tuple, list)):
             return type(h)(map(mix, c, h))
         if h is not None:
             h *= gamma
-            if spent:
-                c *= 1.0 - gamma
-            else:
-                c = (1.0 - gamma) * c
+            c *= 1.0 - gamma
             h += c
         return h
 
@@ -328,10 +323,11 @@ def chain_wings(links, i):
     return left, right
 
 
-def factor_wings(model: FactorModel, q_index: int):
-    """Per-block left products L_m (None = identity for the first factor) and
-    right products R_m = D^(q+1)...D^(Q) K_m B_m."""
-    lefts, rights = zip(*(chain_wings([*row, K, B], q_index)
+def factor_wings(model: FactorModel, link: int):
+    """Per-block wings of one link of the chains [D^(1), ..., D^(Q), K, B]:
+    left products L_m (None = identity for the first link) and right products
+    R_m (None = identity for B)."""
+    lefts, rights = zip(*(chain_wings([*row, K, B], link)
                           for row, K, B in zip(model.factors, model.kernels, model.coeffs)))
     return list(lefts), list(rights)
 
@@ -397,20 +393,25 @@ def _coupled_block_solve(lefts, rights, X_hat, D_hats, c, tau):
     return list(D)
 
 
-def update_factor(q_index: int, X_hat, model: FactorModel, lam: float, tau: float):
-    """Minimizer of the factor sub-task for layer ``q_index`` (0-based):
-    1/2||X - L D R||^2 + lam/2||D||^2 + tau/2||D - D_hat||^2, restricted to
-    the block support for q_index >= 1, unrestricted for the first layer.
-    Returns the list of per-block factors."""
-    lefts, rights = factor_wings(model, q_index)
-    D_hats = [model.factors[m][q_index] for m in range(model.dims.n_kernels)]
-    c = lam + tau
-    if q_index == 0:
-        wide = chain_link_solve(None, np.concatenate(rights, axis=0), X_hat,
-                                np.concatenate(D_hats, axis=1), c, tau)
-        d1 = D_hats[0].shape[1]
-        return [wide[:, m * d1 : (m + 1) * d1] for m in range(model.dims.n_kernels)]
-    return _coupled_block_solve(lefts, rights, X_hat, D_hats, c, tau)
+def update_factor(link: int, X_hat, model: FactorModel, lam: float, tau: float):
+    """Minimizer of the sub-task of one link of every block's chain
+    [D^(1), ..., D^(Q), K, B], F = D^(link+1) for link < Q or B for
+    link = Q + 1 (the mmf reduction's coefficients, which take no affine or
+    l1 term): 1/2||X - sum_m L_m F_m R_m||^2 + lam/2||F||^2 +
+    tau/2||F - F_hat||^2.  The first and last links are one ridge solve
+    each, over the blocks side by side and stacked; an inner link is
+    restricted to the block support.  Returns the list of per-block links."""
+    lefts, rights = factor_wings(model, link)
+    last = link == model.dims.depth + 1
+    hats = model.coeffs if last else [row[link] for row in model.factors]
+    c, M = lam + tau, model.dims.n_kernels
+    if link == 0:
+        return np.split(chain_link_solve(None, np.concatenate(rights, axis=0), X_hat,
+                                         np.concatenate(hats, axis=1), c, tau), M, axis=1)
+    if last:
+        return np.split(chain_link_solve(np.concatenate(lefts, axis=1), None, X_hat,
+                                         np.concatenate(hats, axis=0), c, tau), M)
+    return _coupled_block_solve(lefts, rights, X_hat, hats, c, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +422,8 @@ def soft_threshold(A, thr, out=None, scale=None):
     """Entrywise magnitude shrinkage a * (1 - thr / max(thr, |a|)), written to
     ``out`` (a new array by default; A itself may be given).  ``scale``, a
     real array of A's shape, holds the shrink factors if given.  A zero
-    threshold is the identity: A is copied, and no magnitude is formed."""
+    threshold is the identity: A is copied, and no magnitude is formed; an
+    infinite one shrinks every finite entry to 0."""
     if thr < 0:
         raise InputError(f"threshold must be non-negative, got {thr}")
     A = np.asarray(A)
@@ -431,12 +433,10 @@ def soft_threshold(A, thr, out=None, scale=None):
             return A.copy()
         np.copyto(out, A)
         return out
-    mag = np.abs(A, out=scale)
-    if not 0.0 < thr < math.inf:  # no division by max(thr, |a|): 0 where |a| <= thr
-        with np.errstate(invalid="ignore", divide="ignore"):
-            factors = np.where(mag <= thr, 0.0, 1.0 - thr / np.where(mag > 0, mag, 1.0))
-        return np.multiply(A, factors, out=out)
+    if thr == math.inf:
+        return np.multiply(A, 0.0, out=out)
     # in place, as max(thr, |a|) >= thr > 0: an entry with |a| <= thr gets 1 - 1 = 0
+    mag = np.abs(A, out=scale)
     np.maximum(mag, thr, out=mag)
     np.divide(thr, mag, out=mag)
     np.subtract(1.0, mag, out=mag)
@@ -575,9 +575,8 @@ def update_B(X_hat, model: FactorModel, lambda1: float, tau_B: float,
     Newton steps that made no progress beyond roundoff, it returns each
     column's least-objective primal point so far, B_hat's if none did better
     (the objective splits by column), so f(B) <= f(B_hat).  Returns (blocks,
-    stats): the Newton steps taken, the objective of the returned point as it
-    was after each step (from B_hat on, non-increasing up to the final
-    certified iterate), its residual and whether that met inner_tol."""
+    stats): the Newton steps taken, the returned point's residual and whether
+    that met inner_tol."""
     dims = model.dims
     n_l, M = dims.n_landmarks, dims.n_kernels
     U, R = np.linalg.qr(np.concatenate([model.factors[m][0] for m in range(M)], axis=1))
@@ -594,7 +593,6 @@ def update_B(X_hat, model: FactorModel, lambda1: float, tau_B: float,
     alpha = lambda1 / tau_B
     p_norm = math.sqrt(max(float(np.linalg.eigvalsh(P @ P.conj().T)[-1]), 0.0))
     lip = p_norm ** 2 + tau_B
-    fit0 = 0.5 * float(np.vdot(X_hat, X_hat).real - np.vdot(y, y).real)  # the fit outside range(U)
 
     # P in real coordinates: Pt[(x, c), i, a] is component c of row x of P
     # applied to the unit a of entry i (1 or 1j)
@@ -666,7 +664,6 @@ def update_B(X_hat, model: FactorModel, lambda1: float, tau_B: float,
     # 3e-13 (relative) above one at 3e-7.
     best, best_fit = B_hat.copy(), P @ B_hat - y
     best_obj = objective(best, best_fit)
-    trace = [fit0 + float(best_obj.sum())]
     eps = np.finfo(float).eps
     it = idle = 0
     least, high = np.inf, phi.copy()
@@ -675,7 +672,6 @@ def update_B(X_hat, model: FactorModel, lambda1: float, tau_B: float,
         take = np.full(cols, res <= inner_tol) | (obj <= best_obj)
         best[:, take], best_fit[:, take] = B[:, take], (G + Z)[:, take]
         best_obj = np.where(take, obj, best_obj)
-        trace.append(fit0 + float(best_obj.sum()))
         # a Newton step is idle if it neither lowers the least residual nor
         # raises some column's phi beyond roundoff above its highest so far;
         # three in a row end the solve, stalled in roundoff
@@ -711,28 +707,7 @@ def update_B(X_hat, model: FactorModel, lambda1: float, tau_B: float,
             step[pending] *= 0.5
     if not take.all():  # the returned point is not the last iterate
         res = residual(best, best_fit)
-    B = best
-    blocks = [B[m * n_l : (m + 1) * n_l] for m in range(M)]
-    stats = {
-        "iterations": it,
-        "objective_trace": trace,
-        "residual": res,
-        "converged": res <= inner_tol,
-    }
-    return blocks, stats
-
-
-def update_B_ridge(X_hat, model: FactorModel, lam: float, tau_B: float):
-    """Closed-form coefficient update without the affine/l1 machinery
-    (plain multi-layer factorization mode): Tikhonov on B."""
-    dims = model.dims
-    # block m's basis D_m^(1) ... D_m^(Q) K_m is the left wing of its B_m
-    A = np.concatenate([chain_wings([*row, K, B], dims.depth + 1)[0] for row, K, B
-                        in zip(model.factors, model.kernels, model.coeffs)], axis=1)
-    sol = chain_link_solve(A, None, X_hat, np.concatenate(model.coeffs, axis=0),
-                           lam + tau_B, tau_B)
-    n_l = dims.n_landmarks
-    return [sol[m * n_l : (m + 1) * n_l] for m in range(dims.n_kernels)]
+    return np.split(best, M), {"iterations": it, "residual": res, "converged": res <= inner_tol}
 
 
 # ---------------------------------------------------------------------------
@@ -858,10 +833,10 @@ def sca_loop(config: SolverConfig, observed, state, best_response, evaluate):
     conditioned on the current point, mixes them in place into
     sca_extrapolate(state, half, gamma_n), gamma_n from sca_step_schedule,
     and re-pins the first element to the observations, ``observed`` from
-    observed_entries.  From the second iteration on the current point is the
-    loop's own, and the mix is formed in its arrays too.  It records the
-    evaluation of the new point and the stats: ``cg_iters``, ``b_inner_iters``
-    and ``b_residual`` (0 if absent) and a ``warning``.  The loop stops after
+    observed_entries.  The loop owns the starting point's arrays: the mix is
+    formed in place in the best responses' arrays and the current point's.
+    It records the evaluation of the new point and the stats: ``cg_iters``,
+    ``b_inner_iters`` and ``b_residual`` (0 if absent) and a ``warning``.  The loop stops after
     config.outer_iters iterations or once the relative objective change is
     below config.tol_objective.  A non-finite objective raises SolverError,
     at iteration 1 for the starting point.  Returns (state, seen, report)."""
@@ -880,8 +855,7 @@ def sca_loop(config: SolverConfig, observed, state, best_response, evaluate):
         half, stats = best_response(state, seen)
         if "warning" in stats:
             report.warnings.append(f"iter {n}: {stats['warning']}")
-        # the first point, the caller's, is never written
-        state = sca_extrapolate(state, half, gamma, spent=n > 1)
+        state = sca_extrapolate(state, half, gamma)
         np.put(state[0], *observed)
         obj, cons, affine, seen = finite(evaluate(state), n)
         report.objective.append(obj)
@@ -950,7 +924,7 @@ def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
         by_layer = [update_factor(q, X, current, lam_tik, config.tau_D)
                     for q in range(dims.depth)]
         if mmf:
-            coeffs_half = update_B_ridge(X, current, lam_tik, config.tau_B)
+            coeffs_half = update_factor(dims.depth + 1, X, current, lam_tik, config.tau_B)
         else:
             coeffs_half, b_stats = update_B(X, current, config.lambda1, config.tau_B,
                                             config.inner_tol, config.inner_max)
@@ -976,11 +950,13 @@ def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
 
     if problem == TVGS and band is None:  # every X update shares the mask, graph and weights
         band = free_band_factor(pattern, graph, config.lambda_L, config.tau_X)
-    # the loop mixes into the best responses' arrays only: model0 is never written
+    # the loop mixes in place in the starting point: the copies keep model0 unwritten
     K0 = S_y.astype(np.result_type(S_y.dtype, model0.coeffs[0].dtype), copy=False)
     Z0 = None if problem == TVGS else dft_temporal(ifft2_frames(K0, *frame_dims[:2]))
-    (_, factors, coeffs, _), (X, _, _), report = sca_loop(
-        config, observed, (K0, model0.factors, model0.coeffs, Z0), best_response, evaluate)
+    start = (K0, [[D.copy() for D in row] for row in model0.factors],
+             [B.copy() for B in model0.coeffs], Z0)
+    (_, factors, coeffs, _), (X, _, _), report = sca_loop(config, observed, start,
+                                                          best_response, evaluate)
     if problem == DMRI:  # K is pinned exactly; the last row records the returned X's residual
         report.consistency[-1] = consistency_residual(fft2_frames(X, *frame_dims[:2]), observed)
     return X, model(factors, coeffs), report

@@ -195,6 +195,19 @@ def test_baselines_reject_non_finite_data(kind):
         run_baseline(spec, Y, pattern, graph, config)
 
 
+@pytest.mark.parametrize("kind", ["mmf", "nbp", "krg", "kgl"])
+def test_baselines_on_integer_data_match_float_data(kind):
+    # the loop mixes in place in its starting point, the zero-filled data,
+    # which an integer array cannot hold
+    Y, pattern, graph = _toy_problem(seed=5)
+    Y = np.rint(3 * Y).astype(int)
+    spec = BaselineSpec(kind=kind, rank=2)
+    config = SolverConfig(lambda2=1e-2, lambda_L=0.01, outer_iters=3, seed=5)
+    X_int, _ = run_baseline(spec, Y, pattern, graph, config)
+    X_float, _ = run_baseline(spec, Y.astype(float), pattern, graph, config)
+    assert X_int.dtype == np.float64 and X_int.tobytes() == X_float.tobytes()
+
+
 @pytest.mark.parametrize("kind,fixed,per_iteration", [("kgl", 2, 0), ("nbp", 2, 2),
                                                       ("krg", 0, 0)])
 def test_kernel_chains_eigendecompose_their_fixed_wings_once(monkeypatch, kind, fixed,

@@ -143,6 +143,19 @@ def test_validate_wrongly_typed_value_is_one_json_line(tmp_path, capsys):
     assert "count" in payload["message"] and "landmarks" in payload["message"]
 
 
+@pytest.mark.parametrize("key, text", [("lambda1", "NaN"), ("cg_tol", "Infinity")])
+def test_validate_non_finite_solver_value_is_one_json_line(tmp_path, capsys, key, text):
+    # Python's json reads NaN and Infinity; such a weight failed every cell
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(f'{{"problem": "tvgs", "solver": {{"{key}": {text}}}}}')
+    assert main(["validate", str(spec_path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "InputError"
+    assert f"{key} must be finite" in payload["message"]
+
+
 @pytest.mark.parametrize("fields, key", [
     ({"kernels": [{"kind": "polynomial"}]}, "degree"),
     ({"data": {"source": "synthetic", "seed": -1}}, "seed"),

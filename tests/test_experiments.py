@@ -123,6 +123,13 @@ def test_resolve_spec_rejects_unknown_fields():
                       "sampling": {"kind": "p1", "ratios": [8.0]}})
 
 
+@pytest.mark.parametrize("key, value", [("lambda1", float("nan")), ("cg_tol", float("inf")),
+                                        ("tau_B", float("-inf"))])
+def test_resolve_spec_rejects_non_finite_solver_values(key, value):
+    with pytest.raises(InputError, match=f"{key} must be finite"):
+        resolve_spec({"problem": "tvgs", "solver": {key: value}})
+
+
 def test_emit_results_header_only(tmp_path):
     path = tmp_path / "results.csv"
     emit_results([], path)

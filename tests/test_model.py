@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,19 @@ def test_solver_config_validation():
 ])
 def test_solver_config_rejects_unworkable_settings(field, value):
     with pytest.raises(InputError, match=field):
+        SolverConfig(**{field: value})
+
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(SolverConfig) if isinstance(f.default, float)]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_solver_config_rejects_non_finite_values(field, value):
+    # a NaN weight passed every sign check and failed each solve at its
+    # first objective; an infinite cg_tol reached log(0) in the CG cap
+    assert len(FLOAT_FIELDS) == 14
+    with pytest.raises(InputError, match=f"{field} must be finite"):
         SolverConfig(**{field: value})
 
 
