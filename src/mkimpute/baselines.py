@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InputError
 from .graphs import GraphOperators
 from .kernels import build_kernel_matrix, median_distance_gaussian
-from .model import FactorModel, ModelDims, SolverConfig, gaussian_draw
+from .model import FactorModel, ModelDims, SolverConfig, gaussian_draw, require_count
 from .sampling import SamplingPattern, apply_sampling
 from .solver import (
     TVGS,
@@ -51,6 +51,10 @@ class BaselineSpec:
     kind: str
     rank: int = 5
     depth: int = 2  # factor layers for the multi-layer baseline
+
+    def __post_init__(self):
+        for name in ("rank", "depth"):
+            require_count(name, getattr(self, name), 1)
 
 
 def mean_fill(Y, pattern: SamplingPattern):
@@ -94,7 +98,10 @@ def _kernel_chain_solve(Y, pattern, graph, config: SolverConfig, free, *, row_ke
     free links, given as (rows, cols, tau), are drawn in order with entries
     N(0, 1/cols); each has proximal weight tau and Tikhonov weight
     config.lambda2, and is solved from the current iterate with the engine's
-    chain-link solve.  The links are sized from the mask, whose shape
+    chain-link solve, one block in its wings' Gram eigenbases.  The Grams of
+    the wings made of fixed kernels alone (K_row left of the first link,
+    K_col right of the last, krg's included) are eigendecomposed once per
+    solve.  The links are sized from the mask, whose shape
     apply_sampling requires of Y.  The loop's iterate is (X, free links): the
     fixed kernels are never mixed.  The X update uses ``band``, the
     free_band_factor of this mask, graph and config's weights, built here if
@@ -119,11 +126,9 @@ def _kernel_chain_solve(Y, pattern, graph, config: SolverConfig, free, *, row_ke
     def fixed_eigs(i):
         # the Gram eigenpairs of link i's wings made of fixed kernels alone,
         # which no iteration changes: K_row's left of the first link and
-        # K_col's right of the last (krg's one link has no left wing: a ridge
-        # solve, no eigh)
+        # K_col's right of the last
         left = np.linalg.eigh(head[0].conj().T @ head[0]) if i == 0 and head else None
-        right = (np.linalg.eigh(tail[0] @ tail[0].conj().T)
-                 if i == len(free) - 1 and (head or i > 0) else None)
+        right = np.linalg.eigh(tail[0] @ tail[0].conj().T) if i == len(free) - 1 else None
         return left, right
 
     def best_response(state, product):
@@ -133,8 +138,9 @@ def _kernel_chain_solve(Y, pattern, graph, config: SolverConfig, free, *, row_ke
             config.cg_tol, config.cg_max, band,
         )
         mats = head + links + tail
-        half = [chain_link_solve(*chain_wings(mats, len(head) + i), X, link,
-                                 config.lambda2 + tau, tau, *fixed_eigs(i))
+        # each link is one block: its wings as one-item sequences
+        half = [chain_link_solve(*zip(chain_wings(mats, len(head) + i)), X, [link],
+                                 config.lambda2 + tau, tau, fixed_eigs(i))[0]
                 for i, (link, (_, _, tau)) in enumerate(zip(links, free))]
         return (X_half, half), {"cg_iters": cg_iters}
 

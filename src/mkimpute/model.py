@@ -11,12 +11,20 @@ M * (I0 + I_N) * N_l.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from functools import reduce
 
 import numpy as np
 
 from .errors import InputError
+
+
+def require_count(name, value, low):
+    """Raise InputError, naming the field, unless value is an integer (not a
+    bool) of at least low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise InputError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -29,14 +37,14 @@ class ModelDims:
     inner: tuple[int, ...] = ()  # d_1 .. d_{Q-1}
 
     def __post_init__(self):
-        if self.depth < 1 or self.n_kernels < 1:
-            raise InputError("need Q >= 1 and M >= 1")
+        for name in ("n_rows", "n_cols", "n_landmarks", "n_kernels", "depth"):
+            require_count(name, getattr(self, name), 1)
         if len(self.inner) != self.depth - 1:
             raise InputError(
                 f"depth {self.depth} needs {self.depth - 1} inner dims, got {self.inner}"
             )
-        if any(d < 1 for d in self.inner):
-            raise InputError("inner dimensions must be positive")
+        for d in self.inner:
+            require_count("inner dimension", d, 1)
 
     @property
     def d_list(self) -> tuple[int, ...]:
@@ -83,23 +91,18 @@ class SolverConfig:
             raise InputError(f"gamma0 must lie in (0, 1], got {self.gamma0}")
         if not 0.0 < self.zeta < 1.0:
             raise InputError(f"zeta must lie in (0, 1), got {self.zeta}")
-        for name in ("tau_X", "tau_D", "tau_B", "tau_Z"):
+        for name in ("tau_X", "tau_D", "tau_B", "tau_Z", "cg_tol", "inner_tol"):
             if not getattr(self, name) > 0:
                 raise InputError(f"{name} must be positive")
         for name in ("lambda1", "lambda2", "lambda3", "lambda4", "lambda_L"):
             if getattr(self, name) < 0:
                 raise InputError(f"{name} must be non-negative")
-        for name in ("cg_tol", "inner_tol"):
-            if not getattr(self, name) > 0:
-                raise InputError(f"{name} must be positive")
-        for name in ("outer_iters", "inner_max", "cg_max"):
+        for name in ("outer_iters", "inner_max", "cg_max", "seed"):
             value = getattr(self, name)
-            if value is not None and not value >= 1:
-                raise InputError(f"{name} must be at least 1")
+            if value is not None:
+                require_count(name, value, 0 if name == "seed" else 1)
         if not self.tol_objective >= 0:
             raise InputError("tol_objective must be non-negative")
-        if self.seed < 0:
-            raise InputError(f"seed must be non-negative, got {self.seed}")
         if self.z_rule not in ("ratio", "prox"):
             raise InputError(f"unknown z_rule {self.z_rule!r}")
 

@@ -132,16 +132,18 @@ def _pcg(apply_op, b, x0, tol, max_iter, precond):
 
 def _sylvester_pd(G_eig, H_eig, c):
     """The solve C -> D of G D H + c D = C for Hermitian PSD G and H, given as
-    their eigenpairs (a, U) and (b, V) from eigh; G, H and C may be stacked
-    along leading axes."""
-    (a, U), (b, V) = G_eig, H_eig
+    their eigenpairs (a, U) and (b, V) from eigh, None for the identity; G, H
+    and C may be stacked along leading axes."""
+    a, U = G_eig or (np.ones(1), None)
+    b, V = H_eig or (np.ones(1), None)
     inv_den = 1.0 / (a[..., :, None] * b[..., None, :] + c)
-    Uh, Vh = U.conj().swapaxes(-1, -2), V.conj().swapaxes(-1, -2)
+    Uh, Vh = (None if W is None else W.conj().swapaxes(-1, -2) for W in (U, V))
 
     def solve(C):
-        T = Uh @ C @ V
-        T *= inv_den
-        return U @ T @ Vh
+        T = C if U is None else Uh @ C
+        T = (T if V is None else T @ V) * inv_den
+        T = T if U is None else U @ T
+        return T if V is None else T @ Vh
 
     return solve
 
@@ -327,57 +329,52 @@ def factor_wings(model: FactorModel, link: int):
     """Per-block wings of one link of the chains [D^(1), ..., D^(Q), K, B]:
     left products L_m (None = identity for the first link) and right products
     R_m (None = identity for B)."""
-    lefts, rights = zip(*(chain_wings([*row, K, B], link)
-                          for row, K, B in zip(model.factors, model.kernels, model.coeffs)))
-    return list(lefts), list(rights)
-
-
-def chain_link_solve(left, right, X_hat, D_hat, c, tau, left_eig=None, right_eig=None):
-    """Minimizer over F of one link of a chain product X ~ L F R:
-
-        1/2||X_hat - L F R||^2 + (c - tau)/2||F||^2 + tau/2||F - D_hat||^2
-
-    A missing wing (None) is the identity: a right ridge solve without L, a
-    left ridge solve without R, the Sylvester solve with both.  The Sylvester
-    solve takes the eigenpairs of L^H L and R R^H from ``left_eig`` and
-    ``right_eig`` if given, so a fixed wing's are not recomputed."""
-    if left is None:
-        H = right @ right.conj().T
-        rhs = X_hat @ right.conj().T + tau * D_hat
-        A = H + c * np.eye(H.shape[0], dtype=H.dtype)
-        return np.linalg.solve(A.T, rhs.T).T
-    if right is None:
-        G = left.conj().T @ left
-        rhs = left.conj().T @ X_hat + tau * D_hat
-        return np.linalg.solve(G + c * np.eye(G.shape[0], dtype=G.dtype), rhs)
-    if left_eig is None:
-        left_eig = np.linalg.eigh(left.conj().T @ left)
-    if right_eig is None:
-        right_eig = np.linalg.eigh(right @ right.conj().T)
-    C = left.conj().T @ X_hat @ right.conj().T + tau * D_hat
-    return _sylvester_pd(left_eig, right_eig, c)(C)
+    return tuple(zip(*(chain_wings([*row, K, B], link)
+                       for row, K, B in zip(model.factors, model.kernels, model.coeffs))))
 
 
 _D_CG_TOL = 1e-12  # relative residual of the coupled factor solve
 
 
-def _coupled_block_solve(lefts, rights, X_hat, D_hats, c, tau):
-    """Support-restricted normal equations of the block-diagonal factor,
-    sum_m' G_{m m'} D_{m'} H_{m' m} + c D_m = C_m, G_{m m'} = L_m^H L_m' and
-    H_{m' m} = R_m' R_m^H, by CG on the stack of blocks, applied blockwise.
-    CG is preconditioned by, and started from, each block's own Sylvester
-    solve, so one block needs no step.  It stops at relative residual
-    _D_CG_TOL in the preconditioner's norm or raises SolverError, also on a
-    NaN, within twice the unknown count: roundoff adds steps at small c
-    (seven random blocks at c = 1e-6 took 1.55 per unknown)."""
-    M = len(lefts)
-    p, r = D_hats[0].shape
+def chain_link_solve(lefts, rights, X_hat, D_hats, c, tau, eigs=None):
+    """Minimizer over the blocks F_m of one link of a chain sum X ~ sum_m L_m F_m R_m:
+
+        1/2||X_hat - sum_m L_m F_m R_m||^2 + (c - tau)/2 sum_m ||F_m||^2
+            + tau/2 sum_m ||F_m - D_hat_m||^2
+
+    One block is one Sylvester solve, L^H L F R R^H + c F = L^H X_hat R^H +
+    tau D_hat, in the eigenbases of L^H L and R R^H; a missing wing (None) is
+    the identity, so a one-sided ridge forms no identity matrix.  ``eigs``, a
+    pair (of L^H L, of R R^H) of eigenpairs or None, spares the eigh of a
+    fixed wing.  Several blocks, each with both wings, couple through
+    G_{m m'} = L_m^H L_m' and H_{m' m} = R_m' R_m^H; CG on their stack,
+    applied blockwise, is preconditioned by and started from each block's own
+    Sylvester solve.  It stops at relative residual _D_CG_TOL in the
+    preconditioner's norm within twice the unknown count: roundoff adds steps
+    at small c (seven random blocks at c = 1e-6 took 1.55 per unknown).
+    Raises SolverError on a stalled CG or a non-finite result.  Returns the
+    list of blocks."""
+    C = []
+    for left, right, D_hat in zip(lefts, rights, D_hats):
+        T = X_hat if left is None else left.conj().T @ X_hat
+        C.append((T if right is None else T @ right.conj().T) + tau * D_hat)
+    if len(C) == 1:
+        left_eig, right_eig = eigs or (None, None)
+        (left,), (right,) = lefts, rights
+        if left_eig is None and left is not None:
+            left_eig = np.linalg.eigh(left.conj().T @ left)
+        if right_eig is None and right is not None:
+            right_eig = np.linalg.eigh(right @ right.conj().T)
+        D = _sylvester_pd(left_eig, right_eig, c)(C[0])
+        if not np.isfinite(D).all():
+            raise SolverError("factor-update solve produced a non-finite entry")
+        return [D]
+    M, (p, r) = len(C), C[0].shape
     L = np.concatenate(lefts, axis=1)
     R = np.concatenate(rights, axis=0)
     G = (L.conj().T @ L).reshape(M, p, M, p).transpose(0, 2, 1, 3)  # [m, m'] = L_m^H L_m'
     H = (R @ R.conj().T).reshape(M, r, M, r).transpose(2, 0, 1, 3)  # [m, m'] = R_m' R_m^H
-    C = np.stack([left.conj().T @ X_hat @ right.conj().T
-                  for left, right in zip(lefts, rights)]) + tau * np.stack(D_hats)
+    C = np.stack(C)
     d = np.arange(M)
     precond = _sylvester_pd(np.linalg.eigh(G[d, d]), np.linalg.eigh(H[d, d]), c)
 
@@ -398,20 +395,21 @@ def update_factor(link: int, X_hat, model: FactorModel, lam: float, tau: float):
     [D^(1), ..., D^(Q), K, B], F = D^(link+1) for link < Q or B for
     link = Q + 1 (the mmf reduction's coefficients, which take no affine or
     l1 term): 1/2||X - sum_m L_m F_m R_m||^2 + lam/2||F||^2 +
-    tau/2||F - F_hat||^2.  The first and last links are one ridge solve
-    each, over the blocks side by side and stacked; an inner link is
-    restricted to the block support.  Returns the list of per-block links."""
+    tau/2||F - F_hat||^2, by chain_link_solve.  The first and last links are
+    one block each, the blocks side by side and stacked, solved in one
+    eigenbasis; an inner link is restricted to the block support.  Returns
+    the list of per-block links."""
     lefts, rights = factor_wings(model, link)
     last = link == model.dims.depth + 1
     hats = model.coeffs if last else [row[link] for row in model.factors]
     c, M = lam + tau, model.dims.n_kernels
-    if link == 0:
-        return np.split(chain_link_solve(None, np.concatenate(rights, axis=0), X_hat,
-                                         np.concatenate(hats, axis=1), c, tau), M, axis=1)
-    if last:
-        return np.split(chain_link_solve(np.concatenate(lefts, axis=1), None, X_hat,
-                                         np.concatenate(hats, axis=0), c, tau), M)
-    return _coupled_block_solve(lefts, rights, X_hat, hats, c, tau)
+    if link == 0 or last:  # one block: the blocks side by side (first) or stacked (last)
+        axis = 1 if link == 0 else 0
+        lefts = [None] if link == 0 else [np.concatenate(lefts, axis=1)]
+        rights = [None] if last else [np.concatenate(rights, axis=0)]
+        (F,) = chain_link_solve(lefts, rights, X_hat, [np.concatenate(hats, axis=axis)], c, tau)
+        return np.split(F, M, axis=axis)
+    return chain_link_solve(lefts, rights, X_hat, hats, c, tau)
 
 
 # ---------------------------------------------------------------------------

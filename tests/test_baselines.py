@@ -134,6 +134,18 @@ def test_nbp_rank_cap():
         nbp_solve(Y, pattern, graph, spec, SolverConfig(seed=7))
 
 
+@pytest.mark.parametrize("value", [0, -2, 2.5, True])
+@pytest.mark.parametrize("field", ["rank", "depth"])
+@pytest.mark.parametrize("kind", ["mmf", "nbp", "krg", "kgl"])
+def test_baseline_spec_rejects_bad_counts(kind, field, value):
+    # nbp ran a rank-0 chain, mmf warned of a division by zero before its
+    # error, and a float rank ended in a TypeError
+    Y, pattern, graph = _toy_problem(seed=7)
+    with pytest.raises(InputError, match=f"{field} must be an integer of at least 1"):
+        run_baseline(BaselineSpec(kind, **{field: value}), Y, pattern, graph,
+                     SolverConfig(outer_iters=2, seed=7))
+
+
 def test_krg_and_kgl_run():
     Y, pattern, graph = _toy_problem(seed=8)
     config = SolverConfig(lambda2=1e-2, lambda_L=0.01, outer_iters=25,
@@ -209,13 +221,13 @@ def test_baselines_on_integer_data_match_float_data(kind):
 
 
 @pytest.mark.parametrize("kind,fixed,per_iteration", [("kgl", 2, 0), ("nbp", 2, 2),
-                                                      ("krg", 0, 0)])
+                                                      ("krg", 1, 0)])
 def test_kernel_chains_eigendecompose_their_fixed_wings_once(monkeypatch, kind, fixed,
                                                              per_iteration):
     # the Grams of the wings made of fixed kernels alone (K_row left of the
-    # first link, K_col right of the last) do not change: one eigh each per
-    # solve.  nbp's other wing holds a free link, one eigh per link and
-    # iteration; krg's one link has no left wing, a ridge solve.
+    # first link, K_col right of the last, krg's one link included) do not
+    # change: one eigh each per solve.  nbp's other wing holds a free link,
+    # one eigh of a rank x rank Gram per link and iteration.
     Y, pattern, graph = _toy_problem(seed=5)
     graph.smoothness()  # the graph's own eigendecompositions, once per graph
     shapes = []
@@ -232,8 +244,9 @@ def test_kernel_chains_eigendecompose_their_fixed_wings_once(monkeypatch, kind, 
                               tol_objective=0.0, seed=5)
         _, report = run_baseline(BaselineSpec(kind, rank=2), Y, pattern, graph, config)
         assert report.iterations == iters
-        assert len(shapes) == fixed + per_iteration * iters
-        assert shapes.count((10, 10)) == shapes.count((12, 12)) == fixed // 2
+        # K_col's I_N x I_N Gram, and K_row's I0 x I0 one if the chain has it
+        wings = [(10, 10), (12, 12)][2 - fixed:]
+        assert sorted(shapes) == sorted(wings + [(2, 2)] * per_iteration * iters)
 
 
 @pytest.mark.parametrize("complex_", [False, True])
@@ -245,12 +258,17 @@ def test_chain_link_solve_given_its_wings_eigenpairs_is_bit_identical(complex_):
         return out + 1j * rng.standard_normal(shape) if complex_ else out
 
     left, right, X_hat, D_hat = draw((7, 3)), draw((4, 6)), draw((7, 6)), draw((3, 4))
-    own = chain_link_solve(left, right, X_hat, D_hat, 0.8, 0.3)
+    (own,) = chain_link_solve([left], [right], X_hat, [D_hat], 0.8, 0.3)
     left_eig = np.linalg.eigh(left.conj().T @ left)
     right_eig = np.linalg.eigh(right @ right.conj().T)
     for eigs in ((left_eig, None), (None, right_eig), (left_eig, right_eig)):
-        assert chain_link_solve(left, right, X_hat, D_hat, 0.8, 0.3, *eigs).tobytes() \
-            == own.tobytes()
+        (given,) = chain_link_solve([left], [right], X_hat, [D_hat], 0.8, 0.3, eigs)
+        assert given.tobytes() == own.tobytes()
+    # a one-sided link given its wing's eigenpairs, as krg's K_col
+    (own,) = chain_link_solve([None], [right], X_hat[:3], [D_hat], 0.8, 0.3)
+    (given,) = chain_link_solve([None], [right], X_hat[:3], [D_hat], 0.8, 0.3,
+                                (None, right_eig))
+    assert given.tobytes() == own.tobytes()
 
 
 @pytest.mark.parametrize("lambda_L", [0.0, 0.05])

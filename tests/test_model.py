@@ -237,3 +237,31 @@ def test_solver_config_rejects_non_finite_values(field, value):
 def test_solver_config_rejects_negative_seed():
     with pytest.raises(InputError, match="seed"):
         SolverConfig(seed=-1)
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+@pytest.mark.parametrize("field", ["outer_iters", "inner_max", "cg_max", "seed"])
+def test_solver_config_rejects_non_integer_counts(field, value):
+    # a float count validated and later failed in range() with a TypeError
+    with pytest.raises(InputError, match=f"{field} must be an integer"):
+        SolverConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [0, -1, 2.5, 4.0, False])
+@pytest.mark.parametrize("field", ["n_rows", "n_cols", "n_landmarks", "n_kernels", "depth"])
+def test_model_dims_reject_bad_counts(field, value):
+    sizes = {"n_rows": 4, "n_cols": 5, "n_landmarks": 3, "n_kernels": 1, "depth": 1}
+    with pytest.raises(InputError, match=f"{field} must be an integer of at least 1"):
+        ModelDims(**{**sizes, field: value})
+
+
+@pytest.mark.parametrize("value", [0, 1.5])
+def test_model_dims_reject_bad_inner_dimensions(value):
+    with pytest.raises(InputError, match="inner dimension"):
+        ModelDims(4, 5, 3, 1, 2, (value,))
+
+
+def test_counts_accept_numpy_integers():
+    dims = ModelDims(np.int64(4), 5, np.int32(3))
+    assert dims.d_list == (4, 3)
+    assert SolverConfig(outer_iters=np.int64(2), seed=np.uint8(1)).outer_iters == 2

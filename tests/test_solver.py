@@ -471,7 +471,7 @@ def test_chain_link_solve_matches_dense_normal_equations(dtype, wings):
     normal = A.conj().T @ A + c * np.eye(A.shape[1])
     rhs = A.conj().T @ X_hat.ravel(order="F") + tau * F_hat.ravel(order="F")
     ref = np.linalg.solve(normal, rhs).reshape(shape, order="F")
-    F = chain_link_solve(left, right, X_hat, F_hat, c, tau)
+    (F,) = chain_link_solve([left], [right], X_hat, [F_hat], c, tau)
     assert F.shape == shape
     assert _rel(F, ref) < 1e-10
 
@@ -571,7 +571,7 @@ def test_d_update_single_block_is_the_sylvester_link_solve():
     for q in (1, 2):
         (left,), (right,) = solver.factor_wings(model, q)
         got = solver.update_factor(q, X_hat, model, 0.3, 0.7)
-        ref = chain_link_solve(left, right, X_hat, model.factors[0][q], 1.0, 0.7)
+        (ref,) = chain_link_solve([left], [right], X_hat, [model.factors[0][q]], 1.0, 0.7)
         assert np.array_equal(got[0], ref)
 
 
@@ -581,8 +581,57 @@ def test_d_update_rejects_nan_data(m_count):
     model = random_model(dims, 9)
     X_hat = np.random.default_rng(9).standard_normal((6, 5))
     X_hat[2, 3] = np.nan
-    with pytest.raises(SolverError, match="factor-update CG"):
+    with pytest.raises(SolverError, match="factor-update"):
         solver.update_factor(1, X_hat, model, 0.3, 0.7)
+
+
+@pytest.mark.parametrize("link,m_count", [("first", 1), ("first", 2), ("inner", 1),
+                                          ("inner", 2), ("mmf last", 1)])
+def test_factor_update_rejects_nan_data_on_every_link(link, m_count):
+    # a NaN in X_hat fails the link's own solve, not a later iteration: the
+    # one-block solves check their result, the coupled CG its residual
+    dims = ModelDims(6, 5, 3, m_count, 2, (2,))
+    model = random_model(dims, 9)
+    if link == "mmf last":
+        model.kernels[0], model.mmf = np.eye(3), True
+    X_hat = np.random.default_rng(9).standard_normal((6, 5))
+    X_hat[2, 3] = np.nan
+    index = {"first": 0, "inner": 1, "mmf last": dims.depth + 1}[link]
+    with pytest.raises(SolverError, match="factor-update"):
+        solver.update_factor(index, X_hat, model, 0.3, 0.7)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_one_sided_link_on_a_gram_down_to_roundoff_is_backward_stable(side, complex_):
+    # the first layer's ridge on default7 models: the stacked wing has more
+    # rows than columns, so its Gram runs from ~1e18 down to roundoff (some
+    # computed eigenvalues negative) against c ~ 1, and H + cI is singular to
+    # double precision.  The eigenbasis solve still returns a finite F of
+    # normwise backward error ||(H + cI) F - C|| / (||H + cI|| ||F|| + ||C||)
+    # at most 1e-12, C the right-hand side L^H X_hat + tau D_hat (left wing)
+    # or X_hat R^H + tau D_hat (right wing)
+    rng = np.random.default_rng(44)
+    p, n, other = 24, 10, 7
+    wing = _draw(rng, (n, p), complex_) * np.geomspace(1e9, 1e-3, p)  # columns scaled
+    wing = wing @ np.linalg.qr(_draw(rng, (p, p), complex_))[0]  # mix the scales
+    c, tau = 1.001, 1e-3
+    if side == "left":
+        X_hat, D_hat = _draw(rng, (n, other), complex_), _draw(rng, (p, other), complex_)
+        (F,) = chain_link_solve([wing], [None], X_hat, [D_hat], c, tau)
+        H, C = wing.conj().T @ wing, wing.conj().T @ X_hat + tau * D_hat
+        resid = H @ F + c * F - C
+    else:
+        wing = wing.conj().T
+        X_hat, D_hat = _draw(rng, (other, n), complex_), _draw(rng, (other, p), complex_)
+        (F,) = chain_link_solve([None], [wing], X_hat, [D_hat], c, tau)
+        H, C = wing @ wing.conj().T, X_hat @ wing.conj().T + tau * D_hat
+        resid = F @ H + c * F - C
+    eigenvalues = np.linalg.eigvalsh(H)
+    assert eigenvalues[-1] > 1e18 and abs(eigenvalues[0]) < 1e-14 * eigenvalues[-1]
+    assert np.isfinite(F).all()
+    scale = np.linalg.norm(H + c * np.eye(p), 2) * np.linalg.norm(F) + np.linalg.norm(C)
+    assert np.linalg.norm(resid) / scale <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -1111,25 +1160,34 @@ def test_solve_tvgs_objective_decreases():
     assert max(report.affine_residual) < 1e-8
 
 
-def _record_eigh_shapes(monkeypatch):
-    """The shape of every np.linalg.eigh argument, in call order."""
-    shapes = []
+def _record_eigh_args(monkeypatch):
+    """A copy of every np.linalg.eigh argument, in call order."""
+    args = []
     eigh = np.linalg.eigh
 
-    def recording(a, *args, **kwargs):
-        shapes.append(np.shape(a))  # one append is atomic: worker threads may share it
-        return eigh(a, *args, **kwargs)
+    def recording(a, *more, **kwargs):
+        args.append(np.array(a))  # one append is atomic: worker threads may share it
+        return eigh(a, *more, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
-    return shapes
+    return args
+
+
+def _graph_eighs(args, graph):
+    """How many recorded eigh arguments are the graph's L + eps I (whose
+    eigenpairs give S) and its DD^T, compared by value: krg's K_col Gram has
+    DD^T's I_N x I_N shape."""
+    shifted = graph.L + graph.eps * np.eye(graph.L.shape[0])
+    ddt = graph.delta @ graph.delta.T
+    return (sum(np.array_equal(a, shifted) for a in args),
+            sum(np.array_equal(a, ddt) for a in args))
 
 
 def test_graph_factorizations_run_once_per_graph(monkeypatch, tmp_path):
     # S = (L + eps I)^beta and DD^T do not change during a solve: each is
     # factorized once per graph, on first use, and not once per X update.
-    # I0 = 12 and I_N = 20 differ from every factor-solve size here (3 to 6).
-    # A band cap of 0 bytes keeps the X updates on CG; the direct path is
-    # checked last.
+    # The eigh arguments are told apart by value (_graph_eighs).  A band cap
+    # of 0 bytes keeps the X updates on CG; the direct path is checked last.
     from mkimpute.experiments import run_experiment
     from mkimpute.kernels import gaussian_spec
     cap = solver.BAND_BYTE_CAP
@@ -1139,17 +1197,17 @@ def test_graph_factorizations_run_once_per_graph(monkeypatch, tmp_path):
     config = SolverConfig(lambda1=1e-3, lambda2=1e-3, lambda_L=0.05,
                           outer_iters=4, tol_objective=0.0, seed=0)
     dims = ModelDims(12, 20, 6, 1, 2, (3,))
-    shapes = _record_eigh_shapes(monkeypatch)
+    eighs = _record_eigh_args(monkeypatch)
     _, _, report = solve(TVGS, Y, pattern, graph, lmk, [gaussian_spec(1.0)], dims, config)
     assert report.iterations == 4 and min(report.cg_iters) > 0
-    assert (shapes.count((12, 12)), shapes.count((20, 20))) == (1, 1)
+    assert _graph_eighs(eighs, graph) == (1, 1)
     # a sweep builds one graph that both cells' worker threads share; csv
     # data, because the synthetic generator runs an eigh of its own
     np.savetxt(tmp_path / "y.csv", Y, delimiter=",")
     angles = 2 * np.pi * np.arange(12) / 12  # _ring_problem's nodes
     np.savetxt(tmp_path / "c.csv", np.column_stack([np.cos(angles), np.sin(angles)]),
                delimiter=",")
-    shapes.clear()
+    eighs.clear()
     spec = {"problem": "tvgs",
             "data": {"source": "csv", "data_path": str(tmp_path / "y.csv"),
                      "coords_path": str(tmp_path / "c.csv")},
@@ -1162,7 +1220,7 @@ def test_graph_factorizations_run_once_per_graph(monkeypatch, tmp_path):
             "methods": ["mlkr", "mmf", "krg"], "workers": 2}
     rows = run_experiment(spec, tmp_path / "out")
     assert len(rows) == 6 and not (tmp_path / "out" / "errors.log").exists()
-    assert (shapes.count((12, 12)), shapes.count((20, 20))) == (1, 1)
+    assert _graph_eighs(eighs, graph) == (1, 1)  # the csv graph equals _ring_problem's
     # on the direct path the free-entry band is factored once per solve,
     # before the loop, not once per X update
     monkeypatch.setattr(solver, "BAND_BYTE_CAP", cap)
@@ -1175,12 +1233,12 @@ def test_graph_factorizations_run_once_per_graph(monkeypatch, tmp_path):
 
     monkeypatch.setattr(solver, "dpbtrf", recording)
     Y, pattern, graph = _ring_problem()
-    shapes.clear()
+    eighs.clear()
     _, _, report = solve(TVGS, Y, pattern, graph, lmk, [gaussian_spec(1.0)], dims, config)
     n_free = int((~pattern.mask).sum())
     assert report.iterations == 4 and report.cg_iters == [0] * 4
     assert len(factored) == 1 and factored[0][1] == n_free
-    assert (shapes.count((12, 12)), shapes.count((20, 20))) == (1, 1)
+    assert _graph_eighs(eighs, graph) == (1, 1)
     # the sweep solves 3 methods in each of 2 cells, 3 X updates each: the
     # cell's methods share its mask, graph and weights, and so one band
     factored.clear()
@@ -1229,7 +1287,7 @@ def test_a_solve_given_its_cells_band_matches_one_that_builds_its_own(monkeypatc
 def test_graph_factorization_runs_once_under_concurrent_first_use(monkeypatch):
     # eight threads ask one graph for its spectrum at once, switching every
     # microsecond: the lock lets exactly one of them factorize
-    shapes = _record_eigh_shapes(monkeypatch)
+    eighs = _record_eigh_args(monkeypatch)
     graph = build_graph_operators(np.random.default_rng(15).random((2, 30)), 4, 0.1, 1.0, 25)
     barrier = threading.Barrier(8)
     seen = []
@@ -1250,7 +1308,7 @@ def test_graph_factorization_runs_once_under_concurrent_first_use(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert len(seen) == 8 and all(s is seen[0] for s in seen)
-    assert sorted(shapes) == [(25, 25), (30, 30)]
+    assert sorted(a.shape for a in eighs) == [(25, 25), (30, 30)]
 
 
 def test_solve_tvgs_full_observation_single_step():
@@ -1826,8 +1884,8 @@ def test_chain_link_solve_leaves_inputs_untouched(complex_, wings):
     elif wings == "right":
         inputs["D_hat"] = _draw(rng, (7, 4), complex_)
     copies = {k: v.copy() for k, v in inputs.items()}
-    chain_link_solve(inputs.get("left"), inputs.get("right"), inputs["X_hat"],
-                     inputs["D_hat"], 0.8, 0.3)
+    chain_link_solve([inputs.get("left")], [inputs.get("right")], inputs["X_hat"],
+                     [inputs["D_hat"]], 0.8, 0.3)
     _assert_untouched(inputs, copies)
 
 
@@ -1840,9 +1898,9 @@ def test_coupled_block_solve_leaves_inputs_untouched(complex_):
         inputs[f"right{m}"] = _draw(rng, (4, 7), complex_)
         inputs[f"D_hat{m}"] = _draw(rng, (3, 4), complex_)
     copies = {k: v.copy() for k, v in inputs.items()}
-    D = solver._coupled_block_solve([inputs[f"left{m}"] for m in range(3)],
-                                    [inputs[f"right{m}"] for m in range(3)], inputs["X_hat"],
-                                    [inputs[f"D_hat{m}"] for m in range(3)], 0.9, 0.4)
+    D = chain_link_solve([inputs[f"left{m}"] for m in range(3)],
+                         [inputs[f"right{m}"] for m in range(3)], inputs["X_hat"],
+                         [inputs[f"D_hat{m}"] for m in range(3)], 0.9, 0.4)
     _assert_untouched(inputs, copies)
     assert len(D) == 3 and all(not np.shares_memory(Dm, inputs[f"D_hat{m}"])
                                for m, Dm in enumerate(D))

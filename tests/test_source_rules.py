@@ -81,22 +81,24 @@ def test_one_sca_outer_loop():
 
 
 def test_one_link_solve_and_dense_solves_in_two_places():
-    # every free link of a chain, the mmf reduction's B included, is solved
-    # by chain_link_solve through solver.update_factor or the kernel chains'
-    # best responses, and np.linalg.solve serves only chain_link_solve's
-    # ridges and the B update's Newton systems: a second ridge or link-solve
-    # path fails here
-    link_solves, dense_solves = set(), set()
+    # every free link of a chain, the mmf reduction's B and the coupled
+    # blocks of an inner link included, is solved by chain_link_solve through
+    # solver.update_factor or the kernel chains' best responses, in its wings'
+    # Gram eigenbases; np.linalg.solve serves only the B update's Newton
+    # systems: a second ridge, link-solve or coupled-solve path fails here
+    link_solves, dense_solves, names = set(), set(), set()
     for path in sorted(SRC.rglob("*.py")):
         for owner, node in _owned_nodes(ast.parse(path.read_text()), path.stem):
             function = ".".join(owner.split(".")[:2])  # its closures count as itself
+            names.add(owner.split(".")[-1])
             if isinstance(node, ast.Call) and _named(node.func) == "chain_link_solve":
                 link_solves.add(function)
             if (isinstance(node, ast.Attribute) and node.attr == "solve"
                     and _named(node.value) == "linalg"):
                 dense_solves.add(function)
     assert link_solves == {"solver.update_factor", "baselines._kernel_chain_solve"}, link_solves
-    assert dense_solves == {"solver.chain_link_solve", "solver.update_B"}, dense_solves
+    assert dense_solves == {"solver.update_B"}, dense_solves
+    assert "_coupled_block_solve" not in names
 
 
 def test_only_apply_sampling_zero_fills():
