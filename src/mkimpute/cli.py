@@ -2,13 +2,15 @@
 
 Subcommands: run a spec file, validate it, generate a phantom, or export a
 sampling mask.  Errors exit nonzero with one machine-readable JSON line on
-stderr; so does a run in which some sweep cell failed.
+stderr (a solver failure's also carries its ``iteration`` and ``residual``);
+so does a run in which some sweep cell failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -118,8 +120,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InputError, DataError, SolverError, OSError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
+        payload = {"error": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, SolverError):  # null where a value is absent or not finite
+            for key, kind in (("iteration", int), ("residual", float)):
+                value = getattr(exc, key)
+                payload[key] = kind(value) if value is not None and math.isfinite(value) else None
+        print(json.dumps(payload), file=sys.stderr)
         return 1
 
 

@@ -449,7 +449,8 @@ _NEWTON_BATCH = 1 << 21
 
 def _affine_l1_multiplier(V, alpha):
     """Multiplier mu of min_z 1/2||z - v||^2 + alpha||z||_1 s.t. sum z = 1,
-    per column of real or complex V; the minimiser is z = soft(v - mu, alpha).
+    per column of real or complex V, and the minimiser z = soft(v - mu, alpha)
+    as the evaluation of the final r formed it, so no caller thresholds again.
 
     mu minimises the convex Phi(mu) = 1/2 sum (|v - mu| - alpha)_+^2 + Re mu,
     whose gradient is -r with r = sum z - 1.  With w = v - mu, a = alpha/|w|
@@ -458,29 +459,29 @@ def _affine_l1_multiplier(V, alpha):
     real data it is r/k, exact on the current linear segment.  When alpha
     dominates |v|, Phi's valley is the circle |mu - g| ~ alpha about the
     active entries' centroid g, so the step is taken along that circle (its
-    radial part changes |mu - g|, its tangential part the angle; on real
-    data this is the straight step).  A step is halved until it shrinks |r|
-    or meets Armijo on Phi.  The solve stops at |r| <= 8 n eps (1 + alpha +
-    max|v|) or raises SolverError."""
+    radial part changes |mu - g|, its tangential part the angle).  On real
+    data the arc is the straight step, and its terms are not formed.  A step
+    is halved until it shrinks |r| or meets Armijo on Phi.  The solve stops
+    at |r| <= 8 n eps (1 + alpha + max|v|) or raises SolverError."""
     n = V.shape[0]
     tol = 8 * n * np.finfo(float).eps * (1.0 + alpha + np.abs(V).max(axis=0))
     if not np.isfinite(tol).all():
         raise SolverError("affine-l1 prox got a non-finite entry")
 
-    def state(mu):  # w, |w|, r and Phi at mu
+    def state(mu):  # w, |w|, z, r and Phi at mu
         W = V - mu
         mag = np.abs(W)
         excess = np.maximum(mag - alpha, 0.0)
-        r = (W * (excess / np.where(mag > 0, mag, 1.0))).sum(axis=0) - 1.0
-        return W, mag, r, 0.5 * (excess * excess).sum(axis=0) + mu.real
+        Z = W * (excess / np.where(mag > 0, mag, 1.0))
+        return W, mag, Z, Z.sum(axis=0) - 1.0, 0.5 * (excess * excess).sum(axis=0) + mu.real
 
     # |mean(v - mu)| = 1/n + alpha at the start, so some entry is active
     mu = (V.sum(axis=0) - 1.0) / n - alpha
-    W, mag, r, phi = state(mu)
+    W, mag, Z, r, phi = state(mu)
     for _ in range(_PROX_MAX_ITER):
         done = np.abs(r) <= tol
         if done.all():
-            return mu
+            return mu, Z
         active = mag > alpha
         m = np.where(active, mag, np.inf)  # active moduli; inf zeroes a and u elsewhere
         a, u = alpha / m, W / m
@@ -492,38 +493,43 @@ def _affine_l1_multiplier(V, alpha):
                          r / n)
         delta[done] = 0.0
         slope = 1e-4 * np.real(np.conj(r) * delta)  # Armijo share of Phi's descent rate
-        d = mu - (V * active).sum(axis=0) / np.maximum(k, 1)  # mu - g
-        rho = np.where(k > 0, np.abs(d), 0.0)  # 0: no circle, straight step
-        inv = 1.0 / np.where(rho > 0, rho, np.inf)
-        e = d * inv
+        if np.iscomplexobj(V):
+            d = mu - (V * active).sum(axis=0) / np.maximum(k, 1)  # mu - g
+            rho = np.where(k > 0, np.abs(d), 0.0)  # 0: no circle, straight step
+            inv = 1.0 / np.where(rho > 0, rho, np.inf)
+            e = d * inv
         step = np.ones_like(phi)
         while True:
-            # s = (s_r + i s_t) e; the arc point g + (rho + s_r) e exp(i s_t/rho)
-            # is written as mu + s plus its offset, which is 0 on real data
             s = step * delta
-            s_r, theta = np.real(s * np.conj(e)), np.imag(s * np.conj(e)) * inv
-            t = s - s_r * e  # tangential part i s_t e
-            sinc = np.sinc(theta / np.pi)
-            bend = (-2.0 * np.sin(0.5 * theta) ** 2 * (rho + s_r) * e
-                    + (s_r * inv * sinc + sinc - 1.0) * t)
-            W1, mag1, r1, phi1 = state(mu + s + bend)
+            mu1 = mu + s
+            if np.iscomplexobj(V):
+                # s = (s_r + i s_t) e; the arc point g + (rho + s_r) e exp(i s_t/rho)
+                # is mu + s plus the offset added here
+                s_r, theta = np.real(s * np.conj(e)), np.imag(s * np.conj(e)) * inv
+                t = s - s_r * e  # tangential part i s_t e
+                sinc = np.sinc(theta / np.pi)
+                mu1 += (-2.0 * np.sin(0.5 * theta) ** 2 * (rho + s_r) * e
+                        + (s_r * inv * sinc + sinc - 1.0) * t)
+            W1, mag1, Z1, r1, phi1 = state(mu1)
             ok = (np.abs(r1) < np.abs(r)) | (phi1 <= phi - step * slope)
             if ok.all() or step.min() < 1e-18:  # 60 halvings: below roundoff
                 break
             step = np.where(ok, step, 0.5 * step)
-        mu, W, mag, r, phi = mu + s + bend, W1, mag1, r1, phi1
+        mu, W, mag, Z, r, phi = mu1, W1, mag1, Z1, r1, phi1
     raise SolverError(f"affine-l1 prox multiplier not found in {_PROX_MAX_ITER} Newton steps",
                       residual=float(np.abs(r).max()), iteration=_PROX_MAX_ITER)
 
 
 def _affine_l1_shift(V, alpha, n_l):
-    """V minus the multiplier mu of each (column, block) of the blockwise prox
-    of alpha||.||_1 + {per-block column sums = 1}: the prox is soft(W, alpha)
-    and its active entries are |W| > alpha."""
+    """W = V minus the multiplier mu of each (column, block) of the blockwise
+    prox of alpha||.||_1 + {per-block column sums = 1}, and the prox
+    soft(W, alpha) as the multiplier solve formed it; its active entries are
+    |W| > alpha."""
     blocks = V.reshape(-1, n_l, V.shape[1])  # (M, n_l, cols)
     # every block's columns side by side: one multiplier solve for them all
-    mu = _affine_l1_multiplier(blocks.transpose(1, 0, 2).reshape(n_l, -1), alpha)
-    return (blocks - mu.reshape(len(blocks), 1, -1)).reshape(V.shape)
+    mu, Z = _affine_l1_multiplier(blocks.transpose(1, 0, 2).reshape(n_l, -1), alpha)
+    return ((blocks - mu.reshape(len(blocks), 1, -1)).reshape(V.shape),
+            Z.reshape(n_l, len(blocks), -1).transpose(1, 0, 2).reshape(V.shape))
 
 
 def _snap_affine(Z, n_l):
@@ -539,7 +545,7 @@ def _prox_affine_l1(V, alpha, n_l):
     V stacks M blocks of n_l rows; the affine equality is handled by one
     scalar multiplier per (column, block).  The result is snapped to exact
     feasibility."""
-    return _snap_affine(soft_threshold(_affine_l1_shift(V, alpha, n_l), alpha), n_l)
+    return _snap_affine(_affine_l1_shift(V, alpha, n_l)[1], n_l)
 
 
 def _components(x):
@@ -569,12 +575,17 @@ def update_B(X_hat, model: FactorModel, lambda1: float, tau_B: float,
     rule; once Armijo's predicted gain is below roundoff, a step that lowers
     |grad| is taken instead.  The solve returns the last iterate once its
     proximal-gradient residual L||B - prox(B - grad f(B)/L)|| / max(1, ||B||)
-    is <= inner_tol.  If it stops first, after inner_max Newton steps or three
-    Newton steps that made no progress beyond roundoff, it returns each
-    column's least-objective primal point so far, B_hat's if none did better
-    (the objective splits by column), so f(B) <= f(B_hat).  Returns (blocks,
-    stats): the Newton steps taken, the returned point's residual and whether
-    that met inner_tol."""
+    is <= inner_tol.  Every iterate is screened by the certificate
+    ||Pi(P^H grad)|| / max(1, ||B||) >= that residual, grad the dual gradient
+    and Pi removing each block column's mean; the residual itself, one more
+    prox, is evaluated only where the certificate is <= inner_tol, and it
+    decides the stop.  If the solve stops first, after inner_max Newton steps
+    or three Newton steps that lowered neither the certificate nor phi beyond
+    roundoff, it returns each column's least-objective primal point so far,
+    B_hat's if none did better (the objective splits by column), so
+    f(B) <= f(B_hat), and evaluates that point's residual once.  Returns
+    (blocks, stats): the Newton steps taken, the returned point's residual and
+    whether that met inner_tol."""
     dims = model.dims
     n_l, M = dims.n_landmarks, dims.n_kernels
     U, R = np.linalg.qr(np.concatenate([model.factors[m][0] for m in range(M)], axis=1))
@@ -600,8 +611,8 @@ def update_B(X_hat, model: FactorModel, lambda1: float, tau_B: float,
     batch = max(1, _NEWTON_BATCH // (k * r * n * k))  # columns per Newton batch
 
     def state(Z, j=slice(None)):  # b(z), its shifted point, grad phi and phi per column
-        W = _affine_l1_shift(B_hat[:, j] - (P.conj().T @ Z) / tau_B, alpha, n_l)
-        B = _snap_affine(soft_threshold(W, alpha), n_l)
+        W, B = _affine_l1_shift(B_hat[:, j] - (P.conj().T @ Z) / tau_B, alpha, n_l)
+        B = _snap_affine(B, n_l)
         G = P @ B - y[:, j] - Z
         phi = (0.5 * tau_B * _col_sq(B - B_hat[:, j]) + lambda1 * np.abs(B).sum(axis=0)
                + np.real(np.conj(Z) * G).sum(axis=0) + 0.5 * _col_sq(Z))
@@ -614,6 +625,14 @@ def update_B(X_hat, model: FactorModel, lambda1: float, tau_B: float,
         grad = P.conj().T @ F + tau_B * (B - B_hat)
         gap = B - _prox_affine_l1(B - grad / lip, lambda1 / lip, n_l)
         return lip * float(np.linalg.norm(gap)) / max(1.0, float(np.linalg.norm(B)))
+
+    def certificate(B, G):  # >= residual(B, G + Z); G = P B - y - Z at a dual state
+        # -tau_B (b - b_hat) - P^H z is a subgradient of the l1 term plus the
+        # constraint at b = b(z), so b = prox(b - (grad f(b) - P^H G)/L); the
+        # prox is nonexpansive and blind to a constant added to a block column
+        H = (P.conj().T @ G).reshape(M, n_l, cols)
+        H -= H.mean(axis=1, keepdims=True)
+        return float(np.linalg.norm(H)) / max(1.0, float(np.linalg.norm(B)))
 
     def newton_matrices(T):
         # I + P J P^H / tau_B for a batch of columns, from the prox's per-entry
@@ -666,16 +685,19 @@ def update_B(X_hat, model: FactorModel, lambda1: float, tau_B: float,
     it = idle = 0
     least, high = np.inf, phi.copy()
     while True:
-        res, obj = residual(B, G + Z), objective(B, G + Z)
+        F, cert = G + Z, certificate(B, G)
+        # inf: not evaluated.  In roundoff the certificate can pass where the
+        # computed residual cannot; the residual decides
+        res, obj = residual(B, F) if cert <= inner_tol else math.inf, objective(B, F)
         take = np.full(cols, res <= inner_tol) | (obj <= best_obj)
-        best[:, take], best_fit[:, take] = B[:, take], (G + Z)[:, take]
+        best[:, take], best_fit[:, take] = B[:, take], F[:, take]
         best_obj = np.where(take, obj, best_obj)
-        # a Newton step is idle if it neither lowers the least residual nor
+        # a Newton step is idle if it neither lowers the least certificate nor
         # raises some column's phi beyond roundoff above its highest so far;
         # three in a row end the solve, stalled in roundoff
         rose = phi > high + 64 * eps * (1.0 + np.abs(high))
-        idle = 0 if res < least or rose.any() else idle + 1
-        least, high = min(least, res), np.maximum(high, phi)
+        idle = 0 if cert < least or rose.any() else idle + 1
+        least, high = min(least, cert), np.maximum(high, phi)
         if res <= inner_tol or it == inner_max or idle == 3:
             break
         it += 1
@@ -703,7 +725,7 @@ def update_B(X_hat, model: FactorModel, lambda1: float, tau_B: float,
             phi[done] = phi_t[ok]
             pending = pending[~ok]
             step[pending] *= 0.5
-    if not take.all():  # the returned point is not the last iterate
+    if res == math.inf or not take.all():  # the returned point's residual is not known
         res = residual(best, best_fit)
     return np.split(best, M), {"iterations": it, "residual": res, "converged": res <= inner_tol}
 

@@ -363,6 +363,11 @@ def test_criterion_11_determinism(tvgs_run, dmri_run):
           "(timing columns aside)")
 
 
+# B Newton steps over each recovery, recorded when every iterate paid for
+# the exact residual: a stop test that admits fewer iterates adds steps
+RECORDED_B_NEWTON_STEPS = {"tvgs": 267, "dmri": 7}
+
+
 def test_fixture_b_updates_meet_their_tolerance(tvgs_run, dmri_run):
     # every B update of both recoveries reaches inner_tol within its Newton
     # step cap: no cap warning, and the recorded residual is certified
@@ -373,5 +378,7 @@ def test_fixture_b_updates_meet_their_tolerance(tvgs_run, dmri_run):
         assert not capped, f"{name}: {len(capped)} B cap warnings, first {capped[0]!r}"
         assert len(report.b_residual) == report.iterations
         assert max(report.b_residual) <= tol
-        print(f"{name}: {sum(report.b_inner_iters)} Newton steps in "
+        steps = sum(report.b_inner_iters)
+        print(f"{name}: {steps} Newton steps in "
               f"{report.iterations} B updates, worst residual {max(report.b_residual):.2e}")
+        assert steps == RECORDED_B_NEWTON_STEPS[name]

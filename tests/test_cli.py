@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from mkimpute import solver
+from mkimpute import cli, solver
 from mkimpute.cli import main
+from mkimpute.errors import SolverError
 from mkimpute.experiments import make_tvgs_synthetic
 from mkimpute.mri import load_kt
 from mkimpute.sampling import load_mask_csv
@@ -271,3 +272,30 @@ def test_run_with_failed_cells_exits_nonzero_and_names_the_log(tmp_path, capsys,
     clean.write_text(json.dumps(TVGS_SPEC))
     assert main(["run", str(clean), "--output", str(out)]) == 0
     assert not (out / "errors.log").exists()
+
+
+def _strict_json(line):
+    def reject(constant):
+        raise AssertionError(f"{constant} is not JSON")
+    return json.loads(line, parse_constant=reject)
+
+
+@pytest.mark.parametrize("error, iteration, residual", [
+    (SolverError("stalled", residual=np.float64(2.5e-3), iteration=np.int64(4)), 4, 2.5e-3),
+    (SolverError("stalled"), None, None),
+    (SolverError("stalled", residual=float("nan"), iteration=7), 7, None),
+    (SolverError("stalled", residual=float("inf")), None, None),
+])
+def test_solver_error_line_carries_iteration_and_residual(tmp_path, capsys, monkeypatch,
+                                                          error, iteration, residual):
+    def fail(spec, output_dir):
+        raise error
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(TVGS_SPEC))
+    assert main(["run", str(spec_path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert _strict_json(err[0]) == {"error": "SolverError", "message": "stalled",
+                                    "iteration": iteration, "residual": residual}

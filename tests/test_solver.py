@@ -769,7 +769,7 @@ def test_affine_l1_multiplier_matches_exact_real_breakpoint_search():
         if rng.random() < 0.3:
             V[: n // 2 + 1] = V[0]  # ties among the breakpoints
         alpha = 10.0 ** rng.uniform(-8, 4)
-        mu = solver._affine_l1_multiplier(V, alpha)
+        mu, _ = solver._affine_l1_multiplier(V, alpha)
         scale = 1.0 + alpha + np.abs(V).max(axis=0)
         assert np.all(np.abs(mu - _prox_mu_real(V, alpha)) <= 1e-12 * scale)
 
@@ -869,7 +869,7 @@ def test_affine_l1_shift_solves_every_block_in_one_multiplier_call(monkeypatch, 
     n_l, M, cols, alpha = 5, 3, 7, 0.3
     V = _draw(rng, (M * n_l, cols), complex_)
     copy = V.copy()
-    per_block = np.concatenate([Vm - solver._affine_l1_multiplier(Vm, alpha)
+    per_block = np.concatenate([Vm - solver._affine_l1_multiplier(Vm, alpha)[0]
                                 for Vm in np.split(V, M)])
     shapes = []
     multiplier = solver._affine_l1_multiplier
@@ -879,7 +879,7 @@ def test_affine_l1_shift_solves_every_block_in_one_multiplier_call(monkeypatch, 
         return multiplier(W, a)
 
     monkeypatch.setattr(solver, "_affine_l1_multiplier", recording)
-    W = solver._affine_l1_shift(V, alpha, n_l)
+    W, _ = solver._affine_l1_shift(V, alpha, n_l)
     assert shapes == [(n_l, M * cols)]
     assert np.array_equal(V, copy)
     assert np.array_equal(W, per_block)  # every column's rounding is its own
@@ -1537,6 +1537,117 @@ def test_b_update_is_feasible_and_certified(complex_, m_count, depth, n_l, cols,
         ref = dense_b_oracle(X_hat, model, tau)
         bound = 2.0 * stats["residual"] * max(1.0, float(np.linalg.norm(B))) / tau
         assert np.linalg.norm(B - ref) <= bound + 1e-10 * (1.0 + np.linalg.norm(ref))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(complex_=st.booleans(), m_count=st.integers(1, 3), depth=st.integers(1, 2),
+       n_l=st.integers(2, 6), rank_one_first=st.booleans(),
+       ratio=st.one_of(st.just(0.0), st.floats(1e-4, 10.0)), tau=st.floats(1e-2, 10.0),
+       seed=st.integers(0, 2**16))
+def test_b_update_certificate_bounds_the_residual(complex_, m_count, depth, n_l,
+                                                  rank_one_first, ratio, tau, seed):
+    # update_B screens each iterate with c = ||Pi(P^H G)|| / max(1, ||B||)
+    # before it pays for the exact residual.  At a dual state z with prox
+    # input v = b_hat - P^H z / tau, b = prox(v) and P^H G = grad f(b) + tau (v - b):
+    #   -tau (b - b_hat) - P^H z = tau (v - b) is a subgradient of h at b,
+    #   so b = prox_{h/L}(b + tau (v - b)/L) = prox_{h/L}(b - (grad f(b) - P^H G)/L);
+    #   prox_{h/L} is nonexpansive and, as h fixes each block column's sum,
+    #   ignores a constant added to one: L||b - prox_{h/L}(b - grad f(b)/L)|| <= ||Pi(P^H G)||.
+    # Checked, from the dense basis A = U P, at every dual state the solve
+    # forms: its start, every Newton iterate and every line-search trial.  The
+    # columns are independent and the bound holds for each, so one column
+    # serves; with several, a trial holds only the columns still searching.
+    dtype = np.complex128 if complex_ else np.float64
+    rng = np.random.default_rng(seed)
+    dims = ModelDims(7, 1, n_l, m_count, depth, (3,) if depth == 2 else ())
+    model = random_model(dims, seed, dtype)
+    if rank_one_first:
+        for row in model.factors:
+            row[0] = row[0][:, :1] @ row[0][:1, :]
+    X_hat = rng.standard_normal((7, 1)).astype(dtype)
+    if complex_:
+        X_hat = X_hat + 1j * rng.standard_normal((7, 1))
+    B_hat = np.concatenate(model.coeffs, axis=0)
+    lambda1 = ratio * tau * float(np.abs(B_hat).max())
+    inputs, in_residual = [], []
+    shift, prox = solver._affine_l1_shift, solver._prox_affine_l1
+
+    def recording_shift(V, alpha, n):
+        if not in_residual:
+            inputs.append(V.copy())
+        return shift(V, alpha, n)
+
+    def flagged_prox(V, alpha, n):
+        in_residual.append(True)
+        try:
+            return prox(V, alpha, n)
+        finally:
+            in_residual.pop()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_affine_l1_shift", recording_shift)
+        patch.setattr(solver, "_prox_affine_l1", flagged_prox)
+        update_B(X_hat, model, lambda1, tau)
+    A = np.concatenate([block_basis(model, m) for m in range(m_count)], axis=1)
+    lip = np.linalg.norm(A, 2) ** 2 + tau
+    assert len(inputs) >= 1
+    for V in inputs:
+        B = prox(V, lambda1 / tau, n_l)
+        grad = A.conj().T @ (A @ B - X_hat) + tau * (B - B_hat)
+        PhG = (grad + tau * (V - B)).reshape(m_count, n_l, 1)
+        scale = max(1.0, float(np.linalg.norm(B)))
+        cert = float(np.linalg.norm(PhG - PhG.mean(axis=1, keepdims=True))) / scale
+        res = lip * float(np.linalg.norm(B - prox(B - grad / lip, lambda1 / lip, n_l))) / scale
+        assert cert >= res - 1e-12
+        if lambda1 == 0.0:  # the prox is the affine projection: the bound is attained
+            assert abs(cert - res) <= 1e-9 * res + 1e-12
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("ratio", [0.0, 0.5, 5.0])
+def test_b_update_pays_one_exact_residual_per_converged_call(monkeypatch, complex_, ratio):
+    # each dual state (the start and every line-search trial) takes one
+    # multiplier solve and snaps its primal point once; the exact residual
+    # takes one more, once, for the point a converged call returns
+    dtype = np.complex128 if complex_ else np.float64
+    counts = {"multiplier": 0, "states": 0, "residual": 0}
+    in_residual = []
+    multiplier, snap = solver._affine_l1_multiplier, solver._snap_affine
+    prox = solver._prox_affine_l1
+
+    def counting_multiplier(V, alpha):
+        counts["multiplier"] += 1
+        return multiplier(V, alpha)
+
+    def counting_snap(Z, n_l):
+        counts["states"] += not in_residual
+        return snap(Z, n_l)
+
+    def counting_prox(V, alpha, n_l):
+        counts["residual"] += 1
+        in_residual.append(True)
+        try:
+            return prox(V, alpha, n_l)
+        finally:
+            in_residual.pop()
+
+    monkeypatch.setattr(solver, "_affine_l1_multiplier", counting_multiplier)
+    monkeypatch.setattr(solver, "_snap_affine", counting_snap)
+    monkeypatch.setattr(solver, "_prox_affine_l1", counting_prox)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        dims = ModelDims(8, 6, 4, 2, 2, (3,))
+        model = random_model(dims, seed + 90, dtype)
+        X_hat = rng.standard_normal((8, 6)).astype(dtype)
+        if complex_:
+            X_hat = X_hat + 1j * rng.standard_normal((8, 6))
+        lambda1 = ratio * float(np.abs(np.concatenate(model.coeffs)).max())
+        counts.update(multiplier=0, states=0, residual=0)
+        _, stats = update_B(X_hat, model, lambda1, 1.0)
+        assert stats["converged"] and stats["iterations"] >= 1
+        assert counts["residual"] == 1
+        assert counts["states"] >= stats["iterations"] + 1
+        assert counts["multiplier"] == counts["states"] + 1
 
 
 def test_b_update_cap_reports_non_convergence():
