@@ -212,58 +212,38 @@ def _check_kinds(block: dict, defaults: dict, name: str) -> None:
         raise InputError(f"{key!r} in {where} must be {kind}, got {value!r}")
 
 
-def _finite_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 def _kernel_specs_from_config(entries, landmark_points) -> list[KernelSpec]:
     """The kernels the spec's entries describe over the given landmarks;
-    InputError naming entry index and key for an entry that cannot be built:
-    an unknown kind or key, a gaussian without exactly one finite positive
-    width (``sigma``, which may be "median", or ``gamma``), or a polynomial
-    without an integer degree >= 1 or with a non-finite intercept."""
+    InputError led by ``kernel entry {i}`` for an entry that cannot be built.
+    KernelSpec and gaussian_spec check the numbers; the format adds the kind
+    and key names, exactly one of ``sigma`` (which may be "median") and
+    ``gamma`` for a gaussian, and the landmark-mean intercept for a polynomial
+    without one (or with null)."""
     if entries == "default7":
         return default_kernel_dictionary(landmark_points)
     specs = []
     for i, item in enumerate(entries):
-        def fail(key, want):
-            got = repr(item[key]) if key in item else "nothing"
-            return InputError(f"kernel entry {i}: {key!r} must be {want}, got {got}")
-
         kind = item.get("kind")
-        if kind not in _KERNEL_KEYS:
-            raise fail("kind", "'gaussian', 'polynomial' or 'linear'")
-        for key in item:
-            if key != "kind" and key not in _KERNEL_KEYS[kind]:
-                raise InputError(f"kernel entry {i}: a {kind} kernel takes no key {key!r}")
-        if kind == "gaussian":
-            if ("sigma" in item) == ("gamma" in item):
-                raise InputError(
-                    f"kernel entry {i}: a gaussian kernel takes exactly one of "
-                    "'sigma' and 'gamma'"
-                )
-            key = "sigma" if "sigma" in item else "gamma"
-            value = item[key]
-            if key == "sigma" and value == "median":
+        with _stage(f"kernel entry {i}"):
+            if kind not in _KERNEL_KEYS:
+                raise InputError("'kind' must be 'gaussian', 'polynomial' or 'linear', "
+                                 f"got {kind!r}")
+            for key in item:
+                if key != "kind" and key not in _KERNEL_KEYS[kind]:
+                    raise InputError(f"a {kind} kernel takes no key {key!r}")
+            if kind == "gaussian" and ("sigma" in item) == ("gamma" in item):
+                raise InputError("a gaussian kernel takes exactly one of 'sigma' and 'gamma'")
+            if item.get("sigma") == "median":
                 specs.append(median_distance_gaussian(landmark_points))
-                continue
-            if not (_finite_number(value) and value > 0):
-                raise fail(key, "a finite number > 0" + (' or "median"' if key == "sigma" else ""))
-            specs.append(gaussian_spec(value) if key == "sigma"
-                         else KernelSpec("gaussian", gamma=value))
-        elif kind == "polynomial":
-            degree = item.get("degree")
-            if not (type(degree) is int and degree >= 1):
-                raise fail("degree", "an integer >= 1")
-            intercept = item.get("intercept")
-            if intercept is None:
-                intercept = landmark_mean(landmark_points)
-            elif not _finite_number(intercept):
-                raise fail("intercept", "a finite number or null")
-            specs.append(KernelSpec("polynomial", degree=degree, intercept=intercept))
-        else:
-            specs.append(KernelSpec("linear"))
+            elif "sigma" in item:
+                specs.append(gaussian_spec(item["sigma"]))
+            elif kind == "polynomial":
+                intercept = item.get("intercept")
+                if intercept is None:
+                    intercept = landmark_mean(landmark_points)
+                specs.append(KernelSpec(kind, degree=item.get("degree"), intercept=intercept))
+            else:  # a linear kernel, or a gaussian given its gamma
+                specs.append(KernelSpec(**item))
     return specs
 
 
@@ -282,6 +262,8 @@ def resolve_spec(raw: dict) -> dict:
     InputError.  It builds nothing: the sizes a cell's inputs must fit (ratios
     and accelerations, data.modes, graph.k/eps/beta, navigator.delta_t and
     upsilon, landmarks.count, kernels, dims) are checked by ``set_up``."""
+    if not isinstance(raw, dict):
+        raise InputError(f"a spec must be a JSON object, got {raw!r:.40}")
     spec = copy.deepcopy(_DEFAULTS)
     for key, val in raw.items():
         if key not in spec:
@@ -333,6 +315,10 @@ def resolve_spec(raw: dict) -> dict:
     for name in spec["metrics"]:
         if name not in METRICS:
             raise InputError(f"unknown metric {name!r}")
+    ratios = spec["sampling"]["ratios"]
+    if not ratios or len(set(ratios)) < len(ratios):  # a cell and a trace file per ratio
+        what = "sampling ratios" if problem == TVGS else "accelerations"
+        raise InputError(f"sampling.ratios must list one or more distinct {what}, got {ratios}")
     if spec["repeats"] < 1:
         raise InputError("repeats must be at least 1")
     if spec["workers"] < 1:
@@ -616,28 +602,17 @@ def run_experiment(raw_spec: dict, output_dir=None) -> list[dict]:
     else:
         run_one = lambda cell: _run_cell_dmri(spec, data, cell, out_dir)  # noqa: E731
 
-    results: dict[int, list[dict]] = {}
-    notes: dict[int, list[str]] = {}
-    errors: dict[int, str] = {}
-
-    def worker(idx):
-        cell = cells[idx]
-        results[idx], notes[idx], failures = run_one(cell)
-        if failures:  # one line per cell, naming each failed method
-            errors[idx] = f"cell ratio={cell.ratio} repeat={cell.repeat}: " + "; ".join(failures)
-
     with ThreadPoolExecutor(max_workers=spec["workers"]) as pool:
-        list(pool.map(worker, range(len(cells))))
-
-    rows = [row for idx in sorted(results) for row in results[idx]]
+        # each cell's (rows, warning lines, failures), in cell order
+        cell_rows, notes, failures = zip(*pool.map(run_one, cells))
+    rows = [row for part in cell_rows for row in part]
     all_rows = rows + aggregate_rows(rows, spec["methods"], spec["sampling"]["ratios"])
     emit_results(all_rows, out_dir / "results.csv")
-    if errors:
-        with open(out_dir / "errors.log", "w") as fh:
-            for idx in sorted(errors):
-                fh.write(errors[idx] + "\n")
-    lines = [line for idx in sorted(notes) for line in notes[idx]]
-    if lines:
-        with open(out_dir / "warnings.log", "w") as fh:
-            fh.writelines(line + "\n" for line in lines)
+    logs = {"errors.log": [f"cell ratio={cell.ratio} repeat={cell.repeat}: " + "; ".join(failed)
+                           for cell, failed in zip(cells, failures) if failed],
+            "warnings.log": [line for lines in notes for line in lines]}
+    for log, lines in logs.items():
+        if lines:
+            with open(out_dir / log, "w") as fh:
+                fh.writelines(line + "\n" for line in lines)
     return rows

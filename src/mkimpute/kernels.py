@@ -14,6 +14,8 @@ the conversion used throughout is gamma = 1 / (2 * sigma^2).
 
 from __future__ import annotations
 
+import cmath
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,11 @@ POLYNOMIAL = "polynomial"
 _KINDS = (LINEAR, GAUSSIAN, POLYNOMIAL)
 
 
+def _finite(value, kind) -> bool:
+    """Whether value is a finite number of the given numbers ABC, not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool) and cmath.isfinite(value)
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Immutable description of one reproducing kernel.
@@ -37,11 +44,15 @@ class KernelSpec:
     kind : str
         One of ``"linear"``, ``"gaussian"``, ``"polynomial"``.
     gamma : float
-        Gaussian rate, required > 0 for the gaussian kind.
+        Gaussian rate, a finite number > 0.
     degree : int
-        Polynomial degree r >= 1.
+        Polynomial degree r, an integer >= 1.
     intercept : float or complex
-        Polynomial intercept c.
+        Polynomial intercept c, a finite real or complex number.
+
+    Every field is checked whatever the kind, and a bool is no number: a
+    value out of range raises InputError, its message led by the quoted
+    field name.
     """
 
     kind: str
@@ -52,16 +63,20 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InputError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == GAUSSIAN and not self.gamma > 0:
-            raise InputError(f"gaussian kernel needs gamma > 0, got {self.gamma}")
-        if self.kind == POLYNOMIAL and self.degree < 1:
-            raise InputError(f"polynomial kernel needs degree >= 1, got {self.degree}")
+        if not (_finite(self.gamma, numbers.Real) and self.gamma > 0):
+            raise InputError(f"'gamma' must be a finite number > 0, got {self.gamma!r}")
+        if not (_finite(self.degree, numbers.Integral) and self.degree >= 1):
+            raise InputError(f"'degree' must be an integer >= 1, got {self.degree!r}")
+        if not _finite(self.intercept, numbers.Number):
+            raise InputError("'intercept' must be a finite real or complex number, "
+                             f"got {self.intercept!r}")
 
 
 def gaussian_spec(sigma: float) -> KernelSpec:
-    """Gaussian kernel from a width sigma, via gamma = 1 / (2 sigma^2)."""
-    if not sigma > 0:
-        raise InputError(f"sigma must be positive, got {sigma}")
+    """Gaussian kernel from a width sigma, a finite number > 0, via
+    gamma = 1 / (2 sigma^2)."""
+    if not (_finite(sigma, numbers.Real) and sigma > 0):
+        raise InputError(f"'sigma' must be a finite number > 0, got {sigma!r}")
     return KernelSpec(GAUSSIAN, gamma=1.0 / (2.0 * sigma**2))
 
 

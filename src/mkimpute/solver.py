@@ -201,7 +201,11 @@ def free_band_factor(pattern, graph: GraphOperators, lambda_L, tau_X):
     Row k of band column c is A_ff[c + k, c]; each step's columns are
     formed from S and DD^T, which are only read, and the band is factored in
     place.  A failed factorization, of an indefinite or non-finite
-    operator, raises SolverError."""
+    operator, raises SolverError; data of another shape than the graph's
+    nodes x time steps, InputError."""
+    if pattern.mask.shape != (graph.L.shape[0], graph.delta.shape[0]):
+        raise InputError(f"data of shape {pattern.mask.shape} on a graph of "
+                         f"{graph.L.shape[0]} nodes x {graph.delta.shape[0]} time steps")
     times, nodes = np.nonzero(~pattern.mask.T)  # by time step
     n_free = len(nodes)
     if lambda_L == 0.0 or n_free == 0:
@@ -990,10 +994,6 @@ def solve(problem, Y, pattern: SamplingPattern, operators, landmarks: LandmarkSe
     Returns (X, model, report)."""
     _, frame_dims = _problem_operators(problem, operators)
     S_y = apply_sampling(pattern, Y)
-    if len(kernel_specs) != dims.n_kernels:
-        raise InputError(
-            f"{dims.n_kernels} kernels declared but {len(kernel_specs)} specs given"
-        )
     if landmarks.count != dims.n_landmarks:
         raise InputError(
             f"landmark set has {landmarks.count} points, dims expect {dims.n_landmarks}"

@@ -62,6 +62,20 @@ def test_baselines_reject_data_of_another_shape(method, rows, cols):
                      SolverConfig(outer_iters=1))
 
 
+@pytest.mark.parametrize("lambda_L", [0.1, 0.0])
+@pytest.mark.parametrize("nodes, times", [(9, 12), (11, 12), (10, 11), (10, 13)])
+@pytest.mark.parametrize("method", [baselines.MMF, baselines.NBP, baselines.KRG, baselines.KGL])
+def test_graph_baselines_reject_a_graph_of_another_shape(method, nodes, times, lambda_L):
+    # more rows than nodes gave an IndexError from free_band_factor, another
+    # column count a matmul ValueError from the X update
+    Y, pattern, _ = _toy_problem()  # 10 x 12
+    graph = build_graph_operators(np.random.default_rng(1).random((2, nodes)), 3, 0.2, 1.0, times)
+    config = SolverConfig(lambda_L=lambda_L, outer_iters=1)
+    with pytest.raises(InputError, match=rf"data of shape \(10, 12\) on a graph of "
+                                         rf"{nodes} nodes x {times} time steps"):
+        run_baseline(BaselineSpec(method, rank=2), Y, pattern, graph, config)
+
+
 def test_mean_fill():
     Y, pattern, _ = _toy_problem(1)
     X = mean_fill(Y, pattern)

@@ -157,6 +157,28 @@ def test_validate_non_finite_solver_value_is_one_json_line(tmp_path, capsys, key
     assert f"{key} must be finite" in payload["message"]
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"tvgs"', "null"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_spec_that_is_not_an_object_is_one_json_line(tmp_path, capsys, command, text):
+    # such a spec ended both commands in an AttributeError traceback
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(text)
+    extra = ["--output", str(tmp_path / "out")] if command == "run" else []
+    assert main([command, str(spec_path), *extra]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0], parse_constant=_no_constant)
+    assert payload["error"] == "InputError"
+    assert payload["message"].startswith("a spec must be a JSON object")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("fields, key", [
     ({"kernels": [{"kind": "polynomial"}]}, "degree"),
     ({"data": {"source": "synthetic", "seed": -1}}, "seed"),

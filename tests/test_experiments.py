@@ -372,6 +372,28 @@ def test_resolve_spec_rejects_values_of_the_wrong_type(fields, key):
         resolve_spec({"problem": "tvgs", **fields})
 
 
+@pytest.mark.parametrize("problem, sampling, what", [
+    ("tvgs", {"kind": "p1", "ratios": [0.4, 0.4]}, "sampling ratios"),
+    ("tvgs", {"kind": "p2", "ratios": [0.3, 0.5, 0.3]}, "sampling ratios"),
+    ("tvgs", {"kind": "p1", "ratios": [1, 1.0]}, "sampling ratios"),
+    ("tvgs", {"kind": "p1", "ratios": []}, "sampling ratios"),
+    ("dmri", {"kind": "radial", "ratios": [4.0, 4.0]}, "accelerations"),
+    ("dmri", {"kind": "cartesian", "ratios": []}, "accelerations"),
+])
+def test_resolve_spec_rejects_repeated_or_empty_ratios(tmp_path, problem, sampling, what):
+    # a repeated ratio ran two cells writing one trace file and put every
+    # mean row twice in results.csv; no ratio completed 0 runs and exited 0
+    data = {"source": "synthetic" if problem == "tvgs" else "phantom"}
+    raw = {"problem": problem, "data": data, "sampling": sampling, "methods": ["zero-fill"]}
+    message = (rf"sampling.ratios must list one or more distinct {what}, "
+               rf"got \[{', '.join(map(str, sampling['ratios']))}\]$")
+    with pytest.raises(InputError, match=message):
+        resolve_spec(raw)
+    with pytest.raises(InputError, match=message):
+        run_experiment(raw, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_resolve_spec_accepts_numbers_and_null_where_defaults_allow():
     resolved = resolve_spec({"problem": "tvgs", "solver": {"lambda1": 1, "cg_max": None},
                              "graph": {"eps": 1}})

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -188,3 +190,56 @@ def test_median_distance_gaussian_matches_the_pairwise_loop():
             1.0 / (2.0 * sigma**2), rel=1e-14), name
     assert median_distance_gaussian(real[:, :1]).gamma == 0.5  # sigma = 1
     assert median_distance_gaussian(cases["duplicates"]).gamma == 0.5
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gamma", float("inf")), ("gamma", float("nan")), ("gamma", 0), ("gamma", "median"),
+    ("gamma", True),
+    ("sigma", float("inf")), ("sigma", 0), ("sigma", "wide"),
+    ("degree", 0), ("degree", 1.5), ("degree", True), ("degree", None),
+    ("intercept", float("nan")), ("intercept", float("inf")), ("intercept", "x"),
+    ("intercept", complex(1.0, float("nan"))),
+])
+def test_kernel_spec_rejects_a_bad_number_naming_the_field(field, value):
+    # gamma = inf gave a NaN kernel and a NaN intercept a non-finite one;
+    # degree 2.5 or True, and a bool gamma, were taken as numbers
+    with pytest.raises(InputError, match=f"^'{field}' must be"):
+        if field == "sigma":
+            gaussian_spec(value)
+        else:
+            KernelSpec("gaussian" if field == "gamma" else "polynomial", **{field: value})
+
+
+def _complex_points():
+    rng = np.random.default_rng(4)
+    return 0.3 * (rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7)))
+
+
+ACCEPTED_SPECS = {
+    "gamma float32": lambda pts: KernelSpec("gaussian", gamma=np.float32(0.5)),
+    "gamma int64": lambda pts: KernelSpec("gaussian", gamma=np.int64(2)),
+    "sigma float64": lambda pts: gaussian_spec(np.float64(0.4)),
+    "sigma int32": lambda pts: gaussian_spec(np.int32(1)),
+    "degree int64": lambda pts: KernelSpec("polynomial", degree=np.int64(3), intercept=0.5),
+    "degree uint8": lambda pts: KernelSpec("polynomial", degree=np.uint8(2),
+                                           intercept=np.float32(-1.0)),
+    "complex intercept": lambda pts: KernelSpec("polynomial", degree=2, intercept=0.5 - 0.25j),
+    "numpy complex intercept": lambda pts: KernelSpec("polynomial", degree=np.int32(4),
+                                                      intercept=np.complex128(1 + 1j)),
+    "int intercept": lambda pts: KernelSpec("polynomial", degree=1, intercept=np.int64(2)),
+    "linear": lambda pts: KernelSpec("linear"),
+    "landmark-mean intercept": lambda pts: default_kernel_dictionary(pts)[6],
+}
+
+
+@pytest.mark.parametrize("name", ACCEPTED_SPECS)
+def test_kernel_spec_accepts_numpy_numbers_and_builds_a_finite_kernel(name):
+    # the dmri landmark mean is complex; a spec KernelSpec accepts builds a
+    # kernel matrix with finite entries and no warning
+    pts = _complex_points()
+    for points in (pts.real, pts):
+        spec = ACCEPTED_SPECS[name](points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            km = build_kernel_matrix(points, spec)
+        assert km.shape == (7, 7) and np.all(np.isfinite(km)), name

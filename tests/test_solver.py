@@ -1447,6 +1447,9 @@ def test_solve_rejects_mismatched_dims():
     dims = ModelDims(12, 20, 6, 1, 2, (3,))  # landmark count mismatch
     with pytest.raises(InputError):
         solve(TVGS, Y, pattern, graph, lmk, [gaussian_spec(1.0)], dims, SolverConfig())
+    dims = ModelDims(12, 20, 5, 2, 2, (3,))  # kernel count mismatch, checked by init_factors
+    with pytest.raises(InputError, match="expected 2 kernel matrices, got 1"):
+        solve(TVGS, Y, pattern, graph, lmk, [gaussian_spec(1.0)], dims, SolverConfig())
 
 
 def _engine_inputs(problem):
@@ -1457,6 +1460,19 @@ def _engine_inputs(problem):
         lmk = _landmarks_from(Y, pattern, 6)
         return Y, pattern, graph, lmk, [gaussian_spec(1.0)], ModelDims(12, 20, 6, 1, 2, (3,))
     return (*_small_dmri_problem(), ModelDims(256, 8, 6, 1, 2, (3,)))
+
+
+@pytest.mark.parametrize("lambda_L", [0.1, 0.0])
+@pytest.mark.parametrize("nodes, times", [(11, 20), (13, 20), (12, 19), (12, 21)])
+def test_solve_rejects_a_graph_of_another_shape(nodes, times, lambda_L):
+    # more rows than nodes gave an IndexError from free_band_factor, another
+    # column count a matmul ValueError from the X update
+    Y, pattern, _, lmk, specs, dims = _engine_inputs(TVGS)  # 12 x 20
+    _, _, graph = _ring_problem(nodes, times)
+    config = SolverConfig(lambda_L=lambda_L, outer_iters=1)
+    with pytest.raises(InputError, match=rf"data of shape \(12, 20\) on a graph of "
+                                         rf"{nodes} nodes x {times} time steps"):
+        solve(TVGS, Y, pattern, graph, lmk, specs, dims, config)
 
 
 @pytest.mark.parametrize("problem", [TVGS, DMRI])
