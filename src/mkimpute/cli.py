@@ -22,7 +22,12 @@ from .sampling import cartesian_mask, radial_mask, sample_p1, sample_p2, save_ma
 
 def _load_spec(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:  # an integer of more digits than int() converts
+            raise InputError(f"spec {path}: {exc}") from None
 
 
 def _cmd_run(args) -> int:

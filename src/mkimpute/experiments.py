@@ -12,6 +12,7 @@ import copy
 import dataclasses
 import json
 import math
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -197,9 +198,21 @@ def _check_keys(block: dict, allowed, name: str) -> None:
         raise InputError(f"unknown key {unknown[0]!r} in the {name!r} block")
 
 
+def _beyond_floats(value) -> bool:
+    """Whether value, or an item of a list value, is an integer beyond the
+    float range: a number field cannot convert it, and a count field would
+    enumerate it without end."""
+    if isinstance(value, list):
+        return any(map(_beyond_floats, value))
+    return isinstance(value, int) and abs(value) > sys.float_info.max
+
+
 def _check_kinds(block: dict, defaults: dict, name: str) -> None:
     """InputError naming block and key for a value its field does not take."""
+    where = "the spec" if name == "spec" else f"the {name!r} block"
     for key, value in block.items():
+        if _beyond_floats(value):
+            raise InputError(f"{key!r} in {where} holds an integer beyond the float range")
         example, *exact = _KINDS.get(name, {}).get(key, (defaults.get(key),))
         if example is None or value in exact or _kind_ok(value, example):
             continue  # a None default without a _KINDS entry is checked later
@@ -208,7 +221,6 @@ def _check_kinds(block: dict, defaults: dict, name: str) -> None:
         else:
             kind = _KIND_NAMES[type(example)]
         kind = ", or ".join([kind, *("null" if x is None else json.dumps(x) for x in exact)])
-        where = "the spec" if name == "spec" else f"the {name!r} block"
         raise InputError(f"{key!r} in {where} must be {kind}, got {value!r}")
 
 

@@ -31,8 +31,14 @@ _KINDS = (LINEAR, GAUSSIAN, POLYNOMIAL)
 
 
 def _finite(value, kind) -> bool:
-    """Whether value is a finite number of the given numbers ABC, not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool) and cmath.isfinite(value)
+    """Whether value is a finite number of the given numbers ABC, not a bool;
+    an integer beyond the float range is not."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        return False
+    try:
+        return cmath.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)

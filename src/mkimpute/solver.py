@@ -100,25 +100,45 @@ class SolveReport:
 # preconditioned conjugate gradient and the Sylvester solve
 # ---------------------------------------------------------------------------
 
-def _pcg(apply_op, b, x0, tol, max_iter, precond):
+def _pcg(apply_op, b, x0, tol, max_iter, precond, name="CG"):
     """CG for a Hermitian positive definite operator on arrays of b's shape,
     preconditioned by the Hermitian positive definite map ``precond``.  Runs
     until the relative residual sqrt(r^H M r / b^H M b) is at most tol, M the
     preconditioner, or for max_iter steps.  The iterates are updated in place
-    in arrays CG owns; b and x0 are not written.  Returns (x, relative
-    residual, iterations)."""
+    in arrays CG owns; b and x0 are not written.  Raises SolverError, led by
+    ``name``, if it stops above tol or at a non-finite residual, or once
+    r^H M r < 0 or p^H A p <= 0 shows M or the operator A not positive
+    definite (as roundoff can make an ill-conditioned M).  Returns (x,
+    relative residual, iterations)."""
     x = x0.copy()
     r = b - apply_op(x)
     z = precond(r)
     p = z.copy()
     rz = float(np.vdot(r, z).real)
-    b_norm = math.sqrt(float(np.vdot(b, precond(b)).real))
-    if b_norm == 0.0:
+    b_sq = float(np.vdot(b, precond(b)).real)
+    if b_sq == 0.0:
         return np.zeros_like(b), 0.0, 0
-    it = 0
-    while math.sqrt(rz) / b_norm > tol and it < max_iter:
+    it, res = 0, math.nan
+
+    def indefinite(what, value):
+        return SolverError(f"{name} stopped after {it} iterations at {what} = {value:.3e}: "
+                           "the operator or its preconditioner is not positive definite",
+                           residual=res, iteration=it)
+
+    if b_sq < 0.0:
+        raise indefinite("b^H M b", b_sq)
+    b_norm = math.sqrt(b_sq)
+    while True:
+        if rz < 0.0:
+            raise indefinite("r^H M r", rz)
+        res = math.sqrt(rz) / b_norm
+        if not (res > tol and it < max_iter):  # a NaN residual stops too
+            break
         Ap = apply_op(p)
-        alpha = rz / float(np.vdot(p, Ap).real)
+        pAp = float(np.vdot(p, Ap).real)
+        if not pAp > 0.0:
+            raise indefinite("p^H A p", pAp)
+        alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
         z = precond(r)
@@ -127,7 +147,10 @@ def _pcg(apply_op, b, x0, tol, max_iter, precond):
         p += z
         rz = rz_new
         it += 1
-    return x, math.sqrt(rz) / b_norm, it
+    if not res <= tol:
+        raise SolverError(f"{name} stalled at relative residual {res:.3e} after {it} iterations",
+                          residual=res, iteration=it)
+    return x, res, it
 
 
 def _sylvester_pd(G_eig, H_eig, c):
@@ -215,20 +238,21 @@ def free_band_factor(pattern, graph: GraphOperators, lambda_L, tau_X):
     if 8 * width * n_free > BAND_BYTE_CAP:
         return None
     S, _, ddt, _ = graph.smoothness()
-    band = np.empty((width, n_free), order="F")  # the layout dpbtrf factors in place
+    band = np.zeros((width, n_free), order="F")  # the layout dpbtrf factors in place
+    # A_ff[r, c] = band[r - c, c] for r >= c; above the diagonal the view
+    # aliases earlier columns' band rows, so only the lower triangle of a
+    # diagonal block is written
+    A = as_strided(band, (n_free, n_free), (8, 8 * (width - 1)))
+    tri = np.tri(counts.max(), dtype=bool)
     ends = np.cumsum(counts)
     for t in np.flatnonzero(counts):
         lo, hi = ends[t] - counts[t], ends[t]
-        below = ends[min(t + 1, len(counts) - 1)]  # the entries of steps t and t+1
-        # A_ff[lo:below, lo:hi], zero-padded so that every column has width
-        # rows from its diagonal down; a sheared view reads band row k of
-        # column c at panel[c + k, c]
-        panel = np.zeros((hi - lo + width, hi - lo))
-        panel[: below - lo] = (S[np.ix_(nodes[lo:below], nodes[lo:hi])]
-                               * (lambda_L * ddt[times[lo:below], t])[:, None])
-        step = panel.strides[0]
-        band[:, lo:hi] = as_strided(panel, (width, hi - lo), (step, step + panel.strides[1]),
-                                    writeable=False)
+        S_t = S.take(nodes[lo:hi], axis=1)
+        np.copyto(A[lo:hi, lo:hi], S_t.take(nodes[lo:hi], axis=0) * (lambda_L * ddt[t, t]),
+                  where=tri[: hi - lo, : hi - lo])
+        if t + 1 < len(counts):
+            below = ends[t + 1]
+            A[hi:below, lo:hi] = S_t.take(nodes[hi:below], axis=0) * (lambda_L * ddt[t + 1, t])
     band[0] += 1.0 + tau_X
     band, info = dpbtrf(band, lower=1, overwrite_ab=1)
     if info != 0:
@@ -289,12 +313,7 @@ def consistent_smooth_solve(Y, pattern, target, X_prev, graph: GraphOperators, l
 
         if cg_max is None:
             cg_max = _cg_cap(lambda_L * s[-1] * d[-1], tau_X, cg_tol, int(keep.sum()))
-        V, res, iters = _pcg(apply_op, b, x0, cg_tol, cg_max, precond)
-    if not res <= cg_tol:  # also catches a NaN residual
-        raise SolverError(
-            f"X-update CG stalled at relative residual {res:.3e} after {iters} iterations",
-            residual=res, iteration=iters,
-        )
+        V, _, iters = _pcg(apply_op, b, x0, cg_tol, cg_max, precond, "X-update CG")
     V += S_y  # V is zero on the observed entries
     return V, iters
 
@@ -385,12 +404,8 @@ def chain_link_solve(lefts, rights, X_hat, D_hats, c, tau, eigs=None):
     def apply_op(V):
         return (G @ V[None] @ H).sum(axis=1) + c * V
 
-    D, res, iters = _pcg(apply_op, C, precond(C), _D_CG_TOL, 2 * M * p * r, precond)
-    if not res <= _D_CG_TOL:  # also catches a NaN residual
-        raise SolverError(
-            f"factor-update CG stalled at relative residual {res:.3e} after {iters} iterations",
-            residual=res, iteration=iters,
-        )
+    D, _, _ = _pcg(apply_op, C, precond(C), _D_CG_TOL, 2 * M * p * r, precond,
+                   "factor-update CG")
     return list(D)
 
 
@@ -574,10 +589,16 @@ def update_B(X_hat, model: FactorModel, lambda1: float, tau_B: float,
     (Li, Sun & Toh, SIAM J. Optim. 28(1), 2018), with primal point
     b(z) = prox(b_hat - P^H z / tau_B) (the prox of lambda1/tau_B ||.||_1
     and the constraint, so every iterate is exactly feasible) and gradient
-    P b(z) - U^H x - z.  Newton steps solve (I + P J P^H / tau_B) d = grad
-    per column, J the prox's generalized Jacobian, and backtrack to Armijo's
-    rule; once Armijo's predicted gain is below roundoff, a step that lowers
-    |grad| is taken instead.  The solve returns the last iterate once its
+    P b(z) - U^H x - z.  Newton converges fast only near the solution, so
+    for lambda1 > 0 the dual starts at z = P b_0 - U^H x, b_0 the lambda1 = 0
+    minimiser (the affine-constrained ridge, solved directly).  At
+    lambda1 = 0, b_0 is the answer, but the start stays z = P b_hat - U^H x:
+    the direct answer moves the roundoff-chaotic trajectory of badly scaled
+    multi-kernel runs, so that switch waits until their kernels are scaled.
+    Newton steps solve (I + P J P^H / tau_B) d = grad per column, J the
+    prox's generalized Jacobian, and backtrack to Armijo's rule; once
+    Armijo's predicted gain is below roundoff, a step that lowers |grad| is
+    taken instead.  The solve returns the last iterate once its
     proximal-gradient residual L||B - prox(B - grad f(B)/L)|| / max(1, ||B||)
     is <= inner_tol.  Every iterate is screened by the certificate
     ||Pi(P^H grad)|| / max(1, ||B||) >= that residual, grad the dual gradient
@@ -638,6 +659,20 @@ def update_B(X_hat, model: FactorModel, lambda1: float, tau_B: float,
         H -= H.mean(axis=1, keepdims=True)
         return float(np.linalg.norm(H)) / max(1.0, float(np.linalg.norm(B)))
 
+    def ridge_start():
+        # argmin 1/2||y - P B||^2 + tau_B/2||B - B_hat||^2 with every block
+        # column summing to 1: (P^H P + tau_B I)^-1 by Woodbury on the r x r
+        # matrix tau_B I + P P^H, applied once to [P^H y + tau_B B_hat | E^T],
+        # E the block sums; then the M x M Schur complement
+        # E (P^H P + tau_B I)^-1 E^T for the block-sum multipliers
+        Ph = P.conj().T
+        rhs = np.concatenate([Ph @ y + tau_B * B_hat, np.repeat(np.eye(M), n_l, axis=0)], axis=1)
+        sol = rhs - Ph @ np.linalg.solve(tau_B * np.eye(r) + P @ Ph, P @ rhs)
+        sol /= tau_B
+        free, W = sol[:, :-M], sol[:, -M:]
+        sums = free.reshape(M, n_l, cols).sum(axis=1) - 1.0
+        return free - W @ np.linalg.solve(W.reshape(M, n_l, M).sum(axis=1), sums)
+
     def newton_matrices(T):
         # I + P J P^H / tau_B for a batch of columns, from the prox's per-entry
         # Jacobian blocks T (b, n, k, k): the sum of P~ T P~^T over the
@@ -677,7 +712,8 @@ def update_B(X_hat, model: FactorModel, lambda1: float, tau_B: float,
             d[j] = np.linalg.solve(newton_matrices(T[j]), g[:, j].T[..., None])[..., 0]
         return d.T
 
-    Z, B, W, G, phi = state(P @ B_hat - y)
+    start = B_hat if lambda1 == 0.0 else ridge_start()  # see the docstring
+    Z, B, W, G, phi = state(P @ start - y)
     # the returned point: the last iterate once it meets inner_tol, else each
     # column's least-objective primal point so far, from B_hat (feasible) on,
     # with its fit P B - y.  Near the solution the objective cannot rank the

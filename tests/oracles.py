@@ -12,6 +12,8 @@ update wrapper live here too: they exist only to verify the engine.
 import copy
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg.lapack import dpbtrf
 
 from mkimpute.errors import InputError, SolverError
 from mkimpute.graphs import build_graph_operators
@@ -54,6 +56,36 @@ def dense_x_oracle(Y, mask, target, X_prev, L_sob, delta, lam_l, tau):
     out = S_y.astype(np.result_type(S_y.dtype, u.dtype)).ravel(order="F")
     out[fidx] = u
     return out.reshape(Y.shape, order="F")
+
+
+def band_factor_reference(pattern, graph, lambda_L, tau_X):
+    """The band of free_band_factor, assembled one time step at a time: each
+    step's columns of A_ff cut out of S with np.ix_, zero-padded to the band's
+    width below the diagonal and read through a sheared view; then factored
+    by dpbtrf.  Returns the factored band, None where free_band_factor
+    returns None for want of smoothing or a free entry."""
+    times, nodes = np.nonzero(~pattern.mask.T)
+    n_free = len(nodes)
+    if lambda_L == 0.0 or n_free == 0:
+        return None
+    counts = np.bincount(times, minlength=pattern.mask.shape[1])
+    width = int((counts + np.append(counts[1:], 0)).max())
+    S, _, ddt, _ = graph.smoothness()
+    band = np.empty((width, n_free), order="F")
+    ends = np.cumsum(counts)
+    for t in np.flatnonzero(counts):
+        lo, hi = ends[t] - counts[t], ends[t]
+        below = ends[min(t + 1, len(counts) - 1)]  # the entries of steps t and t+1
+        panel = np.zeros((hi - lo + width, hi - lo))
+        panel[: below - lo] = (S[np.ix_(nodes[lo:below], nodes[lo:hi])]
+                               * (lambda_L * ddt[times[lo:below], t])[:, None])
+        step = panel.strides[0]
+        band[:, lo:hi] = as_strided(panel, (width, hi - lo), (step, step + panel.strides[1]),
+                                    writeable=False)
+    band[0] += 1.0 + tau_X
+    band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    assert info == 0
+    return band
 
 
 def _supermatrix_wings(model, q_index):

@@ -157,6 +157,27 @@ def test_validate_non_finite_solver_value_is_one_json_line(tmp_path, capsys, key
     assert f"{key} must be finite" in payload["message"]
 
 
+_HUGE = "1" + "0" * 400  # beyond the float range
+
+
+@pytest.mark.parametrize("field, what", [
+    (f'"kernels": [{{"kind": "gaussian", "sigma": {_HUGE}}}]', "kernel entry 0: 'sigma' must be"),
+    (f'"repeats": {_HUGE}', "'repeats' in the spec holds an integer beyond the float range"),
+    ('"repeats": 5' + "0" * 5000, "Exceeds the limit"),  # more digits than int() converts
+], ids=["sigma", "repeats", "repeats-5001-digits"])
+def test_validate_rejects_integers_beyond_the_float_range(tmp_path, capsys, field, what):
+    # a kernel's number ended validate in an OverflowError traceback; as
+    # repeats, validate enumerated the cells until it was killed
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(f'{{"problem": "tvgs", {field}}}')
+    assert main(["validate", str(spec_path)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    payload = json.loads(line, parse_constant=_no_constant)
+    assert payload["error"] == "InputError" and what in payload["message"]
+
+
 def _no_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 

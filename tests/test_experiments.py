@@ -325,7 +325,9 @@ def test_errors_log_says_where_a_solver_stopped(tmp_path, monkeypatch):
 
 def test_solver_warnings_reach_warnings_log(tmp_path):
     spec = json.loads(json.dumps(TVGS_SPEC))
-    spec["solver"]["inner_max"] = 1  # one Newton step: the B update hits its cap
+    # started at the lambda1 = 0 minimiser, one Newton step meets the default
+    # inner_tol: a tolerance in roundoff makes the B update hit its cap of one step
+    spec["solver"].update(inner_max=1, inner_tol=1e-15)
     rows = run_experiment(spec, output_dir=tmp_path)
     lines = (tmp_path / "warnings.log").read_text().splitlines()
     assert len(rows) == 2 and len(lines) == 8  # mlkr warns in each of its 8 iterations

@@ -199,6 +199,9 @@ def test_median_distance_gaussian_matches_the_pairwise_loop():
     ("degree", 0), ("degree", 1.5), ("degree", True), ("degree", None),
     ("intercept", float("nan")), ("intercept", float("inf")), ("intercept", "x"),
     ("intercept", complex(1.0, float("nan"))),
+    # integers beyond the float range gave an OverflowError
+    *(pytest.param(field, 10**400, id=f"{field}-10**400")
+      for field in ("gamma", "sigma", "intercept")),
 ])
 def test_kernel_spec_rejects_a_bad_number_naming_the_field(field, value):
     # gamma = inf gave a NaN kernel and a NaN intercept a non-finite one;

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 import threading
 
@@ -33,6 +34,7 @@ from mkimpute.solver import (
 
 from oracles import (
     _prox_mu_real,
+    band_factor_reference,
     b_subtask_smooth_gradient,
     block_basis,
     d_subtask_gradient,
@@ -248,6 +250,23 @@ def test_band_x_update_matches_dense_oracle_on_edge_masks(kind, complex_):
         ref = dense_x_oracle(Y, mask, target, X_prev, graph.L_sobolev, graph.delta, 0.6, 0.4)
         assert steps == 0 and np.array_equal(X[mask], Y[mask])
         assert _rel(X, ref) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["random", "p2", "one step", "ends"])
+def test_band_factor_bytes_match_per_step_assembly(kind):
+    # the band is written through one sheared view of the whole band; the
+    # per-step assembly of the oracle gives the same bytes, on masks whose
+    # steps hold some, all or none of the free entries
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n, t = 7 + seed, 6 + seed % 3
+        mask = rng.random((n, t)) < 0.3 + 0.1 * seed if kind == "random" else (
+            _edge_mask(kind, n, t, rng))
+        pattern, graph = SamplingPattern(mask), _graph(n, t, seed=seed)
+        band = solver.free_band_factor(pattern, graph, 0.6, 0.4)
+        ref = band_factor_reference(pattern, graph, 0.6, 0.4)
+        assert band.band.shape == ref.shape
+        assert band.band.tobytes() == ref.tobytes()
 
 
 def test_band_size_rule(monkeypatch):
@@ -652,6 +671,37 @@ def test_b_update_no_l1_matches_kkt_oracle(dtype, m_count):
     ref = dense_b_oracle(X_hat, model, 1.0)
     assert stats["converged"]
     assert _rel(got, ref) < 1e-8
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("m_count", [1, 2, 3])
+@pytest.mark.parametrize("rank_one_first", [False, True])
+def test_b_update_dual_starts_at_the_no_l1_minimiser(complex_, m_count, rank_one_first):
+    # for lambda1 > 0 the dual starts at z_0 = P B_0 - y, B_0 the lambda1 = 0
+    # minimiser.  The first prox input is V_0 = B_hat - P^H z_0 / tau, and by
+    # B_0's optimality condition (P^H P + tau I) B_0 + E^H nu = P^H y + tau B_hat,
+    # E the block sums, V_0 = B_0 + E^H nu / tau: B_0 is V_0 with each block
+    # column shifted to sum to 1
+    dtype = np.complex128 if complex_ else np.float64
+    rng = np.random.default_rng(m_count)
+    dims = ModelDims(7, 5, 3, m_count, 2, (2,))
+    model = random_model(dims, m_count + 50, dtype)
+    if rank_one_first:
+        for row in model.factors:
+            row[0] = row[0][:, :1] @ row[0][:1, :]
+    X_hat = _draw(rng, (7, 5), complex_)
+    inputs, shift = [], solver._affine_l1_shift
+
+    def recording_shift(V, alpha, n_l):
+        inputs.append(V.copy())
+        return shift(V, alpha, n_l)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_affine_l1_shift", recording_shift)
+        update_B(X_hat, model, 0.3, 1.0)
+    B_0 = inputs[0].reshape(m_count, 3, 5)
+    B_0 = (B_0 + (1.0 - B_0.sum(axis=1, keepdims=True)) / 3).reshape(-1, 5)
+    assert _rel(B_0, dense_b_oracle(X_hat, model, 1.0)) < 1e-10
 
 
 def test_b_update_feasible_under_heavy_shrinkage():
@@ -1671,7 +1721,9 @@ def test_b_update_cap_reports_non_convergence():
     dims = ModelDims(7, 5, 3, 1, 2, (2,))
     model = random_model(dims, 31)
     X_hat = rng.standard_normal((7, 5))
-    _, stats = update_B(X_hat, model, 0.2, 1.0, inner_tol=1e-14, inner_max=3)
+    # from the lambda1 = 0 minimiser the dual meets 1e-14 in one Newton step;
+    # uncapped, 1e-15 runs 8 steps until it stalls in roundoff
+    _, stats = update_B(X_hat, model, 0.2, 1.0, inner_tol=1e-15, inner_max=3)
     assert not stats["converged"]
     assert stats["iterations"] == 3
 
@@ -1973,6 +2025,33 @@ def test_pcg_leaves_b_and_x0_untouched(complex_):
     _assert_untouched(inputs, copies)
     assert iters > 0 and res <= 1e-12 and x is not inputs["x0"]
     assert _rel(G @ x @ H + 0.5 * x, copies["b"]) <= 1e-10
+
+
+_SIGNS = np.array([[1.0], [-1.0]])
+
+
+@pytest.mark.parametrize("op, precond, at, iteration", [
+    (lambda v: v, lambda r: -r, "b^H M b", 0),  # an indefinite preconditioner
+    (lambda v: -v, lambda r: r, "p^H A p", 0),  # an indefinite operator
+    (lambda v: v, lambda r: _SIGNS * r, "r^H M r", 1),  # b^H M b > 0, then r^H M r < 0
+], ids=["preconditioner", "operator", "preconditioner-later"])
+def test_pcg_raises_typed_error_when_not_positive_definite(op, precond, at, iteration):
+    # roundoff made the coupled factor solve's preconditioner indefinite: a
+    # negative r^H M r then reached math.sqrt as an untyped ValueError
+    b = np.array([[1.0], [0.1]])
+    with pytest.raises(SolverError, match=f"^test CG stopped after {iteration} iterations "
+                       rf"at {re.escape(at)} = -[0-9.e+-]+: the operator or its "
+                       "preconditioner is not positive definite$") as err:
+        solver._pcg(op, b, np.zeros_like(b), 1e-12, 10, precond, "test CG")
+    assert err.value.iteration == iteration
+
+
+def test_pcg_converges_at_a_zero_residual():
+    # r^H M r = 0 at the start is convergence, not a breakdown
+    rng = np.random.default_rng(43)
+    b = rng.standard_normal((4, 3))
+    x, res, iters = solver._pcg(lambda v: 2.0 * v, b, b / 2.0, 1e-12, 10, lambda r: r)
+    assert (res, iters) == (0.0, 0) and np.array_equal(x, b / 2.0)
 
 
 @pytest.mark.parametrize("complex_", [False, True])
