@@ -10,6 +10,12 @@ The gaussian form uses a plain (unconjugated) transpose on the displacement,
 so it may return complex values for complex inputs; on real inputs it reduces
 to exp(-gamma * ||l - l'||^2).  Gaussian widths are commonly quoted as sigma;
 the conversion used throughout is gamma = 1 / (2 * sigma^2).
+
+Linear and polynomial kernel matrices are normalized,
+k(l, l') / sqrt(|k(l, l)| |k(l', l')|) (Shawe-Taylor & Cristianini, Kernel
+Methods for Pattern Analysis, 2004, 5.1), so their diagonal has unit
+magnitude, as a gaussian's has on real landmarks; a landmark with
+k(l, l) = 0 keeps its row and column unscaled.
 """
 
 from __future__ import annotations
@@ -113,22 +119,23 @@ def default_kernel_dictionary(landmarks: np.ndarray) -> list[KernelSpec]:
 
 
 def build_kernel_matrix(landmarks: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Assemble the N_l x N_l matrix with entries k(l_k, l_k').
+    """Assemble the N_l x N_l matrix with entries k(l_k, l_k'), normalized
+    to a unit-magnitude diagonal for the linear and polynomial kinds.
 
     ``landmarks`` holds the points as columns (nu x N_l).
     """
     landmarks = np.atleast_2d(np.asarray(landmarks))
     if landmarks.shape[1] < 1:
         raise InputError("need at least one landmark")
-    gram = landmarks.conj().T @ landmarks  # (k,k') entry = l_k^H l_k'
-    if spec.kind == LINEAR:
-        entries = gram
-    elif spec.kind == POLYNOMIAL:
-        entries = (gram + spec.intercept) ** spec.degree
-    else:
+    if spec.kind == GAUSSIAN:
         # (l - conj(l'))^T (l - conj(l')) expanded to avoid the nu x N_l x N_l
         # displacement tensor:  sum l^2 + sum conj(l')^2 - 2 l^T conj(l')
         sq = np.sum(landmarks * landmarks, axis=0)
         cross = landmarks.T @ np.conj(landmarks)
-        entries = np.exp(-spec.gamma * (sq[:, None] + np.conj(sq)[None, :] - 2.0 * cross))
-    return np.ascontiguousarray(entries)
+        return np.exp(-spec.gamma * (sq[:, None] + np.conj(sq)[None, :] - 2.0 * cross))
+    entries = landmarks.conj().T @ landmarks  # (k,k') entry = l_k^H l_k'
+    if spec.kind == POLYNOMIAL:
+        entries = (entries + spec.intercept) ** spec.degree
+    scale = np.sqrt(np.abs(np.diagonal(entries)))
+    scale[scale == 0.0] = 1.0
+    return entries / np.outer(scale, scale)

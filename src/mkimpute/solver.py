@@ -589,12 +589,12 @@ def update_B(X_hat, model: FactorModel, lambda1: float, tau_B: float,
     (Li, Sun & Toh, SIAM J. Optim. 28(1), 2018), with primal point
     b(z) = prox(b_hat - P^H z / tau_B) (the prox of lambda1/tau_B ||.||_1
     and the constraint, so every iterate is exactly feasible) and gradient
-    P b(z) - U^H x - z.  Newton converges fast only near the solution, so
-    for lambda1 > 0 the dual starts at z = P b_0 - U^H x, b_0 the lambda1 = 0
+    P b(z) - U^H x - z.  The solve first forms b_0, the lambda1 = 0
     minimiser (the affine-constrained ridge, solved directly).  At
-    lambda1 = 0, b_0 is the answer, but the start stays z = P b_hat - U^H x:
-    the direct answer moves the roundoff-chaotic trajectory of badly scaled
-    multi-kernel runs, so that switch waits until their kernels are scaled.
+    lambda1 = 0, b_0 is the answer: its residual (below) is evaluated once,
+    and if that meets inner_tol, b_0 is returned after 0 Newton steps.
+    Otherwise, and for every lambda1 > 0, the dual Newton solve runs; it
+    converges fast only near the solution, so it starts at z = P b_0 - U^H x.
     Newton steps solve (I + P J P^H / tau_B) d = grad per column, J the
     prox's generalized Jacobian, and backtrack to Armijo's rule; once
     Armijo's predicted gain is below roundoff, a step that lowers |grad| is
@@ -627,13 +627,6 @@ def update_B(X_hat, model: FactorModel, lambda1: float, tau_B: float,
     alpha = lambda1 / tau_B
     p_norm = math.sqrt(max(float(np.linalg.eigvalsh(P @ P.conj().T)[-1]), 0.0))
     lip = p_norm ** 2 + tau_B
-
-    # P in real coordinates: Pt[(x, c), i, a] is component c of row x of P
-    # applied to the unit a of entry i (1 or 1j)
-    basis = (1.0, 1j) if np.iscomplexobj(P) else (1.0,)
-    k = len(basis)
-    Pt = np.stack([_components(e * P) for e in basis], axis=-1).reshape(k * r, n, k)
-    batch = max(1, _NEWTON_BATCH // (k * r * n * k))  # columns per Newton batch
 
     def state(Z, j=slice(None)):  # b(z), its shifted point, grad phi and phi per column
         W, B = _affine_l1_shift(B_hat[:, j] - (P.conj().T @ Z) / tau_B, alpha, n_l)
@@ -712,7 +705,19 @@ def update_B(X_hat, model: FactorModel, lambda1: float, tau_B: float,
             d[j] = np.linalg.solve(newton_matrices(T[j]), g[:, j].T[..., None])[..., 0]
         return d.T
 
-    start = B_hat if lambda1 == 0.0 else ridge_start()  # see the docstring
+    start = ridge_start()
+    if lambda1 == 0.0:  # the ridge answer is the minimiser: Newton only if it misses inner_tol
+        B = _snap_affine(start, n_l)
+        res = residual(B, P @ B - y)
+        if res <= inner_tol:
+            return np.split(B, M), {"iterations": 0, "residual": res, "converged": True}
+
+    # P in real coordinates: Pt[(x, c), i, a] is component c of row x of P
+    # applied to the unit a of entry i (1 or 1j)
+    basis = (1.0, 1j) if np.iscomplexobj(P) else (1.0,)
+    k = len(basis)
+    Pt = np.stack([_components(e * P) for e in basis], axis=-1).reshape(k * r, n, k)
+    batch = max(1, _NEWTON_BATCH // (k * r * n * k))  # columns per Newton batch
     Z, B, W, G, phi = state(P @ start - y)
     # the returned point: the last iterate once it meets inner_tol, else each
     # column's least-objective primal point so far, from B_hat (feasible) on,

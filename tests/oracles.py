@@ -10,8 +10,10 @@ update wrapper live here too: they exist only to verify the engine.
 """
 
 import copy
+import math
 
 import numpy as np
+import scipy.linalg
 from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.lapack import dpbtrf
 
@@ -137,6 +139,21 @@ def dense_d_oracle(q_index, X_hat, model, lam, tau):
     return [D[m * p:(m + 1) * p, m * r:(m + 1) * r] for m in range(M)]
 
 
+def dense_chain_link_solve(lefts, rights, X_hat, D_hats, c, tau):
+    """solver.chain_link_solve's coupled minimiser (every block with both
+    wings) from one explicit Kronecker system over the stacked blocks,
+    block (m, m') = (R_m' R_m^H)^T kron L_m^H L_m' (+ c I when m = m'),
+    solved by a dense Cholesky."""
+    M, (p, r) = len(D_hats), D_hats[0].shape
+    A = np.block([[np.kron((rights[b] @ rights[a].conj().T).T,
+                           lefts[a].conj().T @ lefts[b]) + (c if a == b else 0.0) * np.eye(p * r)
+                   for b in range(M)] for a in range(M)])
+    rhs = np.concatenate([(lefts[a].conj().T @ X_hat @ rights[a].conj().T
+                           + tau * D_hats[a]).ravel(order="F") for a in range(M)])
+    u = scipy.linalg.solve(A, rhs, assume_a="pos")
+    return [u[a * p * r:(a + 1) * p * r].reshape(p, r, order="F") for a in range(M)]
+
+
 def tvgs_update_D(q: int, X_hat, model: FactorModel, lambda2: float, tau_D: float):
     """Factor update for 1-based layer index q (spec-facing wrapper)."""
     if not 1 <= q <= model.dims.depth:
@@ -223,18 +240,22 @@ def kron_sylvester(G, H, C, c):
 # ---------------------------------------------------------------------------
 
 def eval_kernel(spec: KernelSpec, l: np.ndarray, l_prime: np.ndarray) -> complex:
-    """Evaluate one kernel on a pair of equal-length vectors."""
+    """Evaluate one kernel on a pair of equal-length vectors.  A linear or
+    polynomial value is normalized, k(l, l') / sqrt(|k(l, l)| |k(l', l')|),
+    with a factor 1 for a point whose k(l, l) is 0."""
     l = np.asarray(l).ravel()
     l_prime = np.asarray(l_prime).ravel()
     if l.shape != l_prime.shape or l.size < 1:
         raise InputError(f"vector length mismatch: {l.shape} vs {l_prime.shape}")
-    if spec.kind == LINEAR:
-        return complex(np.vdot(l, l_prime))
     if spec.kind == GAUSSIAN:
         d = l - np.conj(l_prime)
         return complex(np.exp(-spec.gamma * np.sum(d * d)))
-    d = np.vdot(l, l_prime) + spec.intercept
-    return complex(d**spec.degree)
+
+    def k(a, b):
+        d = np.vdot(a, b)
+        return complex(d if spec.kind == LINEAR else (d + spec.intercept) ** spec.degree)
+
+    return k(l, l_prime) / math.sqrt((abs(k(l, l)) or 1.0) * (abs(k(l_prime, l_prime)) or 1.0))
 
 
 def build_kernel_supermatrix(mats: list[np.ndarray]) -> np.ndarray:

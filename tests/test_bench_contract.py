@@ -46,6 +46,19 @@ def test_traced_counters_read_update_b_stats():
                                "solver.b_cap_hits": 0}
 
 
+def test_traced_counters_read_the_direct_b_answer():
+    # at lambda1 = 0 update_B returns the ridge answer after 0 Newton steps,
+    # with every stats key the traced run reads
+    tracing = _tracing_module()
+    model = init_factors(ModelDims(6, 4, 3, 2, 2, (2,)), 0, np.float64)
+    X_hat = np.random.default_rng(0).standard_normal((6, 4))
+    result = update_B(X_hat, model, 0.0, 1.0)
+    assert {"iterations", "residual", "converged"} <= result[1].keys()
+    tracer = tracing.Tracer()
+    tracing._count_results(tracer, "solver.update_B", result)
+    assert tracer.counters == {"solver.b_inner_iters": 0, "solver.b_cap_hits": 0}
+
+
 def test_traced_counters_read_the_x_update_cg_steps():
     # the traced run counts CG steps from tvgs_update_X's second result, called
     # as the engine calls it: with the model's prediction as its target

@@ -660,3 +660,25 @@ def test_a_validated_spec_fails_in_no_cell_set_up(tmp_path_factory, spec):
     rows = run_experiment(spec, output_dir=out)
     assert not (out / "errors.log").exists(), (out / "errors.log").read_text()
     assert len(rows) == len(spec["sampling"]["ratios"]) * spec["repeats"] * len(spec["methods"])
+
+
+@pytest.mark.parametrize("spec", [
+    # every other field at its default; the coupled factor CG met an
+    # indefinite preconditioner ("p^H A p = -3.364e+01") in every cell
+    pytest.param({"problem": "tvgs", "methods": ["mlkr"], "kernels": "default7"},
+                 id="default7 at the defaults"),
+    # the coupled factor CG stalled at relative residual 1.141e-06 after 700 steps
+    pytest.param({"problem": "tvgs", "data": SMALL_SYNTHETIC,
+                  "sampling": {"kind": "p2", "ratios": [0.5]},
+                  "navigator": {"mode": "nav3", "delta_t": 2},
+                  "landmarks": {"strategy": "kmeans", "count": 10}, "kernels": "default7",
+                  "solver": {"outer_iters": 5}, "methods": ["mlkr"]},
+                 id="default7 at 12x16 p2 nav3 kmeans"),
+])
+def test_default7_specs_write_their_mlkr_row(tmp_path, spec):
+    rows = run_experiment(spec, output_dir=tmp_path)
+    assert not (tmp_path / "errors.log").exists(), (tmp_path / "errors.log").read_text()
+    assert [row["method"] for row in rows] == ["mlkr"]
+    with open(tmp_path / "results.csv", newline="") as fh:
+        written = [(row["method"], row["seed"]) for row in csv.DictReader(fh)]
+    assert written == [("mlkr", "0"), ("mlkr", "mean")]

@@ -1,7 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mkimpute.errors import InputError
 from mkimpute.kernels import (
@@ -15,8 +18,9 @@ from oracles import build_kernel_supermatrix, eval_kernel
 
 
 def test_linear_complex_pair():
+    # l^H l' = 2 - 2j, normalized by sqrt(|l|^2 |l'|^2) = sqrt(2 * 4)
     val = eval_kernel(KernelSpec("linear"), np.array([1 + 1j]), np.array([2.0]))
-    assert val == pytest.approx(2 - 2j)
+    assert val == pytest.approx((2 - 2j) / math.sqrt(8.0))
 
 
 def test_gaussian_zero_displacement():
@@ -25,8 +29,9 @@ def test_gaussian_zero_displacement():
 
 
 def test_polynomial_by_hand():
-    val = eval_kernel(KernelSpec("polynomial", degree=2, intercept=0.0), [1.0, 1.0], [1.0, 1.0])
-    assert val == pytest.approx(4.0)
+    # (l^H l')^2 = 3^2, normalized by sqrt(k(l, l) k(l', l')) = sqrt(2^2 * 5^2)
+    val = eval_kernel(KernelSpec("polynomial", degree=2, intercept=0.0), [1.0, 1.0], [1.0, 2.0])
+    assert val == pytest.approx(0.9)
 
 
 def test_gaussian_real_reduces_to_squared_distance():
@@ -246,3 +251,34 @@ def test_kernel_spec_accepts_numpy_numbers_and_builds_a_finite_kernel(name):
             warnings.simplefilter("error")
             km = build_kernel_matrix(points, spec)
         assert km.shape == (7, 7) and np.all(np.isfinite(km)), name
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(complex_=st.booleans(), kind=st.sampled_from(["linear", "polynomial"]),
+       degree=st.integers(1, 4), intercept=st.sampled_from([0.0, 1.0, -0.5, 0.3 - 0.7j]),
+       nu=st.integers(1, 4), n_l=st.integers(1, 8), zeros=st.integers(0, 2),
+       scale=st.sampled_from([1e-3, 1.0, 30.0]), seed=st.integers(0, 2**16))
+def test_linear_and_polynomial_matrices_have_a_unit_diagonal(complex_, kind, degree, intercept,
+                                                             nu, n_l, zeros, scale, seed):
+    # |K_ii| = 1 wherever the kernel's k(l_i, l_i) is not 0; a zero landmark
+    # with intercept 0 has k(l_i, l_i) = 0 and keeps its row and column
+    rng = np.random.default_rng(seed)
+    pts = scale * rng.standard_normal((nu, n_l))
+    if complex_:
+        pts = pts + 1j * scale * rng.standard_normal((nu, n_l))
+    pts[:, :zeros] = 0.0
+    spec = KernelSpec(kind, degree=degree, intercept=intercept)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        km = build_kernel_matrix(pts, spec)
+    sq = np.sum(np.abs(pts) ** 2, axis=0)
+    raw = sq if kind == "linear" else (sq + intercept) ** degree
+    assert np.all(np.isfinite(km))
+    for i in range(n_l):
+        if raw[i] != 0:
+            assert abs(km[i, i]) == pytest.approx(1.0, rel=1e-14)
+        else:
+            assert km[i, i] == 0.0
+        for j in range(n_l):
+            assert km[i, j] == pytest.approx(eval_kernel(spec, pts[:, i], pts[:, j]),
+                                             rel=1e-10, abs=1e-12)

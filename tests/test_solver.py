@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import re
 import sys
@@ -10,10 +11,13 @@ from hypothesis import strategies as st
 
 from mkimpute import solver
 from mkimpute.errors import InputError, SolverError
+from mkimpute.experiments import make_tvgs_synthetic
 from mkimpute.graphs import build_graph_operators
+from mkimpute.kernels import default_kernel_dictionary
+from mkimpute.metrics import mae
 from mkimpute.model import ModelDims, SolverConfig, init_factors, predict
 from mkimpute.mri import dft_temporal, fft2_frames, ifft2_frames
-from mkimpute.navigators import NavigatorSet, select_landmarks
+from mkimpute.navigators import NavigatorSet, form_navigators_tvgs, select_landmarks
 from mkimpute.sampling import SamplingPattern, sample_p1
 from mkimpute.solver import (
     DMRI,
@@ -39,6 +43,7 @@ from oracles import (
     block_basis,
     d_subtask_gradient,
     dense_b_oracle,
+    dense_chain_link_solve,
     dense_d_oracle,
     dense_dmri_x_oracle,
     dense_x_oracle,
@@ -702,6 +707,52 @@ def test_b_update_dual_starts_at_the_no_l1_minimiser(complex_, m_count, rank_one
     B_0 = inputs[0].reshape(m_count, 3, 5)
     B_0 = (B_0 + (1.0 - B_0.sum(axis=1, keepdims=True)) / 3).reshape(-1, 5)
     assert _rel(B_0, dense_b_oracle(X_hat, model, 1.0)) < 1e-10
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("m_count", [1, 2, 3])
+@pytest.mark.parametrize("rank_one_first", [False, True])
+def test_b_update_no_l1_is_one_direct_solve(monkeypatch, complex_, m_count, rank_one_first):
+    # at lambda1 = 0 the affine-constrained ridge answer is the minimiser: it
+    # is returned after 0 Newton steps and one exact residual, and no Newton
+    # matrix is formed (every real-coordinate copy of P goes through
+    # _components).  An inner_tol it misses runs the Newton solve from it
+    dtype = np.complex128 if complex_ else np.float64
+    rng = np.random.default_rng(m_count)
+    dims = ModelDims(7, 5, 3, m_count, 2, (2,))
+    model = random_model(dims, m_count + 50, dtype)
+    if rank_one_first:
+        for row in model.factors:
+            row[0] = row[0][:, :1] @ row[0][:1, :]
+    X_hat = _draw(rng, (7, 5), complex_)
+    ref = dense_b_oracle(X_hat, model, 1.0)
+    counts = {"residual": 0, "components": 0}
+    prox, components = solver._prox_affine_l1, solver._components
+
+    def counting_prox(V, alpha, n_l):
+        counts["residual"] += 1
+        return prox(V, alpha, n_l)
+
+    def counting_components(x):
+        counts["components"] += 1
+        return components(x)
+
+    monkeypatch.setattr(solver, "_prox_affine_l1", counting_prox)
+    monkeypatch.setattr(solver, "_components", counting_components)
+    blocks, stats = update_B(X_hat, model, 0.0, 1.0)
+    assert counts == {"residual": 1, "components": 0}
+    assert stats["iterations"] == 0 and stats["converged"]
+    assert 0.0 < stats["residual"] <= 1e-8
+    B = np.concatenate(blocks, axis=0)
+    assert _rel(B, ref) < 1e-10
+    for blk in blocks:
+        assert np.abs(blk.sum(axis=0) - 1.0).max() <= 1e-12
+
+    tol = stats["residual"] / 2
+    blocks, stats = update_B(X_hat, model, 0.0, 1.0, inner_tol=tol)
+    assert stats["iterations"] >= 1 and counts["components"] > 0
+    assert stats["converged"] == (stats["residual"] <= tol)
+    assert _rel(np.concatenate(blocks, axis=0), ref) < 1e-10
 
 
 def test_b_update_feasible_under_heavy_shrinkage():
@@ -1650,10 +1701,13 @@ def test_b_update_certificate_bounds_the_residual(complex_, m_count, depth, n_l,
         finally:
             in_residual.pop()
 
+    # at lambda1 = 0 the direct answer forms no dual state; an inner_tol no
+    # point meets makes the solve reach its Newton iterates
+    inner_tol = -1.0 if lambda1 == 0.0 else 1e-8
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "_affine_l1_shift", recording_shift)
         patch.setattr(solver, "_prox_affine_l1", flagged_prox)
-        update_B(X_hat, model, lambda1, tau)
+        update_B(X_hat, model, lambda1, tau, inner_tol=inner_tol)
     A = np.concatenate([block_basis(model, m) for m in range(m_count)], axis=1)
     lip = np.linalg.norm(A, 2) ** 2 + tau
     assert len(inputs) >= 1
@@ -1674,7 +1728,8 @@ def test_b_update_certificate_bounds_the_residual(complex_, m_count, depth, n_l,
 def test_b_update_pays_one_exact_residual_per_converged_call(monkeypatch, complex_, ratio):
     # each dual state (the start and every line-search trial) takes one
     # multiplier solve and snaps its primal point once; the exact residual
-    # takes one more, once, for the point a converged call returns
+    # takes one more, once, for the point a converged call returns.  At
+    # lambda1 = 0 the direct answer is snapped once and its residual taken
     dtype = np.complex128 if complex_ else np.float64
     counts = {"multiplier": 0, "states": 0, "residual": 0}
     in_residual = []
@@ -1710,10 +1765,15 @@ def test_b_update_pays_one_exact_residual_per_converged_call(monkeypatch, comple
         lambda1 = ratio * float(np.abs(np.concatenate(model.coeffs)).max())
         counts.update(multiplier=0, states=0, residual=0)
         _, stats = update_B(X_hat, model, lambda1, 1.0)
-        assert stats["converged"] and stats["iterations"] >= 1
+        assert stats["converged"]
         assert counts["residual"] == 1
-        assert counts["states"] >= stats["iterations"] + 1
-        assert counts["multiplier"] == counts["states"] + 1
+        if lambda1 == 0.0:  # the direct answer: snapped once, no dual state
+            assert stats["iterations"] == 0
+            assert counts == {"multiplier": 1, "states": 1, "residual": 1}
+        else:
+            assert stats["iterations"] >= 1
+            assert counts["states"] >= stats["iterations"] + 1
+            assert counts["multiplier"] == counts["states"] + 1
 
 
 def test_b_update_cap_reports_non_convergence():
@@ -1976,6 +2036,73 @@ def test_solve_real_signal_with_default7_stays_real():
     assert all(a.dtype == np.float64 for a in arrays)
     assert np.array_equal(X[pattern.mask], Y[pattern.mask])
     assert max(report.affine_residual) < 1e-8
+
+
+def _default7_problem():
+    # tvgs-multikernel's settings at 20 x 32 with 8 landmarks: the default
+    # dictionary, lambda1 = 0, depth 2.  Before its polynomial kernels were
+    # normalized, a 1e-12 relative change in a B update moved this solve's
+    # MAE by 6e-3 relative, and a dense factor solve moved it by 7.5e-4
+    Y, coords = make_tvgs_synthetic(20, 32, 3, 5, seed=7)
+    graph = build_graph_operators(coords, 5, 0.1, 1.0, 32)
+    pattern = sample_p1(20, 32, 0.3, seed=0)
+    lmk = select_landmarks(form_navigators_tvgs(Y, pattern, "nav1"), 8, "maxmin", 0)
+    specs = default_kernel_dictionary(lmk.points)
+    dims = ModelDims(20, 32, lmk.count, len(specs), 2, (5,))
+    config = SolverConfig(lambda2=1e-3, lambda_L=0.1, zeta=0.2, outer_iters=5,
+                          tol_objective=0.0, seed=0)
+    return Y, (TVGS, Y, pattern, graph, lmk, specs, dims, config)
+
+
+def test_default7_solve_is_stable_under_roundoff_in_b(monkeypatch):
+    # every B update is the lambda1 = 0 direct answer; nudging each of its
+    # entries by 1e-12 relative moves the MAE by roundoff only
+    Y, args = _default7_problem()
+    stats, rng, b_update = [], np.random.default_rng(0), solver.update_B
+
+    def nudged(*a, **kw):
+        blocks, info = b_update(*a, **kw)
+        stats.append(info)
+        return [b * (1.0 + 1e-12 * rng.standard_normal(b.shape)) for b in blocks], info
+
+    X, _, report = solve(*args)
+    monkeypatch.setattr(solver, "update_B", nudged)
+    X_nudged, _, _ = solve(*args)
+    assert len(stats) == 5 and all(s["iterations"] == 0 and s["converged"] for s in stats)
+    assert abs(mae(X_nudged, Y) - mae(X, Y)) < 1e-8 * mae(X, Y)
+    assert max(report.affine_residual) < 1e-8
+
+
+def test_default7_coupled_factor_cg_matches_a_dense_solve(monkeypatch):
+    # the inner factor link couples the seven blocks; its CG agrees with a
+    # dense Cholesky of the assembled system at every call, and a solve that
+    # takes the dense answer instead ends at the same MAE
+    Y, args = _default7_problem()
+    calls, cg = [], solver.chain_link_solve
+
+    def recording(*link, eigs=None):
+        # copied before the solve mixes the factors in place
+        inputs = copy.deepcopy(link)
+        out = cg(*link, eigs)
+        if len(link[3]) > 1:
+            calls.append((inputs, copy.deepcopy(out)))
+        return out
+
+    monkeypatch.setattr(solver, "chain_link_solve", recording)
+    X, _, _ = solve(*args)
+    assert len(calls) == 5
+    for inputs, out in calls:
+        ref = dense_chain_link_solve(*inputs)
+        assert _rel(np.concatenate(out), np.concatenate(ref)) < 1e-8
+
+    def dense(lefts, rights, X_hat, D_hats, c, tau, eigs=None):
+        if len(D_hats) == 1:
+            return cg(lefts, rights, X_hat, D_hats, c, tau, eigs)
+        return dense_chain_link_solve(lefts, rights, X_hat, D_hats, c, tau)
+
+    monkeypatch.setattr(solver, "chain_link_solve", dense)
+    X_dense, _, _ = solve(*args)
+    assert abs(mae(X_dense, Y) - mae(X, Y)) < 1e-8 * mae(X, Y)
 
 
 def test_solve_reports_b_cap_hits_and_residuals():
