@@ -69,18 +69,20 @@ def knn_graph(coords: np.ndarray, k: int) -> tuple[np.ndarray, list[np.ndarray]]
     n = coords.shape[1]
     if not 1 <= k < n:
         raise InputError(f"need 1 <= k < {n}, got k={k}")
+    if not np.isfinite(coords).all():
+        raise DataError("coordinates must be finite")
     diff = coords[:, :, None] - coords[:, None, :]
     d2 = np.sum(diff * diff, axis=0)
     off = ~np.eye(n, dtype=bool)
     if np.any(d2[off] == 0.0):
         raise DataError("duplicate coordinates produce zero distances")
-    neighbors = []
+    # a stable sort keeps distance ties in index order; each row's own index
+    # (distance 0, every other one positive) sorts first and is dropped; the
+    # copy keeps the graph's neighbor lists from holding the n x n order alive
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, 1:k + 1].copy()
+    neighbors = list(nearest)
     sel = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        order = np.argsort(d2[i], kind="stable")
-        order = order[order != i][:k]
-        neighbors.append(order)
-        sel[i, order] = True
+    sel[np.arange(n)[:, None], nearest] = True
     sel |= sel.T  # edge if either endpoint selects the other
     W = np.zeros((n, n))
     W[sel] = 1.0 / d2[sel]

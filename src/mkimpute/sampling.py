@@ -75,9 +75,7 @@ def cartesian_mask(
     """Per frame: the central ``band`` rows plus uniformly chosen extra full
     rows so that ceil(I1 / accel) rows are sampled in total."""
     _check_sizes(i1=i1, i2=i2, i3=i3)
-    if not accel >= 1.0:
-        raise InputError(f"acceleration must be >= 1, got {accel}")
-    budget = math.ceil(i1 / accel)
+    budget = lines_per_frame(i1, accel)
     if budget < band:
         raise InputError(f"band of {band} rows exceeds the per-frame budget {budget}")
     center = band_rows(i1, band)
@@ -91,24 +89,11 @@ def cartesian_mask(
     return SamplingPattern(mask)
 
 
-def rasterize_line(i1: int, i2: int, angle: float) -> np.ndarray:
-    """Nearest-neighbor rasterization of a straight line through the grid
-    center, returned as an I1 x I2 boolean frame.  angle = 0 is the center row."""
-    cy, cx = (i1 - 1) / 2.0, (i2 - 1) / 2.0
-    half = math.hypot(i1, i2) / 2.0
-    t = np.linspace(-half, half, 4 * max(i1, i2) + 1)
-    rows = np.rint(cy + t * math.sin(angle)).astype(int)
-    cols = np.rint(cx + t * math.cos(angle)).astype(int)
-    keep = (rows >= 0) & (rows < i1) & (cols >= 0) & (cols < i2)
-    frame = np.zeros((i1, i2), dtype=bool)
-    frame[rows[keep], cols[keep]] = True
-    return frame
-
-
-def radial_lines_per_frame(i1: int, accel: float) -> int:
-    """Number of spokes drawn per frame: ceil(I1 / accel)."""
-    if not accel >= 1.0:
-        raise InputError(f"acceleration must be >= 1, got {accel}")
+def lines_per_frame(i1: int, accel: float) -> int:
+    """Number of rows (Cartesian) or spokes (radial) sampled per frame:
+    ceil(I1 / accel)."""
+    if not (accel >= 1.0 and math.isfinite(accel)):
+        raise InputError(f"acceleration must be a finite number >= 1, got {accel}")
     return math.ceil(i1 / accel)
 
 
@@ -116,21 +101,32 @@ def radial_mask(i1: int, i2: int, i3: int, accel: float, seed: int) -> SamplingP
     """Per frame, ceil(I1 / accel) center-crossing lines at golden-angle
     increments, continuing across frames so coverage varies with time.
 
+    Each line is rasterized to its nearest grid points at 4 max(I1, I2) + 1
+    evenly spaced samples over the grid's diagonal; angle 0 is the center
+    row.  One frame's lines are rasterized together, so no temporary is
+    larger than that frame's samples.
+
     The angle schedule is fully deterministic (first line at angle 0); the
     seed is not read; it is taken because callers pass every mask generator
     one (`mkimpute mask radial --seed`).
     """
     _check_sizes(i1=i1, i2=i2, i3=i3)
-    lines = radial_lines_per_frame(i1, accel)
+    lines = lines_per_frame(i1, accel)
     step = math.radians(GOLDEN_ANGLE_DEG)
+    cy, cx = (i1 - 1) / 2.0, (i2 - 1) / 2.0
+    half = math.hypot(i1, i2) / 2.0
+    t = np.linspace(-half, half, 4 * max(i1, i2) + 1)
     mask = np.zeros((i1 * i2, i3), dtype=bool)
-    idx = 0
-    for t in range(i3):
-        frame = np.zeros((i1, i2), dtype=bool)
-        for _ in range(lines):
-            frame |= rasterize_line(i1, i2, idx * step)
-            idx += 1
-        mask[:, t] = frame.ravel(order="F")
+    for frame in range(i3):
+        angles = (frame * lines + np.arange(lines)) * step
+        # math's sin and cos, not numpy's, whose last bit may differ and flip
+        # an np.rint at .5
+        sin = np.array([math.sin(a) for a in angles])
+        cos = np.array([math.cos(a) for a in angles])
+        rows = np.rint(cy + t * sin[:, None]).astype(int)
+        cols = np.rint(cx + t * cos[:, None]).astype(int)
+        keep = (rows >= 0) & (rows < i1) & (cols >= 0) & (cols < i2)
+        mask[rows[keep] + i1 * cols[keep], frame] = True
     return SamplingPattern(mask)
 
 

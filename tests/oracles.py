@@ -5,8 +5,9 @@ Kronecker matrices, bordered KKT systems, affine residual stacking) so the
 fast block implementations are checked against an independent path.  The
 analytic sub-task gradients, the multi-layer factorization reduction check,
 the exact sort-based multiplier of the real affine-l1 prox, pointwise kernel
-evaluation, the block-diagonal kernel supermatrix and the 1-based factor
-update wrapper live here too: they exist only to verify the engine.
+evaluation, the block-diagonal kernel supermatrix, the 1-based factor
+update wrapper, the per-spoke radial rasterizer and the per-node kNN loop
+live here too: they exist only to verify the engine.
 """
 
 import copy
@@ -446,3 +447,37 @@ def _prox_mu_real(V, alpha):
         raise SolverError("affine-l1 prox found no bracketing segment")
     idx = np.argmax(valid, axis=0)  # the bracketing segment validates
     return np.take_along_axis(cand, idx[None, :], axis=0)[0]
+
+
+def rasterize_line(i1: int, i2: int, angle: float) -> np.ndarray:
+    """Nearest-neighbor rasterization of a straight line through the grid
+    center, returned as an I1 x I2 boolean frame.  angle = 0 is the center
+    row.  A radial_mask frame is the OR of this over the frame's spokes."""
+    cy, cx = (i1 - 1) / 2.0, (i2 - 1) / 2.0
+    half = math.hypot(i1, i2) / 2.0
+    t = np.linspace(-half, half, 4 * max(i1, i2) + 1)
+    rows = np.rint(cy + t * math.sin(angle)).astype(int)
+    cols = np.rint(cx + t * math.cos(angle)).astype(int)
+    keep = (rows >= 0) & (rows < i1) & (cols >= 0) & (cols < i2)
+    frame = np.zeros((i1, i2), dtype=bool)
+    frame[rows[keep], cols[keep]] = True
+    return frame
+
+
+def knn_graph_reference(coords: np.ndarray, k: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """knn_graph's (W, neighbors) with one stable argsort per node."""
+    coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    n = coords.shape[1]
+    diff = coords[:, :, None] - coords[:, None, :]
+    d2 = np.sum(diff * diff, axis=0)
+    neighbors = []
+    sel = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        order = np.argsort(d2[i], kind="stable")
+        order = order[order != i][:k]
+        neighbors.append(order)
+        sel[i, order] = True
+    sel |= sel.T
+    W = np.zeros((n, n))
+    W[sel] = 1.0 / d2[sel]
+    return W, neighbors

@@ -97,6 +97,39 @@ def test_mask_rejects_sizes_below_one(tmp_path, capsys, args):
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
 
 
+@pytest.mark.parametrize("args", [
+    ["mask", "radial", "OUT", "--i1", "16", "--i2", "16", "--frames", "4", "--accel", "inf"],
+    ["mask", "cartesian", "OUT", "--i1", "16", "--i2", "8", "--frames", "3",
+     "--accel", "inf", "--band", "0"],
+    ["mask", "cartesian", "OUT", "--i1", "16", "--i2", "8", "--frames", "3",
+     "--accel", "inf", "--band", "2"],
+], ids=["radial", "cartesian-band0", "cartesian-band2"])
+def test_mask_rejects_an_infinite_acceleration(tmp_path, capsys, args):
+    # inf drew ceil(I1 / inf) = 0 lines a frame: an empty mask written with
+    # exit 0, or with a band a "budget 0" error that did not name the cause
+    out = tmp_path / "m.csv"
+    assert main([str(out) if a == "OUT" else a for a in args]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "InputError"
+    assert "acceleration must be a finite number >= 1, got inf" in payload["message"]
+    assert not out.exists()
+
+
+def test_validate_rejects_an_infinite_dmri_acceleration(tmp_path, capsys):
+    # Python's json reads Infinity; run then solved with no spoke at all
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text('{"problem": "dmri", "methods": ["zero-fill"], "data": {"source": '
+                         '"phantom", "i1": 16, "i2": 16, "i3": 8}, '
+                         '"sampling": {"kind": "radial", "ratios": [Infinity]}}')
+    assert main(["validate", str(spec_path)]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "InputError"
+    assert payload["message"].startswith("sampling")
+    assert "acceleration must be a finite number >= 1, got inf" in payload["message"]
+
+
 @pytest.mark.parametrize("args,rows,cols", [
     (["mask", "p1", "OUT", "--rows", "10", "--cols", "8", "--ratio", "0.3"], 10, 8),
     (["mask", "p2", "OUT", "--rows", "6", "--cols", "10", "--ratio", "0.5"], 6, 10),

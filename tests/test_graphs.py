@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mkimpute.errors import DataError, InputError
 from mkimpute.graphs import (
@@ -9,6 +11,9 @@ from mkimpute.graphs import (
     knn_graph,
     laplacian,
 )
+from oracles import knn_graph_reference
+
+property_test = settings(derandomize=True, database=None, deadline=None)
 
 
 def _sobolev(L, eps, beta):
@@ -47,10 +52,46 @@ def test_full_k_gives_complete_graph():
     assert np.all(np.diag(W) == 0)
 
 
+def _assert_matches_reference(coords, k):
+    W, neighbors = knn_graph(coords, k)
+    W_ref, neighbors_ref = knn_graph_reference(coords, k)
+    assert np.array_equal(W, W_ref)
+    assert len(neighbors) == len(neighbors_ref)
+    for got, want in zip(neighbors, neighbors_ref):
+        assert np.array_equal(got, want)
+
+
+@property_test
+@given(n=st.integers(2, 40), dim=st.integers(1, 3), k_frac=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**16))
+def test_knn_graph_matches_the_per_node_loop(n, dim, k_frac, seed):
+    coords = np.random.default_rng(seed).random((dim, n))
+    _assert_matches_reference(coords, 1 + int(k_frac * (n - 2)))
+
+
+@property_test
+@given(side=st.integers(2, 7), dim=st.integers(1, 2), k_frac=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**16))
+def test_knn_graph_breaks_distance_ties_as_the_per_node_loop(side, dim, k_frac, seed):
+    # distinct points of an integer grid, shuffled: most distances are tied
+    grid = np.stack(np.meshgrid(*[np.arange(side)] * dim, indexing="ij")).reshape(dim, -1)
+    coords = grid[:, np.random.default_rng(seed).permutation(grid.shape[1])].astype(float)
+    n = coords.shape[1]
+    _assert_matches_reference(coords, 1 + int(k_frac * (n - 2)))
+
+
 def test_duplicate_coordinates_rejected():
     coords = np.array([[0.0, 0.0, 1.0]])
     with pytest.raises(DataError):
         knn_graph(coords, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_coordinates_rejected(bad):
+    # they failed later, in laplacian, as "adjacency must be symmetric"
+    coords = np.array([[0.0, bad, 1.0, 2.0]])
+    with pytest.raises(DataError, match="coordinates must be finite"):
+        build_graph_operators(coords, 1, 0.1, 1.0, 4)
 
 
 def test_laplacian_two_nodes():

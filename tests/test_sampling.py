@@ -1,21 +1,29 @@
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mkimpute.errors import DataError, InputError
 from mkimpute.sampling import (
+    GOLDEN_ANGLE_DEG,
     apply_sampling,
     band_rows,
     cartesian_mask,
+    lines_per_frame,
     load_mask_csv,
     radial_mask,
-    rasterize_line,
     sample_p1,
     sample_p2,
     save_mask_csv,
     with_band,
 )
+from oracles import rasterize_line
+
+property_test = settings(derandomize=True, database=None, deadline=None)
 
 
 def test_p1_counts_per_column():
@@ -99,20 +107,67 @@ def test_radial_single_line_center_row():
 
 
 def test_radial_line_count_at_16x():
-    from mkimpute.sampling import radial_lines_per_frame
-    assert radial_lines_per_frame(408, 16.0) == 26
+    assert lines_per_frame(408, 16.0) == 26
     p = radial_mask(32, 32, 2, accel=16.0, seed=0)
     # two lines per frame sharing the center pixel
     assert p.mask[:, 0].sum() < 2 * 4 * 32
 
 
 def test_radial_center_overlap():
-    import math
     p = radial_mask(9, 9, 1, accel=3.0, seed=0)  # three lines through center
     frame = p.mask[:, 0].reshape(9, 9, order="F")
-    step = math.radians(111.246)
+    step = math.radians(GOLDEN_ANGLE_DEG)
     pixel_sum = sum(rasterize_line(9, 9, i * step).sum() for i in range(3))
     assert frame.sum() < pixel_sum  # lines share at least the center pixel
+
+
+def _radial_reference(i1, i2, i3, accel):
+    """The mask drawn one spoke at a time: each frame the OR of its spokes."""
+    lines = math.ceil(i1 / accel)
+    step = math.radians(GOLDEN_ANGLE_DEG)
+    mask = np.zeros((i1 * i2, i3), dtype=bool)
+    for t in range(i3):
+        frame = np.zeros((i1, i2), dtype=bool)
+        for j in range(lines):
+            frame |= rasterize_line(i1, i2, (t * lines + j) * step)
+        mask[:, t] = frame.ravel(order="F")
+    return mask
+
+
+@property_test
+@given(i1=st.integers(1, 24), i2=st.integers(1, 24), i3=st.integers(1, 4),
+       accel=st.one_of(st.just(1.0), st.floats(1.0, 30.0)), at_i1=st.booleans())
+@example(i1=5, i2=5, i3=3, accel=1.0, at_i1=True)  # one spoke a frame
+@example(i1=7, i2=4, i3=3, accel=2.0, at_i1=False)
+@example(i1=64, i2=64, i3=4, accel=8.0, at_i1=False)  # dmri-radial's frames
+def test_radial_mask_equals_its_spokes_or(i1, i2, i3, accel, at_i1):
+    # odd and even sides; accel 1 draws I1 spokes a frame, accel I1 one spoke
+    accel = float(i1) if at_i1 else accel
+    assert np.array_equal(radial_mask(i1, i2, i3, accel, seed=0).mask,
+                          _radial_reference(i1, i2, i3, accel))
+
+
+def test_radial_mask_holds_one_frame_of_spokes_at_a_time():
+    # an array over every frame's spokes would be i3 = 32 times one frame's
+    i1 = i2 = 96
+    frame_bytes = 8 * lines_per_frame(i1, 2.0) * (4 * i1 + 1)  # int64 samples
+    tracemalloc.start()
+    try:
+        mask = radial_mask(i1, i2, 32, 2.0, seed=0).mask
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - mask.nbytes < 8 * frame_bytes
+
+
+@pytest.mark.parametrize("accel", [math.inf, math.nan, 0.5])
+def test_both_builders_reject_an_acceleration_below_1_or_not_finite(accel):
+    # inf passed the old `accel >= 1` check and drew ceil(I1 / inf) = 0 lines
+    with pytest.raises(InputError, match=f"acceleration must be a finite number >= 1, got {accel}"):
+        radial_mask(16, 16, 4, accel, seed=0)
+    for band in (0, 2):
+        with pytest.raises(InputError, match=f"acceleration .* got {accel}"):
+            cartesian_mask(16, 16, 4, accel, band, seed=0)
 
 
 def test_radial_frames_vary():
