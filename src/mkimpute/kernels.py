@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .errors import InputError
+from .errors import DataError, InputError
 
 LINEAR = "linear"
 GAUSSIAN = "gaussian"
@@ -94,8 +94,12 @@ def gaussian_spec(sigma: float) -> KernelSpec:
 
 def median_distance_gaussian(points: np.ndarray) -> KernelSpec:
     """Gaussian kernel with the median pairwise distance of the given points
-    (as columns) for sigma, the usual bandwidth heuristic."""
+    (as columns) for sigma, the usual bandwidth heuristic; sigma = 1 for
+    fewer than two points or coincident ones.  A non-finite coordinate
+    raises DataError."""
     pts = np.atleast_2d(np.asarray(points))
+    if not np.isfinite(pts).all():
+        raise DataError("points must be finite")
     if pts.shape[1] < 2:
         return gaussian_spec(1.0)
     # |a - b| on complex points is the distance of their real embeddings [Re; Im]

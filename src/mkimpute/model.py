@@ -119,23 +119,25 @@ class FactorModel:
     mmf: bool = False
 
 
-def predict(model: FactorModel) -> np.ndarray:
-    """Evaluate the factorization: sum over m of D_m^(1)...D_m^(Q) K_m B_m.
+def predict(model: FactorModel, out=None) -> np.ndarray:
+    """Evaluate the factorization: sum over m of D_m^(1)...D_m^(Q) K_m B_m,
+    written to ``out`` (an I0 x I_N array of the model's field; a new array
+    by default).
 
     Each block is evaluated as D^(1) ((D^(2)...D^(Q) K) B): the one product
     with I0 rows comes last and runs over the inner dimension d_1."""
     dims = model.dims
     shape = (dims.n_rows, dims.n_cols)
-    out = None
     for m in range(dims.n_kernels):
         first, *rest = model.factors[m]
-        tail = reduce(np.matmul, [*rest, model.kernels[m]])
-        chain = first @ (tail @ model.coeffs[m])
-        if chain.shape != shape:
-            raise InputError(f"block {m} product has shape {chain.shape}, expected {shape}")
+        tail = reduce(np.matmul, [*rest, model.kernels[m], model.coeffs[m]])
+        if (len(first), tail.shape[1]) != shape:
+            raise InputError(f"block {m} product has shape {(len(first), tail.shape[1])}, "
+                             f"expected {shape}")
         # the first block's product is the sum so far: no zeroed array to add it to
-        out = chain if out is None else out + chain
-    return out
+        total = (np.matmul(first, tail, out=out) if m == 0
+                 else np.add(total, first @ tail, out=out))
+    return total
 
 
 def count_unknowns(dims: ModelDims) -> int:

@@ -69,43 +69,48 @@ def _fftshift_in_place(frames: np.ndarray) -> None:
         frames[b] = buf
 
 
-def _frames_like(cube: np.ndarray, i1: int, i2: int) -> tuple[np.ndarray, np.ndarray]:
-    """A fresh complex (I1*I2, I3) array and its (I1, I2, I3) frame view."""
-    out = np.empty((i1 * i2, cube.shape[2]), dtype=complex)
+def _frames_like(cube: np.ndarray, i1: int, i2: int, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """``out``, or a fresh complex (I1*I2, I3) array, and its (I1, I2, I3) frame view."""
+    if out is None:
+        out = np.empty((i1 * i2, cube.shape[2]), dtype=complex)
     return out, unflatten_frames(out, i1, i2)
 
 
-def fft2_frames(X: np.ndarray, i1: int, i2: int) -> np.ndarray:
-    """Per-frame unnormalized 2D DFT, DC-centered, on the flattened layout.
-    The transform runs in the result, which is then shifted in place: no
-    full-size array but the result.  (Without ``out``, numpy's fftn
-    allocates an array per axis.)"""
+def fft2_frames(X: np.ndarray, i1: int, i2: int, out=None) -> np.ndarray:
+    """Per-frame unnormalized 2D DFT, DC-centered, on the flattened layout,
+    written to ``out`` (a complex array of X's shape, X itself allowed; a new
+    array by default).  The transform runs in the result, which is then
+    shifted in place: no full-size array but the result.  (Without ``out``,
+    numpy's fftn allocates an array per axis.)"""
     cube = unflatten_frames(np.asarray(X, dtype=complex), i1, i2)
-    out, frames = _frames_like(cube, i1, i2)
+    out, frames = _frames_like(cube, i1, i2, out)
     np.fft.fftn(cube, axes=(0, 1), norm="backward", out=frames)
     _fftshift_in_place(frames)
     return out
 
 
-def ifft2_frames(X: np.ndarray, i1: int, i2: int) -> np.ndarray:
+def ifft2_frames(X: np.ndarray, i1: int, i2: int, out=None) -> np.ndarray:
     """Inverse of fft2_frames; carries the 1/(I1*I2) factor.  The input is
-    shifted straight into the result, which is transformed in place: one
-    copy, and no array but the result."""
+    shifted straight into the result, ``out`` (a complex array of X's shape
+    that does not overlap X; a new array by default), which is transformed
+    in place: one copy, and no array but the result."""
     cube = unflatten_frames(np.asarray(X, dtype=complex), i1, i2)
-    out, frames = _frames_like(cube, i1, i2)
+    out, frames = _frames_like(cube, i1, i2, out)
     _roll_frames(frames, cube, i1 - i1 // 2, i2 - i2 // 2)  # ifftshift
     # ifftn, not ifft2: numpy's ifft2 does not pass ``out`` on
     np.fft.ifftn(frames, axes=(0, 1), norm="backward", out=frames)
     return out
 
 
-def dft_temporal(X: np.ndarray) -> np.ndarray:
-    """Unnormalized DFT along each row (the time profile of one pixel)."""
-    return np.fft.fft(np.asarray(X, dtype=complex), axis=1, norm="backward")
+def dft_temporal(X: np.ndarray, out=None) -> np.ndarray:
+    """Unnormalized DFT along each row (the time profile of one pixel),
+    written to ``out`` (a complex array of X's shape; a new array by default)."""
+    return np.fft.fft(np.asarray(X, dtype=complex), axis=1, norm="backward", out=out)
 
 
-def idft_temporal(X: np.ndarray) -> np.ndarray:
-    return np.fft.ifft(np.asarray(X, dtype=complex), axis=1, norm="backward")
+def idft_temporal(X: np.ndarray, out=None) -> np.ndarray:
+    """Inverse of dft_temporal, written to ``out`` as there."""
+    return np.fft.ifft(np.asarray(X, dtype=complex), axis=1, norm="backward", out=out)
 
 
 @dataclass

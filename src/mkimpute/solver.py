@@ -779,26 +779,28 @@ def update_B(X_hat, model: FactorModel, lambda1: float, tau_B: float,
 # k-space sub-tasks
 # ---------------------------------------------------------------------------
 
-def dmri_update_X(Y_kspace, pattern, prediction, K_prev, Z_hat,
-                  lambda2: float, tau_X: float, frame_dims, scratch=None):
+def dmri_update_X(observed, prediction, K_prev, Z_hat,
+                  lambda2: float, tau_X: float, frame_dims, scratch=None, out=None):
     """The k-space F2(X) of the exact minimizer of the k-space X sub-task, given
     the model's prediction and K_prev = F2(X_prev) (F2 is linear): closed
-    form, then re-assignment of observed k-space entries.  ``scratch``, a
-    complex array of K_prev's shape, holds tau_X K_prev if given."""
+    form, then re-assignment of the observed k-space entries, ``observed``
+    from observed_entries.  The result is formed in ``out``, a complex array
+    of K_prev's shape that overlaps none of the inputs (a new array by
+    default); ``scratch``, another, holds tau_X K_prev if given."""
     i1, i2, i3 = frame_dims
     c_x = 1.0 / (1.0 + lambda2 * i3 + tau_X)
-    T = idft_temporal(Z_hat)
-    T *= lambda2 * i3
-    T += prediction
-    K = fft2_frames(T, i1, i2)
+    K = idft_temporal(Z_hat, out=out)
+    K *= lambda2 * i3
+    K += prediction
+    fft2_frames(K, i1, i2, out=K)
     K += np.multiply(tau_X, K_prev, out=scratch)
     K *= c_x
-    np.copyto(K, Y_kspace, where=pattern.mask)
+    np.put(K, *observed)
     return K
 
 
 def dmri_update_Z(W, Z_prev, lambda2: float, lambda3: float, tau_Z: float,
-                  rule: str = "ratio", scratch=None):
+                  rule: str = "ratio", scratch=None, out=None):
     """Soft-thresholding update of the temporal spectrum, given the spectrum
     W = Ft(X) of the current image sequence.
 
@@ -806,17 +808,19 @@ def dmri_update_Z(W, Z_prev, lambda2: float, lambda3: float, tau_Z: float,
     rule="prox":   Soft[(lambda2 Ft(X) + tau_Z Z)/(lambda2+tau_Z),
                         lambda3/(lambda2+tau_Z)]  (exact proximal solution)
 
-    The argument is formed, and shrunk, in the array returned; ``scratch``, a
-    real array of W's shape, holds the shrink factors if given."""
+    The argument is formed, and shrunk, in the array returned: ``out``, an
+    array of W's shape and field that overlaps neither input (a new array by
+    default).  ``scratch``, a real array of W's shape, holds the shrink
+    factors if given."""
     if lambda2 <= 0:
         raise InputError("lambda2 must be positive for the Z update")
     field = np.result_type(W, Z_prev)
     if rule == "ratio":
-        A = np.multiply(Z_prev, tau_Z / lambda2, dtype=field)
+        A = np.multiply(Z_prev, tau_Z / lambda2, dtype=field, out=out)
         A += W
         thr = lambda3 / lambda2
     elif rule == "prox":
-        A = np.multiply(W, lambda2, dtype=field)
+        A = np.multiply(W, lambda2, dtype=field, out=out)
         A += tau_Z * Z_prev
         A /= lambda2 + tau_Z
         thr = lambda3 / (lambda2 + tau_Z)
@@ -957,13 +961,23 @@ def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
     coeffs, Z), K = X or, on k-space, F2(X); returns (X, model, report).  On
     graph signals every X update uses ``band``, the free_band_factor of this
     mask, graph and config's weights, built here if None.  On k-space the
-    solve owns one complex and one real array of the data's shape, which the
-    sub-tasks work in."""
+    solve allocates once every array of the data's shape that its loop
+    uses: a complex and a real scratch array, which the sub-tasks work in;
+    X, the prediction and the spectrum, which each evaluation overwrites;
+    and a spare (K, Z) pair.  Each best response writes K and Z into the
+    spare pair, into which the loop then mixes the current one, so the
+    current pair is the next spare: the two pairs trade places every
+    iteration."""
     graph, frame_dims = _problem_operators(problem, operators)
-    S_y = apply_sampling(pattern, Y)
-    observed = observed_entries(pattern, S_y)
-    scratch = (None if problem == TVGS
-               else (np.empty(S_y.shape, complex), np.empty(S_y.shape)))
+    K0 = apply_sampling(pattern, Y)  # the zero-filled observation, then the starting K
+    observed = observed_entries(pattern, K0)
+    K0 = K0.astype(complex if problem == DMRI
+                   else np.result_type(K0.dtype, model0.coeffs[0].dtype), copy=False)
+    if problem == TVGS:
+        scratch = spare = X_out = pred_out = spec_out = None
+    else:
+        X_out, pred_out, spec_out, *spare = (np.empty_like(K0) for _ in range(5))
+        scratch = (np.empty_like(K0), np.empty(K0.shape))
     lam_tik = config.lambda2 if problem == TVGS else config.lambda4
     dims, kernels, mmf = model0.dims, model0.kernels, model0.mmf
 
@@ -982,10 +996,11 @@ def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
             )
             Z_half = None
         else:
-            K_half = dmri_update_X(Y, pattern, prediction, K, Z, config.lambda2,
-                                   config.tau_X, frame_dims, scratch[0])
+            K_half = dmri_update_X(observed, prediction, K, Z, config.lambda2,
+                                   config.tau_X, frame_dims, scratch[0], out=spare[0])
             Z_half = dmri_update_Z(spectrum, Z, config.lambda2, config.lambda3,
-                                   config.tau_Z, config.z_rule, scratch[1])
+                                   config.tau_Z, config.z_rule, scratch[1], out=spare[1])
+            spare[:] = K, Z  # the loop mixes them into the halves: dead after that
         by_layer = [update_factor(q, X, current, lam_tik, config.tau_D)
                     for q in range(dims.depth)]
         if mmf:
@@ -1006,24 +1021,24 @@ def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
         K, factors, coeffs, Z = state
         cons = consistency_residual(K, observed)
         current = model(factors, coeffs)
-        X = K if problem == TVGS else ifft2_frames(K, *frame_dims[:2])
-        prediction = predict(current)
-        spectrum = None if problem == TVGS else dft_temporal(X)
+        X = K if problem == TVGS else ifft2_frames(K, *frame_dims[:2], out=X_out)
+        prediction = predict(current, out=pred_out)
+        spectrum = None if problem == TVGS else dft_temporal(X, out=spec_out)
         obj = full_objective(problem, X, current, prediction, config, graph=graph, Z=Z,
                              spectrum=spectrum, scratch=scratch)
         return obj, cons, affine_residual(current), (X, prediction, spectrum)
 
     if problem == TVGS and band is None:  # every X update shares the mask, graph and weights
         band = free_band_factor(pattern, graph, config.lambda_L, config.tau_X)
-    # the loop mixes in place in the starting point: the copies keep model0 unwritten
-    K0 = S_y.astype(np.result_type(S_y.dtype, model0.coeffs[0].dtype), copy=False)
-    Z0 = None if problem == TVGS else dft_temporal(ifft2_frames(K0, *frame_dims[:2]))
-    start = (K0, [[D.copy() for D in row] for row in model0.factors],
-             [B.copy() for B in model0.coeffs], Z0)
-    (_, factors, coeffs, _), (X, _, _), report = sca_loop(config, observed, start,
-                                                          best_response, evaluate)
+    Z0 = None if problem == TVGS else dft_temporal(ifft2_frames(K0, *frame_dims[:2], out=X_out))
+    # the loop owns the starting point and mixes in place in it: the copies
+    # keep model0 unwritten.  On k-space, (K0, Z0) is the first (K, Z) pair
+    (_, factors, coeffs, _), (X, _, _), report = sca_loop(
+        config, observed, (K0, [[D.copy() for D in row] for row in model0.factors],
+                           [B.copy() for B in model0.coeffs], Z0), best_response, evaluate)
     if problem == DMRI:  # K is pinned exactly; the last row records the returned X's residual
-        report.consistency[-1] = consistency_residual(fft2_frames(X, *frame_dims[:2]), observed)
+        report.consistency[-1] = consistency_residual(
+            fft2_frames(X, *frame_dims[:2], out=scratch[0]), observed)
     return X, model(factors, coeffs), report
 
 
@@ -1034,7 +1049,12 @@ def solve(problem, Y, pattern: SamplingPattern, operators, landmarks: LandmarkSe
     and run the outer loop (solve_from_model, which takes ``band``).
     Returns (X, model, report)."""
     _, frame_dims = _problem_operators(problem, operators)
+    # match the initial prediction's energy to the zero-filled iterate's so the
+    # first half-steps are not dominated by the random draw's scale
     S_y = apply_sampling(pattern, Y)
+    X0 = S_y if problem == TVGS else ifft2_frames(S_y, *frame_dims[:2])
+    x0_norm = float(np.linalg.norm(X0))
+    del S_y, X0  # solve_from_model forms its own: these would outlive its loop
     if landmarks.count != dims.n_landmarks:
         raise InputError(
             f"landmark set has {landmarks.count} points, dims expect {dims.n_landmarks}"
@@ -1044,12 +1064,9 @@ def solve(problem, Y, pattern: SamplingPattern, operators, landmarks: LandmarkSe
     dtype = np.result_type(np.float64, Y, *kmats)
     kernels = [k.astype(dtype) for k in kmats]
     model0 = init_factors(dims, config.seed, dtype, kernels)
-    # match the initial prediction's energy to the zero-filled iterate so the
-    # first half-steps are not dominated by the random draw's scale
-    X0 = S_y if problem == TVGS else ifft2_frames(S_y, frame_dims[0], frame_dims[1])
     pred_norm = float(np.linalg.norm(predict(model0)))
     if pred_norm > 0:
-        ratio = float(np.linalg.norm(X0)) / pred_norm
+        ratio = x0_norm / pred_norm
         for m in range(dims.n_kernels):
             model0.factors[m][0] = model0.factors[m][0] * ratio
     return solve_from_model(problem, Y, pattern, operators, model0, config, band)

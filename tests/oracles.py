@@ -6,8 +6,9 @@ fast block implementations are checked against an independent path.  The
 analytic sub-task gradients, the multi-layer factorization reduction check,
 the exact sort-based multiplier of the real affine-l1 prox, pointwise kernel
 evaluation, the block-diagonal kernel supermatrix, the 1-based factor
-update wrapper, the per-spoke radial rasterizer and the per-node kNN loop
-live here too: they exist only to verify the engine.
+update wrapper, the per-spoke radial rasterizer, the per-node kNN loop and
+scipy.signal's "valid" convolution live here too: they exist only to verify
+the engine.
 """
 
 import copy
@@ -17,6 +18,7 @@ import numpy as np
 import scipy.linalg
 from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.lapack import dpbtrf
+from scipy.signal import convolve2d
 
 from mkimpute.errors import InputError, SolverError
 from mkimpute.graphs import build_graph_operators
@@ -481,3 +483,9 @@ def knn_graph_reference(coords: np.ndarray, k: int) -> tuple[np.ndarray, list[np
     W = np.zeros((n, n))
     W[sel] = 1.0 / d2[sel]
     return W, neighbors
+
+
+def convolve_valid_reference(img: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """2D convolution over the full-overlap windows alone, by scipy.signal:
+    the reference for the stencil-row form hfen uses."""
+    return convolve2d(img, k, mode="valid")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mkimpute.errors import InputError
+from mkimpute.errors import DataError, InputError
 from mkimpute.kernels import (
     KernelSpec,
     build_kernel_matrix,
@@ -195,6 +195,17 @@ def test_median_distance_gaussian_matches_the_pairwise_loop():
             1.0 / (2.0 * sigma**2), rel=1e-14), name
     assert median_distance_gaussian(real[:, :1]).gamma == 0.5  # sigma = 1
     assert median_distance_gaussian(cases["duplicates"]).gamma == 0.5
+
+
+@pytest.mark.parametrize("points", [
+    [[np.nan, 1.0, 2.0]],  # its median distance is NaN, which fell back to sigma = 1
+    [[np.inf, 1.0, 2.0]],  # an infinite median, which ended in an error about sigma
+    [[1.0 + 1j, complex(2.0, np.nan)]],
+    [[np.nan]],  # one point gives sigma = 1 whatever it is, but is no usable point
+])
+def test_median_distance_gaussian_rejects_non_finite_points(points):
+    with pytest.raises(DataError, match="points must be finite"):
+        median_distance_gaussian(np.array(points))
 
 
 @pytest.mark.parametrize("field, value", [

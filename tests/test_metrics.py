@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mkimpute.errors import DataError, InputError
 from mkimpute.metrics import (
+    LOG_SIZE,
+    _convolve_valid,
     compute_metrics,
     hfen,
     log_kernel,
@@ -12,6 +16,7 @@ from mkimpute.metrics import (
     rmse,
     ssim,
 )
+from oracles import convolve_valid_reference
 
 
 def test_zero_error_cases():
@@ -116,6 +121,30 @@ def test_hfen_positive_for_blur():
     blurred = ref.copy()
     blurred[7:17, 7:17] = 0.5
     assert hfen(blurred, ref) > 0.0
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(h=st.integers(LOG_SIZE, 48), w=st.integers(LOG_SIZE, 48), seed=st.integers(0, 2**16),
+       square=st.booleans())
+@example(h=LOG_SIZE, w=LOG_SIZE, seed=0, square=False)  # one full-overlap window
+@example(h=LOG_SIZE, w=40, seed=1, square=False)
+@example(h=64, w=64, seed=2, square=False)  # dmri-radial's frames
+def test_hfen_convolution_matches_scipy(h, w, seed, square):
+    # the stencil is symmetric, so a lopsided drawn kernel checks the flip
+    # that makes the correlation a convolution
+    rng = np.random.default_rng(seed)
+    w = h if square else w
+    img, ref = rng.standard_normal((2, h, w))
+    k = log_kernel()
+    for kern in (k, rng.standard_normal((rng.integers(1, h + 1), rng.integers(1, w + 1)))):
+        assert _rel(_convolve_valid(img, kern), convolve_valid_reference(img, kern)) < 1e-12
+    d_img, d_ref = (convolve_valid_reference(a, k) for a in (img, ref))
+    want = np.linalg.norm(d_img - d_ref) / np.linalg.norm(d_ref)
+    assert hfen(img, ref) == pytest.approx(want, rel=1e-12)
 
 
 def test_hfen_flat_reference_rejected():

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import re
 import sys
 import threading
@@ -13,7 +14,7 @@ from mkimpute import solver
 from mkimpute.errors import InputError, SolverError
 from mkimpute.experiments import make_tvgs_synthetic
 from mkimpute.graphs import build_graph_operators
-from mkimpute.kernels import default_kernel_dictionary
+from mkimpute.kernels import build_kernel_matrix, default_kernel_dictionary
 from mkimpute.metrics import mae
 from mkimpute.model import ModelDims, SolverConfig, init_factors, predict
 from mkimpute.mri import dft_temporal, fft2_frames, ifft2_frames
@@ -26,6 +27,7 @@ from mkimpute.solver import (
     consistent_smooth_solve,
     dmri_update_X,
     dmri_update_Z,
+    observed_entries,
     sca_extrapolate,
     sca_step_schedule,
     soft_threshold,
@@ -1075,8 +1077,8 @@ def test_dmri_x_full_sampling():
     mask = np.ones((16, 3), dtype=bool)
     pattern = SamplingPattern(mask)
     Z = dft_temporal(ifft2_frames(Y, i1, i2))
-    K = dmri_update_X(Y, pattern, predict(model), fft2_frames(np.zeros((16, 3), complex), i1, i2),
-                      Z, 0.5, 0.5, (i1, i2, i3))
+    K = dmri_update_X(observed_entries(pattern, Y), predict(model),
+                      fft2_frames(np.zeros((16, 3), complex), i1, i2), Z, 0.5, 0.5, (i1, i2, i3))
     assert np.allclose(ifft2_frames(K, i1, i2), ifft2_frames(Y, i1, i2), atol=1e-12)
 
 
@@ -1089,7 +1091,8 @@ def test_dmri_x_quarter_is_target_when_unweighted():
     Y = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
     mask = np.zeros((16, 3), dtype=bool)  # nothing observed: pure quarter step
     pattern = SamplingPattern(mask)
-    K = dmri_update_X(Y, pattern, predict(model), fft2_frames(np.zeros((16, 3), complex), i1, i2),
+    K = dmri_update_X(observed_entries(pattern, Y), predict(model),
+                      fft2_frames(np.zeros((16, 3), complex), i1, i2),
                       np.zeros((16, 3), complex), 0.0, 0.0, (i1, i2, i3))
     assert np.allclose(ifft2_frames(K, i1, i2), predict(model), atol=1e-10)
 
@@ -1105,8 +1108,8 @@ def test_dmri_x_matches_dense_oracle():
         pattern = SamplingPattern(rng.random((16, 3)) < 0.4)
         X_prev = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
         Z_hat = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
-        K = dmri_update_X(Y, pattern, predict(model), fft2_frames(X_prev, i1, i2), Z_hat,
-                          0.8, 0.6, (i1, i2, i3))
+        K = dmri_update_X(observed_entries(pattern, Y), predict(model),
+                          fft2_frames(X_prev, i1, i2), Z_hat, 0.8, 0.6, (i1, i2, i3))
         X = ifft2_frames(K, i1, i2)
         ref = dense_dmri_x_oracle(Y, pattern.mask, predict(model), X_prev, Z_hat,
                                   0.8, 0.6, (i1, i2, i3))
@@ -2018,6 +2021,54 @@ def test_concurrent_dmri_solves_match_sequential_runs():
     for (X, report), (X_seq, report_seq) in zip(concurrent, sequential):
         assert X.tobytes() == X_seq.tobytes()
         assert report == report_seq
+
+
+def test_kspace_loop_runs_in_a_fixed_working_set(monkeypatch):
+    # the k-space loop writes each best response's K and Z into the arrays
+    # the iterate before last left behind, and each evaluation's X,
+    # prediction and spectrum into the same three arrays.  The arrays seen
+    # are kept alive here, so no address can be reused by a fresh allocation
+    Y, pattern, frame_dims, lmk, specs = _small_dmri_problem()
+    kernel = build_kernel_matrix(lmk.points, specs[0])
+    model0 = init_factors(ModelDims(256, 8, 6, 1, 2, (3,)), 0, complex, [kernel])
+    config = SolverConfig(lambda1=1e-4, lambda2=2.0, lambda3=0.005, lambda4=1e-3,
+                          tau_Z=0.05, outer_iters=6, tol_objective=0.0)
+
+    def inputs():
+        return [Y, pattern.mask, *model0.kernels, *model0.coeffs,
+                *(D for row in model0.factors for D in row)]
+
+    before = [a.copy() for a in inputs()]
+    halves, seen = [], []
+    loop = solver.sca_loop
+
+    def recording_loop(config, observed, state, best_response, evaluate):
+        def respond(state, seen_now):
+            half, stats = best_response(state, seen_now)
+            halves.append((half[0], half[3]))
+            return half, stats
+
+        def evaluated(state):
+            evaluation = evaluate(state)
+            seen.append(evaluation[3])
+            return evaluation
+
+        return loop(config, observed, state, respond, evaluated)
+
+    monkeypatch.setattr(solver, "sca_loop", recording_loop)
+    X, _, report = solve_from_model(DMRI, Y, pattern, frame_dims, model0, config)
+    assert report.iterations == len(halves) == 6 and len(seen) == 7
+    for i, name in enumerate("KZ"):
+        arrays = [half[i] for half in halves]
+        assert len({id(a) for a in arrays}) == 2, name
+        assert all(a is not b for a, b in zip(arrays, arrays[1:])), name
+    for i, name in enumerate(("X", "prediction", "spectrum")):
+        assert all(s[i] is seen[0][i] for s in seen), name
+    assert X is seen[0][0]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs(), before, strict=True))
+    # the digest of the X that the loop allocating fresh arrays every
+    # iteration returned (numpy 2.4.6, OpenBLAS on x86-64)
+    assert hashlib.sha256(X.tobytes()).hexdigest()[:12] == "2cdcb7514c93"
 
 
 def test_solve_real_signal_with_default7_stays_real():

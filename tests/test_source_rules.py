@@ -4,7 +4,10 @@ tests/oracles.py, as the references the fast solves are checked against."""
 
 import ast
 import inspect
+import os
 import re
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -29,6 +32,23 @@ def test_x_update_factorizes_nothing():
         body = inspect.getsource(fn)
         for pattern in (r"\beigh\b", r"delta\s*@\s*\w*delta", r"abs\(.*\)\.sum\("):
             assert not re.search(pattern, body), f"{fn.__name__} matches {pattern!r}"
+
+
+def test_library_imports_no_heavy_scipy_subpackage():
+    # scipy.signal alone loads stats, optimize, interpolate, integrate and
+    # ndimage with it: some 350 modules and 35 MB of resident memory.  The
+    # library uses scipy.linalg and scipy.spatial.  A fresh interpreter, as
+    # this one has imported the test oracles
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(SRC), os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, mkimpute.cli, mkimpute.experiments; "
+                               "print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True, timeout=120).stdout.split()
+    heavy = {f"scipy.{name}"
+             for name in ("signal", "stats", "optimize", "interpolate", "integrate", "ndimage")}
+    found = sorted(m for m in loaded if ".".join(m.split(".")[:2]) in heavy)
+    assert found == [], f"importing the library loads {found[:5]}"
 
 
 def test_cg_step_masks_without_where():
