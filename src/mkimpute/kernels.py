@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import cmath
 import numbers
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .errors import DataError, InputError
 
@@ -85,11 +85,41 @@ class KernelSpec:
 
 
 def gaussian_spec(sigma: float) -> KernelSpec:
-    """Gaussian kernel from a width sigma, a finite number > 0, via
-    gamma = 1 / (2 sigma^2)."""
-    if not (_finite(sigma, numbers.Real) and sigma > 0):
-        raise InputError(f"'sigma' must be a finite number > 0, got {sigma!r}")
-    return KernelSpec(GAUSSIAN, gamma=1.0 / (2.0 * sigma**2))
+    """Gaussian kernel from a width sigma, a finite number > 0 whose
+    gamma = 1 / (2 sigma^2) is finite and > 0 (sigma between about 5.3e-155
+    and 9.5e153); an InputError naming 'sigma' otherwise."""
+    gamma = 0.0
+    # sigma^2 past the float range raises on Python numbers, warns on numpy's
+    with np.errstate(over="ignore", divide="ignore"), suppress(ZeroDivisionError, OverflowError):
+        if _finite(sigma, numbers.Real) and sigma > 0:
+            gamma = 1.0 / (2.0 * sigma**2)
+    if not 0 < gamma < np.inf:
+        raise InputError("'sigma' must be a finite number > 0 with 1 / (2 sigma^2) "
+                         f"finite and > 0, got {sigma!r}")
+    return KernelSpec(GAUSSIAN, gamma=gamma)
+
+
+_PAIR_CHUNK_BYTES = 8 * 2**20
+
+
+def _pairwise_distances(points: np.ndarray, chunk_bytes: int = _PAIR_CHUNK_BYTES) -> np.ndarray:
+    """The Euclidean distances between the columns of a real array, pair
+    (i, j) for i < j in row-major order, equal bit for bit to scipy's pdist
+    on its transpose: each pair's squared differences are summed over the
+    coordinates in order (np.sum would sum them pairwise).  The pairs are
+    taken in chunks whose two coordinates x pairs temporaries fill at most
+    chunk_bytes."""
+    first, second = np.triu_indices(points.shape[1], 1)
+    out = np.zeros(len(first))
+    step = max(1, chunk_bytes // (16 * max(1, len(points))))
+    for lo in range(0, len(out), step):
+        diff = points.take(first[lo : lo + step], axis=1)
+        diff -= points.take(second[lo : lo + step], axis=1)
+        diff *= diff
+        for k in range(len(diff)):
+            out[lo : lo + step] += diff[k]
+        del diff  # before the next chunk's are formed
+    return np.sqrt(out, out=out)
 
 
 def median_distance_gaussian(points: np.ndarray) -> KernelSpec:
@@ -103,7 +133,8 @@ def median_distance_gaussian(points: np.ndarray) -> KernelSpec:
     if pts.shape[1] < 2:
         return gaussian_spec(1.0)
     # |a - b| on complex points is the distance of their real embeddings [Re; Im]
-    med = float(np.median(pdist(np.vstack([pts.real, pts.imag]).T)))
+    real = np.concatenate([pts.real, pts.imag]) if np.iscomplexobj(pts) else pts
+    med = float(np.median(_pairwise_distances(real.astype(float, copy=False))))
     return gaussian_spec(med if med > 0 else 1.0)
 
 

@@ -11,6 +11,7 @@ unnormalized 1D DFT along rows, unshifted, so Ft^H Ft = I3 * Id.
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,7 +181,12 @@ def make_phantom(i1: int, i2: int, i3: int, params: PhantomParams | None = None)
     if p.noise_snr_db is not None:
         rng = np.random.default_rng(p.seed)
         signal = np.mean(np.abs(truth) ** 2)
-        noise_var = signal / 10.0 ** (p.noise_snr_db / 10.0)
+        noise_var = 0.0  # 10^(SNR/10) past the float range raises, signal over it warns
+        with np.errstate(over="ignore", divide="ignore"), suppress(OverflowError):
+            noise_var = signal / 10.0 ** (p.noise_snr_db / 10.0)
+        if not 0 < noise_var < np.inf:
+            raise InputError("'noise_snr_db' must give a noise power signal / 10^(SNR/10) "
+                             f"finite and > 0, got {p.noise_snr_db!r}")
         noise = rng.standard_normal(truth.shape) + 1j * rng.standard_normal(truth.shape)
         truth = truth + np.sqrt(noise_var / 2.0) * noise
 

@@ -24,7 +24,6 @@ from functools import reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import InputError, SolverError
 from .graphs import GraphOperators
@@ -193,6 +192,22 @@ def _cg_cap(top, tau_X, tol, n_free):
 
 
 BAND_BYTE_CAP = 16 << 20  # bytes of the X update's band factor; PCG beyond it
+
+
+def dpbtrf(*args, **kwargs):
+    """LAPACK's banded Cholesky factorization.  This and dpbtrs are the
+    library's only scipy imports, made at the first call: a solve with no
+    band factor loads no scipy."""
+    from scipy.linalg.lapack import dpbtrf
+
+    return dpbtrf(*args, **kwargs)
+
+
+def dpbtrs(*args, **kwargs):
+    """LAPACK's solve with a dpbtrf factor, imported as dpbtrf is."""
+    from scipy.linalg.lapack import dpbtrs
+
+    return dpbtrs(*args, **kwargs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,9 +6,9 @@ fast block implementations are checked against an independent path.  The
 analytic sub-task gradients, the multi-layer factorization reduction check,
 the exact sort-based multiplier of the real affine-l1 prox, pointwise kernel
 evaluation, the block-diagonal kernel supermatrix, the 1-based factor
-update wrapper, the per-spoke radial rasterizer, the per-node kNN loop and
-scipy.signal's "valid" convolution live here too: they exist only to verify
-the engine.
+update wrapper, the per-spoke radial rasterizer, the per-node kNN loop,
+scipy.signal's "valid" convolution and scipy.spatial's pairwise distances
+live here too: they exist only to verify the engine.
 """
 
 import copy
@@ -19,6 +19,7 @@ import scipy.linalg
 from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.lapack import dpbtrf
 from scipy.signal import convolve2d
+from scipy.spatial.distance import pdist
 
 from mkimpute.errors import InputError, SolverError
 from mkimpute.graphs import build_graph_operators
@@ -489,3 +490,10 @@ def convolve_valid_reference(img: np.ndarray, k: np.ndarray) -> np.ndarray:
     """2D convolution over the full-overlap windows alone, by scipy.signal:
     the reference for the stencil-row form hfen uses."""
     return convolve2d(img, k, mode="valid")
+
+
+def pairwise_distances_reference(points: np.ndarray) -> np.ndarray:
+    """The distances between the columns of a real array by scipy's pdist:
+    the reference the library's chunked pairwise distances match bit for
+    bit."""
+    return pdist(points.T)

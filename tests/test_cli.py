@@ -211,6 +211,33 @@ def test_validate_rejects_integers_beyond_the_float_range(tmp_path, capsys, fiel
     assert payload["error"] == "InputError" and what in payload["message"]
 
 
+_WIDTHS = (1e-200, 1e-155, 1e154, 1e200)
+
+
+@pytest.mark.parametrize("spec, what", [
+    *(({"problem": "tvgs", "kernels": [{"kind": "gaussian", "sigma": sigma}]},
+       f"kernels: kernel entry 0: 'sigma' must be a finite number > 0 with 1 / (2 sigma^2) "
+       f"finite and > 0, got {sigma!r}") for sigma in _WIDTHS),
+    ({"problem": "dmri", "methods": ["zero-fill"], "sampling": {"kind": "radial", "ratios": [4.0]},
+      "data": {"source": "phantom", "i1": 16, "i2": 16, "i3": 8, "noise_snr_db": 1e308}},
+     "data: 'noise_snr_db' must give a noise power signal / 10^(SNR/10) finite and > 0, "
+     "got 1e+308"),
+], ids=["sigma-1e-200", "sigma-1e-155", "sigma-1e154", "sigma-1e200", "noise_snr_db-1e308"])
+def test_validate_rejects_numbers_whose_derived_value_leaves_the_float_range(tmp_path, capsys,
+                                                                           spec, what):
+    # sigma^2 beyond the float range ended validate in a ZeroDivisionError or
+    # OverflowError traceback, or named 'gamma', a field the spec never set;
+    # 10^(SNR/10) above about 3083 dB overflowed
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["validate", str(spec_path)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    payload = json.loads(line)
+    assert payload == {"error": "InputError", "message": what}
+
+
 def _no_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 

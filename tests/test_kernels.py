@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mkimpute import kernels
 from mkimpute.errors import DataError, InputError
 from mkimpute.kernels import (
     KernelSpec,
@@ -14,7 +16,7 @@ from mkimpute.kernels import (
     gaussian_spec,
     median_distance_gaussian,
 )
-from oracles import build_kernel_supermatrix, eval_kernel
+from oracles import build_kernel_supermatrix, eval_kernel, pairwise_distances_reference
 
 
 def test_linear_complex_pair():
@@ -208,10 +210,56 @@ def test_median_distance_gaussian_rejects_non_finite_points(points):
         median_distance_gaussian(np.array(points))
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(n=st.integers(2, 40), nu=st.integers(1, 12), complex_=st.booleans(),
+       fortran=st.booleans(), repeats=st.integers(0, 3),
+       scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e150]), pairs_per_chunk=st.integers(1, 60),
+       seed=st.integers(0, 2**16))
+@example(n=2, nu=1, complex_=False, fortran=False, repeats=0, scale=1.0, pairs_per_chunk=1,
+         seed=0)  # a single pair
+@example(n=2, nu=12, complex_=True, fortran=True, repeats=1, scale=1.0, pairs_per_chunk=1,
+         seed=1)  # a single pair of repeated points, past numpy's 8-term pairwise block
+def test_pairwise_distances_equal_pdist_bit_for_bit(n, nu, complex_, fortran, repeats, scale,
+                                                    pairs_per_chunk, seed):
+    # each pair's squares are summed over the coordinates in order, as pdist
+    # sums them; chunks of 1 to 60 pairs put their boundaries anywhere
+    rng = np.random.default_rng(seed)
+    pts = scale * rng.standard_normal((nu, n))
+    if complex_:
+        pts = pts + 1j * scale * rng.standard_normal((nu, n))
+    pts[:, n - min(repeats, n - 1):] = pts[:, :1]  # repeated points
+    pts = np.asfortranarray(pts) if fortran else np.ascontiguousarray(pts)
+    real = np.concatenate([pts.real, pts.imag]) if complex_ else pts
+    want = pairwise_distances_reference(real)
+    for chunk_bytes in (16 * len(real) * pairs_per_chunk, kernels._PAIR_CHUNK_BYTES):
+        got = kernels._pairwise_distances(real, chunk_bytes)
+        assert got.tobytes() == want.tobytes(), chunk_bytes
+    med = float(np.median(want))
+    assert median_distance_gaussian(pts) == gaussian_spec(med if med > 0 else 1.0)
+
+
+def test_pairwise_distances_stay_within_their_chunk_budget():
+    # 300 points of 500 coordinates: one pairs x coordinates array would take
+    # 180 MB, every chunk's two take at most the budget
+    pts = np.random.default_rng(3).standard_normal((500, 300))
+    tracemalloc.start()
+    try:
+        median_distance_gaussian(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * kernels._PAIR_CHUNK_BYTES, peak
+
+
 @pytest.mark.parametrize("field, value", [
     ("gamma", float("inf")), ("gamma", float("nan")), ("gamma", 0), ("gamma", "median"),
     ("gamma", True),
     ("sigma", float("inf")), ("sigma", 0), ("sigma", "wide"),
+    # sigma^2 beyond the float range gave a ZeroDivisionError or an
+    # OverflowError; a gamma of inf or 0 an error naming 'gamma'
+    ("sigma", 1e-200), ("sigma", 1e-155), ("sigma", 1e154), ("sigma", 1e200),
+    *(pytest.param("sigma", np.float64(value), id=f"sigma-float64-{value}")
+      for value in (1e-200, 1e200)),
     ("degree", 0), ("degree", 1.5), ("degree", True), ("degree", None),
     ("intercept", float("nan")), ("intercept", float("inf")), ("intercept", "x"),
     ("intercept", complex(1.0, float("nan"))),
@@ -227,6 +275,12 @@ def test_kernel_spec_rejects_a_bad_number_naming_the_field(field, value):
             gaussian_spec(value)
         else:
             KernelSpec("gaussian" if field == "gamma" else "polynomial", **{field: value})
+
+
+@pytest.mark.parametrize("sigma", [3e-154, 1e-150, 1e-3, 0.4, 1, 7, 1e150, 9e153,
+                                   np.float64(0.4), np.float64(1e-150), np.int32(3)])
+def test_gaussian_spec_keeps_its_gamma_at_every_workable_width(sigma):
+    assert gaussian_spec(sigma).gamma == 1.0 / (2.0 * sigma**2)
 
 
 def _complex_points():

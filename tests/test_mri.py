@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,6 +175,24 @@ def test_phantom_noise_is_seeded():
     assert np.array_equal(a.kspace, b.kspace)
     clean = make_phantom(16, 16, 8)
     assert not np.allclose(a.kspace, clean.kspace)
+
+
+@pytest.mark.parametrize("snr", [3084.0, 1e308, math.inf, -3090.0, -3300.0, -math.inf, math.nan])
+def test_phantom_rejects_an_snr_whose_noise_power_leaves_the_float_range(snr):
+    # 10^(SNR/10) overflowed above about 3082.5 dB; below about -3087 dB the
+    # signal power over it is infinite, below about -3233 dB it is 0
+    with pytest.raises(InputError, match="^'noise_snr_db' must give a noise power signal / 10"):
+        make_phantom(8, 8, 8, PhantomParams(noise_snr_db=snr))
+
+
+@pytest.mark.parametrize("snr", [3082.0, 30.0, 0.0, -3000.0, -3086.0])
+def test_phantom_noise_at_every_workable_snr(snr):
+    clean = make_phantom(8, 8, 8).ground_truth_image
+    rng = np.random.default_rng(5)
+    noise = rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
+    var = np.mean(np.abs(clean) ** 2) / 10.0 ** (snr / 10.0)
+    noisy = make_phantom(8, 8, 8, PhantomParams(noise_snr_db=snr, seed=5)).ground_truth_image
+    assert noisy.tobytes() == (clean + np.sqrt(var / 2.0) * noise).tobytes()
 
 
 def test_phantom_rejects_tiny_dims():

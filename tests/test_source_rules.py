@@ -4,6 +4,7 @@ tests/oracles.py, as the references the fast solves are checked against."""
 
 import ast
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -34,21 +35,84 @@ def test_x_update_factorizes_nothing():
             assert not re.search(pattern, body), f"{fn.__name__} matches {pattern!r}"
 
 
+def _fresh_interpreter(code, *args):
+    """Run code in a fresh interpreter, as this one has imported the test
+    oracles; returns the scipy modules it holds at the end."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(SRC), os.environ.get("PYTHONPATH")]))}
+    code += "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    done = subprocess.run([sys.executable, "-c", "import json, sys\n" + code, *args],
+                          env=env, capture_output=True, text=True, check=True, timeout=120)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 def test_library_imports_no_heavy_scipy_subpackage():
     # scipy.signal alone loads stats, optimize, interpolate, integrate and
     # ndimage with it: some 350 modules and 35 MB of resident memory.  The
-    # library uses scipy.linalg and scipy.spatial.  A fresh interpreter, as
-    # this one has imported the test oracles
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-        str(SRC), os.environ.get("PYTHONPATH")]))}
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, mkimpute.cli, mkimpute.experiments; "
-                               "print(*sorted(sys.modules))"],
-        env=env, capture_output=True, text=True, check=True, timeout=120).stdout.split()
+    # library's one scipy import is scipy.linalg.lapack, at its first band
+    # factor
+    loaded = _fresh_interpreter("import mkimpute.cli, mkimpute.experiments")
     heavy = {f"scipy.{name}"
              for name in ("signal", "stats", "optimize", "interpolate", "integrate", "ndimage")}
     found = sorted(m for m in loaded if ".".join(m.split(".")[:2]) in heavy)
     assert found == [], f"importing the library loads {found[:5]}"
+
+
+def test_scipy_is_imported_only_inside_the_two_lapack_functions():
+    # at module level, scipy.linalg would load with every import of the
+    # library, and scipy.spatial would bring scipy.sparse with it
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        for owner, node in _owned_nodes(ast.parse(path.read_text()), path.stem):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            sites += [(owner, name) for name in names if name.split(".")[0] == "scipy"]
+    assert sorted(sites) == [("solver.dpbtrf", "scipy.linalg.lapack"),
+                             ("solver.dpbtrs", "scipy.linalg.lapack")], sites
+
+
+# runs each argument as one mkimpute command line, each of which must exit 0
+_CLI_RUNS = ("from mkimpute import cli\n"
+             "assert [cli.main(a.split()) for a in sys.argv[1:]] == [0] * (len(sys.argv) - 1)")
+
+
+def _run_command(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return f"run {path} --output {tmp_path / 'out'}"
+
+
+def test_k_space_paths_load_no_scipy(tmp_path):
+    # a k-space solve runs on numpy's FFTs and dense solves; its median
+    # kernel width is measured without scipy.spatial
+    run = _run_command(tmp_path, {
+        "problem": "dmri", "methods": ["mlkr", "zero-fill"],
+        "data": {"source": "phantom", "i1": 16, "i2": 16, "i3": 8},
+        "sampling": {"kind": "radial", "ratios": [4.0]}, "landmarks": {"count": 4},
+        "kernels": [{"kind": "gaussian", "sigma": "median"}],
+        "solver": {"lambda2": 2.0, "outer_iters": 3}})
+    loaded = _fresh_interpreter("import mkimpute.experiments\n" + _CLI_RUNS, run,
+                                f"phantom 16x16x8 {tmp_path / 'p.kt'}",
+                                f"mask radial {tmp_path / 'm.csv'} --i1 16 --i2 16 --frames 4")
+    assert loaded == []
+    assert (tmp_path / "out" / "results.csv").exists()
+
+
+def test_a_graph_solve_loads_scipy_linalg_alone(tmp_path):
+    # the X update's band factor is the one user of scipy
+    run = _run_command(tmp_path, {
+        "problem": "tvgs", "methods": ["mlkr"],
+        "data": {"source": "synthetic", "nodes": 14, "times": 16, "modes": 2, "knn": 3},
+        "sampling": {"kind": "p1", "ratios": [0.5]}, "landmarks": {"count": 5},
+        "kernels": [{"kind": "gaussian", "sigma": "median"}],
+        "solver": {"lambda_L": 0.02, "outer_iters": 3}})
+    loaded = _fresh_interpreter(_CLI_RUNS, run)
+    assert "scipy.linalg" in loaded
+    assert [m for m in loaded if m.startswith(("scipy.spatial", "scipy.sparse"))] == []
 
 
 def test_cg_step_masks_without_where():
