@@ -37,11 +37,16 @@ class GraphOperators:
 
     def smoothness(self):
         """(S, (s, U), DD^T, (d, Q)) with S = (L + eps*I)^beta = U diag(s) U^T
-        and DD^T = Q diag(d) Q^T, eigenvalues ascending."""
+        and DD^T = Q diag(d) Q^T, eigenvalues ascending.  InputError if an
+        eigenvalue of S overflows."""
         with self._lock:
             if self._smoothness is None:
                 lam, U = np.linalg.eigh(self.L + self.eps * np.eye(self.L.shape[0]))
-                s = np.maximum(lam, 0.0) ** self.beta
+                with np.errstate(over="ignore"):
+                    s = np.maximum(lam, 0.0) ** self.beta
+                if not np.isfinite(s).all():
+                    raise InputError(f"(L + eps I)^beta overflows at eps={self.eps}, "
+                                     f"beta={self.beta}")
                 ddt = self.delta @ self.delta.T
                 d, Q = np.linalg.eigh(ddt)
                 S = (U * s) @ U.T
@@ -117,10 +122,9 @@ def build_graph_operators(
     coords: np.ndarray, k: int, eps: float, beta: float, n_time: int
 ) -> GraphOperators:
     """Assemble every operator needed by the graph-signal pipeline."""
-    if not eps > 0:
-        raise InputError(f"eps must be positive, got {eps}")
-    if not beta > 0:
-        raise InputError(f"beta must be positive, got {beta}")
+    for name, value in (("eps", eps), ("beta", beta)):
+        if not 0 < value < np.inf:
+            raise InputError(f"{name} must be a finite number > 0, got {value}")
     W, neighbors = knn_graph(coords, k)
     return GraphOperators(
         W=W,

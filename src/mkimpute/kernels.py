@@ -170,7 +170,10 @@ def build_kernel_matrix(landmarks: np.ndarray, spec: KernelSpec) -> np.ndarray:
         return np.exp(-spec.gamma * (sq[:, None] + np.conj(sq)[None, :] - 2.0 * cross))
     entries = landmarks.conj().T @ landmarks  # (k,k') entry = l_k^H l_k'
     if spec.kind == POLYNOMIAL:
-        entries = (entries + spec.intercept) ** spec.degree
+        entries = entries + spec.intercept
+    # the base g is normalized before the power: the same kernel,
+    # g^r / sqrt(|g_kk^r| |g_k'k'^r|), without forming g^r, which can overflow
     scale = np.sqrt(np.abs(np.diagonal(entries)))
     scale[scale == 0.0] = 1.0
-    return entries / np.outer(scale, scale)
+    entries = entries / np.outer(scale, scale)
+    return entries if spec.kind == LINEAR else entries ** spec.degree

@@ -910,16 +910,17 @@ def consistency_residual(A, observed) -> float:
 def sca_loop(config: SolverConfig, observed, state, best_response, evaluate):
     """The SCA outer loop every model runs, on iterates that are tuples whose
     first element is the estimate in the data's domain.  Each iterate is
-    evaluated once, ``evaluate(state) -> (objective, consistency, affine
-    residual, seen)``; ``seen`` holds what the evaluation computed that the
-    best responses reuse, such as the model's prediction.  Iteration n takes
-    the best responses ``best_response(state, seen) -> (half, stats)``, all
+    evaluated once, ``evaluate(state) -> (objective, affine residual,
+    seen)``; ``seen`` holds what the evaluation computed that the best
+    responses reuse, such as the model's prediction.  Iteration n takes the
+    best responses ``best_response(state, seen) -> (half, stats)``, all
     conditioned on the current point, mixes them in place into
     sca_extrapolate(state, half, gamma_n), gamma_n from sca_step_schedule,
     and re-pins the first element to the observations, ``observed`` from
     observed_entries.  The loop owns the starting point's arrays: the mix is
     formed in place in the best responses' arrays and the current point's.
-    It records the evaluation of the new point and the stats: ``cg_iters``,
+    It records the evaluation of the new point, the consistency_residual of
+    the first element it pinned, and the stats: ``cg_iters``,
     ``b_inner_iters`` and ``b_residual`` (0 if absent) and a ``warning``.  The loop stops after
     config.outer_iters iterations or once the relative objective change is
     below config.tol_objective.  A non-finite objective raises SolverError,
@@ -930,7 +931,7 @@ def sca_loop(config: SolverConfig, observed, state, best_response, evaluate):
                               iteration=n)
         return evaluation
 
-    obj_prev, _, _, seen = finite(evaluate(state), 1)
+    obj_prev, _, seen = finite(evaluate(state), 1)
     report = SolveReport(initial_objective=obj_prev)
     gamma = config.gamma0
     for n in range(1, config.outer_iters + 1):
@@ -941,9 +942,9 @@ def sca_loop(config: SolverConfig, observed, state, best_response, evaluate):
             report.warnings.append(f"iter {n}: {stats['warning']}")
         state = sca_extrapolate(state, half, gamma)
         np.put(state[0], *observed)
-        obj, cons, affine, seen = finite(evaluate(state), n)
+        obj, affine, seen = finite(evaluate(state), n)
         report.objective.append(obj)
-        report.consistency.append(cons)
+        report.consistency.append(consistency_residual(state[0], observed))
         report.affine_residual.append(affine)
         report.b_inner_iters.append(stats.get("b_inner_iters", 0))
         report.b_residual.append(stats.get("b_residual", 0.0))
@@ -1034,20 +1035,20 @@ def solve_from_model(problem, Y, pattern, operators, model0: FactorModel,
 
     def evaluate(state):
         K, factors, coeffs, Z = state
-        cons = consistency_residual(K, observed)
         current = model(factors, coeffs)
         X = K if problem == TVGS else ifft2_frames(K, *frame_dims[:2], out=X_out)
         prediction = predict(current, out=pred_out)
         spectrum = None if problem == TVGS else dft_temporal(X, out=spec_out)
         obj = full_objective(problem, X, current, prediction, config, graph=graph, Z=Z,
                              spectrum=spectrum, scratch=scratch)
-        return obj, cons, affine_residual(current), (X, prediction, spectrum)
+        return obj, affine_residual(current), (X, prediction, spectrum)
 
     if problem == TVGS and band is None:  # every X update shares the mask, graph and weights
         band = free_band_factor(pattern, graph, config.lambda_L, config.tau_X)
     Z0 = None if problem == TVGS else dft_temporal(ifft2_frames(K0, *frame_dims[:2], out=X_out))
     # the loop owns the starting point and mixes in place in it: the copies
-    # keep model0 unwritten.  On k-space, (K0, Z0) is the first (K, Z) pair
+    # keep model0 unwritten.  On k-space, (K0, Z0) is the first (K, Z) pair,
+    # so Z0 is an array of its own, not the spectrum every evaluation overwrites
     (_, factors, coeffs, _), (X, _, _), report = sca_loop(
         config, observed, (K0, [[D.copy() for D in row] for row in model0.factors],
                            [B.copy() for B in model0.coeffs], Z0), best_response, evaluate)
@@ -1065,11 +1066,11 @@ def solve(problem, Y, pattern: SamplingPattern, operators, landmarks: LandmarkSe
     Returns (X, model, report)."""
     _, frame_dims = _problem_operators(problem, operators)
     # match the initial prediction's energy to the zero-filled iterate's so the
-    # first half-steps are not dominated by the random draw's scale
-    S_y = apply_sampling(pattern, Y)
-    X0 = S_y if problem == TVGS else ifft2_frames(S_y, *frame_dims[:2])
-    x0_norm = float(np.linalg.norm(X0))
-    del S_y, X0  # solve_from_model forms its own: these would outlive its loop
+    # first half-steps are not dominated by the random draw's scale.  On
+    # k-space that iterate is F2^-1 S_y, of norm ||S_y|| / sqrt(I1 I2) (Parseval)
+    x0_norm = float(np.linalg.norm(apply_sampling(pattern, Y)))
+    if frame_dims is not None:
+        x0_norm /= math.sqrt(frame_dims[0] * frame_dims[1])
     if landmarks.count != dims.n_landmarks:
         raise InputError(
             f"landmark set has {landmarks.count} points, dims expect {dims.n_landmarks}"
@@ -1081,7 +1082,6 @@ def solve(problem, Y, pattern: SamplingPattern, operators, landmarks: LandmarkSe
     model0 = init_factors(dims, config.seed, dtype, kernels)
     pred_norm = float(np.linalg.norm(predict(model0)))
     if pred_norm > 0:
-        ratio = x0_norm / pred_norm
-        for m in range(dims.n_kernels):
-            model0.factors[m][0] = model0.factors[m][0] * ratio
+        for row in model0.factors:  # the first factor of every block
+            row[0] = row[0] * (x0_norm / pred_norm)
     return solve_from_model(problem, Y, pattern, operators, model0, config, band)

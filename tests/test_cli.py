@@ -238,6 +238,55 @@ def test_validate_rejects_numbers_whose_derived_value_leaves_the_float_range(tmp
     assert payload == {"error": "InputError", "message": what}
 
 
+@pytest.mark.parametrize("graph, what", [
+    ('{"eps": 1e400}', "graph: eps must be a finite number > 0, got inf"),
+    ('{"beta": 1e400}', "graph: beta must be a finite number > 0, got inf"),
+], ids=["eps", "beta"])
+def test_validate_rejects_an_infinite_graph_eps_or_beta(tmp_path, capsys, graph, what):
+    # 1e400 is JSON for inf: it passed validate, then every graph method
+    # failed in run after a RuntimeWarning
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(f'{{"problem": "tvgs", "graph": {graph}}}')
+    assert main(["validate", str(spec_path)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    assert json.loads(line) == {"error": "InputError", "message": what}
+
+
+def test_run_names_eps_and_beta_whose_smoothness_overflows(tmp_path, capsys):
+    # (L + eps I)^beta overflows at eps 1e300, beta 3: each graph method
+    # fails with a typed error naming both, and no warning reaches stderr
+    spec = {**TVGS_SPEC, "methods": ["mlkr", "mmf", "nbp", "zero-fill"],
+            "graph": {"eps": 1e300, "beta": 3.0}}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert main(["run", str(spec_path), "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "Warning" not in captured.err
+    assert json.loads(captured.err)["failed_cells"] == 1
+    log = (out / "errors.log").read_text()
+    for method in ("mlkr", "mmf", "nbp"):
+        assert (f"method={method} InputError: (L + eps I)^beta overflows at eps=1e+300, "
+                f"beta=3.0") in log
+
+
+@pytest.mark.parametrize("kernel", [{"kind": "polynomial", "degree": 400},
+                                    {"kind": "polynomial", "degree": 2, "intercept": 1e200}],
+                         ids=["degree-400", "intercept-1e200"])
+def test_run_with_a_polynomial_kernel_whose_power_overflowed(tmp_path, capsys, kernel):
+    # the kernel was raised to the degree before it was normalized: the
+    # power overflowed and every mlkr cell failed with a non-finite objective
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**TVGS_SPEC, "kernels": [kernel]}))
+    out = tmp_path / "out"
+    assert main(["run", str(spec_path), "--output", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.strip() == "completed 2 runs"
+    assert not (out / "errors.log").exists()
+
+
 def _no_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
@@ -273,7 +322,7 @@ def test_spec_that_is_not_an_object_is_one_json_line(tmp_path, capsys, command, 
     ({"solver": {"seed": 5}}, "base_seed"),
     # an explicit id keeps a case's name stable where its match is a set-up
     # message, "spec block: constructor message"
-    pytest.param({"graph": {"eps": 0.0}}, "graph: eps must be positive, got 0.0",
+    pytest.param({"graph": {"eps": 0.0}}, "graph: eps must be a finite number > 0, got 0.0",
                  id="fields6-graph.eps"),
     ({"problem": "dmri", "data": {"source": "phantom", "i1": 16, "i2": 16, "i3": 8},
       "sampling": {"kind": "cartesian", "ratios": [4.0]}, "navigator": {"upsilon": 6},

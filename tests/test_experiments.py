@@ -465,9 +465,9 @@ def test_load_tvgs_csv_non_finite_names_line(tmp_path, cell):
                  id="fields30-graph.k"),
     pytest.param({"data": {"source": "synthetic", "nodes": 12}, "graph": {"k": 12}},
                  "graph: need 1 <= k < 12, got k=12", id="fields31-graph.k"),
-    pytest.param({"graph": {"eps": 0.0}}, "graph: eps must be positive, got 0.0",
+    pytest.param({"graph": {"eps": 0.0}}, "graph: eps must be a finite number > 0, got 0.0",
                  id="fields32-graph.eps"),
-    pytest.param({"graph": {"beta": -1.0}}, "graph: beta must be positive, got -1.0",
+    pytest.param({"graph": {"beta": -1.0}}, "graph: beta must be a finite number > 0, got -1.0",
                  id="fields33-graph.beta"),
     ({"problem": "dmri", "data": {"source": "phantom", "i1": 16, "i2": 16, "i3": 8},
       "sampling": {"kind": "cartesian", "ratios": [2.0, 4.0]}, "navigator": {"upsilon": 6},

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,10 +152,23 @@ def test_sobolev_fractional_beta_positive_definite():
 
 
 def test_sobolev_rejects_bad_eps():
+    # an infinite eps ended in LinAlgError from eigh, an infinite beta in a
+    # non-finite objective, each after a RuntimeWarning
     coords = np.array([[0.0, 1.0, 3.0]])
-    for eps, beta in ((0.0, 1.0), (-0.1, 1.0), (0.1, 0.0)):
-        with pytest.raises(InputError):
+    for eps, beta, name in ((0.0, 1.0, "eps"), (-0.1, 1.0, "eps"), (0.1, 0.0, "beta"),
+                            (np.inf, 1.0, "eps"), (0.1, np.inf, "beta")):
+        with pytest.raises(InputError, match=f"^{name} must be a finite number > 0, got "):
             build_graph_operators(coords, 1, eps, beta, 4)
+
+
+@pytest.mark.parametrize("eps, beta", [(1e300, 3.0), (0.1, 1e300), (2.0, 1e4)])
+def test_smoothness_whose_eigenvalues_overflow_is_a_typed_error(eps, beta):
+    # finite eps and beta whose (L + eps I)^beta overflows: a typed error
+    # naming both, and no RuntimeWarning (which pytest.ini makes an error)
+    L = laplacian(np.array([[0.0, 1.0], [1.0, 0.0]]))  # eigenvalues {0, 2}
+    with pytest.raises(InputError, match=re.escape(
+            f"(L + eps I)^beta overflows at eps={eps!r}, beta={beta!r}")):
+        _sobolev(L, eps, beta)
 
 
 def test_diff_operator_small():

@@ -14,6 +14,7 @@ from mkimpute.kernels import (
     build_kernel_matrix,
     default_kernel_dictionary,
     gaussian_spec,
+    landmark_mean,
     median_distance_gaussian,
 )
 from oracles import build_kernel_supermatrix, eval_kernel, pairwise_distances_reference
@@ -347,3 +348,20 @@ def test_linear_and_polynomial_matrices_have_a_unit_diagonal(complex_, kind, deg
         for j in range(n_l):
             assert km[i, j] == pytest.approx(eval_kernel(spec, pts[:, i], pts[:, j]),
                                              rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("intercept", [0.0, 1.0, 1e200, None])
+def test_degree_400_polynomial_is_finite_with_a_unit_diagonal(complex_, intercept):
+    # raised to the degree before it was normalized, the base l^H l' + c
+    # overflowed to inf and nan (at degree 400, or at c = 1e200 from degree 2)
+    rng = np.random.default_rng(40)
+    pts = rng.standard_normal((5, 9))
+    if complex_:
+        pts = pts + 1j * rng.standard_normal((5, 9))
+    c = landmark_mean(pts) if intercept is None else intercept
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        km = build_kernel_matrix(pts, KernelSpec("polynomial", degree=400, intercept=c))
+    assert np.all(np.isfinite(km))
+    assert np.allclose(np.abs(np.diagonal(km)), 1.0, rtol=1e-12, atol=0.0)

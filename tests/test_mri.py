@@ -74,6 +74,16 @@ def test_fft2_parseval_unnormalized(i1, i2, i3, complex_, seed):
 
 @property_test
 @given(**SIZES)
+def test_ifft2_norm_is_the_kspace_norm_over_root_frame_size(i1, i2, i3, complex_, seed):
+    # Parseval for the inverse, which carries the 1/(I1*I2): solve takes the
+    # zero-filled image's norm this way, with no transform
+    K = _rand_kt(i1, i2, i3, complex_, seed)
+    assert np.linalg.norm(ifft2_frames(K, i1, i2)) == pytest.approx(
+        np.linalg.norm(K) / math.sqrt(i1 * i2), rel=1e-12)
+
+
+@property_test
+@given(**SIZES)
 def test_fft2_adjoint(i1, i2, i3, complex_, seed):
     x = _rand_kt(i1, i2, i3, complex_, seed)
     y = _rand_kt(i1, i2, i3, complex_, seed + 1)

@@ -139,6 +139,34 @@ def test_extrapolate_preserves_affine_constraint(complex_, m_count, n_l, cols, g
         assert np.max(np.abs(blk.sum(axis=0) - 1.0)) < 1e-12
 
 
+def test_loop_records_the_consistency_of_what_it_pins():
+    # each best response moves every observed entry; the loop re-pins them and
+    # records each iterate's consistency itself, from an evaluate that returns
+    # (objective, affine residual, seen)
+    rng = np.random.default_rng(4)
+    Y = rng.standard_normal((4, 6))
+    pattern = sample_p1(4, 6, 0.5, seed=4)
+    observed = observed_entries(pattern, np.where(pattern.mask, Y, 0.0))
+    config = SolverConfig(outer_iters=5, tol_objective=0.0)
+    evaluated = []
+
+    def best_response(state, seen):
+        return (state[0] + seen,), {}
+
+    def evaluate(state):
+        evaluated.append(state[0].copy())
+        return float(np.sum(state[0] ** 2)), 0.25, 1.5
+
+    (X,), seen, report = solver.sca_loop(config, observed, (np.zeros((4, 6)),),
+                                         best_response, evaluate)
+    assert report.iterations == 5 and len(evaluated) == 6 and seen == 1.5
+    assert report.consistency == [0.0] * 5 and report.affine_residual == [0.25] * 5
+    for A in (*evaluated[1:], X):
+        assert np.array_equal(A[pattern.mask], Y[pattern.mask])
+    # the free entries move: the best responses' 1.5 mixed in five times
+    assert np.all(X[~pattern.mask] > 0)
+
+
 # ---------------------------------------------------------------------------
 # graph-flavor X update
 # ---------------------------------------------------------------------------
@@ -1945,8 +1973,8 @@ def test_each_iterate_is_evaluated_once(monkeypatch, method):
     # k-space one temporal spectrum per iterate, shared by the objective and
     # the next Z update, plus the starting Z; and at most two spatial
     # transforms per iterate, the X update's F2 and the evaluation's inverse,
-    # plus four: the initial scaling's, the starting Z's, the starting
-    # iterate's and the returned X's residual
+    # plus three: the starting Z's, the starting iterate's and the returned
+    # X's residual (the initial scaling takes its norm by Parseval)
     from mkimpute.baselines import mmf_solve
     from mkimpute.kernels import gaussian_spec
     config = SolverConfig(lambda1=1e-3, lambda2=2.0, lambda_L=0.05, tau_Z=0.05,
@@ -1969,7 +1997,9 @@ def test_each_iterate_is_evaluated_once(monkeypatch, method):
     assert report.iterations == config.outer_iters
     assert len(predicts) == config.outer_iters + (1 if method == "mmf" else 2)
     assert len(spectra) <= config.outer_iters + 2
-    assert len(forward) + len(inverse) <= 2 * config.outer_iters + 4
+    assert len(forward) + len(inverse) <= 2 * config.outer_iters + 3
+    if method == "dmri":  # the evaluations' inverses and the starting Z's
+        assert len(inverse) == config.outer_iters + 2
 
 
 def test_x_update_cg_rejects_nan_residual():
@@ -2050,7 +2080,7 @@ def test_kspace_loop_runs_in_a_fixed_working_set(monkeypatch):
 
         def evaluated(state):
             evaluation = evaluate(state)
-            seen.append(evaluation[3])
+            seen.append(evaluation[2])
             return evaluation
 
         return loop(config, observed, state, respond, evaluated)

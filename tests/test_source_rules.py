@@ -144,16 +144,20 @@ def _owned_nodes(node, owner):
 
 
 def test_one_sca_outer_loop():
-    # the step schedule, the convex combination and the loop over the outer
-    # iterations live in solver.sca_loop alone; every model only supplies its
-    # best responses and one evaluate of each iterate
-    schedules, combinations, outer_loops = [], [], []
+    # the step schedule, the convex combination, the consistency record and
+    # the loop over the outer iterations live in solver.sca_loop alone (and
+    # the k-space engine's last row, which records the returned X's
+    # residual); every model only supplies its best responses and one
+    # evaluate of each iterate
+    schedules, combinations, consistency, outer_loops = [], [], [], []
     for path in sorted(SRC.rglob("*.py")):
         for owner, node in _owned_nodes(ast.parse(path.read_text()), path.stem):
             if isinstance(node, ast.Call) and _named(node.func) == "sca_step_schedule":
                 schedules.append(owner)
             if isinstance(node, ast.Call) and _named(node.func) == "sca_extrapolate":
                 combinations.append(owner)
+            if isinstance(node, ast.Call) and _named(node.func) == "consistency_residual":
+                consistency.append(owner)
             if (isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
                     and _named(node.iter.func) == "range"
                     and any(isinstance(sub, ast.Attribute) and sub.attr == "outer_iters"
@@ -161,6 +165,8 @@ def test_one_sca_outer_loop():
                 outer_loops.append(owner)
     assert schedules == ["solver.sca_loop"], f"sca_step_schedule called in {schedules}"
     assert combinations == ["solver.sca_loop"], f"sca_extrapolate called in {combinations}"
+    assert consistency == ["solver.sca_loop", "solver.solve_from_model"], (
+        f"consistency_residual called in {consistency}")
     assert outer_loops == ["solver.sca_loop"], f"outer iterations looped in {outer_loops}"
 
 
