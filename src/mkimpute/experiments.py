@@ -9,6 +9,7 @@ reproduced byte-for-byte (wall-time columns aside).
 from __future__ import annotations
 
 import copy
+import csv
 import dataclasses
 import json
 import math
@@ -32,7 +33,7 @@ from .kernels import (
     median_distance_gaussian,
 )
 from .metrics import METRICS, compute_metrics
-from .model import ModelDims, SolverConfig
+from .model import ModelDims, SolverConfig, require_count
 from .mri import PhantomParams, ifft2_frames, make_phantom
 from .navigators import (
     STRATEGIES,
@@ -331,10 +332,10 @@ def resolve_spec(raw: dict) -> dict:
     if not ratios or len(set(ratios)) < len(ratios):  # a cell and a trace file per ratio
         what = "sampling ratios" if problem == TVGS else "accelerations"
         raise InputError(f"sampling.ratios must list one or more distinct {what}, got {ratios}")
-    if spec["repeats"] < 1:
-        raise InputError("repeats must be at least 1")
-    if spec["workers"] < 1:
-        raise InputError(f"workers must be at least 1, got {spec['workers']}")
+    for name, value in (("repeats", spec["repeats"]), ("workers", spec["workers"]),
+                        ("baseline.rank", spec["baseline"]["rank"]),
+                        ("baseline.depth", spec["baseline"]["depth"])):
+        require_count(name, value, 1)
     if spec["sampling"]["band"] != 0:  # the default 0 stays so old resolved specs validate
         raise InputError("sampling.band is not read: the fully sampled central band is "
                          f"navigator.upsilon rows wide, got band {spec['sampling']['band']}")
@@ -347,10 +348,6 @@ def resolve_spec(raw: dict) -> dict:
     if problem == TVGS and spec["navigator"]["mode"] not in TVGS_MODES:
         raise InputError(f"navigator mode must be one of {TVGS_MODES}, "
                          f"got {spec['navigator']['mode']!r}")
-    for key in ("rank", "depth"):
-        if spec["baseline"][key] < 1:
-            raise InputError(f"baseline.{key} must be at least 1, "
-                             f"got {spec['baseline'][key]}")
     if baselines.NBP in spec["methods"] and src == "synthetic":
         # a method's bound: no set-up stage builds nbp's links
         nodes, times = spec["data"]["nodes"], spec["data"]["times"]
@@ -564,20 +561,13 @@ def _run_cell_dmri(spec, dataset, cell, out_dir):
 # sweep driver and output
 # ---------------------------------------------------------------------------
 
-def _fmt(val):
-    if val is None:
-        return ""
-    if isinstance(val, float):
-        return repr(val)
-    return str(val)
-
-
 def emit_results(rows: list[dict], path) -> None:
-    """Stable long-format CSV; aggregate rows carry seed='mean'."""
-    with open(path, "w") as fh:
-        fh.write(",".join(RESULT_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row.get(c)) for c in RESULT_COLUMNS) + "\n")
+    """Stable long-format CSV; aggregate rows carry seed='mean'.  A None
+    value is an empty field and a float is written as its repr."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(RESULT_COLUMNS)
+        w.writerows([row.get(c) for c in RESULT_COLUMNS] for row in rows)
 
 
 def aggregate_rows(rows: list[dict], methods, ratios) -> list[dict]:

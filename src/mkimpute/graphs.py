@@ -20,6 +20,7 @@ class GraphOperators:
 
     ``neighbors[i]`` is the directed k-nearest-neighbor index list of node i
     (excluding i itself); W is the OR-symmetrized weighted adjacency.
+    eps and beta must be finite and > 0 (InputError otherwise).
     S = (L + eps*I)^beta, DD^T and their eigenpairs do not change during a
     solve: they are computed together, once, on first use, and every solve
     on the graph shares them, read-only.
@@ -34,6 +35,11 @@ class GraphOperators:
     _smoothness: tuple | None = field(default=None, init=False, repr=False)
     # a sweep's worker threads share one graph, and so one factorization
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
+
+    def __post_init__(self):
+        for name, value in (("eps", self.eps), ("beta", self.beta)):
+            if not 0 < value < np.inf:
+                raise InputError(f"{name} must be a finite number > 0, got {value}")
 
     def smoothness(self):
         """(S, (s, U), DD^T, (d, Q)) with S = (L + eps*I)^beta = U diag(s) U^T
@@ -122,9 +128,6 @@ def build_graph_operators(
     coords: np.ndarray, k: int, eps: float, beta: float, n_time: int
 ) -> GraphOperators:
     """Assemble every operator needed by the graph-signal pipeline."""
-    for name, value in (("eps", eps), ("beta", beta)):
-        if not 0 < value < np.inf:
-            raise InputError(f"{name} must be a finite number > 0, got {value}")
     W, neighbors = knn_graph(coords, k)
     return GraphOperators(
         W=W,

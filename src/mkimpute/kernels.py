@@ -157,23 +157,31 @@ def build_kernel_matrix(landmarks: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Assemble the N_l x N_l matrix with entries k(l_k, l_k'), normalized
     to a unit-magnitude diagonal for the linear and polynomial kinds.
 
-    ``landmarks`` holds the points as columns (nu x N_l).
+    ``landmarks`` holds the points as columns (nu x N_l).  A kernel with an
+    entry that is not finite on them (an exp or a power that overflows)
+    raises InputError naming the spec (its kind and parameters).
     """
     landmarks = np.atleast_2d(np.asarray(landmarks))
     if landmarks.shape[1] < 1:
         raise InputError("need at least one landmark")
-    if spec.kind == GAUSSIAN:
-        # (l - conj(l'))^T (l - conj(l')) expanded to avoid the nu x N_l x N_l
-        # displacement tensor:  sum l^2 + sum conj(l')^2 - 2 l^T conj(l')
-        sq = np.sum(landmarks * landmarks, axis=0)
-        cross = landmarks.T @ np.conj(landmarks)
-        return np.exp(-spec.gamma * (sq[:, None] + np.conj(sq)[None, :] - 2.0 * cross))
-    entries = landmarks.conj().T @ landmarks  # (k,k') entry = l_k^H l_k'
-    if spec.kind == POLYNOMIAL:
-        entries = entries + spec.intercept
-    # the base g is normalized before the power: the same kernel,
-    # g^r / sqrt(|g_kk^r| |g_k'k'^r|), without forming g^r, which can overflow
-    scale = np.sqrt(np.abs(np.diagonal(entries)))
-    scale[scale == 0.0] = 1.0
-    entries = entries / np.outer(scale, scale)
-    return entries if spec.kind == LINEAR else entries ** spec.degree
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry raises below
+        if spec.kind == GAUSSIAN:
+            # (l - conj(l'))^T (l - conj(l')) expanded to avoid the nu x N_l x N_l
+            # displacement tensor:  sum l^2 + sum conj(l')^2 - 2 l^T conj(l')
+            sq = np.sum(landmarks * landmarks, axis=0)
+            cross = landmarks.T @ np.conj(landmarks)
+            K = np.exp(-spec.gamma * (sq[:, None] + np.conj(sq)[None, :] - 2.0 * cross))
+        else:
+            K = landmarks.conj().T @ landmarks  # (k,k') entry = l_k^H l_k'
+            if spec.kind == POLYNOMIAL:
+                K = K + spec.intercept
+            # the base g is normalized before the power: the same kernel,
+            # g^r / sqrt(|g_kk^r| |g_k'k'^r|), without forming g^r, which can overflow
+            scale = np.sqrt(np.abs(np.diagonal(K)))
+            scale[scale == 0.0] = 1.0
+            K = K / np.outer(scale, scale)
+            if spec.kind == POLYNOMIAL:
+                K = K ** spec.degree
+    if not np.isfinite(K).all():
+        raise InputError(f"{spec} has entries that are not finite on these landmarks")
+    return K

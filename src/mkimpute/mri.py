@@ -52,24 +52,6 @@ def _roll_frames(out: np.ndarray, cube: np.ndarray, s1: int, s2: int) -> None:
     _roll_columns_into(out[s1:], head, s2)
 
 
-def _fftshift_in_place(frames: np.ndarray) -> None:
-    """np.fft.fftshift over the first two axes, in place.  On even sides each
-    diagonal pair of quadrants trades places through one quadrant-sized
-    buffer; an odd side makes the shift no swap, and the general roll sets
-    about half the array aside."""
-    n1, n2, n3 = frames.shape
-    h1, h2 = n1 // 2, n2 // 2
-    if n1 % 2 or n2 % 2:
-        _roll_frames(frames, frames, h1, h2)
-        return
-    buf = np.empty((h1, h2, n3), dtype=frames.dtype)
-    for a, b in (((slice(0, h1), slice(0, h2)), (slice(h1, n1), slice(h2, n2))),
-                 ((slice(0, h1), slice(h2, n2)), (slice(h1, n1), slice(0, h2)))):
-        np.copyto(buf, frames[a])
-        frames[a] = frames[b]
-        frames[b] = buf
-
-
 def _frames_like(cube: np.ndarray, i1: int, i2: int, out=None) -> tuple[np.ndarray, np.ndarray]:
     """``out``, or a fresh complex (I1*I2, I3) array, and its (I1, I2, I3) frame view."""
     if out is None:
@@ -81,12 +63,13 @@ def fft2_frames(X: np.ndarray, i1: int, i2: int, out=None) -> np.ndarray:
     """Per-frame unnormalized 2D DFT, DC-centered, on the flattened layout,
     written to ``out`` (a complex array of X's shape, X itself allowed; a new
     array by default).  The transform runs in the result, which is then
-    shifted in place: no full-size array but the result.  (Without ``out``,
-    numpy's fftn allocates an array per axis.)"""
+    rolled in place by half of each side (fftshift): no full-size array but
+    the result and the roll's copy of the rows it sets aside.  (Without
+    ``out``, numpy's fftn allocates an array per axis.)"""
     cube = unflatten_frames(np.asarray(X, dtype=complex), i1, i2)
     out, frames = _frames_like(cube, i1, i2, out)
     np.fft.fftn(cube, axes=(0, 1), norm="backward", out=frames)
-    _fftshift_in_place(frames)
+    _roll_frames(frames, frames, i1 // 2, i2 // 2)  # fftshift
     return out
 
 

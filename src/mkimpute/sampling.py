@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, InputError
+from .model import require_count
 
 GOLDEN_ANGLE_DEG = 111.246
 
@@ -25,8 +26,7 @@ class SamplingPattern:
 
 def _check_sizes(**sizes) -> None:
     for name, size in sizes.items():
-        if size < 1:
-            raise InputError(f"{name} must be at least 1, got {size}")
+        require_count(name, size, 1)
 
 
 def sample_p1(n_rows: int, n_cols: int, r: float, seed: int) -> SamplingPattern:

@@ -712,8 +712,6 @@ def update_B(X_hat, model: FactorModel, lambda1: float, tau_B: float,
         T = ((active * (1.0 - a))[:, None, None, :] * np.eye(k)[None, :, :, None]
              + a[:, None, None, :] * u[:, :, None, :] * u[:, None, :, :])
         T = np.ascontiguousarray(T.transpose(3, 0, 1, 2))  # (cols, n, k, k)
-        if alpha == 0.0:  # T = I everywhere: one matrix serves every column
-            return np.linalg.solve(newton_matrices(T[:1])[0], g)
         d = np.empty((cols, k * r))
         for c0 in range(0, cols, batch):
             j = slice(c0, c0 + batch)

@@ -138,6 +138,21 @@ def test_emit_results_header_only(tmp_path):
     )
 
 
+def test_emit_results_writes_the_golden_text(tmp_path):
+    # None is an empty field and a float its repr (17 digits where needed);
+    # an integer ratio and seed "mean" are written as they are, with LF line ends
+    path = tmp_path / "results.csv"
+    rows = [{"method": "mlkr", "ratio": 4, "seed": 3, "mae": 0.1 + 0.2, "rmse": 1e-300,
+             "mape": None, "nrmse": 2.5, "ssim": None, "hfen": None, "seconds": 1.0},
+            {"method": "zero-fill", "ratio": 0.3, "seed": "mean", "mae": None, "rmse": 7.0,
+             "hfen": 0.1, "seconds": 12.25}]
+    emit_results(rows, path)
+    assert path.read_bytes() == (
+        b"method,ratio,seed,mae,rmse,mape,nrmse,ssim,hfen,seconds\n"
+        b"mlkr,4,3,0.30000000000000004,1e-300,,2.5,,,1.0\n"
+        b"zero-fill,0.3,mean,,7.0,,,,0.1,12.25\n")
+
+
 def test_aggregate_rows_mean():
     rows = [
         {"method": "m", "ratio": 0.3, "seed": 1, "mae": 1.0, "rmse": 2.0,
@@ -501,6 +516,9 @@ def test_load_tvgs_csv_non_finite_names_line(tmp_path, cell):
                   "navigator": {"mode": "nav3", "delta_t": 1}, "landmarks": {"count": 72}},
                  "landmarks: need 1 <= N_l <= 60, got 72",
                  id="fields41-at most the 60 navigators"),
+    # with the workers cases above; appended, so that no case's index moves
+    pytest.param({"repeats": 0}, "repeats must be an integer of at least 1, got 0",
+                 id="fields42-repeats"),
 ])
 def test_resolve_spec_rejects_fields_that_fail_every_cell(fields, match):
     # a size is checked by building the cell's inputs, the rest by resolve_spec

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,20 @@ def test_sobolev_rejects_bad_eps():
                             (np.inf, 1.0, "eps"), (0.1, np.inf, "beta")):
         with pytest.raises(InputError, match=f"^{name} must be a finite number > 0, got "):
             build_graph_operators(coords, 1, eps, beta, 4)
+
+
+@pytest.mark.parametrize("name", ["eps", "beta"])
+@pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
+def test_graph_operators_built_directly_check_eps_and_beta(name, value):
+    # an infinite eps warned in smoothness() ("invalid value encountered in
+    # multiply") and then raised an overflow error that misnamed the cause
+    L = laplacian(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    fields = {"eps": 0.1, "beta": 1.0, name: value}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=f"^{name} must be a finite number > 0, got "):
+            GraphOperators(W=np.diag(np.diag(L)) - L, L=L, delta=diff_operator(2),
+                           neighbors=[], **fields)
 
 
 @pytest.mark.parametrize("eps, beta", [(1e300, 3.0), (0.1, 1e300), (2.0, 1e4)])

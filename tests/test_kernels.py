@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -365,3 +366,18 @@ def test_degree_400_polynomial_is_finite_with_a_unit_diagonal(complex_, intercep
         km = build_kernel_matrix(pts, KernelSpec("polynomial", degree=400, intercept=c))
     assert np.all(np.isfinite(km))
     assert np.allclose(np.abs(np.diagonal(km)), 1.0, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("points, spec", [
+    # a negative intercept: the normalized base exceeds 1 off the diagonal
+    (np.array([[0.7072, 1.0]]), KernelSpec("polynomial", degree=400, intercept=-0.5)),
+    # a complex Gaussian: exp(gamma ||Im l||^2) overflows at a large gamma
+    (np.array([[3j, 1.0 + 2j]]), KernelSpec("gaussian", gamma=200.0)),
+], ids=["polynomial", "complex gaussian"])
+def test_a_kernel_matrix_that_is_not_finite_is_a_typed_error(points, spec):
+    # each one overflowed to inf with a RuntimeWarning and was returned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=re.escape(f"{spec} has entries that are not "
+                                                       "finite on these landmarks")):
+            build_kernel_matrix(points, spec)

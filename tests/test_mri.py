@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mkimpute.errors import DataError, InputError
@@ -105,6 +105,20 @@ def test_spatial_transforms_are_numpys_shifted_fft2_bit_for_bit(i1, i2, i3, comp
     for got, want in ((fft2_frames(X, i1, i2), forward), (ifft2_frames(X, i1, i2), inverse)):
         assert got.dtype == np.complex128 and got.shape == X.shape
         assert got.tobytes() == want.tobytes()
+
+
+@property_test
+@given(**SIZES)
+@example(i1=64, i2=64, i3=2, complex_=True, seed=0)  # dmri-radial's frames
+@example(i1=7, i2=4, i3=2, complex_=False, seed=1)
+def test_fft2_in_place_equals_the_allocating_form_bit_for_bit(i1, i2, i3, complex_, seed):
+    # dmri_update_X transforms its output in place every iteration; the
+    # shift then rolls the result over itself, on odd and even sides alike
+    X = _rand_kt(i1, i2, i3, complex_, seed).astype(complex)
+    shifted = np.fft.fftshift(np.fft.fft2(unflatten_frames(X, i1, i2), axes=(0, 1)), axes=(0, 1))
+    allocated = fft2_frames(X, i1, i2)
+    assert fft2_frames(X, i1, i2, out=X) is X
+    assert X.tobytes() == allocated.tobytes() == flatten_frames(shifted).tobytes()
 
 
 @pytest.mark.parametrize("i1, i2", [(8, 6), (5, 7), (6, 5), (1, 1)])

@@ -170,6 +170,19 @@ def test_both_builders_reject_an_acceleration_below_1_or_not_finite(accel):
             cartesian_mask(16, 16, 4, accel, band, seed=0)
 
 
+@pytest.mark.parametrize("bad", [2.5, True])
+@pytest.mark.parametrize("make, name", [
+    (lambda n: sample_p1(n, 4, 0.5, 0), "n_rows"),
+    (lambda n: sample_p2(4, n, 0.5, 0), "n_cols"),
+    (lambda n: cartesian_mask(8, 8, n, 2.0, 2, 0), "i3"),
+    (lambda n: radial_mask(8, n, 2, 2.0, 0), "i2"),
+], ids=["p1", "p2", "cartesian", "radial"])
+def test_generators_reject_a_size_that_is_not_an_integer(make, name, bad):
+    # a float or bool size ended in a numpy TypeError
+    with pytest.raises(InputError, match=f"^{name} must be an integer of at least 1, got {bad}"):
+        make(bad)
+
+
 def test_radial_frames_vary():
     p = radial_mask(16, 16, 4, accel=8.0, seed=0)
     cols = [tuple(p.mask[:, t]) for t in range(4)]

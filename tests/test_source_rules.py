@@ -25,6 +25,15 @@ def test_library_builds_no_kronecker_product():
     assert calls == [], f"np.kron called in the library at {calls}"
 
 
+def test_library_writes_csv_only_through_the_csv_module():
+    # a hand-joined row quotes nothing: a field with a comma would split
+    joins = [f"{path.relative_to(SRC)}:{n}"
+             for path in sorted(SRC.rglob("*.py"))
+             for n, line in enumerate(path.read_text().splitlines(), start=1)
+             if re.search(r"""(['"]),\1\.join\(""", line)]
+    assert joins == [], f'",".join( called in the library at {joins}'
+
+
 def test_x_update_factorizes_nothing():
     # S, DD^T and their eigenpairs are fixed for a graph and belong to it; the
     # X update, its step cap and its band factor only read them
